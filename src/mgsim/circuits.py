@@ -133,10 +133,13 @@ def _parse_state_token(tok: str, lineno: int) -> tuple:
         if len(pairs) == 2:
             amps = []
             for p in pairs:
-                parts = p.split(",")
-                if len(parts) != 2:
-                    raise ParseError(f"bad amplitude pair {p!r}", lineno)
-                amps.append(complex(float(parts[0]), float(parts[1])))
+                try:
+                    x, y = map(float, p.split(","))
+                except ValueError:  # not two numbers
+                    raise ParseError(f"bad amplitude pair {p!r}", lineno) from None
+                if not cmath.isfinite(complex(x, y)):
+                    raise ParseError(f"non-finite amplitude pair {p!r}", lineno)
+                amps.append(complex(x, y))
             norm = math.hypot(abs(amps[0]), abs(amps[1]))
             if norm == 0:
                 raise ParseError("zero state vector on a line", lineno)

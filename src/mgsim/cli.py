@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import circuits, engine_lie, engine_quadratic, matchgate, oracle, sampling
 from .errors import MgsimError
-from .jw import C0_MODES, PARITY
 
 SCHEMA = 1
 
@@ -36,18 +36,27 @@ def _emit(payload: dict) -> int:
 
 def _load_matrix(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MgsimError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(data, dict):
         data = data.get("matrix", data.get("B"))
-    if data is None:
-        raise MgsimError(f"{path}: expected a matrix or an object with a 'matrix' key")
+    if not (isinstance(data, list) and data and all(isinstance(row, list) for row in data)):
+        raise MgsimError(f"{path}: expected a list of rows or an object with a 'matrix' key")
+    if len({len(row) for row in data}) != 1:
+        raise MgsimError(f"{path}: ragged matrix rows")
 
     def entry(e):
-        if isinstance(e, (list, tuple)):
-            if len(e) != 2:
-                raise MgsimError(f"{path}: complex entries must be [re, im] pairs")
-            return complex(e[0], e[1])
-        return complex(e)
+        parts = e if isinstance(e, list) else [e, 0]
+        if len(parts) != 2:
+            raise MgsimError(f"{path}: complex entries must be [re, im] pairs")
+        if not all(isinstance(x, (int, float)) for x in parts):
+            raise MgsimError(f"{path}: non-numeric matrix entry {e!r}")
+        val = complex(parts[0], parts[1])
+        if not cmath.isfinite(val):
+            raise MgsimError(f"{path}: non-finite matrix entry {e!r}")
+        return val
 
     return np.array([[entry(e) for e in row] for row in data], dtype=complex)
 
@@ -66,17 +75,15 @@ def _result_payload(res) -> dict:
 def _run_engine(engine: str, circ, gates, args):
     state = circ.input_state()
     if engine == "quadratic":
-        return engine_quadratic.simulate(gates, state, circ.k, c0_mode=args.c0_mode,
-                                         unitary=circ.unitary, tol=args.tol)
+        return engine_quadratic.simulate(gates, state, circ.k, unitary=circ.unitary,
+                                         tol=args.tol)
     if engine == "lie":
         return engine_lie.simulate(gates, state, circ.k, unitary=circ.unitary, tol=args.tol)
     t0 = time.perf_counter()
     value = oracle.expectation_heisenberg(gates, state, circ.k, mode=args.heisenberg_mode)
     ms = (time.perf_counter() - t0) * 1e3
-    p0 = p1 = None
-    if abs(value.imag) <= args.tol * max(1.0, abs(value)):
-        p0, p1 = (1 + value.real) / 2, (1 - value.real) / 2
-    return engine_quadratic.SimResult(value, p0, p1, "dense", len(gates), ms)
+    return engine_quadratic.SimResult.from_value(value, "dense", len(gates), ms,
+                                                 circ.unitary, args.tol)
 
 
 def _check_heisenberg_mode(args, circ, engine: str):
@@ -162,42 +169,42 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="Matchgate circuit simulator and verifier")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def tol(p):
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--c0-mode", choices=sorted(C0_MODES), default=PARITY,
-                       dest="c0_mode")
+
+    def heisenberg_mode(p):
         p.add_argument("--heisenberg-mode", choices=(oracle.INVERSE, oracle.ADJOINT),
                        default=oracle.INVERSE, dest="heisenberg_mode")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("run", help="simulate a circuit file")
     p.add_argument("circuit")
     p.add_argument("--engine", choices=ENGINES, default="quadratic")
-    common(p)
+    tol(p)
+    heisenberg_mode(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify-matchgate", help="check the ten identities on a JSON matrix")
     p.add_argument("matrix")
     p.add_argument("--physical", action="store_true",
                    help="relabel basis 1,2,3,4 -> 1,3,2,4 before checking")
-    common(p)
+    tol(p)
     p.set_defaults(func=cmd_verify_matchgate)
 
     p = sub.add_parser("classify", help="report which gate classes a JSON matrix fits")
     p.add_argument("matrix")
-    common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("compare", help="run all engines on a circuit and compare")
     p.add_argument("circuit")
-    common(p)
+    tol(p)
+    heisenberg_mode(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="time the quadratic engine on random circuits")
     p.add_argument("--n", default="50,100,200", help="comma-separated line counts")
     p.add_argument("--gates", type=int, default=1000)
-    p.add_argument("--engine", choices=("quadratic",), default="quadratic")
-    common(p)
+    tol(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     return top
@@ -208,10 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MgsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MgsimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

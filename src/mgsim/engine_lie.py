@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+from .engine_quadratic import SimResult
 from .errors import DimensionError, InconsistencyError
 from .exponents import GateExponent
 from .jw import PARITY, JwFamily
@@ -174,22 +175,10 @@ def _propagate(gates, k: int, n: int) -> np.ndarray:
 
 
 def simulate(gates, state: ProductState, k: int, unitary: bool | None = None,
-             tol: float = 1e-9) -> "SimResult":
-    from .engine_quadratic import SimResult
-
+             tol: float = 1e-9) -> SimResult:
     n = state.n
     t0 = time.perf_counter()
     gates = list(gates)
-    obs = heisenberg_observable(gates, k, n)
-    value = expectation(state, obs)
-    scale = np.exp(sum((g.s for g in gates), start=0j))
+    value = expectation(state, heisenberg_observable(gates, k, n))
     elapsed = (time.perf_counter() - t0) * 1e3
-    p0 = p1 = None
-    if abs(value.imag) <= tol * max(1.0, abs(value)):
-        p0 = (1.0 + value.real) / 2.0
-        p1 = (1.0 - value.real) / 2.0
-    elif unitary:
-        raise InconsistencyError(
-            f"unitary circuit produced a non-real expectation {value!r}"
-        )
-    return SimResult(value, p0, p1, ENGINE_NAME, len(gates), elapsed, scale)
+    return SimResult.from_value(value, ENGINE_NAME, len(gates), elapsed, unitary, tol)

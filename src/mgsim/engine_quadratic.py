@@ -2,21 +2,25 @@
 
 Each gate e^A acts on the generators by conjugation as a (2n+1) x (2n+1)
 matrix K = exp(-4 atilde), where atilde is the purely quadratic extension of
-the gate exponent.  The observable Z_k = -i d_{2k-1} d_{2k} is carried through
-the circuit in reverse order as a quadratic coefficient matrix B via
-B <- K B K^T, then evaluated against the product input state.
-
+the gate exponent; K differs from the identity only on the gate's support.
 For any antisymmetric atilde, K^T = K^{-1} exactly, so conjugating by the
 gate inverse (the non-unitary generalisation of the usual adjoint) uses
-the same K matrices; the engine always computes <psi0| C^{-1} Z_k C |psi0>,
+the same K matrices; the engine always computes <psi0| C^{-1} O C |psi0>,
 which coincides with the Born-rule quantity for unitary circuits.
 
-Cost: O(G * n) transfer accumulation for G gates of bounded support, plus
-O(n^2) for the final expectation, far below the 2^n oracle.
+Every supported observable is quadratic, O = -i d_mu d_nu, so C^{-1} O C =
+-i (K d)_mu (K d)_nu needs only the two columns u = K e_mu and v = K e_nu of
+the circuit's total transfer K = K_1 ... K_G.  They are propagated through
+the gates in reverse, each gate touching only its support rows.  The value
+is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a product state m is
+semiseparable, so one left-to-right scan over the lines evaluates it.
+
+Cost: O(sum_g s_g^2 + n) time for gates of support s_g, O(n) memory.
 """
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass
 
@@ -25,26 +29,13 @@ import scipy.linalg
 
 from .errors import DimensionError, InconsistencyError
 from .exponents import GateExponent, extend_quadratic
-from .jw import PARITY, JwFamily
-from .pauli import PauliString, PauliSum, ProductState, expectation, pauli_mul
+from .jw import JwFamily
+from .pauli import PauliSum, ProductState, pauli_mul
 
 ENGINE_NAME = "quadratic"
 
-# Observables expressible in the d-basis: (index builder, description).
+# Observables expressible in the d-basis.
 _OBSERVABLES = ("Z", "X1", "Y1")
-
-# Below this line count simulate() expands the full Pauli sum (exercising the
-# generic algebra and the chosen c0 mode); above it, the O(n^2) prefix-product
-# fast path takes over.  Both paths are cross-checked in tests.
-FAST_PATH_THRESHOLD = 24
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Conjugation action of one gate on (d_0..d_{2n}), plus its scalar factor."""
-
-    K: np.ndarray
-    det_factor: complex = 1.0 + 0j
 
 
 @dataclass(frozen=True)
@@ -55,142 +46,111 @@ class SimResult:
     engine: str
     gates: int
     ms: float
-    scale: complex = 1.0 + 0j  # product of e^{s_i} over the circuit
+
+    @classmethod
+    def from_value(cls, value: complex, engine: str, gates: int, ms: float,
+                   unitary: bool | None, tol: float) -> "SimResult":
+        """Populations p0, p1 when the value is real; a domain error when it is not finite,
+        or not real on a unitary circuit."""
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise InconsistencyError(f"{engine} engine produced a non-finite expectation {value!r}")
+        p0 = p1 = None
+        if abs(value.imag) <= tol * max(1.0, abs(value)):
+            p0 = (1.0 + value.real) / 2.0
+            p1 = (1.0 - value.real) / 2.0
+        elif unitary:
+            raise InconsistencyError(f"unitary circuit produced a non-real expectation {value!r}")
+        return cls(value, p0, p1, engine, gates, ms)
 
 
-def gate_transfer(g: GateExponent) -> TransferMatrix:
-    """K = exp(-4 atilde) over d indices 0..2n."""
+def _gate_block(g: GateExponent) -> tuple[list[int], np.ndarray]:
+    """The gate's support d indices and K = exp(-4 atilde) restricted to them."""
     eq = extend_quadratic(g)
-    dim = 2 * g.n + 1
-    K = np.eye(dim, dtype=complex)
     idx = eq.support()
-    if idx:
-        K[np.ix_(idx, idx)] = scipy.linalg.expm(-4.0 * eq.block(idx))
-    return TransferMatrix(K, np.exp(g.s))
+    return idx, scipy.linalg.expm(-4.0 * eq.block(idx))
 
 
-def _accumulate_transfer(gates, n: int) -> np.ndarray:
-    """K_total = K_{g_1} K_{g_2} ... K_{g_N} built with support-local updates."""
-    dim = 2 * n + 1
-    K = np.eye(dim, dtype=complex)
-    for g in gates:
-        if g.n != n:
-            raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
-        eq = extend_quadratic(g)
-        idx = eq.support()
-        if not idx:
-            continue
-        Kg = scipy.linalg.expm(-4.0 * eq.block(idx))
-        K[:, idx] = K[:, idx] @ Kg
+def gate_transfer(g: GateExponent) -> np.ndarray:
+    """K = exp(-4 atilde) over d indices 0..2n."""
+    K = np.eye(2 * g.n + 1, dtype=complex)
+    idx, block = _gate_block(g)
+    K[np.ix_(idx, idx)] = block
     return K
 
 
-def _observable_coeff_matrix(K: np.ndarray, k: int, n: int, observable: str = "Z") -> np.ndarray:
-    """Quadratic d-coefficient matrix of C^{-1} O C from the accumulated transfer."""
+def _observable_indices(k: int, n: int, observable: str) -> tuple[int, int]:
+    """(mu, nu) with O = -i d_mu d_nu."""
     if observable == "Z":
         if not 1 <= k <= n:
             raise DimensionError(f"measured line {k} outside 1..{n}")
-        mu, nu = 2 * k - 1, 2 * k  # Z_k = -i d_mu d_nu
-    elif observable == "X1":
-        mu, nu = 1, 0  # X_1 = c_1 = -i d_1 d_0
-    elif observable == "Y1":
-        mu, nu = 2, 0  # Y_1 = c_2 = -i d_2 d_0
-    else:
-        raise ValueError(f"unsupported observable {observable!r}; one of {_OBSERVABLES}")
-    u = K[:, mu]
-    v = K[:, nu]
-    return -0.5j * (np.outer(u, v) - np.outer(v, u))
+        return 2 * k - 1, 2 * k  # Z_k = -i d_{2k-1} d_{2k}
+    if observable == "X1":
+        return 1, 0  # X_1 = c_1 = -i d_1 d_0
+    if observable == "Y1":
+        return 2, 0  # Y_1 = c_2 = -i d_2 d_0
+    raise ValueError(f"unsupported observable {observable!r}; one of {_OBSERVABLES}")
+
+
+def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
+    """Columns mu and nu of K_1 ... K_G as a (2n+1) x 2 array."""
+    cols = np.zeros((2 * n + 1, 2), dtype=complex)
+    cols[mu, 0] = cols[nu, 1] = 1.0
+    for g in reversed(gates):
+        if g.n != n:
+            raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
+        idx, block = _gate_block(g)
+        cols[idx] = block @ cols[idx]
+    return cols
+
+
+def _pair_form(u: np.ndarray, v: np.ndarray, state: ProductState) -> complex:
+    """u^T m v with m[a, b] = <psi0| d_a d_b |psi0> (a != b; m is antisymmetric).
+
+    For a < b on different sites p < q (d_0 counted as site 0),
+    m[a, b] = left_a * prod_{p<j<q} <Z_j> * right_b, with left = -i on d_0,
+    -i<Y_p> on d_{2p-1} and i<X_p> on d_{2p}, and right = <X_q>, <Y_q> on
+    d_{2q-1}, d_{2q}; on one site m[2q-1, 2q] = i<Z_q>.  The accumulators
+    carry sum_a left_a u_a (resp. v_a) times the Z products up to the current
+    site, so the scan only multiplies and adds: a vanishing product of many
+    small <Z_j> underflows to 0 instead of dividing.
+    """
+    e = state.single_line_expectations()
+    ex, ey, ez = (e[p].tolist() for p in "XYZ")
+    u, v = u.tolist(), v.tolist()
+    acc_u, acc_v = -1j * u[0], -1j * v[0]
+    total = 0j
+    for q in range(state.n):
+        a, b = 2 * q + 1, 2 * q + 2
+        total += (ex[q] * (v[a] * acc_u - u[a] * acc_v) + ey[q] * (v[b] * acc_u - u[b] * acc_v)
+                  + 1j * ez[q] * (u[a] * v[b] - u[b] * v[a]))
+        acc_u = acc_u * ez[q] - 1j * ey[q] * u[a] + 1j * ex[q] * u[b]
+        acc_v = acc_v * ez[q] - 1j * ey[q] * v[a] + 1j * ex[q] * v[b]
+    return total
 
 
 def heisenberg_observable(gates, k: int, family: JwFamily, observable: str = "Z") -> PauliSum:
-    """C^{-1} Z_k C expanded as a Pauli sum over the family's n lines."""
+    """C^{-1} O C expanded as a Pauli sum over the family's n lines."""
     n = family.n
-    K = _accumulate_transfer(gates, n)
-    B = _observable_coeff_matrix(K, k, n, observable)
+    cols = _propagate_columns(list(gates), n, *_observable_indices(k, n, observable))
+    u, v = cols[:, 0], cols[:, 1]
+    B = -0.5j * (np.outer(u, v) - np.outer(v, u))
     return _expand_coeff_matrix(B, family).restricted(n)
 
 
 def _expand_coeff_matrix(B: np.ndarray, family: JwFamily, drop_tol: float = 1e-14) -> PauliSum:
-    dim = B.shape[0]
+    """sum_{a != b} B[a, b] d_a d_b for an antisymmetric B."""
     out = PauliSum(family.lines)
-    ident = 0j
-    for mu in range(dim):
-        ident += B[mu, mu]
-        dmu = family.d(mu)
-        for nu in range(dim):
-            if nu == mu or abs(B[mu, nu]) <= drop_tol:
-                continue
-            out._add_string(pauli_mul(dmu, family.d(nu)), weight=B[mu, nu])
-    if abs(ident) > drop_tol:
-        out._add_string(PauliString(family.lines, 0, 0), weight=ident)
+    for a, b in zip(*np.nonzero(np.abs(B) > drop_tol)):
+        out._add_string(pauli_mul(family.d(a), family.d(b)), weight=B[a, b])
     out._prune()
     return out
-
-
-def _pair_expectation_matrix(state: ProductState) -> np.ndarray:
-    """m[mu, nu] = <psi0| d_mu d_nu |psi0| for mu != nu, via O(n^2) prefix products.
-
-    Uses d_mu d_nu = c_mu c_nu (mu, nu >= 1), d_mu d_0 = i c_mu, and the
-    Z-string structure of the JW operators; zero per-line <Z> values are
-    handled with prefix zero counts instead of division.
-    """
-    n = state.n
-    e = state.single_line_expectations()
-    ex, ey, ez = e["X"], e["Y"], e["Z"]
-
-    zero = np.abs(ez) == 0
-    zcount = np.concatenate([[0], np.cumsum(zero)])  # zcount[j] = zeros among lines 1..j
-    safe = np.where(zero, 1.0 + 0j, ez)
-    cp = np.concatenate([[1.0 + 0j], np.cumprod(safe)])  # cp[j] = prod of nonzero <Z> lines 1..j
-
-    def zprod(a, b):  # product of <Z> over lines a..b (vectorized, empty -> 1)
-        blocked = (zcount[b] - zcount[a - 1]) > 0
-        return np.where(blocked, 0j, cp[b] / cp[a - 1])
-
-    # linear expectations <c_mu>, mu = 1..2n
-    sites = np.arange(1, n + 1)
-    prefix = zprod(np.ones(n, dtype=int), sites - 1)
-    lin = np.empty(2 * n, dtype=complex)
-    lin[0::2] = prefix * ex  # odd mu: Z...Z X
-    lin[1::2] = prefix * ey  # even mu: Z...Z Y
-
-    # site-level interior Z products S[p-1, q-1] = prod_{p<j<q} <Z_j>, p < q
-    p_idx, q_idx = np.meshgrid(sites, sites, indexing="ij")
-    S = np.zeros((n, n), dtype=complex)
-    upper = p_idx < q_idx
-    S[upper] = zprod(p_idx[upper] + 1, q_idx[upper] - 1)
-
-    # left factors at site p: odd mu -> X.Z = -iY, even mu -> Y.Z = iX
-    left = np.empty(2 * n, dtype=complex)
-    left[0::2] = -1j * ey
-    left[1::2] = 1j * ex
-    right = np.empty(2 * n, dtype=complex)
-    right[0::2] = ex
-    right[1::2] = ey
-
-    m = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    quad = np.outer(left, right) * np.repeat(np.repeat(S, 2, axis=0), 2, axis=1)
-    cross = np.zeros((2 * n, 2 * n), dtype=bool)
-    cross[np.repeat(sites, 2).reshape(-1, 1) < np.repeat(sites, 2)] = True
-    m[1:, 1:][cross] = quad[cross]
-    for p in range(1, n + 1):  # same-site pair c_{2p-1} c_{2p} = i Z_p
-        m[2 * p - 1, 2 * p] = 1j * ez[p - 1]
-    m[0, 1:] = -1j * lin  # d_0 d_nu = -i c_nu
-    lower = np.tril_indices(2 * n + 1, -1)
-    m[lower] = -m.T[lower]  # antisymmetry of off-diagonal <d_mu d_nu>
-    return m
-
-
-def _fast_expectation(B: np.ndarray, state: ProductState) -> complex:
-    m = _pair_expectation_matrix(state)
-    return complex(np.sum(B * m) + np.trace(B))  # diagonal d_mu^2 = I terms
 
 
 def simulate(
     gates,
     state: ProductState,
     k: int,
-    c0_mode: str = PARITY,
     observable: str = "Z",
     unitary: bool | None = None,
     tol: float = 1e-9,
@@ -199,22 +159,7 @@ def simulate(
     n = state.n
     t0 = time.perf_counter()
     gates = list(gates)
-    K = _accumulate_transfer(gates, n)
-    B = _observable_coeff_matrix(K, k, n, observable)
-    if n <= FAST_PATH_THRESHOLD:
-        family = JwFamily(n, c0_mode)
-        obs = _expand_coeff_matrix(B, family).restricted(n)
-        value = expectation(state, obs)
-    else:
-        value = _fast_expectation(B, state)
-    scale = np.exp(sum((g.s for g in gates), start=0j))
+    cols = _propagate_columns(gates, n, *_observable_indices(k, n, observable))
+    value = -1j * _pair_form(cols[:, 0], cols[:, 1], state)
     elapsed = (time.perf_counter() - t0) * 1e3
-    p0 = p1 = None
-    if abs(value.imag) <= tol * max(1.0, abs(value)):
-        p0 = (1.0 + value.real) / 2.0
-        p1 = (1.0 - value.real) / 2.0
-    elif unitary:
-        raise InconsistencyError(
-            f"unitary circuit produced a non-real expectation {value!r}"
-        )
-    return SimResult(value, p0, p1, ENGINE_NAME, len(gates), elapsed, scale)
+    return SimResult.from_value(value, ENGINE_NAME, len(gates), elapsed, unitary, tol)

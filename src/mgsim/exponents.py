@@ -101,10 +101,6 @@ class ExtendedQuadratic:
     atilde: tuple  # sorted ((mu, nu), value) pairs, 0 <= mu < nu <= 2n
     s: complex = 0j
 
-    @property
-    def atilde_dict(self) -> dict:
-        return dict(self.atilde)
-
     def support(self) -> list[int]:
         idx = set()
         for (mu, nu), _ in self.atilde:

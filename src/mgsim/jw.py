@@ -95,7 +95,3 @@ class JwFamily:
             raise DimensionError(f"line {k} outside 1..{self.n}")
         return PauliString(self.lines, 0, 1 << (k - 1))
 
-
-def d_op(family: JwFamily, mu: int) -> PauliString:
-    """d_0 = c_0 and d_mu = i c_mu c_0, from the family cache."""
-    return family.d(mu)

@@ -50,11 +50,6 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, lines, n: int) -> np.nda
     return psi.reshape(-1)
 
 
-def dense_pauli_sum(ps: PauliSum) -> np.ndarray:
-    _check_n(ps.n)
-    return ps.to_matrix()
-
-
 def _support_lines(ps: PauliSum) -> list[int]:
     mask = 0
     for x, z in ps.terms:

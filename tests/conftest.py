@@ -6,8 +6,3 @@ import pytest
 def rng():
     return np.random.default_rng(1234)
 
-
-def random_su2(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return q / np.sqrt(np.linalg.det(q))

@@ -117,3 +117,62 @@ def test_adjoint_mode_guard(capsys, tmp_path):
     assert "requires --engine dense" in capsys.readouterr().err
     assert main(["run", str(path), "--engine", "dense",
                  "--heisenberg-mode", "adjoint"]) == 0
+
+
+def assert_one_error(capsys, code, expected=1):
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert out == ""
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
+
+@pytest.mark.parametrize("argv", [["run", "--engine", "quadratic"], ["run", "--engine", "lie"],
+                                  ["run", "--engine", "dense"], ["compare"]])
+def test_non_finite_value_is_a_domain_error(capsys, tmp_path, argv):
+    path = tmp_path / "overflow.mg"
+    path.write_text("circuit n=1\nstate 0\ngate exp a:1,2=1e308 b:1=1e308\nmeasure 1\n")
+    assert_one_error(capsys, main([argv[0], str(path), *argv[1:]]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{circuit}", "--c0-mode", "parity"],
+    ["run", "{circuit}", "--seed", "1"],
+    ["compare", "{circuit}", "--seed", "1"],
+    ["classify", "{matrix}", "--seed", "1"],
+    ["classify", "{matrix}", "--tol", "1e-6"],
+    ["verify-matchgate", "{matrix}", "--heisenberg-mode", "adjoint"],
+    ["bench", "--engine", "quadratic"],
+])
+def test_removed_flags_are_usage_errors(circuit_file, tmp_path, argv):
+    matrix = tmp_path / "B.json"
+    matrix.write_text(json.dumps(np.eye(4).tolist()))
+    argv = [a.format(circuit=circuit_file, matrix=matrix) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "circuit n=2\nstate (1,x)(0,0) 0\nmeasure 1\n"),
+    ("run", "circuit n=2\nstate (inf,0)(1,0) 0\nmeasure 1\n"),
+    ("run", "circuit n=2\nstate (nan,0)(1,0) 0\nmeasure 1\n"),
+    ("run", "circuit n=2\nstate (1,0,0)(0,0) 0\nmeasure 1\n"),
+    ("classify", "[[1, 0], [0, 1]"),
+    ("classify", '[["a", 0, 0, 0]]'),
+    ("classify", "[[1, 0, 0, 0], [0, 1]]"),
+    ("classify", "5"),
+    ("classify", '{"other": 1}'),
+    ("classify", "[[NaN, 0], [0, 1]]"),
+    ("verify-matchgate", "[[Infinity, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"),
+    ("verify-matchgate", "[[[1, 0, 0], 0], [0, 1]]"),
+])
+def test_bad_input_is_a_domain_error(capsys, tmp_path, command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert_one_error(capsys, main([command, str(path)]))
+
+
+def test_binary_file_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "binary.mg"
+    path.write_bytes(b"\xff\xfe\x00circuit")
+    assert_one_error(capsys, main(["run", str(path)]))

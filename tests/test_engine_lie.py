@@ -96,7 +96,7 @@ def test_adjoint_transfer_matches_quadratic_block(rng):
     g = raw_exponent(2, a={(1, 2): complex(rng.normal(), rng.normal())})
     sc = structure_constants(2)
     a = adjoint_transfer(gate_coefficients(g, sc.basis), sc)
-    K = gate_transfer(g).K
+    K = gate_transfer(g)
     assert np.linalg.norm(a[1:3, 1:3] - np.linalg.inv(K)[1:3, 1:3]) < 1e-10
 
 

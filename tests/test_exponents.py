@@ -9,7 +9,7 @@ from mgsim.exponents import (GateExponent, compile_diag, compile_gvw, compile_mg
                              is_unitary_exponent, raw_exponent, to_pauli_sum)
 from mgsim.jw import PARITY, JwFamily
 from mgsim.oracle import dense_gate
-from tests.conftest import random_su2
+from mgsim.sampling import random_su2
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

@@ -6,7 +6,7 @@ from mgsim.circuits import (Circuit, classify, parse, parse_complex, render,
                             render_complex)
 from mgsim.errors import GateClassError, ParseError
 from mgsim.oracle import apply_matrix, run_circuit
-from tests.conftest import random_su2
+from mgsim.sampling import random_su2
 
 H = 0.7071067811865476
 
