@@ -28,7 +28,7 @@ import numpy as np
 from . import matchgate
 from .errors import GateClassError, MatchgateError, MgsimError, ParseError
 from .exponents import (GateExponent, compile_diag, compile_gvw, compile_mg12,
-                        compile_u1, is_unitary_exponent, raw_exponent)
+                        compile_u1, raw_exponent)
 from .pauli import ProductState
 
 GATE_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
@@ -58,6 +58,19 @@ class GateSpec:
 
     def param(self, name):
         return dict(self.params)[name]
+
+    def matrix(self) -> np.ndarray:
+        """The 4x4 matrix of a gvw, diag, mg12 or u1 gate on its two lines, in
+        standard qubit order; u1 gives U (x) I on lines (1, 2)."""
+        if self.cls == "gvw":
+            return matchgate.g_vw(self.param("V"), self.param("W"), tol=np.inf)
+        if self.cls == "diag":
+            return np.diag(np.array(self.param("d"), dtype=complex))
+        if self.cls == "mg12":
+            return np.array(self.param("B"), dtype=complex)
+        if self.cls == "u1":
+            return np.kron(np.array(self.param("U"), dtype=complex), np.eye(2))
+        raise GateClassError(f"{self.cls} gates have no matrix form")
 
 
 @dataclass(frozen=True)
@@ -164,10 +177,16 @@ def _gate_is_unitary(spec: GateSpec, tol: float) -> bool:
     if spec.cls == "u1":
         return _matrix_is_unitary(spec.param("U"), tol)
     # raw exponent: unitary up to global phase iff a real, b and s imaginary
-    a = {pair: val for pair, val in spec.param("a")}
-    b = {sigma: val for sigma, val in spec.param("b")}
-    g = GateExponent.make(10**6, a, b, spec.param("s"))
-    return is_unitary_exponent(g, tol)
+    return (all(abs(val.imag) <= tol for _, val in spec.param("a"))
+            and all(abs(val.real) <= tol for _, val in spec.param("b"))
+            and abs(spec.param("s").real) <= tol)
+
+
+def _require_invertible(m, cls: str, lineno: int, tol: float):
+    det = abs(np.linalg.det(np.array(m, dtype=complex)))
+    if det <= tol:
+        raise ParseError(f"{cls} gate rejected: matrix is not invertible (|det| = {det:.3e})",
+                         lineno)
 
 
 def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
@@ -195,9 +214,10 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
         V = named("V", "V", (2, 2))
         W = named("W", "W", (2, 2))
         try:
-            matchgate.g_vw(np.array(V), np.array(W), tol=tol)
+            B = matchgate.g_vw(V, W, tol=tol)
         except MatchgateError as exc:
             raise ParseError(f"gvw gate rejected: {exc}", lineno) from None
+        _require_invertible(B, "gvw", lineno, tol)
         return GateSpec("gvw", (k, k + 1), (("V", V), ("W", W)))
 
     if cls == "diag":
@@ -228,12 +248,14 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
         B = named("B", "B", (4, 4))
         if not matchgate.is_matchgate(matchgate.swap_convention(np.array(B)), tol=max(tol, 1e-10)):
             raise ParseError("mg12 gate rejected: matrix fails the matchgate identities", lineno)
+        _require_invertible(B, "mg12", lineno, tol)
         return GateSpec("mg12", (1, 2), (("B", B),))
 
     if cls == "u1":
         if len(args) != 1:
             raise ParseError("u1 takes a single U= matrix", lineno)
         U = named("U", "U", (2, 2))
+        _require_invertible(U, "u1", lineno, tol)
         return GateSpec("u1", (1,), (("U", U),))
 
     # exp: raw coefficients a:mu,nu=<c>  b:sigma=<c>  s=<c>

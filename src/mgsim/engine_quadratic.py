@@ -1,12 +1,18 @@
 """Heisenberg-picture engine over the (2n+1)-dimensional d-operator space.
 
-Each gate e^A acts on the generators by conjugation as a (2n+1) x (2n+1)
-matrix K = exp(-4 atilde), where atilde is the purely quadratic extension of
-the gate exponent; K differs from the identity only on the gate's support.
-For any antisymmetric atilde, K^T = K^{-1} exactly, so conjugating by the
-gate inverse (the non-unitary generalisation of the usual adjoint) uses
-the same K matrices; the engine always computes <psi0| C^{-1} O C |psi0>,
-which coincides with the Born-rule quantity for unitary circuits.
+Each gate B acts on the generators by conjugation, B^{-1} d_a B = sum_b K_ab d_b,
+with a (2n+1) x (2n+1) transfer K that differs from the identity only on the
+gate's support.  For the matrix gate classes (gvw, diag, mg12, u1) the block
+is read straight off the gate matrix as K_ab = 1/4 tr(d_a B^{-1} d_b B) over
+the five two-line operators d_0..d_4 (Jozsa & Miyake, arXiv:0804.4050): no
+logarithm is taken, so every invertible matchgate is accepted, including
+those that are only limits of exponentials.  Only `exp` gates, and compiled
+GateExponents, go through their exponent as K = exp(-4 atilde), where atilde
+is the purely quadratic extension of the exponent.  K^T = K^{-1} in both
+cases, so conjugating by the gate inverse (the non-unitary generalisation of
+the usual adjoint) uses the same K matrices; the engine always computes
+<psi0| C^{-1} O C |psi0>, which coincides with the Born-rule quantity for
+unitary circuits.
 
 Every supported observable is quadratic, O = -i d_mu d_nu, so C^{-1} O C =
 -i (K d)_mu (K d)_nu needs only the two columns u = K e_mu and v = K e_nu of
@@ -27,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .circuits import GateSpec
 from .errors import DimensionError, InconsistencyError
-from .exponents import GateExponent, extend_quadratic
+from .exponents import GateExponent, extend_quadratic, raw_exponent
 from .jw import JwFamily
 from .pauli import PauliSum, ProductState, pauli_mul
 
@@ -64,8 +71,39 @@ class SimResult:
         return cls(value, p0, p1, engine, gates, ms)
 
 
-def _gate_block(g: GateExponent) -> tuple[list[int], np.ndarray]:
-    """The gate's support d indices and K = exp(-4 atilde) restricted to them."""
+# d_0..d_4 on two lines as 4x4 matrices, and their transposes flattened, so
+# that _D2T @ M.reshape(5, 16).T is the matrix of traces tr(d_a M_b).
+_D2 = np.array([JwFamily(2).d(mu).to_matrix() for mu in range(5)])
+_D2T = _D2.transpose(0, 2, 1).reshape(5, 16)
+
+
+def _matrix_block(spec: GateSpec) -> tuple[list[int], np.ndarray]:
+    """Support d indices and K_ab = 1/4 tr(d_a B^{-1} d_b B) of a matrix-class gate.
+
+    The Z strings left of (and, for diag, between) the gate's lines commute
+    with B, so the two-line K carries over to the gate's global d indices.
+    """
+    B = spec.matrix()
+    M = np.linalg.inv(B) @ _D2 @ B
+    K = 0.25 * _D2T @ M.reshape(5, 16).T
+    if spec.cls == "mg12":
+        return [0, 1, 2, 3, 4], K
+    if spec.cls == "u1":  # U (x) I commutes with d_3, d_4
+        return [0, 1, 2], K[:3, :3]
+    k, l = spec.lines  # gvw and diag preserve parity: d_0 is untouched
+    return [2 * k - 1, 2 * k, 2 * l - 1, 2 * l], K[1:, 1:]
+
+
+def _gate_block(g, n: int) -> tuple[list[int], np.ndarray]:
+    """Support d indices and the transfer restricted to them, for a GateSpec or GateExponent."""
+    if isinstance(g, GateSpec):
+        if max(g.lines, default=0) > n:
+            raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
+        if g.cls != "exp":
+            return _matrix_block(g)
+        g = raw_exponent(n, dict(g.param("a")), dict(g.param("b")), g.param("s"))
+    elif g.n != n:
+        raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
     eq = extend_quadratic(g)
     idx = eq.support()
     return idx, scipy.linalg.expm(-4.0 * eq.block(idx))
@@ -74,7 +112,7 @@ def _gate_block(g: GateExponent) -> tuple[list[int], np.ndarray]:
 def gate_transfer(g: GateExponent) -> np.ndarray:
     """K = exp(-4 atilde) over d indices 0..2n."""
     K = np.eye(2 * g.n + 1, dtype=complex)
-    idx, block = _gate_block(g)
+    idx, block = _gate_block(g, g.n)
     K[np.ix_(idx, idx)] = block
     return K
 
@@ -97,9 +135,7 @@ def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
     cols = np.zeros((2 * n + 1, 2), dtype=complex)
     cols[mu, 0] = cols[nu, 1] = 1.0
     for g in reversed(gates):
-        if g.n != n:
-            raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
-        idx, block = _gate_block(g)
+        idx, block = _gate_block(g, n)
         cols[idx] = block @ cols[idx]
     return cols
 
@@ -155,7 +191,10 @@ def simulate(
     unitary: bool | None = None,
     tol: float = 1e-9,
 ) -> SimResult:
-    """Expectation of the measured observable after the circuit, in poly(n) time."""
+    """Expectation of the measured observable after the circuit, in poly(n) time.
+
+    ``gates`` are parsed GateSpecs or compiled GateExponents, in application order.
+    """
     n = state.n
     t0 = time.perf_counter()
     gates = list(gates)

@@ -18,7 +18,7 @@ carries a factor -i) and is cross-checked against the dense oracle in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +26,7 @@ import scipy.linalg
 
 from . import matchgate
 from .errors import DimensionError, GateClassError
-from .jw import PARITY, JwFamily, jw
+from .jw import JwFamily, jw
 from .pauli import PauliString, PauliSum, pauli_mul
 
 

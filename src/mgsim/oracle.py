@@ -17,7 +17,7 @@ import scipy.linalg
 from .errors import DimensionError, MgsimError, SizeLimitError
 from .exponents import GateExponent, to_pauli_sum
 from .jw import PARITY, JwFamily
-from .pauli import PauliString, PauliSum, ProductState
+from .pauli import PauliSum, ProductState
 
 MAX_LINES = 12
 

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from mgsim import circuits, matchgate, sampling
 from mgsim.cli import main
 
 H = 0.7071067811865476
@@ -123,11 +125,16 @@ def assert_one_error(capsys, code, expected=1):
     out, err = capsys.readouterr()
     assert code == expected
     assert out == ""
-    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
-@pytest.mark.parametrize("argv", [["run", "--engine", "quadratic"], ["run", "--engine", "lie"],
-                                  ["run", "--engine", "dense"], ["compare"]])
+ENGINE_ARGV = [["run", "--engine", "quadratic"], ["run", "--engine", "lie"],
+               ["run", "--engine", "dense"], ["compare"]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow warnings would raise
+@pytest.mark.parametrize("argv", ENGINE_ARGV)
 def test_non_finite_value_is_a_domain_error(capsys, tmp_path, argv):
     path = tmp_path / "overflow.mg"
     path.write_text("circuit n=1\nstate 0\ngate exp a:1,2=1e308 b:1=1e308\nmeasure 1\n")
@@ -150,6 +157,14 @@ def test_removed_flags_are_usage_errors(circuit_file, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("sizes", ["abc", "5,", "0", "8,-1"])
+def test_bad_bench_sizes_are_usage_errors(capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", sizes])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: mgsim bench")
 
 
 @pytest.mark.parametrize("command, text", [
@@ -176,3 +191,58 @@ def test_binary_file_is_a_domain_error(capsys, tmp_path):
     path = tmp_path / "binary.mg"
     path.write_bytes(b"\xff\xfe\x00circuit")
     assert_one_error(capsys, main(["run", str(path)]))
+
+
+@pytest.mark.parametrize("gate", [
+    "gvw 1 V=[1,0;0,0] W=[1,0;0,0]",
+    "mg12 B=[1,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0]",
+    "u1 U=[1,1;1,1]",
+])
+@pytest.mark.parametrize("argv", ENGINE_ARGV)
+def test_singular_gate_is_a_domain_error(capsys, tmp_path, gate, argv):
+    path = tmp_path / "singular.mg"
+    path.write_text(f"circuit n=2\nstate 0 +\ngate {gate}\nmeasure 1\n")
+    assert "not invertible" in assert_one_error(capsys, main([argv[0], str(path), *argv[1:]]))
+
+
+# det V = det W = 1, but W is a Jordan block with eigenvalue -1: G(V, W) is only
+# a limit of matchgate exponentials, and no logarithm of it lies in the span
+CLOSURE_ONLY = """circuit n=2
+state (0.6,0)(0,0.8) +
+gate gvw 1 V=[1,1;0,1] W=[-1,1;0,-1]
+measure 1
+"""
+
+
+def test_closure_only_gate_runs_on_the_quadratic_engine(capsys, tmp_path):
+    path = tmp_path / "closure.mg"
+    path.write_text(CLOSURE_ONLY)
+    code, data = run_json(capsys, ["run", str(path)])
+    assert code == 0
+    B = matchgate.g_vw([[1, 1], [0, 1]], [[-1, 1], [0, -1]])
+    psi = np.kron([0.6, 0.8j], [1, 1]) / np.sqrt(2)
+    Z1 = np.diag([1, 1, -1, -1])
+    ref = np.vdot(psi, np.linalg.inv(B) @ Z1 @ B @ psi)
+    assert abs(ref - (-0.28)) < 1e-12
+    assert abs(complex(*data["expectation"]) - ref) < 1e-12
+    # the Lie engine and the oracle need a logarithm, so they refuse the gate
+    for argv in (["run", str(path), "--engine", "lie"], ["compare", str(path)]):
+        assert_one_error(capsys, main(argv))
+
+
+def test_quadratic_run_takes_no_logarithm(capsys, tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    gates = tuple(sampling.random_gate(cls, 4, rng, unitary=False)
+                  for cls in sampling.ALL_CLASSES * 2)
+    circ = circuits.Circuit(4, ((1.0, 0j),) * 4, gates, 3, False)
+    path = tmp_path / "all_classes.mg"
+    path.write_text(circuits.render(circ))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quadratic run path must not compile or take a logarithm")
+
+    monkeypatch.setattr(circuits, "compile", forbidden)
+    monkeypatch.setattr(matchgate, "log_to_L", forbidden)
+    monkeypatch.setattr(scipy.linalg, "logm", forbidden)
+    code, data = run_json(capsys, ["run", str(path)])
+    assert code == 0 and data["gates"] == 10

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from mgsim import circuits, engine_lie, sampling
-from mgsim.engine_quadratic import gate_transfer, heisenberg_observable, simulate
+from mgsim.engine_quadratic import _gate_block, gate_transfer, heisenberg_observable, simulate
 from mgsim.errors import DimensionError
 from mgsim.exponents import compile_u1, raw_exponent
 from mgsim.jw import C0_MODES, PARITY, JwFamily
-from mgsim.oracle import INVERSE, expectation_heisenberg
+from mgsim.oracle import INVERSE, apply_gate, apply_matrix, expectation_heisenberg
 from mgsim.pauli import ProductState, expectation
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]])
 
 
 def test_zero_exponent_transfer():
@@ -107,23 +109,27 @@ def test_heisenberg_observable_expectation(rng):
     assert abs(via_sum - direct) < 1e-12
 
 
-def test_x1_y1_observables(rng):
-    from mgsim.oracle import apply_gate, apply_matrix
+def _dense_reference(gates, state, k, observable):
+    """<psi0| C^-1 O C |psi0> on the state vector, for O = Z_k, X_1 or Y_1."""
+    if observable == "Z":
+        return expectation_heisenberg(gates, state, k, INVERSE)
+    n = state.n
+    psi = state.to_vector()
+    for g in gates:
+        psi = apply_gate(psi, g, n)
+    v = apply_matrix(psi, X if observable == "X1" else Y, [1], n)
+    for g in reversed(gates):
+        v = apply_gate(v, g, n, inverse=True)
+    return complex(np.vdot(state.to_vector(), v))
 
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Y = np.array([[0, -1j], [1j, 0]])
+
+def test_x1_y1_observables(rng):
     n = 3
     circ = sampling.random_circuit(n, 4, rng)
     gates = circuits.compile(circ)
     state = circ.input_state()
-    psi = state.to_vector()
-    for g in gates:
-        psi = apply_gate(psi, g, n)
-    for obs, mat in (("X1", X), ("Y1", Y)):
-        v = apply_matrix(psi, mat, [1], n)
-        for g in reversed(gates):
-            v = apply_gate(v, g, n, inverse=True)
-        ref = complex(np.vdot(state.to_vector(), v))
+    for obs in ("X1", "Y1"):
+        ref = _dense_reference(gates, state, 1, obs)
         got = simulate(gates, state, 1, observable=obs).expectation
         assert abs(got - ref) < 1e-9
 
@@ -137,3 +143,42 @@ def test_populations_only_when_real():
     res = simulate([g], state, 1)
     if abs(res.expectation.imag) > 1e-9:
         assert res.p0 is None and res.p1 is None
+
+
+@pytest.mark.parametrize("cls", ["gvw", "diag", "mg12", "u1"])
+def test_matrix_block_matches_compiled_transfer(rng, cls):
+    # the block read off the gate matrix against exp(-4 atilde) of the
+    # compiled exponent; the log route's round-off grows with the transfer, so
+    # the gap is taken relative to max(1, max |K|)
+    apart = 0
+    for trial in range(40):
+        n = 2 + trial % 5
+        circ = sampling.random_circuit(n, 1, rng, classes=(cls,), unitary=bool(trial % 2))
+        spec = circ.gates[0]
+        apart += spec.cls == "diag" and spec.lines[1] > spec.lines[0] + 1
+        K = np.eye(2 * n + 1, dtype=complex)
+        idx, block = _gate_block(spec, n)
+        K[np.ix_(idx, idx)] = block
+        ref = gate_transfer(circuits.compile(circ)[0])
+        assert np.abs(K - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert cls != "diag" or apart > 0  # non-adjacent diag lines are covered
+
+
+def test_spec_gates_match_compiled_gates_and_oracle(rng):
+    for trial in range(24):
+        n = 1 + trial % 8
+        circ = sampling.random_circuit(n, int(rng.integers(1, 10)), rng,
+                                       unitary=bool(trial % 3))
+        gates = circuits.compile(circ)
+        state = circ.input_state()
+        for obs in ("Z", "X1", "Y1"):
+            got = simulate(circ.gates, state, circ.k, observable=obs).expectation
+            via_exponents = simulate(gates, state, circ.k, observable=obs).expectation
+            assert abs(got - via_exponents) < 1e-10
+            assert abs(got - _dense_reference(gates, state, circ.k, obs)) < 1e-10
+
+
+def test_spec_outside_the_register_is_refused():
+    spec = circuits.GateSpec("diag", (1, 3), (("d", (1, 1j, 1j, -1)),))
+    with pytest.raises(DimensionError):
+        simulate([spec], ProductState.computational([0, 0]), 1)

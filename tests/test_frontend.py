@@ -52,6 +52,12 @@ def test_comments_and_blank_lines():
     ("circuit n=2\nstate 0 0\ngate gvw 1 V=[1,0;0,1] W=[2,0;0,1]\nmeasure 1\n",
      "determinant mismatch"),
     ("circuit n=2\nstate 0 0\ngate exp a:2,1=1\nmeasure 1\n", "invalid for n=2"),
+    ("circuit n=2\nstate 0 0\ngate gvw 1 V=[1,0;0,0] W=[0,0;0,1]\nmeasure 1\n",
+     "gvw gate rejected: matrix is not invertible"),
+    ("circuit n=2\nstate 0 0\ngate mg12 B=[1,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0]\nmeasure 1\n",
+     "mg12 gate rejected: matrix is not invertible"),
+    ("circuit n=2\nstate 0 0\ngate u1 U=[1,2;2,4]\nmeasure 1\n",
+     "u1 gate rejected: matrix is not invertible"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -116,6 +122,15 @@ def test_unitary_flag_detection(rng):
     assert parse(render(uni)).unitary
     non = sampling.random_circuit(3, 5, rng, classes=("u1",), unitary=False)
     assert not parse(render(non)).unitary
+
+
+def test_exp_unitary_flag_matches_exponent_test(rng):
+    from mgsim.exponents import is_unitary_exponent
+
+    for trial in range(20):
+        circ = sampling.random_circuit(3, 4, rng, classes=("exp",), unitary=bool(trial % 2))
+        expected = all(is_unitary_exponent(g) for g in circuits.compile(circ))
+        assert parse(render(circ)).unitary == expected == bool(trial % 2)
 
 
 def test_compile_mixed_circuit_matches_dense(rng):
