@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 import time
 
@@ -176,13 +177,35 @@ def _line_counts(text: str) -> list[int]:
     return sizes
 
 
+def _gate_count(text: str) -> int:
+    """A gate count >= 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"gate count must be >= 1, got {text!r}")
+    return count
+
+
+def _tolerance(text: str) -> float:
+    """A finite tolerance >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="mgsim",
                                   description="Matchgate circuit simulator and verifier")
     sub = top.add_subparsers(dest="command", required=True)
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     def heisenberg_mode(p):
         p.add_argument("--heisenberg-mode", choices=(oracle.INVERSE, oracle.ADJOINT),
@@ -215,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the quadratic engine on random circuits")
     p.add_argument("--n", type=_line_counts, default="50,100,200",
                    help="comma-separated line counts")
-    p.add_argument("--gates", type=int, default=1000)
+    p.add_argument("--gates", type=_gate_count, default=1000)
     tol(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -44,8 +44,12 @@ class LieBasis:
     def dim(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _pair_lookup(self) -> dict:
+        return dict(self.pair_index)
+
     def index_of_pair(self, mu: int, nu: int) -> int:
-        return dict(self.pair_index)[(mu, nu)]
+        return self._pair_lookup[(mu, nu)]
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,32 @@ def test_bad_bench_sizes_are_usage_errors(capsys, sizes):
     assert capsys.readouterr().err.startswith("usage: mgsim bench")
 
 
+@pytest.mark.parametrize("gates", ["abc", "0", "-3"])
+def test_bad_bench_gate_counts_are_usage_errors(capsys, gates):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "8", "--gates", gates])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: mgsim bench")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
+@pytest.mark.parametrize("command", ["run", "compare", "verify-matchgate", "bench"])
+def test_bad_tol_is_a_usage_error(capsys, circuit_file, tmp_path, command, tol):
+    matrix = tmp_path / "B.json"
+    matrix.write_text(json.dumps(np.eye(4).tolist()))
+    target = {"run": [circuit_file], "compare": [circuit_file],
+              "verify-matchgate": [matrix], "bench": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *map(str, target), "--tol", tol])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: mgsim {command}")
+
+
+def test_zero_tol_is_accepted(capsys, circuit_file):
+    code, data = run_json(capsys, ["run", str(circuit_file), "--tol", "0"])
+    assert code == 0 and np.isfinite(data["expectation"]).all()
+
+
 @pytest.mark.parametrize("command, text", [
     ("run", "circuit n=2\nstate (1,x)(0,0) 0\nmeasure 1\n"),
     ("run", "circuit n=2\nstate (inf,0)(1,0) 0\nmeasure 1\n"),

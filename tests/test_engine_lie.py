@@ -49,6 +49,13 @@ def test_linear_linear_lands_in_quadratics():
     assert val == -2j
 
 
+def test_index_of_pair_matches_pair_index():
+    basis = build_basis(4)
+    for (mu, nu), idx in basis.pair_index:
+        assert basis.index_of_pair(mu, nu) == idx
+    assert basis._pair_lookup is basis._pair_lookup  # built once per basis
+
+
 def test_disjoint_quadratics_commute():
     sc = structure_constants(3)
     basis = sc.basis

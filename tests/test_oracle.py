@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mgsim import oracle
 from mgsim.errors import DimensionError, SizeLimitError
-from mgsim.exponents import compile_u1, raw_exponent, to_pauli_sum
+from mgsim.exponents import GateExponent, compile_diag, compile_u1, raw_exponent, to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
 from mgsim.oracle import (ADJOINT, INVERSE, MAX_LINES, apply_gate, apply_matrix,
                           dense_gate, expectation_heisenberg, run_circuit)
@@ -65,10 +66,82 @@ def test_apply_gate_support_restriction(rng):
     assert np.allclose(inv, psi, atol=1e-10)
 
 
+def _negated(g: GateExponent) -> GateExponent:
+    return GateExponent.make(g.n, {k: -v for k, v in g.a}, {k: -v for k, v in g.b}, -g.s)
+
+
+def _assert_matches_dense(g: GateExponent, rng):
+    """apply_gate against the full e^A and e^-A, within 1e-12 of the larger of 1 and |ref|."""
+    n = g.n
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for inverse, ref_gate in ((False, g), (True, _negated(g))):
+        ref = dense_gate(ref_gate) @ psi
+        gap = np.abs(apply_gate(psi, g, n, inverse=inverse) - ref).max()
+        assert gap <= 1e-12 * max(1.0, np.abs(ref).max()), (inverse, gap)
+
+
+def _random_exp_gate(n: int, rng, unitary: bool) -> GateExponent:
+    """Several a and b terms, always including the full-length JW pair (1, 2n)."""
+    def coeff(real: bool):
+        val = rng.normal(scale=0.5)
+        if unitary:
+            return val if real else 1j * val
+        return complex(val, rng.normal(scale=0.5))
+
+    a = {(1, 2 * n): coeff(True)}
+    for _ in range(3):
+        mu, nu = sorted(int(v) for v in rng.choice(np.arange(1, 2 * n + 1), size=2, replace=False))
+        a[(mu, nu)] = coeff(True)
+    b = {int(sigma): coeff(False) for sigma in rng.integers(1, 2 * n + 1, size=2)}
+    return raw_exponent(n, a=a, b=b, s=coeff(False))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10])
+@pytest.mark.parametrize("unitary", [True, False])
+def test_apply_gate_matches_dense_gate_on_exp_gates(rng, n, unitary):
+    for _ in range(1 if n == 10 else 4):
+        _assert_matches_dense(_random_exp_gate(n, rng, unitary), rng)
+
+
+@pytest.mark.parametrize("n, pair", [(10, (1, 20)), (10, (2, 19)), (8, (1, 15)), (8, (3, 4))])
+def test_apply_gate_matches_dense_gate_on_long_strings(rng, n, pair):
+    _assert_matches_dense(raw_exponent(n, a={pair: 0.7 - 0.2j}, b={pair[1]: 0.3j}, s=0.1), rng)
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_apply_gate_matches_dense_gate_on_diag_gate(rng, unitary):
+    # a diag gate is all Z strings: it has no active lines
+    d = np.exp((0 if unitary else 0.4) * rng.normal(size=4) + 1j * rng.normal(size=4))
+    d[3] = d[1] * d[2] / d[0]
+    _assert_matches_dense(compile_diag(d, 2, 5, 6), rng)
+
+
+def test_long_string_gate_exponentiates_only_its_active_lines(rng, monkeypatch):
+    # exp a:1,20 on 10 lines is X or Y on lines 1 and 10 and Z on lines 2..9
+    shapes = []
+    expm = scipy.linalg.expm
+
+    def recording_expm(A):
+        shapes.append(np.shape(A))
+        return expm(A)
+
+    monkeypatch.setattr(oracle.scipy.linalg, "expm", recording_expm)
+    g = raw_exponent(10, a={(1, 20): 0.7})
+    psi = rng.normal(size=1 << 10) + 0j
+    apply_gate(psi, g, 10)
+    apply_gate(psi, g, 10, inverse=True)
+    state = ProductState.normalized(rng.normal(size=(10, 2)) + 0j)
+    expectation_heisenberg([g, g], state, 4, INVERSE)
+    assert shapes and max(max(shape[-2:]) for shape in shapes) <= 4
+
+
 def test_scalar_only_gate(rng):
     g = raw_exponent(2, s=0.3 - 0.7j)
     psi = rng.normal(size=4) + 0j
     assert np.allclose(apply_gate(psi, g, 2), np.exp(0.3 - 0.7j) * psi)
+    # neither active nor diagonal lines; the zero exponent has no terms at all
+    _assert_matches_dense(g, rng)
+    _assert_matches_dense(raw_exponent(3), rng)
 
 
 def test_run_circuit_hadamard():
