@@ -5,7 +5,9 @@ Hermitian quadratics i c_mu c_nu closes under commutators (dimension
 n(2n+1) + 1, the complexified so(2n+1) plus center).  Conjugation by e^A
 therefore acts on coefficient vectors over this basis as e^M, where M is
 assembled from the structure constants c^k_{ij} of the algebra and the
-coefficients xi of A.
+coefficients xi of A.  M is never built as a dense matrix: its nonzero
+entries split into connected components, at most |S| + 1 elements each
+outside a gate's c-support S, and e^M is exponentiated block by block.
 
 The derivation is completely independent of the quadratic d-operator
 transfer: no extended operator d_0 appears, the basis is exponentially
@@ -120,37 +122,79 @@ def gate_coefficients(g: GateExponent, basis: LieBasis) -> np.ndarray:
     return xi
 
 
-def _adjoint_generator(xi: np.ndarray, sc: StructureConstants) -> np.ndarray:
-    """M with M[k, i] = sum_j xi_j c^k_{ji}, the derivative of Ad(e^{tA})."""
-    d = sc.basis.dim
-    M = np.zeros((d, d), dtype=complex)
-    for j in np.flatnonzero(xi):
-        for i, k, val in sc.by_first[j]:
-            M[k, i] += xi[j] * val
-    return M
+@lru_cache(maxsize=512)
+def _block_plan(n: int, terms: tuple) -> tuple:
+    """How M = sum_j xi_j ad(B_j) splits into blocks, for xi supported on ``terms``.
+
+    M[k, i] = sum_j xi_j c^k_{ji} is nonzero only on the (k, i) pairs listed in
+    ``by_first[j]``; each pair comes from exactly one j, since B_j is fixed by
+    B_k B_i.  The indices these pairs touch fall into connected components of
+    M's nonzero pattern.  M is block diagonal over them, so e^M is exactly the
+    block-diagonal matrix of the blocks' exponentials.  For a gate on
+    c-support S the blocks are the S-internal basis elements and, for each
+    index tau outside S, at most |S| + 1 elements around c_tau.  Components
+    whose entries come from the same (position, j, c^k_{ji}) list have equal
+    blocks for every xi, so each such kind is exponentiated once.
+
+    Returns one (idx, kind, j, val, flat) plan per block size s: ``idx`` (m, s)
+    holds the basis indices of the m components of that size, ``kind`` (m,)
+    the kind of each, and the kinds' stacked s x s blocks are
+    ``blocks.flat[flat] = xi[j] * val``.
+    """
+    by_first = structure_constants(n).by_first
+    entries = [(k, i, j, val) for j in terms for i, k, val in by_first[j]]
+    parent = {}
+
+    def root(a):
+        while parent.setdefault(a, a) != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for k, i, _, _ in entries:
+        parent[root(k)] = root(i)
+    components = {}
+    for a in sorted(parent):
+        components.setdefault(root(a), []).append(a)
+    place = {a: (r, p, len(comp)) for r, comp in components.items() for p, a in enumerate(comp)}
+    local = {r: [] for r in components}  # component root -> its (position, j, val) entries
+    for k, i, j, val in entries:
+        r, p, s = place[k]
+        local[r].append((p * s + place[i][1], j, val))
+    plans = {}  # block size -> (components, kinds, {signature: kind})
+    for r, comp in components.items():
+        comps, kinds, seen = plans.setdefault(len(comp), ([], [], {}))
+        comps.append(comp)
+        kinds.append(seen.setdefault(tuple(sorted(local[r])), len(seen)))
+    out = []
+    for s, (comps, kinds, seen) in sorted(plans.items()):
+        rows = [(kind * s * s + p, j, val) for sig, kind in seen.items() for p, j, val in sig]
+        flat, j, val = (np.array(col) for col in zip(*rows))
+        out.append((np.array(comps), np.array(kinds), j, val.astype(complex), flat))
+    return tuple(out)
+
+
+def _exp_blocks(xi: np.ndarray, n: int):
+    """Yield (idx, e^{M_b} per component) per block size, one batched expm per size."""
+    for idx, kind, j, val, flat in _block_plan(n, tuple(np.flatnonzero(xi).tolist())):
+        s = idx.shape[1]
+        blocks = np.zeros((kind.max() + 1) * s * s, dtype=complex)
+        blocks[flat] = xi[j] * val
+        yield idx, scipy.linalg.expm(blocks.reshape(-1, s, s))[kind]
 
 
 def adjoint_transfer(xi, sc: StructureConstants) -> np.ndarray:
     """e^M acting on coefficient vectors: e^A (sum eta_i B_i) e^{-A} = sum (e^M eta)_i B_i."""
-    M = _adjoint_generator(np.asarray(xi, dtype=complex), sc)
-    active = sorted(set(np.flatnonzero(np.any(M != 0, axis=0)))
-                    | set(np.flatnonzero(np.any(M != 0, axis=1))))
     out = np.eye(sc.basis.dim, dtype=complex)
-    if active:
-        out[np.ix_(active, active)] = scipy.linalg.expm(M[np.ix_(active, active)])
+    for idx, block in _exp_blocks(np.asarray(xi, dtype=complex), sc.basis.n):
+        out[idx[:, :, None], idx[:, None, :]] = block
     return out
 
 
 def _apply_adjoint(eta: np.ndarray, xi: np.ndarray, sc: StructureConstants) -> np.ndarray:
-    """eta <- e^M eta, exponentiating only the active sub-block."""
-    M = _adjoint_generator(xi, sc)
-    active = sorted(set(np.flatnonzero(np.any(M != 0, axis=0)))
-                    | set(np.flatnonzero(np.any(M != 0, axis=1))))
-    if not active:
-        return eta
-    block = scipy.linalg.expm(M[np.ix_(active, active)])
+    """eta <- e^M eta, block by block; indices outside every block keep their value."""
     out = eta.copy()
-    out[active] = block @ eta[active]
+    for idx, block in _exp_blocks(xi, sc.basis.n):
+        out[idx] = (block @ eta[idx][:, :, None])[:, :, 0]
     return out
 
 

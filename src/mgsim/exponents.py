@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import matchgate
 from .errors import DimensionError, GateClassError
@@ -254,7 +253,7 @@ def compile_u1(U, n: int, tol: float = 1e-9) -> GateExponent:
         raise GateClassError(f"expected a 2x2 matrix, got shape {U.shape}")
     if abs(np.linalg.det(U)) <= tol:
         raise GateClassError("1-qubit gate must be invertible")
-    L = scipy.linalg.logm(U)
+    L = matchgate.principal_log(U)
     paulis = {
         "X": np.array([[0, 1], [1, 0]], dtype=complex),
         "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),

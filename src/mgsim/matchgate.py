@@ -10,6 +10,11 @@ eleven generators are the literal Pauli products
 A matrix satisfying the identities in the standard Jordan-Wigner convention
 instead is related by the basis relabeling 1,2,3,4 -> 1,3,2,4 (a swap of the
 two qubits); :func:`swap_convention` performs that relabeling.
+
+Logarithms are taken in the eigenbasis: from B = V diag(lam) V^-1, branch k
+is V diag(log lam + 2 pi i k) V^-1, exact and cheap while V is well
+conditioned; ``scipy.linalg.logm`` covers defective and nearly defective
+matrices.
 """
 
 from __future__ import annotations
@@ -232,14 +237,13 @@ def generators11() -> list[np.ndarray]:
 
 
 _GENS = generators11()
+# _PAULI16[k] = P_a (x) P_b with k = 4a + b; coordinates are tr(P_k A) / 4.
+_PAULI16 = np.array([_pauli_kron(a + b) for a in _PAULI_NAMES for b in _PAULI_NAMES])
 
 
 def pauli_coords(A) -> np.ndarray:
     """Coordinates of a 4x4 matrix over the 16 Pauli products P_i (x) P_j (i-major)."""
-    A = _as_mat4(A)
-    return np.array(
-        [np.trace(_pauli_kron(a + b) @ A) / 4 for a in _PAULI_NAMES for b in _PAULI_NAMES]
-    )
+    return np.einsum("kij,ji->k", _PAULI16, _as_mat4(A)) / 4
 
 
 _GEN_POSITIONS = [
@@ -265,28 +269,41 @@ def _project_to_span(A) -> tuple[np.ndarray, float]:
     return coeffs, resid
 
 
-def _candidate_logs(B, max_shift: int = 2):
+# Eigenbasis logs are taken while cond(V) stays under _EIGEN_COND; above it the
+# principal log comes from logm, and above _SHIFT_COND no shifted branch is tried.
+_EIGEN_COND = 1e4
+_SHIFT_COND = 1e8
+# Branch shifts 2*pi*i*k of a 4x4 matrix's eigenvalue logs, k in -2..2, ordered
+# by total |k|, the zero shift (the principal branch) left out.
+_SHIFTS = 2j * np.pi * np.array(sorted(
+    itertools.product(range(-2, 3), repeat=4), key=lambda ks: sum(abs(k) for k in ks)
+)[1:])
+
+
+def _candidate_logs(B):
     """Yield matrix logarithms of B: the principal one, then branch-shifted ones.
 
-    The eigenvalue-log branches are shifted by 2*pi*i*k per eigenvalue, ordered
-    by total shift magnitude.  Shifted candidates require a diagonalizable B
-    with a reasonably conditioned eigenvector matrix.
+    All come from one eigendecomposition B = V diag(lam) V^-1 as
+    V diag(log lam + 2*pi*i*k) V^-1, ordered by total shift magnitude; logm
+    stands in for the principal one when V is ill conditioned, as for a
+    defective matrix, and no shifted candidate is tried when V is nearly
+    singular.
     """
-    yield scipy.linalg.logm(B)
-    lam, V = scipy.linalg.eig(B)
-    if np.linalg.cond(V) > 1e8:
+    lam, V = np.linalg.eig(B)
+    cond = np.linalg.cond(V)
+    if cond > _SHIFT_COND:
+        yield scipy.linalg.logm(B)
         return
-    Vinv = np.linalg.inv(V)
     logs = np.log(lam)
-    shifts = sorted(
-        itertools.product(range(-max_shift, max_shift + 1), repeat=4),
-        key=lambda ks: sum(abs(k) for k in ks),
-    )
-    for ks in shifts:
-        if not any(ks):
-            continue  # principal branch already tried
-        shifted = logs + 2j * np.pi * np.asarray(ks)
-        yield V @ np.diag(shifted) @ Vinv
+    Vinv = np.linalg.inv(V)
+    yield (V * logs) @ Vinv if cond <= _EIGEN_COND else scipy.linalg.logm(B)
+    for shift in _SHIFTS:
+        yield (V * (logs + shift)) @ Vinv
+
+
+def principal_log(B) -> np.ndarray:
+    """The principal matrix logarithm, from the eigenbasis unless V is ill conditioned."""
+    return next(_candidate_logs(B))
 
 
 def log_to_L(B, tol: float = 1e-9) -> np.ndarray:
@@ -320,8 +337,7 @@ def nullspace_Afive(tol: float = 1e-10) -> tuple[int, np.ndarray]:
     returns (rank, basis) with basis columns spanning the nullspace.
     """
     M = np.zeros((5, 16), dtype=complex)
-    for col, (a, b) in enumerate(itertools.product(_PAULI_NAMES, repeat=2)):
-        P = _pauli_kron(a + b)
+    for col, P in enumerate(_PAULI16):
         op = np.kron(P, np.eye(4)) + np.kron(np.eye(4), P)
         for row in range(5):
             M[row, col] = _F[row + 1] @ op @ _F[0]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mgsim import circuits, sampling
-from mgsim.engine_lie import (LieBasis, adjoint_transfer, build_basis,
+from mgsim import circuits, engine_lie, sampling
+from mgsim.circuits import GateSpec
+from mgsim.engine_lie import (LieBasis, _apply_adjoint, adjoint_transfer, build_basis,
                               gate_coefficients, heisenberg_observable,
                               simulate, structure_constants)
 from mgsim.engine_quadratic import gate_transfer
@@ -151,3 +153,62 @@ def test_heisenberg_observable_matches_quadratic(rng):
     s1 = heisenberg_observable(gates, circ.k, n)
     s2 = quad_obs(gates, circ.k, JwFamily(n, PARITY))
     assert np.linalg.norm(s1.to_matrix() - s2.to_matrix()) < 1e-9
+
+
+def _dense_generator(xi, sc):
+    """M[k, i] = sum_j xi_j c^k_{ji} as one dense dim x dim matrix."""
+    M = np.zeros((sc.basis.dim, sc.basis.dim), dtype=complex)
+    for j in np.flatnonzero(xi):
+        for i, k, val in sc.by_first[j]:
+            M[k, i] += xi[j] * val
+    return M
+
+
+def _compile_specs(specs, n):
+    return circuits.compile(circuits.Circuit(n, ((1.0, 0j),) * n, tuple(specs), 1, False))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_exponential_matches_dense_generator(rng, n):
+    sc = structure_constants(n)
+    classes = sampling.ALL_CLASSES if n >= 2 else ("u1", "exp")
+    specs = [sampling.random_gate(cls, n, rng, unitary=unitary)
+             for cls in classes for unitary in (True, False)]
+    gates = _compile_specs(specs, n)
+    pairs = [(mu, nu) for mu in range(1, 2 * n + 1) for nu in range(mu + 1, 2 * n + 1)]
+    picks = rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)
+    gates.append(raw_exponent(n, a={pairs[p]: complex(*rng.normal(size=2)) for p in picks},
+                              b={1: 0.3j, 2 * n: 0.2 - 0.1j}, s=0.1))
+    for g in gates:
+        xi = gate_coefficients(g, sc.basis)
+        ref = scipy.linalg.expm(_dense_generator(xi, sc))
+        eta = rng.normal(size=sc.basis.dim) + 1j * rng.normal(size=sc.basis.dim)
+        got = _apply_adjoint(eta, xi, sc)
+        assert np.linalg.norm(got - ref @ eta) <= 1e-12 * max(1.0, np.linalg.norm(ref @ eta))
+        assert np.linalg.norm(adjoint_transfer(xi, sc) - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+def test_two_line_gates_exponentiate_small_blocks(rng, monkeypatch):
+    # on n = 10 the basis has 211 elements; a gate on two lines touches at most
+    # four c indices, so no block of its adjoint generator exceeds 4 + 6
+    n = 10
+    specs = [sampling.random_gate("gvw", n, rng, unitary=False),
+             sampling.random_gate("mg12", n, rng, unitary=False),
+             GateSpec("diag", (3, 8), (("d", (1, 1j, 2j, -2)),)),
+             GateSpec("exp", (5, 6), (("a", (((9, 12), 0.3 + 0.1j),)),
+                                      ("b", ((10, 0.2j),)), ("s", 0.1j)))]
+    gates = _compile_specs(specs, n)
+    state = ProductState.normalized(rng.normal(size=(n, 2)) + 0j)
+    shapes = []
+    expm = scipy.linalg.expm
+
+    def recording_expm(A):
+        shapes.append(np.shape(A))
+        return expm(A)
+
+    monkeypatch.setattr(engine_lie.scipy.linalg, "expm", recording_expm)
+    simulate(gates, state, 5)
+    sc = structure_constants(n)
+    for g in gates:
+        adjoint_transfer(gate_coefficients(g, sc.basis), sc)
+    assert shapes and max(max(shape[-2:]) for shape in shapes) <= 10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mgsim import circuits, sampling
 from mgsim import matchgate as mg
 from mgsim.errors import DimensionError, GateClassError
 from mgsim.exponents import (GateExponent, compile_diag, compile_gvw, compile_mg12,
@@ -165,3 +166,52 @@ def test_unitary_flag():
     assert not is_unitary_exponent(raw_exponent(1, a={(1, 2): 1j}))
     assert not is_unitary_exponent(raw_exponent(1, b={1: 0.5}))
     assert is_unitary_exponent(raw_exponent(1, a={(1, 2): 0.5}, b={1: 0.3j}, s=0.2j))
+
+
+def _compile_specs(specs, n):
+    return circuits.compile(circuits.Circuit(n, ((1.0, 0j),) * n, tuple(specs), 1, False))
+
+
+def _coefficient_gap(g, h):
+    gap = abs(g.s - h.s)
+    for mine, theirs in ((g.a_dict, h.a_dict), (g.b_dict, h.b_dict)):
+        gap = max([gap] + [abs(mine.get(key, 0) - theirs.get(key, 0))
+                           for key in set(mine) | set(theirs)])
+    return gap
+
+
+@pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "non-unitary"])
+@pytest.mark.parametrize("cls", ["gvw", "mg12", "u1"])
+def test_diagonalizable_gates_compile_without_logm(rng, monkeypatch, cls, unitary):
+    specs = [sampling.random_gate(cls, 2, rng, unitary=unitary) for _ in range(20)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diagonalizable gate must take its log in its eigenbasis")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "logm", forbidden)
+        eigen = _compile_specs(specs, 2)
+    # an eigenbasis bound of 0 sends every principal log through logm
+    monkeypatch.setattr(mg, "_EIGEN_COND", 0.0)
+    reference = _compile_specs(specs, 2)
+    for spec, g, h in zip(specs, eigen, reference):
+        B = spec.matrix()  # on n = 2 the gate's matrix is the whole register
+        assert np.linalg.norm(dense_gate(g) - B) <= 1e-12 * max(1.0, np.linalg.norm(B))
+        assert _coefficient_gap(g, h) <= 1e-12
+
+
+def test_defective_gates_compile_through_logm(monkeypatch):
+    calls = []
+    logm = scipy.linalg.logm
+
+    def counting_logm(A):
+        calls.append(np.shape(A))
+        return logm(A)
+
+    monkeypatch.setattr(scipy.linalg, "logm", counting_logm)
+    J = np.array([[1, 1], [0, 1]], dtype=complex)  # unipotent: no eigenbasis
+    g = compile_gvw(J, J, 1, 2)
+    assert np.linalg.norm(dense_gate(g) - mg.g_vw(J, J)) <= 1e-12
+    u = compile_u1(J, 2)
+    assert np.linalg.norm(dense_gate(u) - np.kron(J, np.eye(2))) <= 1e-12
+    assert calls == [(4, 4), (2, 2)]

@@ -1,9 +1,15 @@
-"""Source hygiene checks that need no linter: a plain AST scan of the package."""
+"""Source and import hygiene: a plain AST scan of the package, and the modules a run loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mgsim import circuits, sampling
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mgsim"
 
@@ -48,3 +54,23 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_compare_on_diagonalizable_gates_leaves_scipy_sparse_unloaded(tmp_path):
+    # scipy.linalg.logm imports scipy.sparse on first use, which adds to every
+    # start-up; gates with a well-conditioned eigenbasis must never reach it
+    rng = np.random.default_rng(3)
+    gates = tuple(sampling.random_gate(cls, 4, rng, unitary=unitary)
+                  for unitary in (True, False) for cls in sampling.ALL_CLASSES)
+    path = tmp_path / "diagonalizable.mg"
+    path.write_text(circuits.render(circuits.Circuit(4, ((0.6, 0.8j),) * 4, gates, 2, False)))
+    script = ("import contextlib, io, sys\n"
+              "from mgsim.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['compare', sys.argv[1]])\n"
+              "print(code, 'scipy.sparse' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
