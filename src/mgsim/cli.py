@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -98,9 +99,9 @@ def cmd_run(args) -> int:
     with open(args.circuit, encoding="utf-8") as fh:
         circ = circuits.parse(fh.read(), tol=args.tol)
     _check_heisenberg_mode(args, circ, args.engine)
-    # the quadratic engine reads its gate blocks off the parsed gates; the
-    # Lie engine and the oracle work on the compiled exponents
-    gates = circ.gates if args.engine == "quadratic" else circuits.compile(circ, tol=args.tol)
+    # the quadratic engine and the oracle read matrix gates off the parsed
+    # specs; only the Lie engine works on the compiled exponents
+    gates = circuits.compile(circ, tol=args.tol) if args.engine == "lie" else circ.gates
     res = _run_engine(args.engine, circ, gates, args)
     return _emit({**_result_payload(res), "n": circ.n, "k": circ.k, "unitary": circ.unitary})
 
@@ -127,14 +128,13 @@ def cmd_classify(args) -> int:
 def cmd_compare(args) -> int:
     with open(args.circuit, encoding="utf-8") as fh:
         circ = circuits.parse(fh.read(), tol=args.tol)
-    compiled = circuits.compile(circ, tol=args.tol)
     engines = ["quadratic", "lie"]
     if circ.n <= oracle.MAX_LINES:
         engines.append("dense")
     results = {}
     for eng in engines:
         _check_heisenberg_mode(args, circ, eng)
-        gates = circ.gates if eng == "quadratic" else compiled
+        gates = circuits.compile(circ, tol=args.tol) if eng == "lie" else circ.gates
         results[eng] = _run_engine(eng, circ, gates, args)
     values = [r.expectation for r in results.values()]
     dev = max(abs(u - v) for u in values for v in values)
@@ -199,7 +199,9 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each argv gets a fresh namespace."""
     top = argparse.ArgumentParser(prog="mgsim",
                                   description="Matchgate circuit simulator and verifier")
     sub = top.add_subparsers(dest="command", required=True)
@@ -247,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # an overflowing gate is reported by the finite guard as one error line,
         # not preceded by numpy's floating-point warnings

@@ -37,7 +37,7 @@ from .circuits import GateSpec
 from .errors import DimensionError, InconsistencyError
 from .exponents import GateExponent, extend_quadratic, raw_exponent
 from .jw import JwFamily
-from .pauli import PauliSum, ProductState, pauli_mul
+from .pauli import ProductState
 
 ENGINE_NAME = "quadratic"
 
@@ -163,24 +163,6 @@ def _pair_form(u: np.ndarray, v: np.ndarray, state: ProductState) -> complex:
         acc_u = acc_u * ez[q] - 1j * ey[q] * u[a] + 1j * ex[q] * u[b]
         acc_v = acc_v * ez[q] - 1j * ey[q] * v[a] + 1j * ex[q] * v[b]
     return total
-
-
-def heisenberg_observable(gates, k: int, family: JwFamily, observable: str = "Z") -> PauliSum:
-    """C^{-1} O C expanded as a Pauli sum over the family's n lines."""
-    n = family.n
-    cols = _propagate_columns(list(gates), n, *_observable_indices(k, n, observable))
-    u, v = cols[:, 0], cols[:, 1]
-    B = -0.5j * (np.outer(u, v) - np.outer(v, u))
-    return _expand_coeff_matrix(B, family).restricted(n)
-
-
-def _expand_coeff_matrix(B: np.ndarray, family: JwFamily, drop_tol: float = 1e-14) -> PauliSum:
-    """sum_{a != b} B[a, b] d_a d_b for an antisymmetric B."""
-    out = PauliSum(family.lines)
-    for a, b in zip(*np.nonzero(np.abs(B) > drop_tol)):
-        out._add_string(pauli_mul(family.d(a), family.d(b)), weight=B[a, b])
-    out._prune()
-    return out
 
 
 def simulate(

@@ -106,14 +106,6 @@ class ExtendedQuadratic:
             idx.update((mu, nu))
         return sorted(idx)
 
-    def matrix(self) -> np.ndarray:
-        """Dense antisymmetric (2n+1) x (2n+1) matrix over indices 0..2n."""
-        m = np.zeros((2 * self.n + 1, 2 * self.n + 1), dtype=complex)
-        for (mu, nu), val in self.atilde:
-            m[mu, nu] = val
-            m[nu, mu] = -val
-        return m
-
     def block(self, indices) -> np.ndarray:
         """Dense antisymmetric block restricted to the given sorted d indices."""
         pos = {idx: p for p, idx in enumerate(indices)}

@@ -4,16 +4,26 @@ State vectors index the computational basis with line 1 as the most
 significant bit.  The oracle refuses to run beyond MAX_LINES qubit lines: it
 exists to verify the polynomial-time engines, not to compete with them.
 
-Gate application expands each gate exponent A over Pauli strings and splits
-its lines in two.  On an *active* line some term has X or Y; on a *diagonal*
-line every term has I or Z (the Jordan-Wigner Z strings), so it never mixes
-basis states there.  Each basis value r of the diagonal lines gives term t a
-sign s_t(r) = +-1, and A is block-diagonal in r with block
+Gates come as parsed GateSpecs or as compiled GateExponents.  A gvw, diag,
+mg12 or u1 spec is applied as its own matrix B, and its inverse pass as
+B^-1; gvw and mg12 take B from GateSpec.matrix(), the reader the quadratic
+engine also uses.  A reshape of the state puts the gate's lines on their own
+axes, so no exponential, logarithm or Pauli expansion is taken: u1
+multiplies the leading axis by U, gvw and mg12 the axis of lines (k, k+1) by
+B, and diag scales the state by its four entries broadcast over lines k and
+l.  Closure-only matchgates, which have no logarithm in the span, therefore
+run here too.
+
+An exp spec or a GateExponent e^A is expanded over Pauli strings, and its
+lines are split in two.  On an *active* line some term has X or Y; on a
+*diagonal* line every term has I or Z (the Jordan-Wigner Z strings), so it
+never mixes basis states there.  Each basis value r of the diagonal lines
+gives term t a sign s_t(r) = +-1, and A is block-diagonal in r with block
 sum_t s_t(r) val_t Q_t, Q_t being term t on the active lines.  Values with the
 same sign pattern share one block, so a gate costs one 2^m x 2^m exponential
 per pattern (m active lines, at most 2^T patterns for T terms) instead of one
 over its whole support.  The split uses only Pauli algebra and is exact; a
-gate whose support lines are all active is exponentiated densely, as before.
+gate whose support lines are all active is exponentiated densely.
 """
 
 from __future__ import annotations
@@ -24,14 +34,15 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from .circuits import GateSpec
 from .errors import DimensionError, MgsimError, SizeLimitError
-from .exponents import GateExponent, to_pauli_sum
+from .exponents import GateExponent, raw_exponent, to_pauli_sum
 from .jw import PARITY, JwFamily
 from .pauli import ProductState
 
 MAX_LINES = 12
 
-_Z1 = np.array([[1, 0], [0, -1]], dtype=complex)
+_Z_SIGNS = np.array([[1.0], [-1.0]])  # Z on the middle axis of psi.reshape(2^(k-1), 2, -1)
 
 
 def _check_n(n: int):
@@ -87,14 +98,31 @@ class _Split(NamedTuple):
     """A gate exponent A, block-diagonal in the basis values of its diagonal lines.
 
     ``lines`` lists the active lines (some term has X or Y there), then the
-    diagonal lines (every term has I or Z there).  Diagonal-line basis values
-    that give every term the same sign share one block ``blocks[p]`` of A on
-    the active lines; ``groups[p]`` lists those values.
+    diagonal lines (every term has I or Z there); ``perm`` orders the state's
+    line axes as ``lines`` followed by the others, and ``unperm`` undoes it.
+    Diagonal-line basis values that give every term the same sign share one
+    block ``blocks[p]`` of A on the active lines; ``groups[p]`` lists those
+    values.
     """
 
     lines: tuple
+    perm: tuple
+    unperm: tuple
     groups: tuple
     blocks: np.ndarray  # (patterns, 2^m, 2^m)
+
+    def apply(self, state: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """e^A (or e^-A) on a dense state, one block per diagonal-line sign pattern."""
+        exps = scipy.linalg.expm(-self.blocks if inverse else self.blocks)
+        dim = self.blocks.shape[-1]
+        n = len(self.perm)
+        psi = np.asarray(state, dtype=complex).reshape((2,) * n).transpose(self.perm)
+        psi = psi.reshape(dim, -1, (1 << n) >> len(self.lines))
+        out = np.empty_like(psi)
+        for e, rows in zip(exps, self.groups):
+            block = psi[:, rows]
+            out[:, rows] = (e @ block.reshape(dim, -1)).reshape(block.shape)
+        return out.reshape((2,) * n).transpose(self.unperm).reshape(-1)
 
 
 def _split(g: GateExponent, n: int) -> _Split:
@@ -128,22 +156,56 @@ def _split(g: GateExponent, n: int) -> _Split:
     blocks = np.zeros((len(groups), len(cols), len(cols)), dtype=complex)
     for t, xa in enumerate(gathered(xs, active)):
         blocks[:, cols ^ xa, cols] += patterns[t][:, None] * columns[t]
-    return _Split(tuple(active + diag), groups, blocks)
+    lines = active + diag
+    perm = [l - 1 for l in lines] + [k for k in range(n) if k + 1 not in lines]
+    return _Split(tuple(lines), tuple(perm), tuple(np.argsort(perm).tolist()), groups, blocks)
 
 
-def _apply_split(state: np.ndarray, sg: _Split, n: int, inverse: bool = False) -> np.ndarray:
-    """Apply e^A (or e^-A) to a dense state, one block per diagonal-line sign pattern."""
-    exps = scipy.linalg.expm(-sg.blocks if inverse else sg.blocks)
-    dim = sg.blocks.shape[-1]
-    axes = [l - 1 for l in sg.lines]
-    psi = np.moveaxis(np.asarray(state, dtype=complex).reshape((2,) * n), axes, range(len(axes)))
-    shape = psi.shape
-    psi = psi.reshape(dim, -1, (1 << n) >> len(axes))
-    out = np.empty_like(psi)
-    for e, rows in zip(exps, sg.groups):
-        block = psi[:, rows]
-        out[:, rows] = (e @ block.reshape(dim, -1)).reshape(block.shape)
-    return np.moveaxis(out.reshape(shape), range(len(axes)), axes).reshape(-1)
+class _MatrixGate(NamedTuple):
+    """A gvw, diag, mg12 or u1 gate as its own matrix on its lines.
+
+    ``matrix`` is U for u1, the four diagonal entries for diag and the 4x4 B
+    for gvw and mg12.
+    """
+
+    cls: str
+    lines: tuple
+    matrix: np.ndarray
+
+    def apply(self, state: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """B (or B^-1) on a dense state; a reshape gives the gate's lines their own axes."""
+        m = self.matrix
+        if inverse:
+            m = 1 / m if self.cls == "diag" else np.linalg.inv(m)
+        psi = np.asarray(state, dtype=complex)
+        k = self.lines[0]
+        if self.cls == "u1":
+            return (m @ psi.reshape(2, -1)).reshape(-1)
+        if self.cls == "diag":
+            l = self.lines[1]
+            psi = psi.reshape(1 << (k - 1), 2, 1 << (l - k - 1), 2, -1)
+            return (psi * m.reshape(2, 1, 2, 1)).reshape(-1)
+        return (m @ psi.reshape(1 << (k - 1), 4, -1)).reshape(-1)
+
+
+def _matrix_gate(spec: GateSpec) -> _MatrixGate:
+    if spec.cls == "u1":
+        return _MatrixGate("u1", spec.lines, np.array(spec.param("U"), dtype=complex))
+    if spec.cls == "diag":
+        return _MatrixGate("diag", spec.lines, np.array(spec.param("d"), dtype=complex))
+    return _MatrixGate(spec.cls, spec.lines, spec.matrix())
+
+
+def _prepare(g, n: int):
+    """The way the oracle applies one GateSpec or GateExponent on n lines."""
+    _check_n(n)
+    if isinstance(g, GateSpec):
+        if max(g.lines, default=0) > n:
+            raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
+        if g.cls != "exp":
+            return _matrix_gate(g)
+        g = raw_exponent(n, dict(g.param("a")), dict(g.param("b")), g.param("s"))
+    return _split(g, n)
 
 
 def dense_gate(g: GateExponent) -> np.ndarray:
@@ -153,13 +215,13 @@ def dense_gate(g: GateExponent) -> np.ndarray:
     return scipy.linalg.expm(ps.to_matrix())
 
 
-def apply_gate(state: np.ndarray, g: GateExponent, n: int, inverse: bool = False) -> np.ndarray:
-    """Apply e^A (or e^-A) to a dense state, exponentiating on the active lines only."""
-    return _apply_split(state, _split(g, n), n, inverse)
+def apply_gate(state: np.ndarray, g, n: int, inverse: bool = False) -> np.ndarray:
+    """Apply a GateSpec or GateExponent (or its inverse) to a dense state."""
+    return _prepare(g, n).apply(state, inverse)
 
 
 def run_circuit(gates, state: ProductState, n: int) -> np.ndarray:
-    """Dense final state C|psi0> for a compiled gate list."""
+    """Dense final state C|psi0> for parsed GateSpecs or compiled GateExponents."""
     _check_n(n)
     psi = state.to_vector()
     for g in gates:
@@ -174,7 +236,8 @@ ADJOINT = "adjoint"
 def expectation_heisenberg(gates, state: ProductState, k: int, mode: str = INVERSE) -> complex:
     """<psi0| C^{-1} Z_k C |psi0> (inverse mode) or <psi0| C^dag Z_k C |psi0> (adjoint).
 
-    The two modes coincide for unitary circuits.  Adjoint mode equals
+    ``gates`` are parsed GateSpecs or compiled GateExponents, in application
+    order.  The two modes coincide for unitary circuits.  Adjoint mode equals
     <C psi0| Z_k |C psi0> and needs no inverses; inverse mode applies the
     inverse gates in reverse order and fails on singular gates.
     """
@@ -182,17 +245,17 @@ def expectation_heisenberg(gates, state: ProductState, k: int, mode: str = INVER
     _check_n(n)
     if not 1 <= k <= n:
         raise DimensionError(f"measured line {k} outside 1..{n}")
-    splits = [_split(g, n) for g in gates]
+    prepared = [_prepare(g, n) for g in gates]
     psi0 = state.to_vector()
     phi = psi0
-    for sg in splits:
-        phi = _apply_split(phi, sg, n)
-    zphi = apply_matrix(phi, _Z1, [k], n)
+    for gate in prepared:
+        phi = gate.apply(phi)
+    zphi = (phi.reshape(1 << (k - 1), 2, -1) * _Z_SIGNS).reshape(-1)
     if mode == ADJOINT:
         return complex(np.vdot(phi, zphi))
     if mode == INVERSE:
         back = zphi
-        for sg in reversed(splits):
-            back = _apply_split(back, sg, n, inverse=True)
+        for gate in reversed(prepared):
+            back = gate.apply(back, inverse=True)
         return complex(np.vdot(psi0, back))
     raise MgsimError(f"unknown Heisenberg mode {mode!r}; expected 'inverse' or 'adjoint'")

@@ -193,11 +193,6 @@ class PauliSum:
         out._prune()
         return out
 
-    def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum(
-            self.n, {k: factor * v for k, v in self.terms.items()}, drop_tol=self.drop_tol
-        )
-
     def restricted(self, n: int) -> "PauliSum":
         """Drop trailing lines, which must carry only identity factors."""
         full = (1 << n) - 1
@@ -265,22 +260,6 @@ class ProductState:
         for k in range(self.n):
             v = np.kron(v, self.amps[k])
         return v
-
-
-def expectation_string(state: ProductState, s: PauliString) -> complex:
-    if state.n != s.n:
-        raise DimensionError(f"line counts differ: {state.n} != {s.n}")
-    e = state.single_line_expectations()
-    val = s.scalar
-    support = s.x_mask | s.z_mask
-    while support:
-        lsb = support & -support
-        k = lsb.bit_length() - 1
-        xb = (s.x_mask >> k) & 1
-        zb = (s.z_mask >> k) & 1
-        val *= e["Y"][k] if (xb and zb) else (e["X"][k] if xb else e["Z"][k])
-        support ^= lsb
-    return val
 
 
 def expectation(state: ProductState, s: PauliSum) -> complex:

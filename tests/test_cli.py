@@ -243,20 +243,22 @@ measure 1
 def test_closure_only_gate_runs_on_the_quadratic_engine(capsys, tmp_path):
     path = tmp_path / "closure.mg"
     path.write_text(CLOSURE_ONLY)
-    code, data = run_json(capsys, ["run", str(path)])
-    assert code == 0
     B = matchgate.g_vw([[1, 1], [0, 1]], [[-1, 1], [0, -1]])
     psi = np.kron([0.6, 0.8j], [1, 1]) / np.sqrt(2)
     Z1 = np.diag([1, 1, -1, -1])
     ref = np.vdot(psi, np.linalg.inv(B) @ Z1 @ B @ psi)
     assert abs(ref - (-0.28)) < 1e-12
-    assert abs(complex(*data["expectation"]) - ref) < 1e-12
-    # the Lie engine and the oracle need a logarithm, so they refuse the gate
+    # the quadratic engine and the oracle both apply the gate matrix itself
+    for engine in ("quadratic", "dense"):
+        code, data = run_json(capsys, ["run", str(path), "--engine", engine])
+        assert code == 0
+        assert abs(complex(*data["expectation"]) - ref) < 1e-12
+    # the Lie engine needs a logarithm, and compare runs it, so both refuse the gate
     for argv in (["run", str(path), "--engine", "lie"], ["compare", str(path)]):
         assert_one_error(capsys, main(argv))
 
 
-def test_quadratic_run_takes_no_logarithm(capsys, tmp_path, monkeypatch):
+def _run_with_logarithms_forbidden(capsys, tmp_path, monkeypatch, *flags):
     rng = np.random.default_rng(5)
     gates = tuple(sampling.random_gate(cls, 4, rng, unitary=False)
                   for cls in sampling.ALL_CLASSES * 2)
@@ -265,10 +267,35 @@ def test_quadratic_run_takes_no_logarithm(capsys, tmp_path, monkeypatch):
     path.write_text(circuits.render(circ))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the quadratic run path must not compile or take a logarithm")
+        raise AssertionError(f"run {' '.join(flags)} must not compile or take a logarithm")
 
     monkeypatch.setattr(circuits, "compile", forbidden)
     monkeypatch.setattr(matchgate, "log_to_L", forbidden)
     monkeypatch.setattr(scipy.linalg, "logm", forbidden)
-    code, data = run_json(capsys, ["run", str(path)])
+    code, data = run_json(capsys, ["run", str(path), *flags])
     assert code == 0 and data["gates"] == 10
+
+
+def test_quadratic_run_takes_no_logarithm(capsys, tmp_path, monkeypatch):
+    _run_with_logarithms_forbidden(capsys, tmp_path, monkeypatch)
+
+
+def test_dense_run_takes_no_logarithm(capsys, tmp_path, monkeypatch):
+    _run_with_logarithms_forbidden(capsys, tmp_path, monkeypatch, "--engine", "dense")
+
+
+def test_back_to_back_runs_share_no_state(capsys, circuit_file, monkeypatch):
+    # the parser is built once per process; each argv must still get its own values
+    tols = []
+    parse = circuits.parse
+
+    def recording_parse(text, tol):
+        tols.append(tol)
+        return parse(text, tol=tol)
+
+    monkeypatch.setattr(circuits, "parse", recording_parse)
+    code, data = run_json(capsys, ["run", circuit_file, "--engine", "lie", "--tol", "1e-6"])
+    assert code == 0 and data["engine"] == "lie"
+    code, data = run_json(capsys, ["run", circuit_file])
+    assert code == 0 and data["engine"] == "quadratic"
+    assert tols == [1e-6, 1e-9]

@@ -144,7 +144,7 @@ def test_matches_quadratic_engine(rng):
 
 
 def test_heisenberg_observable_matches_quadratic(rng):
-    from mgsim.engine_quadratic import heisenberg_observable as quad_obs
+    from conftest import heisenberg_observable as quad_obs
     from mgsim.jw import PARITY, JwFamily
 
     n = 3

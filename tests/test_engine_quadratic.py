@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import heisenberg_observable
 
 from mgsim import circuits, engine_lie, sampling
-from mgsim.engine_quadratic import _gate_block, gate_transfer, heisenberg_observable, simulate
+from mgsim.engine_quadratic import _gate_block, gate_transfer, simulate
 from mgsim.errors import DimensionError
 from mgsim.exponents import compile_u1, raw_exponent
 from mgsim.jw import C0_MODES, PARITY, JwFamily

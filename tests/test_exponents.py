@@ -42,7 +42,7 @@ def test_extend_round_trip(rng):
         eq = extend_quadratic(g)
         assert from_extended(eq) == g
         # the extension is purely quadratic over d_0..d_2n and antisymmetric
-        m = eq.matrix()
+        m = eq.block(range(2 * eq.n + 1))
         assert np.allclose(m, -m.T)
 
 

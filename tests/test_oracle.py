@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mgsim import oracle
+from mgsim import circuits, oracle, sampling
+from mgsim.engine_quadratic import simulate
 from mgsim.errors import DimensionError, SizeLimitError
 from mgsim.exponents import GateExponent, compile_diag, compile_u1, raw_exponent, to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
@@ -177,3 +178,83 @@ def test_bad_mode_and_line():
         expectation_heisenberg([], state, 2)
     with pytest.raises(Exception):
         expectation_heisenberg([], state, 1, mode="sideways")
+
+
+MATRIX_CLASSES = ("gvw", "diag", "mg12", "u1")
+
+
+def _random_circuits(rng, unitary, count=30, depth=12):
+    """Circuits of every class on n = 1..10, with the classes they contain."""
+    out, seen = [], set()
+    for t in range(count):
+        circ = sampling.random_circuit(1 + t % 10, depth, rng, unitary=unitary)
+        seen.update(g.cls for g in circ.gates)
+        out.append(circ)
+    assert seen == set(sampling.ALL_CLASSES)
+    return out
+
+
+@pytest.mark.parametrize("mode", [INVERSE, ADJOINT])
+@pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "non-unitary"])
+def test_spec_route_matches_compiled_route(rng, unitary, mode):
+    # matrix gates applied as B and B^-1 against the same gates re-expanded
+    # from their compiled exponents
+    for circ in _random_circuits(rng, unitary):
+        state = circ.input_state()
+        ref = expectation_heisenberg(circuits.compile(circ), state, circ.k, mode)
+        got = expectation_heisenberg(circ.gates, state, circ.k, mode)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (circ.n, got, ref)
+
+
+@pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "non-unitary"])
+def test_spec_route_matches_quadratic_engine(rng, unitary):
+    for circ in _random_circuits(rng, unitary):
+        state = circ.input_state()
+        ref = expectation_heisenberg(circ.gates, state, circ.k, INVERSE)
+        got = simulate(circ.gates, state, circ.k).expectation
+        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (circ.n, got, ref)
+
+
+@pytest.mark.parametrize("cls", MATRIX_CLASSES)
+def test_matrix_spec_kernels_match_apply_matrix(rng, cls):
+    # each reshape kernel against apply_matrix with the gate's 4x4 matrix
+    # (U (x) I on lines 1, 2 for u1), forward and inverse, diag lines apart included
+    apart = 0
+    for trial in range(20):
+        n = 2 + trial % 6
+        spec = sampling.random_gate(cls, n, rng, unitary=bool(trial % 2))
+        lines = (1, 2) if cls == "u1" else spec.lines
+        apart += lines[1] - lines[0] > 1
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        B = spec.matrix()
+        for inverse, matrix in ((False, B), (True, np.linalg.inv(B))):
+            ref = apply_matrix(psi, matrix, lines, n)
+            gap = np.abs(apply_gate(psi, spec, n, inverse=inverse) - ref).max()
+            assert gap <= 1e-12 * max(1.0, np.abs(ref).max()), (n, lines, inverse, gap)
+    assert cls != "diag" or apart
+
+
+def test_matrix_specs_take_no_exponential(rng, monkeypatch):
+    circ = sampling.random_circuit(6, 40, rng, classes=MATRIX_CLASSES, unitary=False)
+    state = circ.input_state()
+    compiled = circuits.compile(circ)
+    refs = {mode: expectation_heisenberg(compiled, state, circ.k, mode) for mode in (INVERSE, ADJOINT)}
+    calls = []
+    expm = scipy.linalg.expm
+
+    def recording_expm(A):
+        calls.append(np.shape(A))
+        return expm(A)
+
+    monkeypatch.setattr(oracle.scipy.linalg, "expm", recording_expm)
+    for mode, ref in refs.items():
+        got = expectation_heisenberg(circ.gates, state, circ.k, mode)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    run_circuit(circ.gates, state, circ.n)
+    assert calls == []
+
+
+def test_spec_outside_the_register_is_refused(rng):
+    spec = sampling.random_gate("gvw", 5, rng)
+    with pytest.raises(DimensionError):
+        apply_gate(np.zeros(1 << 3, dtype=complex), spec, 3)
