@@ -3,11 +3,18 @@
 The linear span of the identity, the 2n generators c_mu, and the n(2n-1)
 Hermitian quadratics i c_mu c_nu closes under commutators (dimension
 n(2n+1) + 1, the complexified so(2n+1) plus center).  Conjugation by e^A
-therefore acts on coefficient vectors over this basis as e^M, where M is
-assembled from the structure constants c^k_{ij} of the algebra and the
-coefficients xi of A.  M is never built as a dense matrix: its nonzero
-entries split into connected components, at most |S| + 1 elements each
-outside a gate's c-support S, and e^M is exponentiated block by block.
+therefore acts on coefficient vectors over this basis as e^M, where
+M = sum_j xi_j ad(B_j) for the coefficients xi of A.
+
+Whether two basis elements have a nonzero bracket depends only on the c
+indices they share: c_mu and c_nu anticommute for mu != nu, c_mu and
+i c_nu c_rho iff mu is nu or rho, and two quadratics iff they share exactly
+one index.  So M is read off the gate's c-support S in closed form: one
+block on the elements inside S, and for every index tau outside S one block
+on the elements i c_s c_tau (s in S), joined by c_tau when A has linear
+terms.  Taken with s first, the outside blocks are all equal, so each gate
+costs one batched expm of two small blocks, and no table of structure
+constants is built.  M is never formed as a dense matrix.
 
 The derivation is completely independent of the quadratic d-operator
 transfer: no extended operator d_0 appears, the basis is exponentially
@@ -21,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -47,26 +55,17 @@ class LieBasis:
         return len(self.elements)
 
     @cached_property
-    def _pair_lookup(self) -> dict:
-        return dict(self.pair_index)
+    def _pair_lookup(self) -> np.ndarray:
+        """The basis index of i c_mu c_nu at [mu, nu] and at [nu, mu]."""
+        mu, nu = np.array([pair for pair, _ in self.pair_index]).T
+        table = np.zeros((2 * self.n + 1,) * 2, dtype=np.intp)
+        table[mu, nu] = table[nu, mu] = [idx for _, idx in self.pair_index]
+        return table
 
     def index_of_pair(self, mu: int, nu: int) -> int:
-        return self._pair_lookup[(mu, nu)]
-
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Sparse c^k_{ij} with [B_i, B_j] = sum_k c^k_{ij} B_k; at most one k per pair."""
-
-    basis: LieBasis
-    by_first: tuple  # by_first[i] = tuple of (j, k, value) entries
-
-    def bracket(self, i: int, j: int):
-        """(k, value) of [B_i, B_j], or None if the bracket vanishes."""
-        for jj, k, val in self.by_first[i]:
-            if jj == j:
-                return k, val
-        return None
+        if not 1 <= mu < nu <= 2 * self.n:
+            raise KeyError((mu, nu))
+        return int(self._pair_lookup[mu, nu])
 
 
 @lru_cache(maxsize=None)
@@ -82,30 +81,6 @@ def build_basis(n: int) -> LieBasis:
             pairs.append(((mu, nu), len(elems)))
             elems.append(PauliString(n, prod.x_mask, prod.z_mask, prod.phase_pow + 1, prod.coeff))
     return LieBasis(n, tuple(elems), tuple(pairs))
-
-
-@lru_cache(maxsize=None)
-def structure_constants(n: int) -> StructureConstants:
-    """All pairwise commutators, expanded exactly over the basis."""
-    basis = build_basis(n)
-    elems = basis.elements
-    lookup = {(e.x_mask, e.z_mask): (idx, e.scalar) for idx, e in enumerate(elems)}
-    by_first = [[] for _ in elems]
-    for i in range(1, basis.dim):
-        for j in range(i + 1, basis.dim):
-            if commutation_sign(elems[i], elems[j]) == 1:
-                continue
-            prod = pauli_mul(elems[i], elems[j])  # [B_i, B_j] = 2 B_i B_j here
-            hit = lookup.get((prod.x_mask, prod.z_mask))
-            if hit is None:
-                raise InconsistencyError(
-                    f"commutator of basis elements {i}, {j} left the L1+2 span"
-                )
-            k, scal = hit
-            val = 2 * prod.scalar / scal
-            by_first[i].append((j, k, val))
-            by_first[j].append((i, k, -val))
-    return StructureConstants(basis, tuple(tuple(row) for row in by_first))
 
 
 def gate_coefficients(g: GateExponent, basis: LieBasis) -> np.ndarray:
@@ -126,75 +101,82 @@ def gate_coefficients(g: GateExponent, basis: LieBasis) -> np.ndarray:
 def _block_plan(n: int, terms: tuple) -> tuple:
     """How M = sum_j xi_j ad(B_j) splits into blocks, for xi supported on ``terms``.
 
-    M[k, i] = sum_j xi_j c^k_{ji} is nonzero only on the (k, i) pairs listed in
-    ``by_first[j]``; each pair comes from exactly one j, since B_j is fixed by
-    B_k B_i.  The indices these pairs touch fall into connected components of
-    M's nonzero pattern.  M is block diagonal over them, so e^M is exactly the
-    block-diagonal matrix of the blocks' exponentials.  For a gate on
-    c-support S the blocks are the S-internal basis elements and, for each
-    index tau outside S, at most |S| + 1 elements around c_tau.  Components
-    whose entries come from the same (position, j, c^k_{ji}) list have equal
-    blocks for every xi, so each such kind is exponentiated once.
+    With S the c indices the terms touch, M is block diagonal over the inside
+    block (c_s and i c_s c_t for s < t in S) and, for each tau outside S, an
+    outside block: the oriented elements i c_s c_tau for s in S, plus c_tau
+    when some term is linear.  An oriented element is the stored
+    i c_min c_max times sign = -1 where s > tau; in that orientation all
+    outside blocks are equal, so their entries are computed for the first
+    tau only, from the exact Pauli product of each term with each element.
 
-    Returns one (idx, kind, j, val, flat) plan per block size s: ``idx`` (m, s)
-    holds the basis indices of the m components of that size, ``kind`` (m,)
-    the kind of each, and the kinds' stacked s x s blocks are
-    ``blocks.flat[flat] = xi[j] * val``.
+    Returns (s, flat, j, val, parts).  The inside and the shared outside
+    generator, zero padded to s x s and stacked, are
+    ``blocks.flat[flat] = xi[j] * val``; ``parts`` holds one (idx, sign) per
+    stacked block, whose rows (the inside block's one, the outside block's
+    one per tau) give the basis indices it acts on and their signs.
     """
-    by_first = structure_constants(n).by_first
-    entries = [(k, i, j, val) for j in terms for i, k, val in by_first[j]]
-    parent = {}
-
-    def root(a):
-        while parent.setdefault(a, a) != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for k, i, _, _ in entries:
-        parent[root(k)] = root(i)
-    components = {}
-    for a in sorted(parent):
-        components.setdefault(root(a), []).append(a)
-    place = {a: (r, p, len(comp)) for r, comp in components.items() for p, a in enumerate(comp)}
-    local = {r: [] for r in components}  # component root -> its (position, j, val) entries
-    for k, i, j, val in entries:
-        r, p, s = place[k]
-        local[r].append((p * s + place[i][1], j, val))
-    plans = {}  # block size -> (components, kinds, {signature: kind})
-    for r, comp in components.items():
-        comps, kinds, seen = plans.setdefault(len(comp), ([], [], {}))
-        comps.append(comp)
-        kinds.append(seen.setdefault(tuple(sorted(local[r])), len(seen)))
-    out = []
-    for s, (comps, kinds, seen) in sorted(plans.items()):
-        rows = [(kind * s * s + p, j, val) for sig, kind in seen.items() for p, j, val in sig]
-        flat, j, val = (np.array(col) for col in zip(*rows))
-        out.append((np.array(comps), np.array(kinds), j, val.astype(complex), flat))
-    return tuple(out)
-
-
-def _exp_blocks(xi: np.ndarray, n: int):
-    """Yield (idx, e^{M_b} per component) per block size, one batched expm per size."""
-    for idx, kind, j, val, flat in _block_plan(n, tuple(np.flatnonzero(xi).tolist())):
-        s = idx.shape[1]
-        blocks = np.zeros((kind.max() + 1) * s * s, dtype=complex)
-        blocks[flat] = xi[j] * val
-        yield idx, scipy.linalg.expm(blocks.reshape(-1, s, s))[kind]
-
-
-def adjoint_transfer(xi, sc: StructureConstants) -> np.ndarray:
-    """e^M acting on coefficient vectors: e^A (sum eta_i B_i) e^{-A} = sum (e^M eta)_i B_i."""
-    out = np.eye(sc.basis.dim, dtype=complex)
-    for idx, block in _exp_blocks(np.asarray(xi, dtype=complex), sc.basis.n):
-        out[idx[:, :, None], idx[:, None, :]] = block
-    return out
+    basis = build_basis(n)
+    terms = [j for j in terms if j]  # the identity commutes with everything
+    support = set()
+    for j in terms:
+        support.update(basis.pair_index[j - 2 * n - 1][0] if j > 2 * n else (j,))
+    S = sorted(support)
+    table = basis._pair_lookup
+    parts = []
+    if S:
+        inside = S + [table[s, t] for s, t in combinations(S, 2)]
+        parts.append((np.array([inside]), np.ones((1, len(inside)))))
+        tau = np.array([[t] for t in range(1, 2 * n + 1) if t not in support], dtype=np.intp)
+        if len(tau):
+            outside, sign = table[S, tau], np.where(S < tau, 1.0, -1.0)
+            if terms[0] <= 2 * n:  # terms ascend, so the gate has linear terms
+                outside, sign = np.hstack([outside, tau]), np.hstack([sign, np.ones(tau.shape)])
+            parts.append((outside, sign))
+    size = max((idx.shape[1] for idx, _ in parts), default=0)
+    elems = basis.elements
+    flat, js, vals = [], [], []
+    for b, (idx, sign) in enumerate(parts):
+        rep = list(zip(idx[0].tolist(), sign[0].tolist()))  # the first tau stands for all
+        where = {(elems[i].x_mask, elems[i].z_mask): (p, sg * elems[i].scalar)
+                 for p, (i, sg) in enumerate(rep)}
+        for j in terms:
+            for q, (i, sg) in enumerate(rep):
+                if commutation_sign(elems[j], elems[i]) == 1:
+                    continue
+                prod = pauli_mul(elems[j], elems[i])  # [B_j, B_i] = 2 B_j B_i here
+                hit = where.get((prod.x_mask, prod.z_mask))
+                if hit is None:
+                    raise InconsistencyError(
+                        f"commutator of basis elements {j}, {i} left their block"
+                    )
+                p, scal = hit
+                flat.append((b * size + p) * size + q)
+                js.append(j)
+                vals.append(2 * sg * prod.scalar / scal)
+    return (size, np.array(flat, dtype=np.intp), np.array(js, dtype=np.intp),
+            np.array(vals, dtype=complex), tuple(parts))
 
 
-def _apply_adjoint(eta: np.ndarray, xi: np.ndarray, sc: StructureConstants) -> np.ndarray:
-    """eta <- e^M eta, block by block; indices outside every block keep their value."""
+def _generator_blocks(xi: np.ndarray, n: int):
+    """The stacked, zero-padded blocks of M for coefficients xi, and their (idx, sign) parts."""
+    size, flat, j, val, parts = _block_plan(n, tuple(np.flatnonzero(xi).tolist()))
+    blocks = np.zeros(len(parts) * size * size, dtype=complex)
+    blocks[flat] = xi[j] * val
+    return blocks.reshape(len(parts), size, size), parts
+
+
+def _apply_adjoint(eta: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
+    """eta <- e^M eta, block by block; indices outside every block keep their value.
+
+    One batched expm covers both blocks: the zero padding of the smaller one
+    exponentiates to the identity and is sliced off.
+    """
     out = eta.copy()
-    for idx, block in _exp_blocks(xi, sc.basis.n):
-        out[idx] = (block @ eta[idx][:, :, None])[:, :, 0]
+    blocks, parts = _generator_blocks(xi, n)
+    if parts:
+        for e, (idx, sign) in zip(scipy.linalg.expm(blocks), parts):
+            s = idx.shape[1]
+            out[idx] = sign * ((sign * eta[idx]) @ e[:s, :s].T)
     return out
 
 
@@ -210,15 +192,14 @@ def heisenberg_observable(gates, k: int, n: int) -> PauliSum:
 def _propagate(gates, k: int, n: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise DimensionError(f"measured line {k} outside 1..{n}")
-    sc = structure_constants(n)
-    basis = sc.basis
+    basis = build_basis(n)
     eta = np.zeros(basis.dim, dtype=complex)
     eta[basis.index_of_pair(2 * k - 1, 2 * k)] = -1.0  # Z_k = -(i c_{2k-1} c_{2k})
     for g in reversed(list(gates)):
         if g.n != n:
             raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
         # g^{-1} O g is the adjoint action of e^{-A}
-        eta = _apply_adjoint(eta, -gate_coefficients(g, basis), sc)
+        eta = _apply_adjoint(eta, -gate_coefficients(g, basis), n)
     return eta
 
 

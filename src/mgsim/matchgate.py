@@ -162,14 +162,19 @@ def sample_matchgate(ij: tuple[int, int], c: complex, free_params) -> np.ndarray
 
 
 def g_vw(V, W, tol: float = 1e-10) -> np.ndarray:
-    """The fermionic gate G(V, W): V on the even-parity block, W on the odd block."""
+    """The fermionic gate G(V, W): V on the even-parity block, W on the odd block.
+
+    det V and det W must agree within ``tol``; with tol = inf, which no gap
+    exceeds, the determinants are not computed.
+    """
     V = np.asarray(V, dtype=complex)
     W = np.asarray(W, dtype=complex)
     if V.shape != (2, 2) or W.shape != (2, 2):
         raise MatchgateError("V and W must be 2x2")
-    dv, dw = np.linalg.det(V), np.linalg.det(W)
-    if abs(dv - dw) > tol * (abs(dv) + abs(dw) + 1):
-        raise MatchgateError(f"determinant mismatch: det V = {dv}, det W = {dw}")
+    if tol < np.inf:
+        dv, dw = np.linalg.det(V), np.linalg.det(W)
+        if abs(dv - dw) > tol * (abs(dv) + abs(dw) + 1):
+            raise MatchgateError(f"determinant mismatch: det V = {dv}, det W = {dw}")
     B = np.zeros((4, 4), dtype=complex)
     B[0, 0], B[0, 3], B[3, 0], B[3, 3] = V[0, 0], V[0, 1], V[1, 0], V[1, 1]
     B[1, 1], B[1, 2], B[2, 1], B[2, 2] = W[0, 0], W[0, 1], W[1, 0], W[1, 1]

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import structure_constants
 from mgsim import circuits, matchgate as mg, sampling
 from mgsim.cli import main as cli_main
-from mgsim.engine_lie import build_basis, structure_constants
+from mgsim.engine_lie import build_basis
 from mgsim.engine_lie import simulate as simulate_lie
 from mgsim.engine_quadratic import gate_transfer, simulate
 from mgsim.jw import C0_MODES, JwFamily

@@ -299,3 +299,15 @@ def test_back_to_back_runs_share_no_state(capsys, circuit_file, monkeypatch):
     code, data = run_json(capsys, ["run", circuit_file])
     assert code == 0 and data["engine"] == "quadratic"
     assert tols == [1e-6, 1e-9]
+
+
+def test_compare_at_n200(capsys, tmp_path):
+    # above the oracle's 12 lines, compare runs the quadratic and Lie engines only
+    circ = sampling.random_circuit(200, 150, np.random.default_rng(8), unitary=False)
+    assert {spec.cls for spec in circ.gates} == set(sampling.ALL_CLASSES)
+    path = tmp_path / "n200.mg"
+    path.write_text(circuits.render(circ))
+    code, data = run_json(capsys, ["compare", str(path)])
+    assert code == 0
+    assert set(data["engines"]) == {"quadratic", "lie"}
+    assert data["agree"] is True

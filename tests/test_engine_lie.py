@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import adjoint_transfer, dense_generator, structure_constants
 from mgsim import circuits, engine_lie, sampling
 from mgsim.circuits import GateSpec
-from mgsim.engine_lie import (LieBasis, _apply_adjoint, adjoint_transfer, build_basis,
-                              gate_coefficients, heisenberg_observable,
-                              simulate, structure_constants)
+from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, build_basis,
+                              gate_coefficients, heisenberg_observable, simulate)
 from mgsim.engine_quadratic import gate_transfer
 from mgsim.engine_quadratic import simulate as simulate_quadratic
 from mgsim.exponents import raw_exponent
@@ -155,22 +157,13 @@ def test_heisenberg_observable_matches_quadratic(rng):
     assert np.linalg.norm(s1.to_matrix() - s2.to_matrix()) < 1e-9
 
 
-def _dense_generator(xi, sc):
-    """M[k, i] = sum_j xi_j c^k_{ji} as one dense dim x dim matrix."""
-    M = np.zeros((sc.basis.dim, sc.basis.dim), dtype=complex)
-    for j in np.flatnonzero(xi):
-        for i, k, val in sc.by_first[j]:
-            M[k, i] += xi[j] * val
-    return M
-
-
 def _compile_specs(specs, n):
     return circuits.compile(circuits.Circuit(n, ((1.0, 0j),) * n, tuple(specs), 1, False))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_block_exponential_matches_dense_generator(rng, n):
-    sc = structure_constants(n)
+def _gates_of_every_kind(rng, n):
+    """Compiled random gates of every class, unitary and not, plus one exponent
+    with up to four quadratic terms and linear terms on the first and last index."""
     classes = sampling.ALL_CLASSES if n >= 2 else ("u1", "exp")
     specs = [sampling.random_gate(cls, n, rng, unitary=unitary)
              for cls in classes for unitary in (True, False)]
@@ -179,11 +172,44 @@ def test_block_exponential_matches_dense_generator(rng, n):
     picks = rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)
     gates.append(raw_exponent(n, a={pairs[p]: complex(*rng.normal(size=2)) for p in picks},
                               b={1: 0.3j, 2 * n: 0.2 - 0.1j}, s=0.1))
-    for g in gates:
+    return gates
+
+
+def _scattered_generator(xi, n):
+    """The engine's closed-form blocks of M scattered into one dense matrix."""
+    dim = build_basis(n).dim
+    M = np.zeros((dim, dim), dtype=complex)
+    blocks, parts = _generator_blocks(xi, n)
+    for block, (idx, sign) in zip(blocks, parts):
+        s = idx.shape[1]
+        assert not block[s:].any() and not block[:, s:].any()  # padding stays zero
+        for row, row_sign in zip(idx, sign):
+            M[np.ix_(row, row)] += np.outer(row_sign, row_sign) * block[:s, :s]
+    return M
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_blocks_match_reference_pair_scan(rng, n):
+    # term by term and for the whole gate, the blocks read off the c-support
+    # equal the reference scan over all basis pairs, entry for entry
+    sc = structure_constants(n)
+    for g in _gates_of_every_kind(rng, n):
         xi = gate_coefficients(g, sc.basis)
-        ref = scipy.linalg.expm(_dense_generator(xi, sc))
+        for j in np.flatnonzero(xi):
+            unit = np.zeros_like(xi)
+            unit[j] = 1.0
+            assert np.array_equal(_scattered_generator(unit, n), dense_generator(unit, sc))
+        assert np.array_equal(_scattered_generator(xi, n), dense_generator(xi, sc))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_exponential_matches_dense_generator(rng, n):
+    sc = structure_constants(n)
+    for g in _gates_of_every_kind(rng, n):
+        xi = gate_coefficients(g, sc.basis)
+        ref = scipy.linalg.expm(dense_generator(xi, sc))
         eta = rng.normal(size=sc.basis.dim) + 1j * rng.normal(size=sc.basis.dim)
-        got = _apply_adjoint(eta, xi, sc)
+        got = _apply_adjoint(eta, xi, n)
         assert np.linalg.norm(got - ref @ eta) <= 1e-12 * max(1.0, np.linalg.norm(ref @ eta))
         assert np.linalg.norm(adjoint_transfer(xi, sc) - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
@@ -212,3 +238,17 @@ def test_two_line_gates_exponentiate_small_blocks(rng, monkeypatch):
     for g in gates:
         adjoint_transfer(gate_coefficients(g, sc.basis), sc)
     assert shapes and max(max(shape[-2:]) for shape in shapes) <= 10
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_matches_quadratic_engine_at_large_n(rng, n):
+    # the blocks come from each gate's c-support, with no table over all basis
+    # pairs, so the Lie engine checks the quadratic engine at these sizes;
+    # line 1 carries the mg12 and u1 gates, so every class reaches Z_1
+    for unitary in (True, False):
+        circ = dataclasses.replace(sampling.random_circuit(n, 120, rng, unitary=unitary), k=1)
+        assert {spec.cls for spec in circ.gates} == set(sampling.ALL_CLASSES)
+        state = circ.input_state()
+        a = simulate(circuits.compile(circ), state, 1).expectation
+        b = simulate_quadratic(circ.gates, state, 1).expectation
+        assert abs(a - b) < 1e-9

@@ -183,3 +183,21 @@ def test_spec_outside_the_register_is_refused():
     spec = circuits.GateSpec("diag", (1, 3), (("d", (1, 1j, 1j, -1)),))
     with pytest.raises(DimensionError):
         simulate([spec], ProductState.computational([0, 0]), 1)
+
+
+def test_gvw_specs_take_no_determinant(rng, monkeypatch):
+    # parse already checked det V = det W, so reading G(V, W) off a parsed
+    # spec computes neither determinant, in this engine or in the oracle
+    circ = sampling.random_circuit(4, 20, rng, classes=("gvw",), unitary=False)
+    state = circ.input_state()
+    calls = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    simulate(circ.gates, state, circ.k)
+    expectation_heisenberg(circ.gates, state, circ.k, INVERSE)
+    assert calls == []
