@@ -162,24 +162,35 @@ def _parse_state_token(tok: str, lineno: int) -> tuple:
     raise ParseError(f"bad state token {tok!r}", lineno)
 
 
-def _matrix_is_unitary(rows, tol: float) -> bool:
-    m = np.array(rows, dtype=complex)
-    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=tol))
+def _gates_are_unitary(gates, tol: float) -> bool:
+    """Whether every gate is unitary.
 
-
-def _gate_is_unitary(spec: GateSpec, tol: float) -> bool:
-    if spec.cls == "gvw":
-        return _matrix_is_unitary(spec.param("V"), tol) and _matrix_is_unitary(spec.param("W"), tol)
-    if spec.cls == "diag":
-        return all(abs(abs(d) - 1.0) <= tol for d in spec.param("d"))
-    if spec.cls == "mg12":
-        return _matrix_is_unitary(spec.param("B"), tol)
-    if spec.cls == "u1":
-        return _matrix_is_unitary(spec.param("U"), tol)
-    # raw exponent: unitary up to global phase iff a real, b and s imaginary
-    return (all(abs(val.imag) <= tol for _, val in spec.param("a"))
-            and all(abs(val.real) <= tol for _, val in spec.param("b"))
-            and abs(spec.param("s").real) <= tol)
+    The V, W, U and B matrices pass when M^H M = I entrywise within
+    tol + 1e-5 |I|, the rule of np.allclose(M^H M, I, atol=tol); they are
+    stacked by shape and checked in one batch each.  diag entries must have
+    unit modulus, and an exp gate needs a real, b and s imaginary (unitary up
+    to global phase).
+    """
+    square = {2: [], 4: []}
+    for g in gates:
+        if g.cls == "diag":
+            if any(abs(abs(d) - 1.0) > tol for d in g.param("d")):
+                return False
+        elif g.cls == "exp":
+            if not (all(abs(val.imag) <= tol for _, val in g.param("a"))
+                    and all(abs(val.real) <= tol for _, val in g.param("b"))
+                    and abs(g.param("s").real) <= tol):
+                return False
+        else:
+            for _, rows in g.params:
+                square[len(rows)].append(rows)
+    for dim, mats in square.items():
+        if mats:
+            m = np.array(mats, dtype=complex)
+            eye = np.eye(dim)
+            if not np.all(np.abs(m.conj().transpose(0, 2, 1) @ m - eye) <= tol + 1e-5 * eye):
+                return False
+    return True
 
 
 def _require_invertible(m, cls: str, lineno: int, tol: float):
@@ -345,7 +356,7 @@ def parse(text: str, tol: float = 1e-9) -> Circuit:
         raise ParseError("missing state line", 0)
     if k is None:
         raise ParseError("missing measure line", 0)
-    unitary = all(_gate_is_unitary(g, max(tol, 1e-8)) for g in gates)
+    unitary = _gates_are_unitary(gates, max(tol, 1e-8))
     return Circuit(n, state, tuple(gates), k, unitary)
 
 

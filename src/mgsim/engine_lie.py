@@ -31,7 +31,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .engine_quadratic import SimResult
 from .errors import DimensionError, InconsistencyError
@@ -171,6 +170,8 @@ def _apply_adjoint(eta: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
     One batched expm covers both blocks: the zero padding of the smaller one
     exponentiates to the identity and is sliced off.
     """
+    import scipy.linalg
+
     out = eta.copy()
     blocks, parts = _generator_blocks(xi, n)
     if parts:

@@ -7,8 +7,12 @@ is read straight off the gate matrix as K_ab = 1/4 tr(d_a B^{-1} d_b B) over
 the five two-line operators d_0..d_4 (Jozsa & Miyake, arXiv:0804.4050): no
 logarithm is taken, so every invertible matchgate is accepted, including
 those that are only limits of exponentials.  Only `exp` gates, and compiled
-GateExponents, go through their exponent as K = exp(-4 atilde), where atilde
-is the purely quadratic extension of the exponent.  K^T = K^{-1} in both
+GateExponents, go through their exponent as K = exp(X), X = -4 atilde, where
+atilde is the purely quadratic extension of the exponent.  When X is exactly
+real antisymmetric, as on every unitary exp gate, iX is Hermitian and
+K = V diag(e^{-i lam}) V^H comes from numpy's eigh of iX; any other block
+takes scipy's expm, imported on first use, so a run on matrix-class and
+unitary exp gates never loads scipy.  K^T = K^{-1} in both
 cases, so conjugating by the gate inverse (the non-unitary generalisation of
 the usual adjoint) uses the same K matrices; the engine always computes
 <psi0| C^{-1} O C |psi0>, which coincides with the Born-rule quantity for
@@ -31,7 +35,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .circuits import GateSpec
 from .errors import DimensionError, InconsistencyError
@@ -106,7 +109,17 @@ def _gate_block(g, n: int) -> tuple[list[int], np.ndarray]:
         raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
     eq = extend_quadratic(g)
     idx = eq.support()
-    return idx, scipy.linalg.expm(-4.0 * eq.block(idx))
+    return idx, _expm(-4.0 * eq.block(idx))
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """e^X, through eigh of the Hermitian iX when X is exactly real antisymmetric
+    (every unitary exp gate), else through scipy's expm, imported on first use."""
+    if not X.imag.any() and np.array_equal(X.real, -X.real.T):
+        lam, V = np.linalg.eigh(1j * X.real)
+        return ((V * np.exp(-1j * lam)) @ V.conj().T).real
+    import scipy.linalg
+    return scipy.linalg.expm(X)
 
 
 def gate_transfer(g: GateExponent) -> np.ndarray:

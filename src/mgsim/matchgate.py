@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 from .errors import LogBranchError, MatchgateError
 
@@ -262,6 +261,8 @@ def exp_L(coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (11,):
         raise MatchgateError(f"expected 11 coefficients, got shape {coeffs.shape}")
+    import scipy.linalg
+
     A = sum(c * G for c, G in zip(coeffs, _GENS))
     return scipy.linalg.expm(A)
 
@@ -297,11 +298,16 @@ def _candidate_logs(B):
     lam, V = np.linalg.eig(B)
     cond = np.linalg.cond(V)
     if cond > _SHIFT_COND:
+        import scipy.linalg
         yield scipy.linalg.logm(B)
         return
     logs = np.log(lam)
     Vinv = np.linalg.inv(V)
-    yield (V * logs) @ Vinv if cond <= _EIGEN_COND else scipy.linalg.logm(B)
+    if cond <= _EIGEN_COND:
+        yield (V * logs) @ Vinv
+    else:
+        import scipy.linalg
+        yield scipy.linalg.logm(B)
     for shift in _SHIFTS:
         yield (V * (logs + shift)) @ Vinv
 

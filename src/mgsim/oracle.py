@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .circuits import GateSpec
 from .errors import DimensionError, MgsimError, SizeLimitError
@@ -113,6 +112,8 @@ class _Split(NamedTuple):
 
     def apply(self, state: np.ndarray, inverse: bool = False) -> np.ndarray:
         """e^A (or e^-A) on a dense state, one block per diagonal-line sign pattern."""
+        import scipy.linalg
+
         exps = scipy.linalg.expm(-self.blocks if inverse else self.blocks)
         dim = self.blocks.shape[-1]
         n = len(self.perm)
@@ -210,6 +211,8 @@ def _prepare(g, n: int):
 
 def dense_gate(g: GateExponent) -> np.ndarray:
     """The full 2^n x 2^n matrix e^A of a gate exponent."""
+    import scipy.linalg
+
     _check_n(g.n)
     ps = to_pauli_sum(g, _family(g.n))
     return scipy.linalg.expm(ps.to_matrix())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matchgate
-from .circuits import Circuit, GateSpec, _gate_is_unitary
+from .circuits import Circuit, GateSpec, _gates_are_unitary
 from .pauli import ProductState
 
 ALL_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
@@ -102,5 +102,5 @@ def random_circuit(n: int, depth: int, rng: np.random.Generator,
         amps = random_state(n, rng).amps
         state = tuple(tuple(row) for row in amps)
     k = int(rng.integers(1, n + 1))
-    flag = all(_gate_is_unitary(g, 1e-8) for g in gates)
+    flag = _gates_are_unitary(gates, 1e-8)
     return Circuit(n, state, gates, k, flag)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import adjoint_transfer, dense_generator, structure_constants
-from mgsim import circuits, engine_lie, sampling
+from mgsim import circuits, sampling
 from mgsim.circuits import GateSpec
 from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, build_basis,
                               gate_coefficients, heisenberg_observable, simulate)
@@ -232,7 +232,7 @@ def test_two_line_gates_exponentiate_small_blocks(rng, monkeypatch):
         shapes.append(np.shape(A))
         return expm(A)
 
-    monkeypatch.setattr(engine_lie.scipy.linalg, "expm", recording_expm)
+    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
     simulate(gates, state, 5)
     sc = structure_constants(n)
     for g in gates:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import heisenberg_observable
 
 from mgsim import circuits, engine_lie, sampling
 from mgsim.engine_quadratic import _gate_block, gate_transfer, simulate
 from mgsim.errors import DimensionError
-from mgsim.exponents import compile_u1, raw_exponent
+from mgsim.exponents import compile_u1, extend_quadratic, raw_exponent
 from mgsim.jw import C0_MODES, PARITY, JwFamily
 from mgsim.oracle import INVERSE, apply_gate, apply_matrix, expectation_heisenberg
 from mgsim.pauli import ProductState, expectation
@@ -201,3 +202,55 @@ def test_gvw_specs_take_no_determinant(rng, monkeypatch):
     simulate(circ.gates, state, circ.k)
     expectation_heisenberg(circ.gates, state, circ.k, INVERSE)
     assert calls == []
+
+
+def _random_unitary_exponent(n: int, rng):
+    """Up to six real quadratic terms and up to three imaginary linear ones on n lines."""
+    pairs = [(mu, nu) for mu in range(1, 2 * n + 1) for nu in range(mu + 1, 2 * n + 1)]
+    picks = rng.choice(len(pairs), size=min(len(pairs), int(rng.integers(1, 7))), replace=False)
+    a = {pairs[p]: float(rng.normal()) for p in picks}
+    b = {int(sigma): 1j * float(rng.normal()) for sigma in rng.integers(1, 2 * n + 1, size=3)
+         if rng.random() < 0.5}
+    return raw_exponent(n, a, b, 0.3j)
+
+
+def test_unitary_exp_blocks_take_eigh_and_match_expm(rng, monkeypatch):
+    # a real a and an imaginary b make X = -4 atilde exactly real antisymmetric,
+    # and such blocks are exponentiated through eigh, without scipy
+    gates = [_random_unitary_exponent(1 + trial % 7, rng) for trial in range(200)]
+    refs = []
+    for g in gates:
+        eq = extend_quadratic(g)
+        refs.append(scipy.linalg.expm(-4.0 * eq.block(eq.support())))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a unitary exp block must not reach scipy's expm")
+
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    for g, ref in zip(gates, refs):
+        idx, block = _gate_block(g, g.n)
+        assert block.dtype == np.float64
+        assert np.abs(block - ref).max() <= 1e-13
+        assert np.abs(block.T @ block - np.eye(len(idx))).max() <= 1e-13
+
+
+def test_non_unitary_exp_gate_takes_expm_and_matches_oracle(rng, monkeypatch):
+    n = 4
+    spec = circuits.GateSpec("exp", (1, 2, 3), (("a", (((1, 4), 0.6 + 0.3j), ((2, 5), -0.4))),
+                                               ("b", ((3, 0.2 + 0.5j),)), ("s", 0.1j)))
+    gates = [sampling.random_gate("gvw", n, rng), spec, sampling.random_gate("exp", n, rng)]
+    state = sampling.random_state(n, rng)
+    refs = {k: expectation_heisenberg(gates, state, k, INVERSE) for k in range(1, n + 1)}
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting_expm(A):
+        calls.append(np.shape(A))
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    for k, ref in refs.items():
+        got = simulate(gates, state, k).expectation
+        assert abs(got - ref) < 1e-10
+    # only the non-unitary exp gate reaches expm, once per simulation
+    assert calls == [(6, 6)] * n

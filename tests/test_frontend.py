@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mgsim import circuits, sampling
-from mgsim.circuits import (Circuit, classify, parse, parse_complex, render,
-                            render_complex)
+from mgsim.circuits import (Circuit, _gates_are_unitary, classify, parse, parse_complex,
+                            render, render_complex)
 from mgsim.errors import GateClassError, ParseError
 from mgsim.oracle import apply_matrix, run_circuit
 from mgsim.sampling import random_su2
@@ -122,6 +122,63 @@ def test_unitary_flag_detection(rng):
     assert parse(render(uni)).unitary
     non = sampling.random_circuit(3, 5, rng, classes=("u1",), unitary=False)
     assert not parse(render(non)).unitary
+
+
+def _gate_is_unitary(spec, tol):
+    """Reference: one np.allclose per V, W, U or B matrix."""
+    if spec.cls == "diag":
+        return all(abs(abs(d) - 1.0) <= tol for d in spec.param("d"))
+    if spec.cls == "exp":
+        return (all(abs(val.imag) <= tol for _, val in spec.param("a"))
+                and all(abs(val.real) <= tol for _, val in spec.param("b"))
+                and abs(spec.param("s").real) <= tol)
+    return all(np.allclose(np.array(m).conj().T @ np.array(m), np.eye(len(m)), atol=tol)
+               for _, m in spec.params)
+
+
+def test_batch_unitary_check_matches_per_matrix_reference(rng):
+    for tol in (1e-8, 1e-6):
+        for unitary in (True, False):
+            for cls in sampling.ALL_CLASSES:
+                gates = [sampling.random_gate(cls, 4, rng, unitary=unitary) for _ in range(6)]
+                for g in gates:
+                    assert _gates_are_unitary([g], tol) == _gate_is_unitary(g, tol)
+                ref = all(_gate_is_unitary(g, tol) for g in gates)
+                assert _gates_are_unitary(gates, tol) == ref
+        for trial in range(40):
+            circ = sampling.random_circuit(4, int(rng.integers(1, 12)), rng,
+                                           unitary=bool(trial % 2))
+            ref = all(_gate_is_unitary(g, tol) for g in circ.gates)
+            assert _gates_are_unitary(circ.gates, tol) == ref
+            assert not ref or trial % 2  # a non-unitary draw is seen as such
+
+
+def _rows(m):
+    return tuple(tuple(complex(e) for e in row) for row in m)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_batch_unitary_check_at_the_bound(rng, tol, factor):
+    # M^H M - I reaches factor times the bound, on the diagonal (bound
+    # tol + 1e-5, through a scale 1 + delta) or off it (bound tol, through a shear)
+    inside = factor < 1
+    scale = np.sqrt(1 + factor * (tol + 1e-5))
+    shear = np.array([[1, factor * tol], [0, 1]])
+    U, V = sampling.random_su2(rng), sampling.random_su2(rng)
+    good = [sampling.random_gate(cls, 4, rng) for cls in ("gvw", "u1", "mg12")]
+    B = np.array(good[2].param("B"))
+    perturbed = [
+        circuits.GateSpec("u1", (1,), (("U", _rows(scale * U)),)),
+        circuits.GateSpec("u1", (1,), (("U", _rows(U @ shear)),)),
+        circuits.GateSpec("gvw", (1, 2), (("V", _rows(V)), ("W", _rows(U @ shear)))),
+        circuits.GateSpec("mg12", (1, 2), (("B", _rows(scale * B)),)),
+    ]
+    for spec in perturbed:
+        assert _gate_is_unitary(spec, tol) == inside
+        assert _gates_are_unitary([spec], tol) == inside
+        assert _gates_are_unitary(good + [spec], tol) == inside
+    assert _gates_are_unitary(good, tol)
 
 
 def test_exp_unitary_flag_matches_exponent_test(rng):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mgsim import circuits, sampling
+from test_cli import CLOSURE_ONLY
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mgsim"
 
@@ -56,6 +57,54 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def module_level_imports(source: str) -> list[str]:
+    """Modules a module imports when it is itself imported: every import outside a function."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_scan_finds_module_level_imports():
+    source = ("import scipy.linalg\nfrom scipy import sparse\nfrom . import pauli\n"
+              "try:\n    import numpy as np\nexcept ImportError:\n    pass\n"
+              "class A:\n    import json\n"
+              "def f():\n    import os\n    from scipy.linalg import expm\n")
+    assert module_level_imports(source) == ["json", "numpy", "scipy", "scipy.linalg"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # scipy is imported where a cross-check engine, a logarithm fallback or a
+    # non-unitary exp gate needs it, so that `mgsim run` starts on numpy alone
+    found = module_level_imports(path.read_text(encoding="utf-8"))
+    assert [name for name in found if name.split(".")[0] == "scipy"] == []
+
+
+def _loads_in_fresh_process(argv, module: str) -> bool:
+    """Whether mgsim.cli.main(argv), run in a new interpreter, loads module; main must return 0."""
+    script = ("import contextlib, io, sys\n"
+              "from mgsim.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[2:])\n"
+              "print(code, sys.argv[1] in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script, module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    out = done.stdout.split()
+    assert out[:1] == ["0"], done.stderr
+    return out[1] == "True"
+
+
 def test_compare_on_diagonalizable_gates_leaves_scipy_sparse_unloaded(tmp_path):
     # scipy.linalg.logm imports scipy.sparse on first use, which adds to every
     # start-up; gates with a well-conditioned eigenbasis must never reach it
@@ -64,13 +113,28 @@ def test_compare_on_diagonalizable_gates_leaves_scipy_sparse_unloaded(tmp_path):
                   for unitary in (True, False) for cls in sampling.ALL_CLASSES)
     path = tmp_path / "diagonalizable.mg"
     path.write_text(circuits.render(circuits.Circuit(4, ((0.6, 0.8j),) * 4, gates, 2, False)))
-    script = ("import contextlib, io, sys\n"
-              "from mgsim.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = main(['compare', sys.argv[1]])\n"
-              "print(code, 'scipy.sparse' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.stdout.split() == ["0", "False"], done.stderr
+    assert not _loads_in_fresh_process(["compare", str(path)], "scipy.sparse")
+
+
+def test_run_on_unitary_gates_leaves_scipy_unloaded(tmp_path):
+    # matrix-class blocks are read off the gate, and unitary exp blocks are
+    # exponentiated through eigh, so the quadratic engine runs on numpy alone
+    circ = sampling.random_circuit(6, 40, np.random.default_rng(4))
+    assert {g.cls for g in circ.gates} == set(sampling.ALL_CLASSES) and circ.unitary
+    path = tmp_path / "unitary.mg"
+    path.write_text(circuits.render(circ))
+    assert not _loads_in_fresh_process(["run", str(path)], "scipy")
+
+
+def test_run_on_a_closure_only_gate_leaves_scipy_unloaded(tmp_path):
+    path = tmp_path / "closure.mg"
+    path.write_text(CLOSURE_ONLY)
+    assert not _loads_in_fresh_process(["run", str(path)], "scipy")
+
+
+def test_run_on_a_non_unitary_exp_gate_loads_scipy(tmp_path):
+    # the counterpart of the two tests above: this block is not real
+    # antisymmetric, so it goes to scipy's expm, and the probe sees the load
+    path = tmp_path / "non_unitary.mg"
+    path.write_text("circuit n=2\nstate 0 +\ngate exp a:1,3=0.5+0.2i\nmeasure 1\n")
+    assert _loads_in_fresh_process(["run", str(path)], "scipy")
