@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matchgate
-from .errors import GateClassError, MatchgateError, MgsimError, ParseError
-from .exponents import (GateExponent, compile_diag, compile_gvw, compile_mg12,
-                        compile_u1, raw_exponent)
+from .errors import GateClassError, MgsimError, ParseError
+from .exponents import GateExponent, compile_diag, compile_matrix, compile_u1
 from .pauli import ProductState
 
 GATE_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
@@ -63,7 +62,7 @@ class GateSpec:
         """The 4x4 matrix of a gvw, diag, mg12 or u1 gate on its two lines, in
         standard qubit order; u1 gives U (x) I on lines (1, 2)."""
         if self.cls == "gvw":
-            return matchgate.g_vw(self.param("V"), self.param("W"), tol=np.inf)
+            return matchgate.g_vw(self.param("V"), self.param("W"))
         if self.cls == "diag":
             return np.diag(np.array(self.param("d"), dtype=complex))
         if self.cls == "mg12":
@@ -71,6 +70,24 @@ class GateSpec:
         if self.cls == "u1":
             return np.kron(np.array(self.param("U"), dtype=complex), np.eye(2))
         raise GateClassError(f"{self.cls} gates have no matrix form")
+
+    def exponent(self, n: int) -> GateExponent:
+        """The coefficients of an exp gate as a GateExponent on n lines."""
+        if self.cls != "exp":
+            raise GateClassError(f"{self.cls} gates carry no exponent; compile them")
+        return GateExponent.make(n, dict(self.param("a")), dict(self.param("b")),
+                                 self.param("s"))
+
+
+def _dets_match(dv: complex, dw: complex, tol: float) -> bool:
+    """The gvw rule det V = det W, within tol relative to the determinants' size."""
+    return abs(dv - dw) <= tol * (abs(dv) + abs(dw) + 1)
+
+
+def _diag_condition_holds(d, tol: float) -> bool:
+    """The diagonal matchgate rule B11*B44 = B22*B33, within tol relative to max|d|^2."""
+    scale = max(max(abs(e) for e in d) ** 2, 1.0)
+    return abs(d[0] * d[3] - d[1] * d[2]) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -193,8 +210,7 @@ def _gates_are_unitary(gates, tol: float) -> bool:
     return True
 
 
-def _require_invertible(m, cls: str, lineno: int, tol: float):
-    det = abs(np.linalg.det(np.array(m, dtype=complex)))
+def _require_invertible(det: float, cls: str, lineno: int, tol: float):
     if det <= tol:
         raise ParseError(f"{cls} gate rejected: matrix is not invertible (|det| = {det:.3e})",
                          lineno)
@@ -224,11 +240,12 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
             )
         V = named("V", "V", (2, 2))
         W = named("W", "W", (2, 2))
-        try:
-            B = matchgate.g_vw(V, W, tol=tol)
-        except MatchgateError as exc:
-            raise ParseError(f"gvw gate rejected: {exc}", lineno) from None
-        _require_invertible(B, "gvw", lineno, tol)
+        dv, dw = np.linalg.det(np.array(V)), np.linalg.det(np.array(W))
+        if not _dets_match(dv, dw, tol):
+            raise ParseError(
+                f"gvw gate rejected: determinant mismatch: det V = {dv}, det W = {dw}", lineno
+            )
+        _require_invertible(abs(dv) * abs(dw), "gvw", lineno, tol)  # det G(V, W) = det V det W
         return GateSpec("gvw", (k, k + 1), (("V", V), ("W", W)))
 
     if cls == "diag":
@@ -241,10 +258,9 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
         rows = _parse_matrix(args[2], lineno, 0)
         _require_shape(rows, (1, 4), "diag vector", lineno)
         d = rows[0]
-        scale = max(max(abs(e) for e in d) ** 2, 1.0)
         if any(e == 0 for e in d):
             raise ParseError("diag entries must be nonzero", lineno)
-        if abs(d[0] * d[3] - d[1] * d[2]) > tol * scale:
+        if not _diag_condition_holds(d, tol):
             raise ParseError(
                 f"diagonal matchgate condition B11*B44 = B22*B33 violated: "
                 f"{d[0] * d[3]} != {d[1] * d[2]}", lineno
@@ -259,14 +275,14 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
         B = named("B", "B", (4, 4))
         if not matchgate.is_matchgate(matchgate.swap_convention(np.array(B)), tol=max(tol, 1e-10)):
             raise ParseError("mg12 gate rejected: matrix fails the matchgate identities", lineno)
-        _require_invertible(B, "mg12", lineno, tol)
+        _require_invertible(abs(np.linalg.det(np.array(B))), "mg12", lineno, tol)
         return GateSpec("mg12", (1, 2), (("B", B),))
 
     if cls == "u1":
         if len(args) != 1:
             raise ParseError("u1 takes a single U= matrix", lineno)
         U = named("U", "U", (2, 2))
-        _require_invertible(U, "u1", lineno, tol)
+        _require_invertible(abs(np.linalg.det(np.array(U))), "u1", lineno, tol)
         return GateSpec("u1", (1,), (("U", U),))
 
     # exp: raw coefficients a:mu,nu=<c>  b:sigma=<c>  s=<c>
@@ -361,7 +377,10 @@ def parse(text: str, tol: float = 1e-9) -> Circuit:
 
 
 def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateExponent]:
-    """Gate exponents in application order; errors carry the offending gate index."""
+    """Gate exponents of a parsed circuit in application order.
+
+    No check that ``parse`` made is repeated; errors carry the offending gate index.
+    """
     out = []
     for idx, spec in enumerate(circuit.gates):
         try:
@@ -372,16 +391,13 @@ def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateExponent]:
 
 
 def _compile_gate(spec: GateSpec, n: int, tol: float) -> GateExponent:
-    if spec.cls == "gvw":
-        return compile_gvw(np.array(spec.param("V")), np.array(spec.param("W")),
-                           spec.lines[0], n, tol=tol)
     if spec.cls == "diag":
-        return compile_diag(np.array(spec.param("d")), spec.lines[0], spec.lines[1], n, tol=tol)
-    if spec.cls == "mg12":
-        return compile_mg12(np.array(spec.param("B")), n, tol=tol)
+        return compile_diag(spec.param("d"), spec.lines[0], spec.lines[1], n)
     if spec.cls == "u1":
-        return compile_u1(np.array(spec.param("U")), n, tol=tol)
-    return raw_exponent(n, dict(spec.param("a")), dict(spec.param("b")), spec.param("s"))
+        return compile_u1(spec.param("U"), n)
+    if spec.cls == "exp":
+        return spec.exponent(n)
+    return compile_matrix(spec.matrix(), spec.lines[0], n, tol)
 
 
 def _render_state_token(pair) -> str:
@@ -434,12 +450,12 @@ def classify(B) -> list[str]:
     if matchgate.is_matchgate(matchgate.swap_convention(B), tol=tol):
         out.append("mg12")
     V, W = matchgate.extract_vw(B)
-    off_block = B - matchgate.g_vw(V, W, tol=np.inf)
-    dv, dw = np.linalg.det(V), np.linalg.det(W)
-    if np.abs(off_block).max() <= 1e-12 and abs(dv - dw) <= tol * (abs(dv) + abs(dw) + 1):
+    off_block = B - matchgate.g_vw(V, W)
+    if (np.abs(off_block).max() <= 1e-12
+            and _dets_match(np.linalg.det(V), np.linalg.det(W), tol)):
         out.append("gvw")
     d = np.diag(B)
     if (np.abs(B - np.diag(d)).max() <= 1e-12 and np.all(d != 0)
-            and abs(d[0] * d[3] - d[1] * d[2]) <= tol * max(1.0, float(np.abs(d).max()) ** 2)):
+            and _diag_condition_holds(d, tol)):
         out.append("diag")
     return out

@@ -38,7 +38,7 @@ import numpy as np
 
 from .circuits import GateSpec
 from .errors import DimensionError, InconsistencyError
-from .exponents import GateExponent, extend_quadratic, raw_exponent
+from .exponents import GateExponent, extend_quadratic
 from .jw import JwFamily
 from .pauli import ProductState
 
@@ -104,7 +104,7 @@ def _gate_block(g, n: int) -> tuple[list[int], np.ndarray]:
             raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
         if g.cls != "exp":
             return _matrix_block(g)
-        g = raw_exponent(n, dict(g.param("a")), dict(g.param("b")), g.param("s"))
+        g = g.exponent(n)
     elif g.n != n:
         raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
     eq = extend_quadratic(g)

@@ -6,10 +6,12 @@ A gate is represented as e^A with
 
 i.e. the full antisymmetric double sum over quadratic terms plus linear terms
 plus a scalar.  Diagonal quadratic terms (mu = nu) contribute only a scalar
-and are folded into s.  Compilation routines turn each supported gate class
-(nearest-neighbour G(V,W), diagonal matchgates, general 2-qubit matchgates on
-lines 1-2, arbitrary 1-qubit gates on line 1) into this form via the 4x4
-generator logarithm.
+and are folded into s.  The compile routines take gates the parser has
+already checked and repeat none of its checks: :func:`compile_matrix` turns a
+G(V, W) on nearest-neighbour lines or a general matchgate on lines 1-2 into
+this form through the 4x4 generator logarithm, :func:`compile_diag` a diagonal
+matchgate on any pair through commuting Z logs, and :func:`compile_u1` a
+1-qubit gate on line 1.  An exp gate carries its coefficients as written.
 
 Phases are never taken on faith from shorthand like "Z_k = c_{2k-1}c_{2k}":
 every constant here is produced by the exact Pauli algebra (the true relation
@@ -162,29 +164,32 @@ def _pair_phases() -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _coeffs_to_exponent(coeffs, lines: tuple[int, int], n: int, tol: float,
-                        require_quadratic: bool = False) -> GateExponent:
-    """Map 11-generator coefficients (tilde basis) onto global JW indices.
+def compile_matrix(B, k: int, n: int, tol: float = 1e-9) -> GateExponent:
+    """Compile a parsed gvw or mg12 matchgate B on lines (k, k+1).
 
-    Under the qubit-swap relabeling the tilde generators become the standard
-    2-line JW operators, so the coefficients transfer verbatim: slot sigma
-    (1..4) is the linear coefficient of c_sigma and the six quadratic slots
-    give 2 a_{mu,nu} = coeff / phi_{mu,nu}.
+    ``B`` is the 4x4 matrix in standard qubit order, already checked by the
+    parser.  Under the documented 1,2,3,4 -> 1,3,2,4 relabeling the tilde
+    generators become the standard 2-line JW operators, so the coefficients
+    of the logarithm transfer verbatim: slot sigma (1..4) is the linear
+    coefficient of c_sigma and the six quadratic slots give
+    2 a_{mu,nu} = coeff / phi_{mu,nu}.  Linear terms are refused for k > 1,
+    where a local c_sigma lacks the Z string of lines 1..k-1.
     """
-    k = lines[0]
+    coeffs = matchgate.span_log(matchgate.swap_convention(B), tol=tol)
     offset = 2 * (k - 1)
     scale = max(1.0, float(np.linalg.norm(coeffs)))
-    linear_floor = (tol if require_quadratic else 1e-12) * scale
+    linear_floor = (tol if k > 1 else 1e-12) * scale
     b = {}
     for sigma in range(1, 5):
         val = coeffs[sigma]
         if abs(val) <= linear_floor:
             continue
-        if require_quadratic:
+        if k > 1:
             raise GateClassError(
-                f"unexpected linear coefficient b_{sigma} = {val} for a purely quadratic gate class"
+                f"unexpected linear coefficient b_{sigma} = {val} on lines ({k}, {k + 1}), "
+                f"where c_sigma would need the Z string of lines 1..{k - 1}"
             )
-        b[offset + sigma] = val
+        b[sigma] = val
     a = {}
     for (mu, nu), phi, val in zip(matchgate.GENERATOR_PAIRS, _pair_phases(), coeffs[5:]):
         if abs(val) > 1e-15 * scale:
@@ -192,42 +197,9 @@ def _coeffs_to_exponent(coeffs, lines: tuple[int, int], n: int, tol: float,
     return GateExponent.make(n, a, b, coeffs[0])
 
 
-def compile_gvw(V, W, k: int, n: int, tol: float = 1e-9) -> GateExponent:
-    """Compile G(V, W) on nearest-neighbour lines (k, k+1) to a quadratic exponent."""
-    if not 1 <= k <= n - 1:
-        raise GateClassError(f"G(V,W) needs nearest-neighbour lines; k={k} invalid for n={n}")
-    B = matchgate.g_vw(V, W, tol=tol)
-    coeffs = matchgate.log_to_L(matchgate.swap_convention(B), tol=tol)
-    return _coeffs_to_exponent(coeffs, (k, k + 1), n, tol, require_quadratic=True)
-
-
-def compile_mg12(B, n: int, tol: float = 1e-9) -> GateExponent:
-    """Compile an arbitrary invertible 2-qubit matchgate acting on lines (1, 2).
-
-    ``B`` is the physical matrix in standard qubit order; the matchgate
-    identities are checked after the documented 1,2,3,4 -> 1,3,2,4 relabeling.
-    """
-    if n < 2:
-        raise GateClassError("mg12 gates need at least two lines")
-    coeffs = matchgate.log_to_L(matchgate.swap_convention(B), tol=tol)
-    return _coeffs_to_exponent(coeffs, (1, 2), n, tol)
-
-
-def compile_diag(d, k: int, l: int, n: int, tol: float = 1e-9) -> GateExponent:
-    """Compile diag(d1..d4) on lines k < l (any pair) via commuting Z logs."""
-    d = np.asarray(d, dtype=complex)
-    if d.shape != (4,):
-        raise GateClassError(f"expected 4 diagonal entries, got shape {d.shape}")
-    if not 1 <= k < l <= n:
-        raise GateClassError(f"need 1 <= k < l <= n, got k={k}, l={l}, n={n}")
-    if np.any(d == 0):
-        raise GateClassError("diagonal matchgates must have nonzero entries")
-    scale = float(np.max(np.abs(d))) ** 2
-    if abs(d[0] * d[3] - d[1] * d[2]) > tol * max(scale, 1.0):
-        raise GateClassError(
-            f"diagonal condition B11*B44 = B22*B33 violated: {d[0] * d[3]} != {d[1] * d[2]}"
-        )
-    lam = np.log(d)
+def compile_diag(d, k: int, l: int, n: int) -> GateExponent:
+    """Compile a parsed diag(d1..d4) on lines k < l (any pair) via commuting Z logs."""
+    lam = np.log(np.asarray(d, dtype=complex))
     # principal logs may disagree by 2*pi*i across the constraint; repair on lam[3]
     lam[3] = lam[1] + lam[2] - lam[0]
     gamma = (lam[0] + lam[1] + lam[2] + lam[3]) / 4
@@ -238,14 +210,9 @@ def compile_diag(d, k: int, l: int, n: int, tol: float = 1e-9) -> GateExponent:
     return GateExponent.make(n, a, {}, gamma)
 
 
-def compile_u1(U, n: int, tol: float = 1e-9) -> GateExponent:
-    """Compile an arbitrary invertible 1-qubit gate on line 1."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (2, 2):
-        raise GateClassError(f"expected a 2x2 matrix, got shape {U.shape}")
-    if abs(np.linalg.det(U)) <= tol:
-        raise GateClassError("1-qubit gate must be invertible")
-    L = matchgate.principal_log(U)
+def compile_u1(U, n: int) -> GateExponent:
+    """Compile a parsed invertible 1-qubit gate on line 1."""
+    L = matchgate.principal_log(np.asarray(U, dtype=complex))
     paulis = {
         "X": np.array([[0, 1], [1, 0]], dtype=complex),
         "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -259,11 +226,6 @@ def compile_u1(U, n: int, tol: float = 1e-9) -> GateExponent:
     b = {1: cx, 2: cy}
     a = {(1, 2): -0.5j * cz}
     return GateExponent.make(n, a, b, delta)
-
-
-def raw_exponent(n: int, a=None, b=None, s=0j) -> GateExponent:
-    """Arbitrary user-supplied exponent coefficients (the `exp` gate class)."""
-    return GateExponent.make(n, a, b, s)
 
 
 def is_unitary_exponent(g: GateExponent, tol: float = 1e-8) -> bool:

@@ -160,20 +160,16 @@ def sample_matchgate(ij: tuple[int, int], c: complex, free_params) -> np.ndarray
     return B
 
 
-def g_vw(V, W, tol: float = 1e-10) -> np.ndarray:
+def g_vw(V, W) -> np.ndarray:
     """The fermionic gate G(V, W): V on the even-parity block, W on the odd block.
 
-    det V and det W must agree within ``tol``; with tol = inf, which no gap
-    exceeds, the determinants are not computed.
+    G(V, W) is a matchgate iff det V = det W; this constructor does not check
+    that, since the parser does.
     """
     V = np.asarray(V, dtype=complex)
     W = np.asarray(W, dtype=complex)
     if V.shape != (2, 2) or W.shape != (2, 2):
         raise MatchgateError("V and W must be 2x2")
-    if tol < np.inf:
-        dv, dw = np.linalg.det(V), np.linalg.det(W)
-        if abs(dv - dw) > tol * (abs(dv) + abs(dw) + 1):
-            raise MatchgateError(f"determinant mismatch: det V = {dv}, det W = {dw}")
     B = np.zeros((4, 4), dtype=complex)
     B[0, 0], B[0, 3], B[3, 0], B[3, 3] = V[0, 0], V[0, 1], V[1, 0], V[1, 1]
     B[1, 1], B[1, 2], B[2, 1], B[2, 2] = W[0, 0], W[0, 1], W[1, 0], W[1, 1]
@@ -320,8 +316,8 @@ def principal_log(B) -> np.ndarray:
 def log_to_L(B, tol: float = 1e-9) -> np.ndarray:
     """Generator coefficients of a logarithm of an invertible matchgate.
 
-    Searches logarithm branches until one lies in the 11-generator span; the
-    identity guarantees some branch does, but not necessarily the principal one.
+    Checks that B is invertible and satisfies the identities, then takes
+    :func:`span_log`.
     """
     B = _as_mat4(B)
     det = np.linalg.det(B)
@@ -329,6 +325,16 @@ def log_to_L(B, tol: float = 1e-9) -> np.ndarray:
         raise MatchgateError(f"matrix is not invertible (|det| = {abs(det):.3e})")
     if not is_matchgate(B, tol=max(tol, 1e-10)):
         raise MatchgateError("matrix fails the matchgate identities")
+    return span_log(B, tol)
+
+
+def span_log(B, tol: float = 1e-9) -> np.ndarray:
+    """Generator coefficients of the first logarithm branch of B in the 11-generator span.
+
+    B must be an invertible matchgate (tilde convention); this is not checked.
+    Branches are searched because the identities guarantee that some branch
+    lies in the span, but not necessarily the principal one.
+    """
     best_resid = np.inf
     for A in _candidate_logs(B):
         coeffs, resid = _project_to_span(A)

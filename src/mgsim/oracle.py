@@ -35,7 +35,7 @@ import numpy as np
 
 from .circuits import GateSpec
 from .errors import DimensionError, MgsimError, SizeLimitError
-from .exponents import GateExponent, raw_exponent, to_pauli_sum
+from .exponents import GateExponent, to_pauli_sum
 from .jw import PARITY, JwFamily
 from .pauli import ProductState
 
@@ -205,7 +205,7 @@ def _prepare(g, n: int):
             raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
         if g.cls != "exp":
             return _matrix_gate(g)
-        g = raw_exponent(n, dict(g.param("a")), dict(g.param("b")), g.param("s"))
+        g = g.exponent(n)
     return _split(g, n)
 
 

@@ -16,7 +16,7 @@ involution) hold without any floating-point tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,28 +143,27 @@ class PauliSum:
 
     Terms are keyed by (x_mask, z_mask); the stored coefficient absorbs the
     i-power phase of any contributing string.  Coefficients with magnitude
-    below ``drop_tol`` are dropped on construction and accumulation.
+    at most ``DEFAULT_DROP_TOL`` are dropped on construction and accumulation.
     """
 
-    __slots__ = ("n", "terms", "drop_tol")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, drop_tol: float = DEFAULT_DROP_TOL):
+    def __init__(self, n: int, terms=None):
         self.n = n
-        self.drop_tol = drop_tol
         self.terms: dict[tuple[int, int], complex] = {}
         if terms:
             for key, val in dict(terms).items():
-                if abs(val) > drop_tol:
+                if abs(val) > DEFAULT_DROP_TOL:
                     self.terms[key] = complex(val)
 
     @classmethod
-    def from_strings(cls, strings, n: int | None = None, drop_tol: float = DEFAULT_DROP_TOL) -> "PauliSum":
+    def from_strings(cls, strings, n: int | None = None) -> "PauliSum":
         strings = list(strings)
         if n is None:
             if not strings:
                 raise DimensionError("cannot infer n from an empty string list")
             n = strings[0].n
-        out = cls(n, drop_tol=drop_tol)
+        out = cls(n)
         for s in strings:
             out._add_string(s)
         out._prune()
@@ -177,7 +176,7 @@ class PauliSum:
         self.terms[key] = self.terms.get(key, 0j) + weight * s.scalar
 
     def _prune(self):
-        dead = [k for k, v in self.terms.items() if abs(v) <= self.drop_tol]
+        dead = [k for k, v in self.terms.items() if abs(v) <= DEFAULT_DROP_TOL]
         for k in dead:
             del self.terms[k]
 
@@ -187,7 +186,7 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if other.n != self.n:
             raise DimensionError(f"line counts differ: {other.n} != {self.n}")
-        out = PauliSum(self.n, self.terms, drop_tol=self.drop_tol)
+        out = PauliSum(self.n, self.terms)
         for key, val in other.terms.items():
             out.terms[key] = out.terms.get(key, 0j) + val
         out._prune()
@@ -199,7 +198,7 @@ class PauliSum:
         for x, z in self.terms:
             if x & ~full or z & ~full:
                 raise DimensionError("sum acts nontrivially beyond the requested lines")
-        return PauliSum(n, self.terms, drop_tol=self.drop_tol)
+        return PauliSum(n, self.terms)
 
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
@@ -214,7 +213,6 @@ class ProductState:
     """An n-line product state; one normalized 2-amplitude vector per line."""
 
     amps: np.ndarray  # shape (n, 2) complex
-    norm_tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.amps, dtype=complex)
@@ -224,7 +222,7 @@ class ProductState:
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
         norms = np.linalg.norm(arr, axis=1)
-        if np.any(np.abs(norms - 1.0) > self.norm_tol):
+        if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("per-line vectors must be normalized (use normalized())")
 
     @classmethod

@@ -27,13 +27,6 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
     return q / np.sqrt(np.linalg.det(q))
 
 
-def random_gl2(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        if abs(np.linalg.det(m)) > 0.1:
-            return m
-
-
 def _mat(m) -> tuple:
     return tuple(tuple(complex(e) for e in row) for row in np.asarray(m))
 

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from conftest import structure_constants
 from mgsim import circuits, matchgate as mg, sampling

@@ -271,6 +271,7 @@ def _run_with_logarithms_forbidden(capsys, tmp_path, monkeypatch, *flags):
 
     monkeypatch.setattr(circuits, "compile", forbidden)
     monkeypatch.setattr(matchgate, "log_to_L", forbidden)
+    monkeypatch.setattr(matchgate, "span_log", forbidden)
     monkeypatch.setattr(scipy.linalg, "logm", forbidden)
     code, data = run_json(capsys, ["run", str(path), *flags])
     assert code == 0 and data["gates"] == 10

@@ -11,7 +11,7 @@ from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, build_basis,
                               gate_coefficients, heisenberg_observable, simulate)
 from mgsim.engine_quadratic import gate_transfer
 from mgsim.engine_quadratic import simulate as simulate_quadratic
-from mgsim.exponents import raw_exponent
+from mgsim.exponents import GateExponent
 from mgsim.pauli import ProductState, commutation_sign, pauli_mul
 
 
@@ -104,7 +104,7 @@ def test_adjoint_transfer_identity():
 def test_adjoint_transfer_matches_quadratic_block(rng):
     # a single quadratic generator rotates the (c_1, c_2) plane; the Lie
     # transfer must equal the inverse of the quadratic engine's K block
-    g = raw_exponent(2, a={(1, 2): complex(rng.normal(), rng.normal())})
+    g = GateExponent.make(2, a={(1, 2): complex(rng.normal(), rng.normal())})
     sc = structure_constants(2)
     a = adjoint_transfer(gate_coefficients(g, sc.basis), sc)
     K = gate_transfer(g)
@@ -115,7 +115,7 @@ def test_adjoint_transfer_vs_dense_conjugation(rng):
     from mgsim.oracle import dense_gate
 
     n = 3
-    g = raw_exponent(n, a={(2, 5): 0.4 - 0.2j}, b={1: 0.3j}, s=0.1)
+    g = GateExponent.make(n, a={(2, 5): 0.4 - 0.2j}, b={1: 0.3j}, s=0.1)
     sc = structure_constants(n)
     basis = sc.basis
     a = adjoint_transfer(gate_coefficients(g, basis), sc)
@@ -170,8 +170,8 @@ def _gates_of_every_kind(rng, n):
     gates = _compile_specs(specs, n)
     pairs = [(mu, nu) for mu in range(1, 2 * n + 1) for nu in range(mu + 1, 2 * n + 1)]
     picks = rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)
-    gates.append(raw_exponent(n, a={pairs[p]: complex(*rng.normal(size=2)) for p in picks},
-                              b={1: 0.3j, 2 * n: 0.2 - 0.1j}, s=0.1))
+    gates.append(GateExponent.make(n, a={pairs[p]: complex(*rng.normal(size=2)) for p in picks},
+                                   b={1: 0.3j, 2 * n: 0.2 - 0.1j}, s=0.1))
     return gates
 
 

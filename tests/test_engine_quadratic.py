@@ -6,7 +6,7 @@ from conftest import heisenberg_observable
 from mgsim import circuits, engine_lie, sampling
 from mgsim.engine_quadratic import _gate_block, gate_transfer, simulate
 from mgsim.errors import DimensionError
-from mgsim.exponents import compile_u1, extend_quadratic, raw_exponent
+from mgsim.exponents import GateExponent, compile_u1, extend_quadratic
 from mgsim.jw import C0_MODES, PARITY, JwFamily
 from mgsim.oracle import INVERSE, apply_gate, apply_matrix, expectation_heisenberg
 from mgsim.pauli import ProductState, expectation
@@ -17,15 +17,15 @@ Y = np.array([[0, -1j], [1j, 0]])
 
 
 def test_zero_exponent_transfer():
-    assert np.allclose(gate_transfer(raw_exponent(2)), np.eye(5))
+    assert np.allclose(gate_transfer(GateExponent.make(2)), np.eye(5))
 
 
 def test_transfer_is_orthogonal(rng):
     # K^T = K^-1 holds for any antisymmetric exponent; complex exponents can
     # make ||K|| large, so the check is relative to ||K||^2
     for _ in range(20):
-        g = raw_exponent(3, a={(1, 4): complex(rng.normal(), rng.normal())},
-                         b={2: complex(rng.normal(), rng.normal())})
+        g = GateExponent.make(3, a={(1, 4): complex(rng.normal(), rng.normal())},
+                              b={2: complex(rng.normal(), rng.normal())})
         K = gate_transfer(g)
         scale = max(1.0, np.linalg.norm(K) ** 2)
         assert np.linalg.norm(K @ K.T - np.eye(7)) < 1e-9 * scale
@@ -141,7 +141,7 @@ def test_populations_only_when_real():
     # under inverse conjugation), but a genuinely complex value must not
     # populate p0/p1
     state = ProductState.normalized([[1, 1j]])
-    g = raw_exponent(1, b={1: 0.5})  # non-unitary
+    g = GateExponent.make(1, b={1: 0.5})  # non-unitary
     res = simulate([g], state, 1)
     if abs(res.expectation.imag) > 1e-9:
         assert res.p0 is None and res.p1 is None
@@ -211,7 +211,7 @@ def _random_unitary_exponent(n: int, rng):
     a = {pairs[p]: float(rng.normal()) for p in picks}
     b = {int(sigma): 1j * float(rng.normal()) for sigma in rng.integers(1, 2 * n + 1, size=3)
          if rng.random() < 0.5}
-    return raw_exponent(n, a, b, 0.3j)
+    return GateExponent.make(n, a, b, 0.3j)
 
 
 def test_unitary_exp_blocks_take_eigh_and_match_expm(rng, monkeypatch):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mgsim import circuits, sampling
-from mgsim.circuits import (Circuit, _gates_are_unitary, classify, parse, parse_complex,
-                            render, render_complex)
+from mgsim import circuits, matchgate, sampling
+from mgsim.circuits import (_gates_are_unitary, classify, parse, parse_complex, render,
+                            render_complex)
 from mgsim.errors import GateClassError, ParseError
 from mgsim.oracle import apply_matrix, run_circuit
 from mgsim.sampling import random_su2
+from test_cli import CLOSURE_ONLY
 
 H = 0.7071067811865476
 
@@ -58,6 +59,8 @@ def test_comments_and_blank_lines():
      "mg12 gate rejected: matrix is not invertible"),
     ("circuit n=2\nstate 0 0\ngate u1 U=[1,2;2,4]\nmeasure 1\n",
      "u1 gate rejected: matrix is not invertible"),
+    ("circuit n=2\nstate 0 0\ngate diag 1 2 [1,0,0,1]\nmeasure 1\n",
+     "diag entries must be nonzero"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -202,8 +205,7 @@ def test_compile_mixed_circuit_matches_dense(rng):
     ref = state.to_vector()
     for spec in circ.gates:
         if spec.cls == "gvw":
-            from mgsim import matchgate
-            B = matchgate.g_vw(np.array(spec.param("V")), np.array(spec.param("W")), tol=1e-6)
+            B = matchgate.g_vw(np.array(spec.param("V")), np.array(spec.param("W")))
             ref = apply_matrix(ref, B, spec.lines, n)
         elif spec.cls == "diag":
             k, l = spec.lines
@@ -219,12 +221,29 @@ def test_compile_mixed_circuit_matches_dense(rng):
 
 
 def test_compile_error_names_gate_index():
-    c = parse("circuit n=2\nstate 0 0\ngate u1 U=[1,0;0,1]\nmeasure 1\n")
-    bad = Circuit(c.n, c.state, (c.gates[0],
-                                 circuits.GateSpec("u1", (1,), (("U", ((0j, 0j), (0j, 0j))),))),
-                  c.k, False)
-    with pytest.raises(GateClassError, match="gate 2"):
-        circuits.compile(bad)
+    # parse accepts the closure-only gate, and no logarithm branch of it lies in the span
+    text = CLOSURE_ONLY.replace("gate gvw", "gate u1 U=[1,0;0,1]\ngate gvw")
+    with pytest.raises(GateClassError, match=r"gate 2 \(gvw\): no logarithm branch"):
+        circuits.compile(parse(text))
+
+
+def test_compile_repeats_no_parse_check(rng, monkeypatch):
+    # parse checked every determinant and identity, so compile takes neither
+    circ = parse(render(sampling.random_circuit(4, 40, rng, unitary=False)))
+    assert {g.cls for g in circ.gates} == set(sampling.ALL_CLASSES)
+    calls = []
+    det, is_matchgate = np.linalg.det, matchgate.is_matchgate
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "det", counting("det", det))
+    monkeypatch.setattr(matchgate, "is_matchgate", counting("is_matchgate", is_matchgate))
+    circuits.compile(circ)
+    assert calls == []
 
 
 def test_classify():
@@ -236,6 +255,5 @@ def test_classify():
 
 
 def test_classify_gvw(rng):
-    from mgsim import matchgate
     B = matchgate.g_vw(random_su2(rng), random_su2(rng))
     assert "gvw" in classify(B)

@@ -1,4 +1,4 @@
-"""Source and import hygiene: a plain AST scan of the package, and the modules a run loads."""
+"""Import hygiene: an AST scan of the package and its tests, and the modules a run loads."""
 
 import ast
 import os
@@ -12,7 +12,8 @@ import pytest
 from mgsim import circuits, sampling
 from test_cli import CLOSURE_ONLY
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mgsim"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mgsim"
 
 
 def _quoted_annotations(tree):
@@ -52,7 +53,8 @@ def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nx = 'os'\n") == ["line 1: os"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -5,7 +5,7 @@ import scipy.linalg
 from mgsim import circuits, sampling
 from mgsim.engine_quadratic import simulate
 from mgsim.errors import DimensionError, SizeLimitError
-from mgsim.exponents import GateExponent, compile_diag, compile_u1, raw_exponent, to_pauli_sum
+from mgsim.exponents import GateExponent, compile_diag, compile_u1, to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
 from mgsim.oracle import (ADJOINT, INVERSE, MAX_LINES, apply_gate, apply_matrix,
                           dense_gate, expectation_heisenberg, run_circuit)
@@ -52,14 +52,14 @@ def test_size_cap():
 
 
 def test_dense_gate_matches_full_expm(rng):
-    g = raw_exponent(3, a={(1, 5): 0.4 - 0.1j}, b={2: 0.3j}, s=0.2)
+    g = GateExponent.make(3, a={(1, 5): 0.4 - 0.1j}, b={2: 0.3j}, s=0.2)
     full = scipy.linalg.expm(to_pauli_sum(g, JwFamily(3, PARITY)).to_matrix())
     assert np.allclose(dense_gate(g), full, atol=1e-12)
 
 
 def test_apply_gate_support_restriction(rng):
     # a gate touching lines 2..3 of 4 must act identically via the local path
-    g = raw_exponent(4, a={(3, 6): 0.5}, b={4: 0.2j})
+    g = GateExponent.make(4, a={(3, 6): 0.5}, b={4: 0.2j})
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     expect = dense_gate(g) @ psi
     assert np.allclose(apply_gate(psi, g, 4), expect, atol=1e-12)
@@ -94,7 +94,7 @@ def _random_exp_gate(n: int, rng, unitary: bool) -> GateExponent:
         mu, nu = sorted(int(v) for v in rng.choice(np.arange(1, 2 * n + 1), size=2, replace=False))
         a[(mu, nu)] = coeff(True)
     b = {int(sigma): coeff(False) for sigma in rng.integers(1, 2 * n + 1, size=2)}
-    return raw_exponent(n, a=a, b=b, s=coeff(False))
+    return GateExponent.make(n, a=a, b=b, s=coeff(False))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 10])
@@ -106,7 +106,7 @@ def test_apply_gate_matches_dense_gate_on_exp_gates(rng, n, unitary):
 
 @pytest.mark.parametrize("n, pair", [(10, (1, 20)), (10, (2, 19)), (8, (1, 15)), (8, (3, 4))])
 def test_apply_gate_matches_dense_gate_on_long_strings(rng, n, pair):
-    _assert_matches_dense(raw_exponent(n, a={pair: 0.7 - 0.2j}, b={pair[1]: 0.3j}, s=0.1), rng)
+    _assert_matches_dense(GateExponent.make(n, a={pair: 0.7 - 0.2j}, b={pair[1]: 0.3j}, s=0.1), rng)
 
 
 @pytest.mark.parametrize("unitary", [True, False])
@@ -127,7 +127,7 @@ def test_long_string_gate_exponentiates_only_its_active_lines(rng, monkeypatch):
         return expm(A)
 
     monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
-    g = raw_exponent(10, a={(1, 20): 0.7})
+    g = GateExponent.make(10, a={(1, 20): 0.7})
     psi = rng.normal(size=1 << 10) + 0j
     apply_gate(psi, g, 10)
     apply_gate(psi, g, 10, inverse=True)
@@ -137,12 +137,12 @@ def test_long_string_gate_exponentiates_only_its_active_lines(rng, monkeypatch):
 
 
 def test_scalar_only_gate(rng):
-    g = raw_exponent(2, s=0.3 - 0.7j)
+    g = GateExponent.make(2, s=0.3 - 0.7j)
     psi = rng.normal(size=4) + 0j
     assert np.allclose(apply_gate(psi, g, 2), np.exp(0.3 - 0.7j) * psi)
     # neither active nor diagonal lines; the zero exponent has no terms at all
     _assert_matches_dense(g, rng)
-    _assert_matches_dense(raw_exponent(3), rng)
+    _assert_matches_dense(GateExponent.make(3), rng)
 
 
 def test_run_circuit_hadamard():
@@ -154,7 +154,7 @@ def test_run_circuit_hadamard():
 
 def test_heisenberg_modes_coincide_for_unitary(rng):
     g1 = compile_u1(H, 3)
-    g2 = raw_exponent(3, a={(2, 4): float(rng.normal())}, b={5: 0.3j})
+    g2 = GateExponent.make(3, a={(2, 4): float(rng.normal())}, b={5: 0.3j})
     state = ProductState.normalized(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
     for k in (1, 2, 3):
         vi = expectation_heisenberg([g1, g2], state, k, INVERSE)
@@ -163,7 +163,7 @@ def test_heisenberg_modes_coincide_for_unitary(rng):
 
 
 def test_heisenberg_inverse_matches_manual(rng):
-    g = raw_exponent(2, a={(1, 4): 0.3 + 0.2j}, b={2: 0.1 - 0.2j})
+    g = GateExponent.make(2, a={(1, 4): 0.3 + 0.2j}, b={2: 0.1 - 0.2j})
     state = ProductState.normalized(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     G = dense_gate(g)
     Z1 = np.kron(np.diag([1, -1]), np.eye(2))
