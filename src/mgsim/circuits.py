@@ -85,9 +85,12 @@ def _dets_match(dv: complex, dw: complex, tol: float) -> bool:
 
 
 def _diag_condition_holds(d, tol: float) -> bool:
-    """The diagonal matchgate rule B11*B44 = B22*B33, within tol relative to max|d|^2."""
-    scale = max(max(abs(e) for e in d) ** 2, 1.0)
-    return abs(d[0] * d[3] - d[1] * d[2]) <= tol * scale
+    """The diagonal matchgate rule B11*B44 = B22*B33, within tol relative to
+    max(1, max|d|)^2; the entries are divided by max(1, max|d|) before they are
+    multiplied, so that large entries cannot overflow the products."""
+    m = max(1.0, max(abs(e) for e in d))
+    e = [x / m for x in d]
+    return abs(e[0] * e[3] - e[1] * e[2]) <= tol
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ is read straight off the gate matrix as K_ab = 1/4 tr(d_a B^{-1} d_b B) over
 the five two-line operators d_0..d_4 (Jozsa & Miyake, arXiv:0804.4050): no
 logarithm is taken, so every invertible matchgate is accepted, including
 those that are only limits of exponentials.  Only `exp` gates, and compiled
-GateExponents, go through their exponent as K = exp(X), X = -4 atilde, where
-atilde is the purely quadratic extension of the exponent.  When X is exactly
-real antisymmetric, as on every unitary exp gate, iX is Hermitian and
-K = V diag(e^{-i lam}) V^H comes from numpy's eigh of iX; any other block
-takes scipy's expm, imported on first use, so a run on matrix-class and
-unitary exp gates never loads scipy.  K^T = K^{-1} in both
+GateExponents, go through their exponent as K = exp(X), X = -4 atilde.  Here
+atilde is the exponent made purely quadratic in the d's: atilde_{mu,nu} =
+a_{mu,nu} for mu, nu >= 1 and atilde_{0,sigma} = i b_sigma / 2, so that
+A = sum_{mu<nu} 2 atilde_{mu,nu} d_mu d_nu + s, the linear terms becoming
+d_0 d_sigma = -i c_sigma; the block covers d_0 only when b is nonempty.
+When X is exactly real antisymmetric, as on every unitary exp gate, iX is
+Hermitian and K = V diag(e^{-i lam}) V^H comes from numpy's eigh of iX; any
+other block takes scipy's expm, imported on first use, so a run on
+matrix-class and unitary exp gates never loads scipy.  K^T = K^{-1} in both
 cases, so conjugating by the gate inverse (the non-unitary generalisation of
 the usual adjoint) uses the same K matrices; the engine always computes
 <psi0| C^{-1} O C |psi0>, which coincides with the Born-rule quantity for
@@ -38,7 +41,6 @@ import numpy as np
 
 from .circuits import GateSpec
 from .errors import DimensionError, InconsistencyError
-from .exponents import GateExponent, extend_quadratic
 from .jw import JwFamily
 from .pauli import ProductState
 
@@ -107,9 +109,14 @@ def _gate_block(g, n: int) -> tuple[list[int], np.ndarray]:
         g = g.exponent(n)
     elif g.n != n:
         raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
-    eq = extend_quadratic(g)
-    idx = eq.support()
-    return idx, _expm(-4.0 * eq.block(idx))
+    atilde = list(g.a) + [((0, sigma), 0.5j * val) for sigma, val in g.b]
+    idx = sorted({mu for pair, _ in atilde for mu in pair})
+    pos = {mu: p for p, mu in enumerate(idx)}
+    m = np.zeros((len(idx), len(idx)), dtype=complex)
+    for (mu, nu), val in atilde:
+        m[pos[mu], pos[nu]] = val
+        m[pos[nu], pos[mu]] = -val
+    return idx, _expm(-4.0 * m)
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
@@ -120,14 +127,6 @@ def _expm(X: np.ndarray) -> np.ndarray:
         return ((V * np.exp(-1j * lam)) @ V.conj().T).real
     import scipy.linalg
     return scipy.linalg.expm(X)
-
-
-def gate_transfer(g: GateExponent) -> np.ndarray:
-    """K = exp(-4 atilde) over d indices 0..2n."""
-    K = np.eye(2 * g.n + 1, dtype=complex)
-    idx, block = _gate_block(g, g.n)
-    K[np.ix_(idx, idx)] = block
-    return K
 
 
 def _observable_indices(k: int, n: int, observable: str) -> tuple[int, int]:

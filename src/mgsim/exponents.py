@@ -12,6 +12,10 @@ G(V, W) on nearest-neighbour lines or a general matchgate on lines 1-2 into
 this form through the 4x4 generator logarithm, :func:`compile_diag` a diagonal
 matchgate on any pair through commuting Z logs, and :func:`compile_u1` a
 1-qubit gate on line 1.  An exp gate carries its coefficients as written.
+A GateExponent holds only these coefficients: the quadratic engine extends
+them over d_0..d_2n itself, the oracle expands them over Pauli strings with
+:func:`to_pauli_sum`, and the parser decides from the gate as written whether
+e^A is unitary.
 
 Phases are never taken on faith from shorthand like "Z_k = c_{2k-1}c_{2k}":
 every constant here is produced by the exact Pauli algebra (the true relation
@@ -62,84 +66,6 @@ class GateExponent:
         a = {k: complex(v) for k, v in a.items() if v != 0}
         b = {k: complex(v) for k, v in b.items() if v != 0}
         return cls(n, _freeze_dict(a), _freeze_dict(b), complex(s))
-
-    @property
-    def a_dict(self) -> dict:
-        return dict(self.a)
-
-    @property
-    def b_dict(self) -> dict:
-        return dict(self.b)
-
-    def support(self) -> list[int]:
-        """Sorted c indices carrying nonzero coefficients."""
-        idx = set()
-        for (mu, nu), _ in self.a:
-            idx.update((mu, nu))
-        idx.update(sigma for sigma, _ in self.b)
-        return sorted(idx)
-
-    def a_matrix(self) -> np.ndarray:
-        """Dense antisymmetric 2n x 2n quadratic coefficient matrix."""
-        m = np.zeros((2 * self.n, 2 * self.n), dtype=complex)
-        for (mu, nu), val in self.a:
-            m[mu - 1, nu - 1] = val
-            m[nu - 1, mu - 1] = -val
-        return m
-
-    def b_vector(self) -> np.ndarray:
-        v = np.zeros(2 * self.n, dtype=complex)
-        for sigma, val in self.b:
-            v[sigma - 1] = val
-        return v
-
-
-@dataclass(frozen=True)
-class ExtendedQuadratic:
-    """Purely quadratic coefficients over d_0..d_{2n}; row/column 0 encodes b."""
-
-    n: int
-    atilde: tuple  # sorted ((mu, nu), value) pairs, 0 <= mu < nu <= 2n
-    s: complex = 0j
-
-    def support(self) -> list[int]:
-        idx = set()
-        for (mu, nu), _ in self.atilde:
-            idx.update((mu, nu))
-        return sorted(idx)
-
-    def block(self, indices) -> np.ndarray:
-        """Dense antisymmetric block restricted to the given sorted d indices."""
-        pos = {idx: p for p, idx in enumerate(indices)}
-        m = np.zeros((len(indices), len(indices)), dtype=complex)
-        for (mu, nu), val in self.atilde:
-            m[pos[mu], pos[nu]] = val
-            m[pos[nu], pos[mu]] = -val
-        return m
-
-
-def extend_quadratic(g: GateExponent) -> ExtendedQuadratic:
-    """Rewrite a quadratic-plus-linear exponent as purely quadratic in the d's.
-
-    atilde_{mu,nu} = a_{mu,nu} for mu,nu >= 1 and atilde_{0,sigma} = i b_sigma / 2,
-    so that b_sigma = i (atilde_{sigma,0} - atilde_{0,sigma}).
-    """
-    at = {pair: val for pair, val in g.a}
-    for sigma, val in g.b:
-        at[(0, sigma)] = 0.5j * val
-    return ExtendedQuadratic(g.n, _freeze_dict(at), g.s)
-
-
-def from_extended(eq: ExtendedQuadratic) -> GateExponent:
-    """Inverse of :func:`extend_quadratic`."""
-    a = {}
-    b = {}
-    for (mu, nu), val in eq.atilde:
-        if mu == 0:
-            b[nu] = -2j * val
-        else:
-            a[(mu, nu)] = val
-    return GateExponent.make(eq.n, a, b, eq.s)
 
 
 def to_pauli_sum(g: GateExponent, family: JwFamily) -> PauliSum:
@@ -227,9 +153,3 @@ def compile_u1(U, n: int) -> GateExponent:
     a = {(1, 2): -0.5j * cz}
     return GateExponent.make(n, a, b, delta)
 
-
-def is_unitary_exponent(g: GateExponent, tol: float = 1e-8) -> bool:
-    """True if e^A is manifestly unitary up to global phase: a real, b and s imaginary."""
-    a_ok = all(abs(val.imag) <= tol for _, val in g.a)
-    b_ok = all(abs(val.real) <= tol for _, val in g.b)
-    return a_ok and b_ok and abs(g.s.real) <= tol

@@ -89,9 +89,3 @@ class JwFamily:
             raise DimensionError(f"index {mu} outside 0..{2 * self.n}")
         return self._d[mu]
 
-    def z_string(self, k: int) -> PauliString:
-        """Z on line k (= -i c_{2k-1} c_{2k}), on the family's line count."""
-        if not 1 <= k <= self.n:
-            raise DimensionError(f"line {k} outside 1..{self.n}")
-        return PauliString(self.lines, 0, 1 << (k - 1))
-

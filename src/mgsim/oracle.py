@@ -51,25 +51,6 @@ def _check_n(n: int):
         )
 
 
-def apply_matrix(state: np.ndarray, matrix: np.ndarray, lines, n: int) -> np.ndarray:
-    """Apply a 2^m x 2^m matrix to the given (1-based, distinct) lines."""
-    _check_n(n)
-    lines = list(lines)
-    m = len(lines)
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (1 << m, 1 << m):
-        raise DimensionError(f"matrix shape {matrix.shape} does not act on {m} lines")
-    if len(set(lines)) != m or not all(1 <= l <= n for l in lines):
-        raise DimensionError(f"lines {lines} invalid for n={n}")
-    psi = np.asarray(state, dtype=complex).reshape((2,) * n)
-    axes = [l - 1 for l in lines]
-    psi = np.moveaxis(psi, axes, range(m))
-    shape = psi.shape
-    psi = matrix @ psi.reshape(1 << m, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(m), axes)
-    return psi.reshape(-1)
-
-
 @lru_cache(maxsize=None)
 def _family(n: int) -> JwFamily:
     return JwFamily(n, PARITY)
@@ -207,29 +188,6 @@ def _prepare(g, n: int):
             return _matrix_gate(g)
         g = g.exponent(n)
     return _split(g, n)
-
-
-def dense_gate(g: GateExponent) -> np.ndarray:
-    """The full 2^n x 2^n matrix e^A of a gate exponent."""
-    import scipy.linalg
-
-    _check_n(g.n)
-    ps = to_pauli_sum(g, _family(g.n))
-    return scipy.linalg.expm(ps.to_matrix())
-
-
-def apply_gate(state: np.ndarray, g, n: int, inverse: bool = False) -> np.ndarray:
-    """Apply a GateSpec or GateExponent (or its inverse) to a dense state."""
-    return _prepare(g, n).apply(state, inverse)
-
-
-def run_circuit(gates, state: ProductState, n: int) -> np.ndarray:
-    """Dense final state C|psi0> for parsed GateSpecs or compiled GateExponents."""
-    _check_n(n)
-    psi = state.to_vector()
-    for g in gates:
-        psi = apply_gate(psi, g, n)
-    return psi
 
 
 INVERSE = "inverse"

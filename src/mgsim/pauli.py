@@ -49,22 +49,6 @@ class PauliString:
         object.__setattr__(self, "phase_pow", self.phase_pow % 4)
         object.__setattr__(self, "coeff", complex(self.coeff))
 
-    @classmethod
-    def from_label(cls, label: str, phase_pow: int = 0, coeff: complex = 1.0) -> "PauliString":
-        """Build from a letter string like ``"XIZ"`` (line 1 first)."""
-        x = z = 0
-        for k, ch in enumerate(label):
-            if ch == "X":
-                x |= 1 << k
-            elif ch == "Y":
-                x |= 1 << k
-                z |= 1 << k
-            elif ch == "Z":
-                z |= 1 << k
-            elif ch != "I":
-                raise ValueError(f"bad Pauli letter {ch!r}")
-        return cls(len(label), x, z, phase_pow, coeff)
-
     def label(self) -> str:
         return "".join(
             _LETTER[((self.x_mask >> k) & 1, (self.z_mask >> k) & 1)] for k in range(self.n)
@@ -80,10 +64,6 @@ class PauliString:
 
     def with_coeff(self, coeff: complex) -> "PauliString":
         return PauliString(self.n, self.x_mask, self.z_mask, self.phase_pow, coeff)
-
-    def is_hermitian_unit(self) -> bool:
-        """True if the full scalar prefactor is exactly +1 or -1."""
-        return self.scalar == 1 or self.scalar == -1
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix; intended for small n only."""
@@ -117,24 +97,6 @@ def commutation_sign(p: PauliString, q: PauliString) -> int:
     return -1 if anti else 1
 
 
-def embed(p: PauliString, target_lines, n: int) -> PauliString:
-    """Embed p onto the given 1-based lines of an n-line register (identity elsewhere)."""
-    lines = list(target_lines)
-    if len(lines) != p.n:
-        raise DimensionError(f"{p.n}-line string needs {p.n} target lines, got {len(lines)}")
-    if len(set(lines)) != len(lines):
-        raise DimensionError("target lines must be distinct")
-    x = z = 0
-    for j, line in enumerate(lines):
-        if not 1 <= line <= n:
-            raise DimensionError(f"target line {line} outside 1..{n}")
-        if (p.x_mask >> j) & 1:
-            x |= 1 << (line - 1)
-        if (p.z_mask >> j) & 1:
-            z |= 1 << (line - 1)
-    return PauliString(n, x, z, p.phase_pow, p.coeff)
-
-
 DEFAULT_DROP_TOL = 1e-14
 
 
@@ -157,12 +119,7 @@ class PauliSum:
                     self.terms[key] = complex(val)
 
     @classmethod
-    def from_strings(cls, strings, n: int | None = None) -> "PauliSum":
-        strings = list(strings)
-        if n is None:
-            if not strings:
-                raise DimensionError("cannot infer n from an empty string list")
-            n = strings[0].n
+    def from_strings(cls, strings, n: int) -> "PauliSum":
         out = cls(n)
         for s in strings:
             out._add_string(s)
@@ -179,26 +136,6 @@ class PauliSum:
         dead = [k for k, v in self.terms.items() if abs(v) <= DEFAULT_DROP_TOL]
         for k in dead:
             del self.terms[k]
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if other.n != self.n:
-            raise DimensionError(f"line counts differ: {other.n} != {self.n}")
-        out = PauliSum(self.n, self.terms)
-        for key, val in other.terms.items():
-            out.terms[key] = out.terms.get(key, 0j) + val
-        out._prune()
-        return out
-
-    def restricted(self, n: int) -> "PauliSum":
-        """Drop trailing lines, which must carry only identity factors."""
-        full = (1 << n) - 1
-        for x, z in self.terms:
-            if x & ~full or z & ~full:
-                raise DimensionError("sum acts nontrivially beyond the requested lines")
-        return PauliSum(n, self.terms)
 
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
@@ -232,10 +169,6 @@ class ProductState:
         if np.any(norms == 0):
             raise ValueError("zero vector on some line cannot be normalized")
         return cls(arr / norms)
-
-    @classmethod
-    def computational(cls, bits) -> "ProductState":
-        return cls(np.array([[1, 0] if b == 0 else [0, 1] for b in bits], dtype=complex))
 
     @property
     def n(self) -> int:

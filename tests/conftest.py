@@ -3,12 +3,16 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from mgsim import engine_quadratic
 from mgsim.engine_lie import LieBasis, _apply_adjoint, build_basis
-from mgsim.engine_quadratic import _observable_indices, _propagate_columns
+from mgsim.engine_quadratic import _gate_block, _observable_indices, _propagate_columns
 from mgsim.errors import InconsistencyError
-from mgsim.jw import JwFamily
-from mgsim.pauli import PauliSum, commutation_sign, pauli_mul
+from mgsim.exponents import GateExponent, to_pauli_sum
+from mgsim.jw import PARITY, JwFamily
+from mgsim.oracle import _prepare
+from mgsim.pauli import PauliString, PauliSum, ProductState, commutation_sign, pauli_mul
 
 
 @pytest.fixture
@@ -23,7 +27,10 @@ def heisenberg_observable(gates, k: int, family: JwFamily, observable: str = "Z"
     cols = _propagate_columns(list(gates), n, *_observable_indices(k, n, observable))
     u, v = cols[:, 0], cols[:, 1]
     B = -0.5j * (np.outer(u, v) - np.outer(v, u))
-    return _expand_coeff_matrix(B, family).restricted(n)
+    out = _expand_coeff_matrix(B, family)
+    # each d_a d_b is c_a c_b or -i c_b, so no term may act on an auxiliary line
+    assert all(x >> n == 0 and z >> n == 0 for x, z in out.terms), "observable left the n lines"
+    return PauliSum(n, out.terms)
 
 
 def _expand_coeff_matrix(B: np.ndarray, family: JwFamily, drop_tol: float = 1e-14) -> PauliSum:
@@ -33,6 +40,63 @@ def _expand_coeff_matrix(B: np.ndarray, family: JwFamily, drop_tol: float = 1e-1
         out._add_string(pauli_mul(family.d(a), family.d(b)), weight=B[a, b])
     out._prune()
     return out
+
+
+def pauli(label: str) -> PauliString:
+    """A Pauli string from letters like "XIZ", line 1 first."""
+    x = sum((ch in "XY") << k for k, ch in enumerate(label))
+    z = sum((ch in "YZ") << k for k, ch in enumerate(label))
+    return PauliString(len(label), x, z)
+
+
+def computational(bits) -> ProductState:
+    """The computational basis state |b_1 ... b_n>."""
+    return ProductState(np.eye(2)[list(bits)])
+
+
+def apply_gate(state: np.ndarray, g, n: int, inverse: bool = False) -> np.ndarray:
+    """The oracle's action of one GateSpec or GateExponent (or its inverse) on a dense state."""
+    return _prepare(g, n).apply(state, inverse)
+
+
+def apply_matrix(state: np.ndarray, matrix: np.ndarray, lines, n: int) -> np.ndarray:
+    """A 2^m x 2^m matrix on the given (1-based, distinct) lines of a dense state,
+    line 1 as the most significant bit: the reference for the oracle's reshape kernels."""
+    m = len(lines)
+    axes = [l - 1 for l in lines]
+    psi = np.moveaxis(np.asarray(state, dtype=complex).reshape((2,) * n), axes, range(m))
+    shape = psi.shape
+    psi = np.asarray(matrix, dtype=complex) @ psi.reshape(1 << m, -1)
+    return np.moveaxis(psi.reshape(shape), range(m), axes).reshape(-1)
+
+
+def dense_gate(g: GateExponent) -> np.ndarray:
+    """The full 2^n x 2^n matrix e^A of a gate exponent, through one dense expm:
+    the reference for the oracle's split exponentials."""
+    return scipy.linalg.expm(to_pauli_sum(g, JwFamily(g.n, PARITY)).to_matrix())
+
+
+def is_unitary_exponent(g: GateExponent, tol: float = 1e-8) -> bool:
+    """e^A is manifestly unitary up to a global phase: a real, b and s imaginary."""
+    return (all(abs(val.imag) <= tol for _, val in g.a)
+            and all(abs(val.real) <= tol for _, val in g.b) and abs(g.s.real) <= tol)
+
+
+def exp_block_generator(g: GateExponent) -> tuple[list[int], np.ndarray]:
+    """The support and X = -4 atilde of the quadratic engine's block for g, before
+    the engine exponentiates it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_quadratic, "_expm", lambda X: X)
+        return _gate_block(g, g.n)
+
+
+def gate_transfer(g: GateExponent) -> np.ndarray:
+    """The quadratic engine's K = exp(-4 atilde) of one gate, embedded in the
+    identity over d indices 0..2n."""
+    K = np.eye(2 * g.n + 1, dtype=complex)
+    idx, block = _gate_block(g, g.n)
+    K[np.ix_(idx, idx)] = block
+    return K
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
-from conftest import structure_constants
+from conftest import gate_transfer, structure_constants
 from mgsim import circuits, matchgate as mg, sampling
 from mgsim.cli import main as cli_main
 from mgsim.engine_lie import build_basis
 from mgsim.engine_lie import simulate as simulate_lie
-from mgsim.engine_quadratic import gate_transfer, simulate
+from mgsim.engine_quadratic import simulate
 from mgsim.jw import C0_MODES, JwFamily
 from mgsim.oracle import ADJOINT, INVERSE, expectation_heisenberg
 from mgsim.pauli import pauli_mul

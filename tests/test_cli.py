@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgsim import circuits, matchgate, sampling
 from mgsim.cli import main
@@ -139,6 +143,20 @@ def test_non_finite_value_is_a_domain_error(capsys, tmp_path, argv):
     path = tmp_path / "overflow.mg"
     path.write_text("circuit n=1\nstate 0\ngate exp a:1,2=1e308 b:1=1e308\nmeasure 1\n")
     assert_one_error(capsys, main([argv[0], str(path), *argv[1:]]))
+
+
+LARGE_DIAG = "circuit n=2\nstate 0 0\ngate diag 1 2 [1e200,1e200,1e200,1e200]\nmeasure 1\n"
+
+
+@pytest.mark.parametrize("argv", ENGINE_ARGV)
+def test_large_diag_entries_are_accepted(capsys, tmp_path, argv):
+    # the diag rule B11*B44 = B22*B33 is tested on entries scaled by max |d|,
+    # so squaring 1e200 cannot overflow; the gate is 1e200 * I, and <Z_1> = 1
+    path = tmp_path / "large_diag.mg"
+    path.write_text(LARGE_DIAG)
+    code, data = run_json(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 0 and all(res["expectation"] == [1.0, 0.0]
+                             for res in data.get("engines", {"": data}).values())
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,3 +330,63 @@ def test_compare_at_n200(capsys, tmp_path):
     assert code == 0
     assert set(data["engines"]) == {"quadratic", "lie"}
     assert data["agree"] is True
+
+
+ORDINARY = ("0", "1", "-1", "0.5", "1i", "-0.5i", "0.6+0.8i")
+EXTREME = ("1e200", "-1e200", "1e200i", "1e-200", "1e308", "-1e308", "inf", "nan")
+
+
+@st.composite
+def mg_files(draw):
+    """.mg text over the gate grammar: the five classes, lines in and out of range,
+    and literals from 0 and 1 up to 1e308, inf and nan."""
+    n = draw(st.integers(1, 4))
+    # one extreme literal per file, so that some gates still pass the class rules
+    lit = st.sampled_from(ORDINARY + (draw(st.sampled_from(EXTREME)),))
+    line = st.one_of(st.integers(1, n), st.integers(0, n + 1))
+    index = st.one_of(st.integers(1, 2 * n), st.integers(0, 2 * n + 1))
+
+    def matrix(size):  # diagonal half the time, so that the class rules can hold
+        diagonal = draw(st.booleans())
+        return "[" + ";".join(",".join(draw(lit) if r == c or not diagonal else "0"
+                                       for c in range(size)) for r in range(size)) + "]"
+
+    def gate(cls):
+        k = draw(line)
+        if cls == "gvw":
+            V = matrix(2)
+            return f"gvw {k} V={V} W={V if draw(st.booleans()) else matrix(2)}"
+        if cls == "diag":
+            l = draw(st.one_of(st.just(k + 1), line))
+            return f"diag {k} {l} [{','.join(draw(lit) for _ in range(4))}]"
+        if cls == "mg12":
+            return f"mg12 B={matrix(4)}"
+        if cls == "u1":
+            return f"u1 U={matrix(2)}"
+        a = [f"a:{mu},{draw(st.one_of(st.just(mu + 1), index))}={draw(lit)}"
+             for mu in draw(st.lists(index, max_size=2))]
+        b = [f"b:{sigma}={draw(lit)}" for sigma in draw(st.lists(index, max_size=2))]
+        return " ".join(["exp", *a, *b, f"s={draw(lit)}"])
+
+    state = " ".join(draw(st.sampled_from(["0", "1", "+", "-i"])) for _ in range(n))
+    gates = [f"gate {gate(cls)}" for cls in draw(st.lists(st.sampled_from(sampling.ALL_CLASSES),
+                                                           min_size=1, max_size=3))]
+    return "\n".join([f"circuit n={n}", f"state {state}", *gates, f"measure {draw(line)}", ""])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@example(LARGE_DIAG)
+@given(mg_files())
+def test_run_keeps_the_cli_contract_on_any_mg_file(tmp_path_factory, text):
+    # exit 0 with one JSON line and nothing on stderr, or exit 1 with one error line
+    path = tmp_path_factory.getbasetemp() / "fuzz.mg"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["run", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert len(out.splitlines()) == 1 and err == "" and json.loads(out), (text, err)
+    else:
+        assert (code, out, len(err.splitlines())) == (1, "", 1) and err.startswith("error: "), text

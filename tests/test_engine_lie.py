@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import adjoint_transfer, dense_generator, structure_constants
+from conftest import (adjoint_transfer, computational, dense_gate, dense_generator, gate_transfer,
+                      structure_constants)
 from mgsim import circuits, sampling
 from mgsim.circuits import GateSpec
 from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, build_basis,
                               gate_coefficients, heisenberg_observable, simulate)
-from mgsim.engine_quadratic import gate_transfer
 from mgsim.engine_quadratic import simulate as simulate_quadratic
 from mgsim.exponents import GateExponent
 from mgsim.pauli import ProductState, commutation_sign, pauli_mul
@@ -22,7 +22,7 @@ def test_basis_dimension(n, dim):
     # all elements are Hermitian units and mutually distinct
     keys = {(e.x_mask, e.z_mask) for e in basis.elements}
     assert len(keys) == dim
-    assert all(e.is_hermitian_unit() for e in basis.elements)
+    assert all(e.scalar in (1, -1) for e in basis.elements)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -112,8 +112,6 @@ def test_adjoint_transfer_matches_quadratic_block(rng):
 
 
 def test_adjoint_transfer_vs_dense_conjugation(rng):
-    from mgsim.oracle import dense_gate
-
     n = 3
     g = GateExponent.make(n, a={(2, 5): 0.4 - 0.2j}, b={1: 0.3j}, s=0.1)
     sc = structure_constants(n)
@@ -128,7 +126,7 @@ def test_adjoint_transfer_vs_dense_conjugation(rng):
 
 
 def test_empty_circuit():
-    state = ProductState.computational([0, 0])
+    state = computational([0, 0])
     res = simulate([], state, 1)
     assert res.p0 == 1.0
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import heisenberg_observable
+from conftest import (apply_gate, apply_matrix, computational, exp_block_generator, gate_transfer,
+                      heisenberg_observable)
 
 from mgsim import circuits, engine_lie, sampling
-from mgsim.engine_quadratic import _gate_block, gate_transfer, simulate
+from mgsim.engine_quadratic import _gate_block, simulate
 from mgsim.errors import DimensionError
-from mgsim.exponents import GateExponent, compile_u1, extend_quadratic
+from mgsim.exponents import GateExponent, compile_u1
 from mgsim.jw import C0_MODES, PARITY, JwFamily
-from mgsim.oracle import INVERSE, apply_gate, apply_matrix, expectation_heisenberg
+from mgsim.oracle import INVERSE, expectation_heisenberg
 from mgsim.pauli import ProductState, expectation
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -32,20 +33,20 @@ def test_transfer_is_orthogonal(rng):
 
 
 def test_empty_circuit():
-    state = ProductState.computational([0, 0, 0])
+    state = computational([0, 0, 0])
     res = simulate([], state, 2)
     assert res.p0 == 1.0 and res.p1 == 0.0
     assert res.expectation == 1.0
 
 
 def test_hadamard_population():
-    state = ProductState.computational([0, 0])
+    state = computational([0, 0])
     res = simulate([compile_u1(H, 2)], state, 1)
     assert abs(res.p0 - 0.5) < 1e-12
 
 
 def test_measured_line_bounds():
-    state = ProductState.computational([0, 0])
+    state = computational([0, 0])
     with pytest.raises(DimensionError):
         simulate([], state, 3)
 
@@ -183,7 +184,7 @@ def test_spec_gates_match_compiled_gates_and_oracle(rng):
 def test_spec_outside_the_register_is_refused():
     spec = circuits.GateSpec("diag", (1, 3), (("d", (1, 1j, 1j, -1)),))
     with pytest.raises(DimensionError):
-        simulate([spec], ProductState.computational([0, 0]), 1)
+        simulate([spec], computational([0, 0]), 1)
 
 
 def test_gvw_specs_take_no_determinant(rng, monkeypatch):
@@ -220,16 +221,16 @@ def test_unitary_exp_blocks_take_eigh_and_match_expm(rng, monkeypatch):
     gates = [_random_unitary_exponent(1 + trial % 7, rng) for trial in range(200)]
     refs = []
     for g in gates:
-        eq = extend_quadratic(g)
-        refs.append(scipy.linalg.expm(-4.0 * eq.block(eq.support())))
+        idx, X = exp_block_generator(g)
+        refs.append((idx, scipy.linalg.expm(X)))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a unitary exp block must not reach scipy's expm")
 
     monkeypatch.setattr(scipy.linalg, "expm", forbidden)
-    for g, ref in zip(gates, refs):
+    for g, (ref_idx, ref) in zip(gates, refs):
         idx, block = _gate_block(g, g.n)
-        assert block.dtype == np.float64
+        assert idx == ref_idx and block.dtype == np.float64
         assert np.abs(block - ref).max() <= 1e-13
         assert np.abs(block.T @ block - np.eye(len(idx))).max() <= 1e-13
 

@@ -1,15 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import dense_gate, exp_block_generator, is_unitary_exponent
 
 from mgsim import circuits, sampling
 from mgsim import matchgate as mg
 from mgsim.errors import DimensionError, GateClassError
-from mgsim.exponents import (GateExponent, compile_diag, compile_matrix, compile_u1,
-                             extend_quadratic, from_extended, is_unitary_exponent,
-                             to_pauli_sum)
-from mgsim.jw import PARITY, JwFamily
-from mgsim.oracle import dense_gate
+from mgsim.exponents import GateExponent, compile_diag, compile_matrix, compile_u1, to_pauli_sum
+from mgsim.jw import C0_MODES, PARITY, JwFamily
+from mgsim.pauli import PauliString, PauliSum, pauli_mul
 from mgsim.sampling import random_su2
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -22,45 +23,26 @@ def test_make_validates_indices():
         GateExponent.make(2, b={5: 1.0})
 
 
-def test_support_and_matrices():
-    g = GateExponent.make(3, a={(1, 4): 2.0}, b={3: 1j}, s=0.5)
-    assert g.support() == [1, 3, 4]
-    m = g.a_matrix()
-    assert m[0, 3] == 2.0 and m[3, 0] == -2.0
-    assert g.b_vector()[2] == 1j
-
-
-def test_extend_round_trip(rng):
-    for _ in range(20):
-        g = GateExponent.make(
-            3,
-            a={(1, 2): complex(rng.normal(), rng.normal()),
-               (3, 6): complex(rng.normal(), rng.normal())},
-            b={4: complex(rng.normal(), rng.normal())},
-            s=complex(rng.normal(), rng.normal()),
-        )
-        eq = extend_quadratic(g)
-        assert from_extended(eq) == g
-        # the extension is purely quadratic over d_0..d_2n and antisymmetric
-        m = eq.block(range(2 * eq.n + 1))
-        assert np.allclose(m, -m.T)
-
-
 def test_extended_quadratic_reproduces_pauli_sum(rng):
-    # expanding sum atilde d_mu d_nu + s over Pauli strings equals to_pauli_sum
-    from mgsim.pauli import PauliSum, pauli_mul
-
-    g = GateExponent.make(2, a={(1, 3): 0.4 - 0.2j}, b={2: 0.7j}, s=0.1)
-    fam = JwFamily(2, PARITY)
-    eq = extend_quadratic(g)
-    out = PauliSum(fam.lines)
-    for (mu, nu), val in eq.atilde:
-        out._add_string(pauli_mul(fam.d(mu), fam.d(nu)), weight=2 * val)
-    from mgsim.pauli import PauliString
-    out._add_string(PauliString(fam.lines, 0, 0), weight=eq.s)
-    out._prune()
-    ref = to_pauli_sum(g, fam)
-    assert np.allclose(out.to_matrix(), ref.to_matrix(), atol=1e-13)
+    # the d-extension: A = sum 2 a c_mu c_nu + sum b c_sigma + s equals
+    # sum_{mu<nu} 2 atilde_{mu,nu} d_mu d_nu + s, with atilde = -X/4 read off the
+    # quadratic engine's block, which takes d_0 only when there are linear terms
+    for trial in range(12):
+        n = 2 + trial % 3
+        c = lambda: complex(rng.normal(), rng.normal())
+        g = GateExponent.make(n, a={(1, 2 * n): c(), (2, 3): c()},
+                              b={n: c()} if trial % 2 else {}, s=c())
+        idx, X = exp_block_generator(g)
+        atilde = -X / 4
+        assert (0 in idx) == bool(g.b) and np.array_equal(atilde, -atilde.T)
+        for mode in C0_MODES:
+            fam = JwFamily(n, mode)
+            out = PauliSum(fam.lines)
+            for p, q in itertools.combinations(range(len(idx)), 2):
+                out._add_string(pauli_mul(fam.d(idx[p]), fam.d(idx[q])), weight=2 * atilde[p, q])
+            out._add_string(PauliString(fam.lines, 0, 0), weight=g.s)
+            ref = to_pauli_sum(g, fam).to_matrix()
+            assert np.abs(out.to_matrix() - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_to_pauli_sum_dense(rng):
@@ -69,7 +51,6 @@ def test_to_pauli_sum_dense(rng):
     A = to_pauli_sum(g, fam).to_matrix()
     ref = np.zeros((8, 8), dtype=complex)
     for (mu, nu), val in g.a:
-        from mgsim.pauli import pauli_mul
         ref += 2 * val * pauli_mul(fam.c(mu), fam.c(nu)).to_matrix()
     for sigma, val in g.b:
         ref += val * fam.c(sigma).to_matrix()
@@ -89,7 +70,7 @@ def test_compile_gvw_phase_gate():
     V = np.diag([np.exp(1j * alpha), 1.0])
     W = np.diag([np.exp(1j * alpha), 1.0])
     g = compile_matrix(mg.g_vw(V, W), 1, 2)
-    a = g.a_dict
+    a = dict(g.a)
     assert g.b == ()
     assert set(a) == {(1, 2)} and abs(g.s) > 0
     assert np.linalg.norm(dense_gate(g) - np.kron(P, np.eye(2))) < 1e-9
@@ -111,8 +92,8 @@ def test_compile_mg12_identity_and_linear():
     B = scipy.linalg.expm(np.kron(X, np.eye(2)))  # exp(c_1)
     g = compile_matrix(B, 1, 2)
     assert g.a == ()
-    assert set(g.b_dict) == {1}
-    assert abs(g.b_dict[1] - 1.0) < 1e-9
+    assert set(dict(g.b)) == {1}
+    assert abs(dict(g.b)[1] - 1.0) < 1e-9
     # on lines (2, 3) the same local X is not c_3, which carries Z on line 1
     with pytest.raises(GateClassError, match="linear coefficient"):
         compile_matrix(B, 2, 3)
@@ -154,10 +135,14 @@ def test_compile_u1():
 
 
 def test_unitary_flag():
+    # parse's exp rule: e^A is unitary up to a phase when a is real and b and s are imaginary
+    def unitary(terms):
+        return circuits.parse(f"circuit n=1\nstate 0\ngate exp {terms}\nmeasure 1\n").unitary
+
     assert is_unitary_exponent(compile_u1(H, 1))
-    assert not is_unitary_exponent(GateExponent.make(1, a={(1, 2): 1j}))
-    assert not is_unitary_exponent(GateExponent.make(1, b={1: 0.5}))
-    assert is_unitary_exponent(GateExponent.make(1, a={(1, 2): 0.5}, b={1: 0.3j}, s=0.2j))
+    assert not unitary("a:1,2=1i")
+    assert not unitary("b:1=0.5")
+    assert unitary("a:1,2=0.5 b:1=0.3i s=0.2i")
 
 
 def _compile_specs(specs, n):
@@ -166,7 +151,7 @@ def _compile_specs(specs, n):
 
 def _coefficient_gap(g, h):
     gap = abs(g.s - h.s)
-    for mine, theirs in ((g.a_dict, h.a_dict), (g.b_dict, h.b_dict)):
+    for mine, theirs in ((dict(g.a), dict(h.a)), (dict(g.b), dict(h.b))):
         gap = max([gap] + [abs(mine.get(key, 0) - theirs.get(key, 0))
                            for key in set(mine) | set(theirs)])
     return gap

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from conftest import apply_gate, apply_matrix, dense_gate, is_unitary_exponent
 
 from mgsim import circuits, matchgate, sampling
 from mgsim.circuits import (_gates_are_unitary, classify, parse, parse_complex, render,
                             render_complex)
 from mgsim.errors import GateClassError, ParseError
-from mgsim.oracle import apply_matrix, run_circuit
 from mgsim.sampling import random_su2
 from test_cli import CLOSURE_ONLY
 
@@ -185,8 +185,6 @@ def test_batch_unitary_check_at_the_bound(rng, tol, factor):
 
 
 def test_exp_unitary_flag_matches_exponent_test(rng):
-    from mgsim.exponents import is_unitary_exponent
-
     for trial in range(20):
         circ = sampling.random_circuit(3, 4, rng, classes=("exp",), unitary=bool(trial % 2))
         expected = all(is_unitary_exponent(g) for g in circuits.compile(circ))
@@ -195,28 +193,16 @@ def test_exp_unitary_flag_matches_exponent_test(rng):
 
 def test_compile_mixed_circuit_matches_dense(rng):
     # product of compiled dense gates equals product of the raw gate matrices
-    from mgsim.oracle import dense_gate
-
     n = 3
     circ = sampling.random_circuit(n, 5, rng, unitary=False)
-    gates = circuits.compile(circ)
-    state = circ.input_state()
-    psi = run_circuit(gates, state, n)
-    ref = state.to_vector()
+    psi = ref = circ.input_state().to_vector()
+    for g in circuits.compile(circ):
+        psi = apply_gate(psi, g, n)
     for spec in circ.gates:
-        if spec.cls == "gvw":
-            B = matchgate.g_vw(np.array(spec.param("V")), np.array(spec.param("W")))
-            ref = apply_matrix(ref, B, spec.lines, n)
-        elif spec.cls == "diag":
-            k, l = spec.lines
-            d = spec.param("d")
-            ref = apply_matrix(ref, np.diag(d), (k, l), n)
-        elif spec.cls == "mg12":
-            ref = apply_matrix(ref, np.array(spec.param("B")), (1, 2), n)
-        elif spec.cls == "u1":
-            ref = apply_matrix(ref, np.array(spec.param("U")), (1,), n)
-        else:
+        if spec.cls == "exp":
             ref = dense_gate(circuits._compile_gate(spec, n, 1e-9)) @ ref
+        else:  # spec.matrix() is U (x) I on lines 1, 2 for u1
+            ref = apply_matrix(ref, spec.matrix(), (1, 2) if spec.cls == "u1" else spec.lines, n)
     assert np.linalg.norm(psi - ref) < 1e-9
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,48 @@ def test_no_module_level_scipy_import(path):
     # non-unitary exp gate needs it, so that `mgsim run` starts on numpy alone
     found = module_level_imports(path.read_text(encoding="utf-8"))
     assert [name for name in found if name.split(".")[0] == "scipy"] == []
+
+
+# paper claims that the acceptance criteria state through these helpers, and the CLI entry point
+CALLED_FROM_OUTSIDE = ("nullspace_Afive", "reduced_check", "d_values", "sample_matchgate",
+                       "jw_tilde2", "log_to_L", "main")
+
+
+def public_definitions(source: str) -> list[tuple[str, str]]:
+    """(qualified name, pattern of a use): a word for each public module-level function
+    and class, an attribute for each public method of a module-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, rf"\b{node.name}\b"))
+        for m in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                found.append((f"{node.name}.{m.name}", rf"\.{m.name}\b"))
+    return found
+
+
+def names_without_a_caller(sources: dict[str, str]) -> list[str]:
+    """Public definitions whose name is used nowhere in the sources outside a def or
+    class statement."""
+    text = re.sub(r"\b(?:def|class)\s+\w+", "", "\n".join(sources.values()))
+    return sorted(f"{path}: {qual}" for path, source in sources.items()
+                  for qual, pattern in public_definitions(source) if not re.search(pattern, text))
+
+
+def test_scan_finds_a_name_without_a_caller():
+    sources = {"a.py": ("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
+                        "class K:\n    def method(self):\n        pass\n\n"
+                        "    def called(self):\n        return method\n\n"
+                        "    def _private(self):\n        pass\n"),
+               "b.py": "from a import K\n\ndef _helper():\n    return K().called()\n"}
+    assert names_without_a_caller(sources) == ["a.py: K.method", "a.py: unused"]
+
+
+def test_every_public_name_has_a_production_caller():
+    # code that only tests call belongs in the tests; the engines' references live in conftest
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert [where for where in names_without_a_caller(sources)
+            if re.split(r"[ .]", where)[-1] not in CALLED_FROM_OUTSIDE] == []
 
 
 def _loads_in_fresh_process(argv, module: str) -> bool:
