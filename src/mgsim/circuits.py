@@ -56,20 +56,18 @@ class GateSpec:
     params: tuple
 
     def param(self, name):
-        return dict(self.params)[name]
+        for key, val in self.params:
+            if key == name:
+                return val
+        raise KeyError(name)
 
     def matrix(self) -> np.ndarray:
         """The 4x4 matrix of a gvw, diag, mg12 or u1 gate on its two lines, in
         standard qubit order; u1 gives U (x) I on lines (1, 2)."""
-        if self.cls == "gvw":
-            return matchgate.g_vw(self.param("V"), self.param("W"))
-        if self.cls == "diag":
-            return np.diag(np.array(self.param("d"), dtype=complex))
-        if self.cls == "mg12":
-            return np.array(self.param("B"), dtype=complex)
-        if self.cls == "u1":
-            return np.kron(np.array(self.param("U"), dtype=complex), np.eye(2))
-        raise GateClassError(f"{self.cls} gates have no matrix form")
+        if self.cls not in _MATRIX_PARAMS:
+            raise GateClassError(f"{self.cls} gates have no matrix form")
+        return _class_matrices(self.cls, {name: np.array(val, dtype=complex)
+                                          for name, val in self.params})
 
     def exponent(self, n: int) -> GateExponent:
         """The coefficients of an exp gate as a GateExponent on n lines."""
@@ -79,9 +77,77 @@ class GateSpec:
                                  self.param("s"))
 
 
-def _dets_match(dv: complex, dw: complex, tol: float) -> bool:
-    """The gvw rule det V = det W, within tol relative to the determinants' size."""
+_DIAGONAL = np.arange(4)
+
+# The raw matrix parameters of each matrix class, with the shape of one value.
+_MATRIX_PARAMS = {"gvw": {"V": (2, 2), "W": (2, 2)}, "diag": {"d": (4,)},
+                  "mg12": {"B": (4, 4)}, "u1": {"U": (2, 2)}}
+
+
+def _positions(gates) -> dict[str, list[int]]:
+    """The list positions of the gates of each class."""
+    at = {cls: [] for cls in GATE_CLASSES}
+    for i, g in enumerate(gates):
+        at[g.cls].append(i)
+    return at
+
+
+def _param_stacks(specs, cls: str) -> dict[str, np.ndarray]:
+    """The raw matrix parameters of specs of one matrix class, one complex stack per name."""
+    return {name: np.array([g.param(name) for g in specs], dtype=complex).reshape((-1,) + shape)
+            for name, shape in _MATRIX_PARAMS[cls].items()}
+
+
+def _class_matrices(cls: str, params: dict) -> np.ndarray:
+    """The 4x4 matrices of one matrix class from its parameters, one gate's or
+    (G, ...) stacks of them."""
+    if cls == "gvw":
+        return matchgate.g_vw(params["V"], params["W"])
+    if cls == "diag":
+        d = params["d"]
+        B = np.zeros(d.shape[:-1] + (4, 4), dtype=complex)
+        B[..., _DIAGONAL, _DIAGONAL] = d
+        return B
+    if cls == "mg12":
+        return params["B"]
+    U = params["U"]  # U (x) I
+    B = np.zeros(U.shape[:-2] + (4, 4), dtype=complex)
+    B[..., ::2, ::2] = B[..., 1::2, 1::2] = U
+    return B
+
+
+def gate_matrices(specs) -> np.ndarray:
+    """The 4x4 matrices of gvw, diag, mg12 and u1 specs as one (G, 4, 4) stack in their
+    order, built class by class from stacked raw parameters; u1 gives U (x) I on lines
+    (1, 2)."""
+    out = np.empty((len(specs), 4, 4), dtype=complex)
+    for cls, at in _positions(specs).items():
+        if not at:
+            continue
+        if cls not in _MATRIX_PARAMS:
+            raise GateClassError(f"{cls} gates have no matrix form")
+        out[at] = _class_matrices(cls, _param_stacks([specs[i] for i in at], cls))
+    return out
+
+
+def _dets_match(dv, dw, tol: float):
+    """The gvw rule det V = det W, within tol relative to the determinants' size;
+    elementwise on arrays."""
     return abs(dv - dw) <= tol * (abs(dv) + abs(dw) + 1)
+
+
+def _vw_dets(V: np.ndarray, W: np.ndarray):
+    """(det V/m, det W/m, m) for (G, 2, 2) stacks, m = max(1, max |entry| over V and W).
+
+    Dividing by m keeps large entries from overflowing the determinants; where m is
+    1 the entries are used as given, so for entries up to 1 the rule is unchanged.
+    One stacked determinant covers both V and W.
+    """
+    m = np.maximum(1.0, np.maximum(np.abs(V).max(axis=(1, 2)), np.abs(W).max(axis=(1, 2))))
+    VW = np.concatenate([V, W])
+    mm = np.concatenate([m, m])[:, None, None]
+    dets = np.linalg.det(np.where(mm > 1, VW / mm, VW))
+    return dets[:len(V)], dets[len(V):], m
 
 
 def _diag_condition_holds(d, tol: float) -> bool:
@@ -115,6 +181,20 @@ def parse_complex(tok: str, lineno: int = 0, col: int = 0) -> complex:
     return val
 
 
+def _parse_literals(text: str) -> list | None:
+    """The comma-separated complex literals of text, or None where one of them is
+    malformed or not finite; then parse_complex, entry by entry, names the fault.
+
+    One replace and one conversion pass over the whole text cost less than a
+    parse_complex call per entry; each literal is converted as parse_complex
+    converts it, so values are identical."""
+    try:
+        vals = list(map(complex, text.replace("i", "j").split(",")))
+    except ValueError:
+        return None
+    return vals if all(map(cmath.isfinite, vals)) else None
+
+
 def render_complex(val: complex) -> str:
     re, im = float(val.real), float(val.imag)
     if im == 0:
@@ -128,9 +208,15 @@ def render_complex(val: complex) -> str:
 def _parse_matrix(tok: str, lineno: int, col: int) -> tuple:
     if not (tok.startswith("[") and tok.endswith("]")):
         raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno, col)
+    cells = tok[1:-1].split(";")
+    width = cells[0].count(",") + 1
+    if all(row.count(",") + 1 == width for row in cells):
+        vals = _parse_literals(tok[1:-1].replace(";", ","))
+        if vals is not None:
+            return tuple(tuple(vals[r:r + width]) for r in range(0, len(vals), width))
     rows = []
     width = None
-    for row in tok[1:-1].split(";"):
+    for row in cells:
         entries = tuple(parse_complex(e, lineno, col) for e in row.split(","))
         if width is None:
             width = len(entries)
@@ -182,41 +268,121 @@ def _parse_state_token(tok: str, lineno: int) -> tuple:
     raise ParseError(f"bad state token {tok!r}", lineno)
 
 
+# Every byte but the structure of (re,im)(re,im) tokens and the space between them.
+_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b"(), ")
+
+
+def _parse_state(toks, lineno: int) -> tuple:
+    """The state line's amplitude pairs: named tokens by lookup, (re,im)(re,im) tokens in
+    one bulk conversion with a vectorised finiteness and norm test.
+
+    Rows whose norm is not within 1e-12 of 1, and every line the bulk path does not
+    take, go through _parse_state_token, which normalises them with math.hypot and
+    raises every error, so the result and the errors are those of the per-token parser.
+    """
+    out = [_STATE_TOKENS.get(t) for t in toks]
+    at = [i for i, v in enumerate(out) if v is None]
+    if not at:
+        return tuple(out)
+    text = " ".join(toks[i] for i in at).encode()
+    # the tokens are (re,im)(re,im) exactly when this is their structure, and then
+    # dropping the parentheses and the spaces leaves their 4 numbers a token
+    if text.translate(None, _NOT_STRUCTURE) != b" ".join([b"(,)(,)"] * len(at)):
+        return tuple(_parse_state_token(t, lineno) for t in toks)
+    try:
+        xy = np.array(list(map(float, text.translate(None, b"( ").replace(b")", b",")
+                               .split(b",")[:-1]))).reshape(-1, 4)
+    except ValueError:
+        return tuple(_parse_state_token(t, lineno) for t in toks)
+    # |norm^2 - 1| <= 1e-12 puts the norm within about 0.5e-12 of 1, far inside
+    # _parse_state_token's 1e-12 whatever the rounding; a non-finite, zero or
+    # overflowing row fails the test and goes through _parse_state_token
+    near = np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12
+    rows = list(map(tuple, xy.view(complex).tolist()))
+    if len(at) == len(toks) and near.all():
+        return tuple(rows)
+    for i, row, keep in zip(at, rows, near.tolist()):
+        out[i] = row if keep else _parse_state_token(toks[i], lineno)
+    return tuple(out)
+
+
 def _gates_are_unitary(gates, tol: float) -> bool:
-    """Whether every gate is unitary.
+    """Whether every gate is unitary."""
+    at = _positions(gates)
+    return _stacks_are_unitary(gates, at, _class_params(gates, at), tol)
+
+
+def _class_params(gates, at) -> dict[str, dict[str, np.ndarray]]:
+    """The parameter stacks of every matrix class of a gate list."""
+    return {cls: _param_stacks([gates[i] for i in at[cls]], cls) for cls in _MATRIX_PARAMS}
+
+
+def _stacks_are_unitary(gates, at, params, tol: float) -> bool:
+    """Whether every gate is unitary, from the classes' parameter stacks.
 
     The V, W, U and B matrices pass when M^H M = I entrywise within
     tol + 1e-5 |I|, the rule of np.allclose(M^H M, I, atol=tol); they are
-    stacked by shape and checked in one batch each.  diag entries must have
-    unit modulus, and an exp gate needs a real, b and s imaginary (unitary up
-    to global phase).
+    checked in one batch per shape.  diag entries must have unit modulus, and
+    an exp gate needs a real, b and s imaginary (unitary up to global phase).
     """
-    square = {2: [], 4: []}
-    for g in gates:
-        if g.cls == "diag":
-            if any(abs(abs(d) - 1.0) > tol for d in g.param("d")):
-                return False
-        elif g.cls == "exp":
-            if not (all(abs(val.imag) <= tol for _, val in g.param("a"))
-                    and all(abs(val.real) <= tol for _, val in g.param("b"))
-                    and abs(g.param("s").real) <= tol):
-                return False
-        else:
-            for _, rows in g.params:
-                square[len(rows)].append(rows)
-    for dim, mats in square.items():
-        if mats:
-            m = np.array(mats, dtype=complex)
-            eye = np.eye(dim)
+    if np.any(np.abs(np.abs(params["diag"]["d"]) - 1.0) > tol):
+        return False
+    for g in (gates[i] for i in at["exp"]):
+        if not (all(abs(val.imag) <= tol for _, val in g.param("a"))
+                and all(abs(val.real) <= tol for _, val in g.param("b"))
+                and abs(g.param("s").real) <= tol):
+            return False
+    square = (np.concatenate([params["gvw"]["V"], params["gvw"]["W"], params["u1"]["U"]]),
+              params["mg12"]["B"])
+    for m in square:
+        if len(m):
+            eye = np.eye(m.shape[-1])
             if not np.all(np.abs(m.conj().transpose(0, 2, 1) @ m - eye) <= tol + 1e-5 * eye):
                 return False
     return True
 
 
-def _require_invertible(det: float, cls: str, lineno: int, tol: float):
-    if det <= tol:
-        raise ParseError(f"{cls} gate rejected: matrix is not invertible (|det| = {det:.3e})",
-                         lineno)
+def _not_invertible(cls: str, det: float) -> str:
+    return f"{cls} gate rejected: matrix is not invertible (|det| = {det:.3e})"
+
+
+def _check_gates(gates, linenos, tol: float):
+    """parse's determinant and matchgate-identity checks, one batch per class.
+
+    Raises the ParseError, with its line, of the earliest gate that fails a check
+    (a gate's checks in the order gvw: det V = det W, then invertible; mg12:
+    identities, then invertible); otherwise returns the gates' positions by class and
+    the classes' parameter stacks.
+    """
+    at = _positions(gates)
+    params = _class_params(gates, at)
+    failed = {}
+
+    def fail(cls, mask, message):
+        for j in np.flatnonzero(mask):
+            failed.setdefault(at[cls][j], message(j))
+
+    if at["gvw"]:
+        dv, dw, m = _vw_dets(params["gvw"]["V"], params["gvw"]["W"])
+        fail("gvw", ~_dets_match(dv, dw, tol),
+             lambda j: (f"gvw gate rejected: determinant mismatch: det V = "
+                        f"{dv[j] if m[j] == 1 else dv[j] * m[j] * m[j]}, "
+                        f"det W = {dw[j] if m[j] == 1 else dw[j] * m[j] * m[j]}"))
+        det = np.abs(dv) * np.abs(dw) * m * m * m * m  # det G(V, W) = det V det W
+        fail("gvw", det <= tol, lambda j: _not_invertible("gvw", det[j]))
+    if at["mg12"]:
+        B = params["mg12"]["B"]
+        ok = matchgate.is_matchgate(matchgate.swap_convention(B), tol=max(tol, 1e-10))
+        fail("mg12", ~ok, lambda j: "mg12 gate rejected: matrix fails the matchgate identities")
+        det_b = np.abs(np.linalg.det(B))
+        fail("mg12", det_b <= tol, lambda j: _not_invertible("mg12", det_b[j]))
+    if at["u1"]:
+        det_u = np.abs(np.linalg.det(params["u1"]["U"]))
+        fail("u1", det_u <= tol, lambda j: _not_invertible("u1", det_u[j]))
+    if failed:
+        first = min(failed)
+        raise ParseError(failed[first], linenos[first])
+    return at, params
 
 
 def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
@@ -243,12 +409,6 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
             )
         V = named("V", "V", (2, 2))
         W = named("W", "W", (2, 2))
-        dv, dw = np.linalg.det(np.array(V)), np.linalg.det(np.array(W))
-        if not _dets_match(dv, dw, tol):
-            raise ParseError(
-                f"gvw gate rejected: determinant mismatch: det V = {dv}, det W = {dw}", lineno
-            )
-        _require_invertible(abs(dv) * abs(dw), "gvw", lineno, tol)  # det G(V, W) = det V det W
         return GateSpec("gvw", (k, k + 1), (("V", V), ("W", W)))
 
     if cls == "diag":
@@ -275,18 +435,12 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
             raise ParseError("mg12 needs at least two lines", lineno)
         if len(args) != 1:
             raise ParseError("mg12 takes a single B= matrix", lineno)
-        B = named("B", "B", (4, 4))
-        if not matchgate.is_matchgate(matchgate.swap_convention(np.array(B)), tol=max(tol, 1e-10)):
-            raise ParseError("mg12 gate rejected: matrix fails the matchgate identities", lineno)
-        _require_invertible(abs(np.linalg.det(np.array(B))), "mg12", lineno, tol)
-        return GateSpec("mg12", (1, 2), (("B", B),))
+        return GateSpec("mg12", (1, 2), (("B", named("B", "B", (4, 4))),))
 
     if cls == "u1":
         if len(args) != 1:
             raise ParseError("u1 takes a single U= matrix", lineno)
-        U = named("U", "U", (2, 2))
-        _require_invertible(abs(np.linalg.det(np.array(U))), "u1", lineno, tol)
-        return GateSpec("u1", (1,), (("U", U),))
+        return GateSpec("u1", (1,), (("U", named("U", "U", (2, 2))),))
 
     # exp: raw coefficients a:mu,nu=<c>  b:sigma=<c>  s=<c>
     a = {}
@@ -324,58 +478,71 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
 
 
 def parse(text: str, tol: float = 1e-9) -> Circuit:
+    """The circuit of a .mg text, every gate validated.
+
+    The determinant and matchgate-identity checks run once per gate class, after
+    the gate lines are read; before any later error is raised they run on the
+    gates read so far, so the error reported is always the first in the file.
+    """
     n = None
     state = None
     gates = []
+    linenos = []
     k = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        head = fields[0]
-        if head == "circuit":
-            if n is not None:
-                raise ParseError("duplicate circuit header", lineno)
-            if len(fields) != 2 or not fields[1].startswith("n="):
-                raise ParseError("header must be 'circuit n=<int>'", lineno)
-            n = _parse_int(fields[1][2:], lineno, "line count")
-            if n < 1:
-                raise ParseError(f"need n >= 1, got {n}", lineno)
-        elif head == "state":
-            if n is None:
-                raise ParseError("state before circuit header", lineno)
-            if state is not None:
-                raise ParseError("duplicate state line", lineno)
-            toks = fields[1:]
-            if len(toks) != n:
-                raise ParseError(f"state needs {n} tokens, got {len(toks)}", lineno)
-            state = tuple(_parse_state_token(t, lineno) for t in toks)
-        elif head == "gate":
-            if n is None:
-                raise ParseError("gate before circuit header", lineno)
-            if len(fields) < 2:
-                raise ParseError("gate line needs a class tag", lineno)
-            gates.append(_parse_gate(fields[1:], n, lineno, tol))
-        elif head == "measure":
-            if n is None:
-                raise ParseError("measure before circuit header", lineno)
-            if k is not None:
-                raise ParseError("duplicate measure line", lineno)
-            if len(fields) != 2:
-                raise ParseError("measure takes a single line number", lineno)
-            k = _parse_int(fields[1], lineno, "measured line")
-            if not 1 <= k <= n:
-                raise ParseError(f"measured line {k} outside 1..{n}", lineno)
-        else:
-            raise ParseError(f"unknown statement {head!r}", lineno, raw.index(head))
-    if n is None:
-        raise ParseError("missing 'circuit n=<int>' header", 0)
-    if state is None:
-        raise ParseError("missing state line", 0)
-    if k is None:
-        raise ParseError("missing measure line", 0)
-    unitary = _gates_are_unitary(gates, max(tol, 1e-8))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            head = fields[0]
+            if head == "circuit":
+                if n is not None:
+                    raise ParseError("duplicate circuit header", lineno)
+                if len(fields) != 2 or not fields[1].startswith("n="):
+                    raise ParseError("header must be 'circuit n=<int>'", lineno)
+                n = _parse_int(fields[1][2:], lineno, "line count")
+                if n < 1:
+                    raise ParseError(f"need n >= 1, got {n}", lineno)
+            elif head == "state":
+                if n is None:
+                    raise ParseError("state before circuit header", lineno)
+                if state is not None:
+                    raise ParseError("duplicate state line", lineno)
+                toks = fields[1:]
+                if len(toks) != n:
+                    raise ParseError(f"state needs {n} tokens, got {len(toks)}", lineno)
+                state = _parse_state(toks, lineno)
+            elif head == "gate":
+                if n is None:
+                    raise ParseError("gate before circuit header", lineno)
+                if len(fields) < 2:
+                    raise ParseError("gate line needs a class tag", lineno)
+                gates.append(_parse_gate(fields[1:], n, lineno, tol))
+                linenos.append(lineno)
+            elif head == "measure":
+                if n is None:
+                    raise ParseError("measure before circuit header", lineno)
+                if k is not None:
+                    raise ParseError("duplicate measure line", lineno)
+                if len(fields) != 2:
+                    raise ParseError("measure takes a single line number", lineno)
+                k = _parse_int(fields[1], lineno, "measured line")
+                if not 1 <= k <= n:
+                    raise ParseError(f"measured line {k} outside 1..{n}", lineno)
+            else:
+                raise ParseError(f"unknown statement {head!r}", lineno, raw.index(head))
+        if n is None:
+            raise ParseError("missing 'circuit n=<int>' header", 0)
+        if state is None:
+            raise ParseError("missing state line", 0)
+        if k is None:
+            raise ParseError("missing measure line", 0)
+    except ParseError:
+        _check_gates(gates, linenos, tol)
+        raise
+    at, params = _check_gates(gates, linenos, tol)
+    unitary = _stacks_are_unitary(gates, at, params, max(tol, 1e-8))
     return Circuit(n, state, tuple(gates), k, unitary)
 
 
@@ -454,9 +621,10 @@ def classify(B) -> list[str]:
         out.append("mg12")
     V, W = matchgate.extract_vw(B)
     off_block = B - matchgate.g_vw(V, W)
-    if (np.abs(off_block).max() <= 1e-12
-            and _dets_match(np.linalg.det(V), np.linalg.det(W), tol)):
-        out.append("gvw")
+    if np.abs(off_block).max() <= 1e-12:
+        dv, dw, _ = _vw_dets(V[None], W[None])
+        if _dets_match(dv[0], dw[0], tol):
+            out.append("gvw")
     d = np.diag(B)
     if (np.abs(B - np.diag(d)).max() <= 1e-12 and np.all(d != 0)
             and _diag_condition_holds(d, tol)):

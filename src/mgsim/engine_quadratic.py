@@ -34,12 +34,13 @@ Cost: O(sum_g s_g^2 + n) time for gates of support s_g, O(n) memory.
 from __future__ import annotations
 
 import cmath
+import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateSpec
+from .circuits import GateSpec, gate_matrices
 from .errors import DimensionError, InconsistencyError
 from .jw import JwFamily
 from .pauli import ProductState
@@ -81,52 +82,109 @@ class SimResult:
 _D2 = np.array([JwFamily(2).d(mu).to_matrix() for mu in range(5)])
 _D2T = _D2.transpose(0, 2, 1).reshape(5, 16)
 
+# Blocks are built for this many gates at a time, last chunk first, so that
+# numpy's per-call cost is paid per chunk while the blocks held stay O(_CHUNK).
+_CHUNK = 256
 
-def _matrix_block(spec: GateSpec) -> tuple[list[int], np.ndarray]:
-    """Support d indices and K_ab = 1/4 tr(d_a B^{-1} d_b B) of a matrix-class gate.
 
-    The Z strings left of (and, for diag, between) the gate's lines commute
-    with B, so the two-line K carries over to the gate's global d indices.
+def _matrix_blocks(specs) -> list[tuple[list[int], np.ndarray]]:
+    """Support d indices and K_ab = 1/4 tr(d_a B^{-1} d_b B) of matrix-class gates,
+    through one stacked inverse and one contraction against _D2T.
+
+    The Z strings left of (and, for diag, between) a gate's lines commute with
+    B, so the two-line K carries over to the gate's global d indices.
     """
-    B = spec.matrix()
-    M = np.linalg.inv(B) @ _D2 @ B
-    K = 0.25 * _D2T @ M.reshape(5, 16).T
-    if spec.cls == "mg12":
-        return [0, 1, 2, 3, 4], K
-    if spec.cls == "u1":  # U (x) I commutes with d_3, d_4
-        return [0, 1, 2], K[:3, :3]
-    k, l = spec.lines  # gvw and diag preserve parity: d_0 is untouched
-    return [2 * k - 1, 2 * k, 2 * l - 1, 2 * l], K[1:, 1:]
+    B = gate_matrices(specs)
+    M = (np.linalg.inv(B)[:, None] @ _D2) @ B[:, None]
+    K = 0.25 * np.einsum("ak,gbk->gab", _D2T, M.reshape(-1, 5, 16))
+    out = []
+    for spec, k in zip(specs, K):
+        if spec.cls == "mg12":
+            out.append(([0, 1, 2, 3, 4], k))
+        elif spec.cls == "u1":  # U (x) I commutes with d_3, d_4
+            out.append(([0, 1, 2], k[:3, :3]))
+        else:  # gvw and diag preserve parity: d_0 is untouched
+            a, b = spec.lines
+            out.append(([2 * a - 1, 2 * a, 2 * b - 1, 2 * b], k[1:, 1:]))
+    return out
 
 
-def _gate_block(g, n: int) -> tuple[list[int], np.ndarray]:
-    """Support d indices and the transfer restricted to them, for a GateSpec or GateExponent."""
-    if isinstance(g, GateSpec):
-        if max(g.lines, default=0) > n:
-            raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
-        if g.cls != "exp":
-            return _matrix_block(g)
-        g = g.exponent(n)
-    elif g.n != n:
-        raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
-    atilde = list(g.a) + [((0, sigma), 0.5j * val) for sigma, val in g.b]
-    idx = sorted({mu for pair, _ in atilde for mu in pair})
-    pos = {mu: p for p, mu in enumerate(idx)}
-    m = np.zeros((len(idx), len(idx)), dtype=complex)
-    for (mu, nu), val in atilde:
-        m[pos[mu], pos[nu]] = val
-        m[pos[nu], pos[mu]] = -val
-    return idx, _expm(-4.0 * m)
+def _exp_generators(exps, n: int) -> dict[int, tuple[list, np.ndarray]]:
+    """X = -4 atilde of exp gates given as (a, b) coefficient pairs, grouped by block
+    size: size -> ([(position, support d indices)], (G, size, size) stack of X).
+
+    The support is d_0 (only when b has a nonzero entry) and the indices of the
+    nonzero coefficients, sorted; atilde_{mu,nu} = a_{mu,nu}, atilde_{0,sigma} =
+    i b_sigma / 2.
+    """
+    groups = {}
+    for j, (a, b) in enumerate(exps):
+        atilde = ([(pair, val) for pair, val in a if val != 0]
+                  + [((0, sigma), 0.5j * val) for sigma, val in b if val != 0])
+        idx = sorted({mu for pair, _ in atilde for mu in pair})
+        if not idx:
+            continue  # e^A is a scalar: K is the identity
+        if idx[-1] > 2 * n:
+            raise DimensionError(f"exp gate on d index {idx[-1]}, circuit has n={n}")
+        pos = {mu: p for p, mu in enumerate(idx)}
+        gates, entries = groups.setdefault(len(idx), ([], []))
+        entries += [(len(gates), pos[mu], pos[nu], val) for (mu, nu), val in atilde]
+        gates.append((j, idx))
+    out = {}
+    for size, (gates, entries) in groups.items():
+        g, r, c, val = zip(*entries)
+        m = np.zeros((len(gates), size, size), dtype=complex)
+        m[g, r, c] = val
+        m[g, c, r] = -np.array(val)
+        out[size] = (gates, -4.0 * m)
+    return out
 
 
-def _expm(X: np.ndarray) -> np.ndarray:
-    """e^X, through eigh of the Hermitian iX when X is exactly real antisymmetric
-    (every unitary exp gate), else through scipy's expm, imported on first use."""
-    if not X.imag.any() and np.array_equal(X.real, -X.real.T):
-        lam, V = np.linalg.eigh(1j * X.real)
-        return ((V * np.exp(-1j * lam)) @ V.conj().T).real
-    import scipy.linalg
-    return scipy.linalg.expm(X)
+def _exp_blocks(exps, n: int) -> list[tuple[int, list[int], np.ndarray]]:
+    """(position, support, K = e^X) of exp gates given as (a, b) pairs.
+
+    When X is exactly real antisymmetric (every unitary exp gate), iX is Hermitian
+    and K = V diag(e^{-i lam}) V^H comes from one stacked eigh per block size;
+    any other block takes scipy's expm, imported on first use.
+    """
+    out = []
+    for gates, X in _exp_generators(exps, n).values():
+        Xr = X.real
+        real = ~X.imag.any(axis=(1, 2)) & (Xr == -Xr.transpose(0, 2, 1)).all(axis=(1, 2))
+        if real.any():
+            lam, V = np.linalg.eigh(1j * Xr[real])
+            K = ((V * np.exp(-1j * lam)[:, None, :]) @ V.conj().transpose(0, 2, 1)).real
+            out += [(*gate, k) for gate, k in zip(itertools.compress(gates, real), K)]
+        if not real.all():
+            import scipy.linalg
+            out += [(*gates[i], scipy.linalg.expm(X[i])) for i in np.flatnonzero(~real)]
+    return out
+
+
+def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
+    """Support d indices and the transfer restricted to them, for each GateSpec or
+    GateExponent of a list, built class by class."""
+    matrix, exps, at = [], [], []
+    for i, g in enumerate(gates):
+        if isinstance(g, GateSpec):
+            if max(g.lines, default=0) > n:
+                raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
+            if g.cls != "exp":
+                matrix.append(i)
+                continue
+            exps.append((g.param("a"), g.param("b")))
+        elif g.n != n:
+            raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
+        else:
+            exps.append((g.a, g.b))
+        at.append(i)
+    blocks = [None] * len(gates)
+    if matrix:
+        for i, block in zip(matrix, _matrix_blocks([gates[i] for i in matrix])):
+            blocks[i] = block
+    for j, idx, K in _exp_blocks(exps, n):
+        blocks[at[j]] = (idx, K)
+    return [b for b in blocks if b is not None]
 
 
 def _observable_indices(k: int, n: int, observable: str) -> tuple[int, int]:
@@ -146,9 +204,11 @@ def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
     """Columns mu and nu of K_1 ... K_G as a (2n+1) x 2 array."""
     cols = np.zeros((2 * n + 1, 2), dtype=complex)
     cols[mu, 0] = cols[nu, 1] = 1.0
-    for g in reversed(gates):
-        idx, block = _gate_block(g, n)
-        cols[idx] = block @ cols[idx]
+    for stop in range(len(gates), 0, -_CHUNK):
+        for idx, block in reversed(_gate_blocks(gates[max(stop - _CHUNK, 0):stop], n)):
+            if idx[-1] - idx[0] == len(idx) - 1:  # a slice is a view: cheaper than an index list
+                idx = slice(idx[0], idx[-1] + 1)
+            cols[idx] = block @ cols[idx]
     return cols
 
 

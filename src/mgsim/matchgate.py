@@ -65,18 +65,52 @@ def _as_mat4(B) -> np.ndarray:
     return B
 
 
+def _as_mat4_stack(B) -> np.ndarray:
+    """A 4x4 matrix or a (G, 4, 4) stack of them."""
+    B = np.asarray(B, dtype=complex)
+    if B.ndim not in (2, 3) or B.shape[-2:] != (4, 4):
+        raise MatchgateError(f"expected a 4x4 matrix or a stack of them, got shape {B.shape}")
+    return B
+
+
+def _entry_scale(B) -> np.ndarray:
+    """m = max(1, max |B_ij|) of each matrix of a stack, shaped to divide it."""
+    return np.maximum(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
+
+
 def swap_convention(B) -> np.ndarray:
-    """Relabel basis 1,2,3,4 -> 1,3,2,4 (swap the two qubits)."""
-    return _SWAP @ _as_mat4(B) @ _SWAP
+    """Relabel basis 1,2,3,4 -> 1,3,2,4 (swap the two qubits) of a matrix or a stack."""
+    return _SWAP @ _as_mat4_stack(B) @ _SWAP
+
+
+# Entry positions (0-based, flat over the 16 entries) of the two factors of
+# every term of the ten identities, and the terms' signs, each shaped (10, 4).
+_ID_SIGNS = np.array([[s for s, _, _ in terms] for terms in IDENTITY_TERMS], dtype=float)
+_ID_FIRST = np.array([[4 * (a[0] - 1) + a[1] - 1 for _, a, _ in terms]
+                      for terms in IDENTITY_TERMS])
+_ID_SECOND = np.array([[4 * (b[0] - 1) + b[1] - 1 for _, _, b in terms]
+                       for terms in IDENTITY_TERMS])
+
+
+def _unscaled_identities(B) -> np.ndarray:
+    """The ten identity values of each matrix of a (G, 4, 4) stack, term by term as written."""
+    flat = B.reshape(-1, 16)
+    terms = _ID_SIGNS * flat[:, _ID_FIRST] * flat[:, _ID_SECOND]
+    return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
 
 
 def identities(B) -> np.ndarray:
-    """The ten matchgate identity values M_1..M_10, evaluated exactly as written."""
-    B = _as_mat4(B)
-    out = np.empty(10, dtype=complex)
-    for m, terms in enumerate(IDENTITY_TERMS):
-        out[m] = sum(s * B[a[0] - 1, a[1] - 1] * B[b[0] - 1, b[1] - 1] for s, a, b in terms)
-    return out
+    """The ten matchgate identity values M_1..M_10 of a matrix, or of each matrix of a
+    (G, 4, 4) stack, as m^2 M(B/m) with m = max(1, max |B_ij|).
+
+    The identities are homogeneous of degree 2, so this is M(B) in exact arithmetic;
+    evaluating them on B/m keeps large entries from overflowing the products, and
+    multiplying back by m twice keeps a vanishing value at 0.
+    """
+    B = _as_mat4_stack(B)
+    m = _entry_scale(B)
+    vals = _unscaled_identities((B / m).reshape(-1, 4, 4)).reshape(B.shape[:-2] + (10,))
+    return m[..., 0] * (m[..., 0] * vals)
 
 
 def _scale2(B) -> float:
@@ -84,12 +118,20 @@ def _scale2(B) -> float:
     return max(1.0, float(np.linalg.norm(B) ** 2))
 
 
-def is_matchgate(B, tol: float = 1e-10) -> bool:
-    """True iff all ten identities vanish, relative to the squared matrix scale."""
+def is_matchgate(B, tol: float = 1e-10):
+    """True iff all ten identities vanish, relative to the squared matrix scale.
+
+    The test runs on B/m with m = max(1, max |B_ij|), the same rule in exact
+    arithmetic, so that no entry size overflows it.  For a (G, 4, 4) stack the
+    answer is one bool per matrix.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    B = _as_mat4(B)
-    return float(np.max(np.abs(identities(B)))) <= tol * _scale2(B)
+    B = _as_mat4_stack(B)
+    stack = (B / _entry_scale(B)).reshape(-1, 4, 4)
+    worst = np.abs(_unscaled_identities(stack)).max(axis=1)
+    ok = worst <= tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)) ** 2)
+    return bool(ok[0]) if B.ndim == 2 else ok
 
 
 def identities_containing(ij: tuple[int, int]) -> list[int]:
@@ -160,28 +202,33 @@ def sample_matchgate(ij: tuple[int, int], c: complex, free_params) -> np.ndarray
     return B
 
 
+# G(V, W)'s layout: V acts on the even-parity basis states 00, 11 (rows and
+# columns 1 and 4), W on the odd-parity ones 01, 10 (rows and columns 2 and 3).
+_EVEN = np.array([0, 3])
+_ODD = np.array([1, 2])
+
+
 def g_vw(V, W) -> np.ndarray:
     """The fermionic gate G(V, W): V on the even-parity block, W on the odd block.
 
-    G(V, W) is a matchgate iff det V = det W; this constructor does not check
-    that, since the parser does.
+    V and W may be (G, 2, 2) stacks, giving a (G, 4, 4) stack.  G(V, W) is a
+    matchgate iff det V = det W; this constructor does not check that, since
+    the parser does.
     """
     V = np.asarray(V, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    if V.shape != (2, 2) or W.shape != (2, 2):
-        raise MatchgateError("V and W must be 2x2")
-    B = np.zeros((4, 4), dtype=complex)
-    B[0, 0], B[0, 3], B[3, 0], B[3, 3] = V[0, 0], V[0, 1], V[1, 0], V[1, 1]
-    B[1, 1], B[1, 2], B[2, 1], B[2, 2] = W[0, 0], W[0, 1], W[1, 0], W[1, 1]
+    if V.shape[-2:] != (2, 2) or W.shape != V.shape:
+        raise MatchgateError("V and W must be 2x2, or stacks of 2x2 of one length")
+    B = np.zeros(V.shape[:-2] + (4, 4), dtype=complex)
+    B[..., _EVEN[:, None], _EVEN] = V
+    B[..., _ODD[:, None], _ODD] = W
     return B
 
 
 def extract_vw(B) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`g_vw` (ignores entries outside the two parity blocks)."""
     B = _as_mat4(B)
-    V = np.array([[B[0, 0], B[0, 3]], [B[3, 0], B[3, 3]]])
-    W = np.array([[B[1, 1], B[1, 2]], [B[2, 1], B[2, 2]]])
-    return V, W
+    return B[_EVEN[:, None], _EVEN], B[_ODD[:, None], _ODD]
 
 
 def antisym_basis() -> np.ndarray:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mgsim import engine_quadratic
 from mgsim.engine_lie import LieBasis, _apply_adjoint, build_basis
-from mgsim.engine_quadratic import _gate_block, _observable_indices, _propagate_columns
+from mgsim.circuits import GateSpec
+from mgsim.engine_quadratic import (_exp_generators, _gate_blocks, _observable_indices,
+                                     _propagate_columns)
 from mgsim.errors import InconsistencyError
 from mgsim.exponents import GateExponent, to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
+from mgsim.matchgate import g_vw
 from mgsim.oracle import _prepare
 from mgsim.pauli import PauliString, PauliSum, ProductState, commutation_sign, pauli_mul
 
@@ -85,18 +87,69 @@ def is_unitary_exponent(g: GateExponent, tol: float = 1e-8) -> bool:
 def exp_block_generator(g: GateExponent) -> tuple[list[int], np.ndarray]:
     """The support and X = -4 atilde of the quadratic engine's block for g, before
     the engine exponentiates it."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine_quadratic, "_expm", lambda X: X)
-        return _gate_block(g, g.n)
+    [(gates, X)] = _exp_generators([(g.a, g.b)], g.n).values()
+    return gates[0][1], X[0]
 
 
-def gate_transfer(g: GateExponent) -> np.ndarray:
-    """The quadratic engine's K = exp(-4 atilde) of one gate, embedded in the
-    identity over d indices 0..2n."""
-    K = np.eye(2 * g.n + 1, dtype=complex)
-    idx, block = _gate_block(g, g.n)
-    K[np.ix_(idx, idx)] = block
+def gate_transfer(g, n: int | None = None) -> np.ndarray:
+    """The quadratic engine's K of one gate, embedded in the identity over d indices
+    0..2n; n defaults to a GateExponent's own."""
+    n = g.n if n is None else n
+    K = np.eye(2 * n + 1, dtype=complex)
+    for idx, block in _gate_blocks([g], n):
+        K[np.ix_(idx, idx)] = block
     return K
+
+
+# d_0..d_4 on two lines as 4x4 matrices, and their transposes flattened, so
+# that _D2T @ M.reshape(5, 16).T is the matrix of traces tr(d_a M_b).
+_D2 = np.array([JwFamily(2).d(mu).to_matrix() for mu in range(5)])
+_D2T = _D2.transpose(0, 2, 1).reshape(5, 16)
+
+
+def reference_matrix(spec: GateSpec) -> np.ndarray:
+    """The 4x4 matrix of one matrix-class spec, built on its own; u1 gives U (x) I."""
+    if spec.cls == "gvw":
+        return g_vw(spec.param("V"), spec.param("W"))
+    if spec.cls == "diag":
+        return np.diag(np.array(spec.param("d"), dtype=complex))
+    if spec.cls == "mg12":
+        return np.array(spec.param("B"), dtype=complex)
+    return np.kron(np.array(spec.param("U"), dtype=complex), np.eye(2))
+
+
+def reference_gate_block(g, n: int) -> tuple[list[int], np.ndarray]:
+    """Support d indices and transfer block of one GateSpec or GateExponent, built gate
+    by gate: the reference for the quadratic engine's batched blocks.
+
+    Matrix classes: K_ab = 1/4 tr(d_a B^{-1} d_b B), one inverse per gate.  Exp gates
+    and exponents: e^X with X = -4 atilde, through eigh of iX when X is exactly real
+    antisymmetric, else scipy's expm.
+    """
+    if isinstance(g, GateSpec):
+        if g.cls != "exp":
+            B = reference_matrix(g)
+            M = np.linalg.inv(B) @ _D2 @ B
+            K = 0.25 * _D2T @ M.reshape(5, 16).T
+            if g.cls == "mg12":
+                return [0, 1, 2, 3, 4], K
+            if g.cls == "u1":
+                return [0, 1, 2], K[:3, :3]
+            k, l = g.lines
+            return [2 * k - 1, 2 * k, 2 * l - 1, 2 * l], K[1:, 1:]
+        g = g.exponent(n)
+    atilde = list(g.a) + [((0, sigma), 0.5j * val) for sigma, val in g.b]
+    idx = sorted({mu for pair, _ in atilde for mu in pair})
+    pos = {mu: p for p, mu in enumerate(idx)}
+    m = np.zeros((len(idx), len(idx)), dtype=complex)
+    for (mu, nu), val in atilde:
+        m[pos[mu], pos[nu]] = val
+        m[pos[nu], pos[mu]] = -val
+    X = -4.0 * m
+    if not X.imag.any() and np.array_equal(X.real, -X.real.T):
+        lam, V = np.linalg.eigh(1j * X.real)
+        return idx, ((V * np.exp(-1j * lam)) @ V.conj().T).real
+    return idx, scipy.linalg.expm(X)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from conftest import (apply_gate, apply_matrix, computational, exp_block_generat
                       heisenberg_observable)
 
 from mgsim import circuits, engine_lie, sampling
-from mgsim.engine_quadratic import _gate_block, simulate
+from mgsim.engine_quadratic import _gate_blocks, simulate
 from mgsim.errors import DimensionError
 from mgsim.exponents import GateExponent, compile_u1
 from mgsim.jw import C0_MODES, PARITY, JwFamily
@@ -159,9 +159,7 @@ def test_matrix_block_matches_compiled_transfer(rng, cls):
         circ = sampling.random_circuit(n, 1, rng, classes=(cls,), unitary=bool(trial % 2))
         spec = circ.gates[0]
         apart += spec.cls == "diag" and spec.lines[1] > spec.lines[0] + 1
-        K = np.eye(2 * n + 1, dtype=complex)
-        idx, block = _gate_block(spec, n)
-        K[np.ix_(idx, idx)] = block
+        K = gate_transfer(spec, n)
         ref = gate_transfer(circuits.compile(circ)[0])
         assert np.abs(K - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     assert cls != "diag" or apart > 0  # non-adjacent diag lines are covered
@@ -228,8 +226,9 @@ def test_unitary_exp_blocks_take_eigh_and_match_expm(rng, monkeypatch):
         raise AssertionError("a unitary exp block must not reach scipy's expm")
 
     monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    blocks = {n: iter(_gate_blocks([g for g in gates if g.n == n], n)) for n in range(1, 8)}
     for g, (ref_idx, ref) in zip(gates, refs):
-        idx, block = _gate_block(g, g.n)
+        idx, block = next(blocks[g.n])
         assert idx == ref_idx and block.dtype == np.float64
         assert np.abs(block - ref).max() <= 1e-13
         assert np.abs(block.T @ block - np.eye(len(idx))).max() <= 1e-13
