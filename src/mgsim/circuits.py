@@ -136,18 +136,17 @@ def _dets_match(dv, dw, tol: float):
     return abs(dv - dw) <= tol * (abs(dv) + abs(dw) + 1)
 
 
-def _vw_dets(V: np.ndarray, W: np.ndarray):
-    """(det V/m, det W/m, m) for (G, 2, 2) stacks, m = max(1, max |entry| over V and W).
+def _largest_entry(*stacks) -> np.ndarray:
+    """m = max(1, max |entry|) per gate, over one or more (G, k, k) stacks."""
+    return np.maximum(1.0, np.max([np.abs(M).max(axis=(1, 2)) for M in stacks], axis=0))
 
-    Dividing by m keeps large entries from overflowing the determinants; where m is
-    1 the entries are used as given, so for entries up to 1 the rule is unchanged.
-    One stacked determinant covers both V and W.
-    """
-    m = np.maximum(1.0, np.maximum(np.abs(V).max(axis=(1, 2)), np.abs(W).max(axis=(1, 2))))
-    VW = np.concatenate([V, W])
-    mm = np.concatenate([m, m])[:, None, None]
-    dets = np.linalg.det(np.where(mm > 1, VW / mm, VW))
-    return dets[:len(V)], dets[len(V):], m
+
+def _scaled_dets(M: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """det(M_g / m_g) for a (G, k, k) stack in one call, so that large entries cannot
+    overflow it; where m_g is 1, M_g is used as given, so for entries up to 1 every
+    determinant rule is unchanged."""
+    mm = m[:, None, None]
+    return np.linalg.det(np.where(mm > 1, M / mm, M))
 
 
 def _diag_condition_holds(d, tol: float) -> bool:
@@ -297,7 +296,8 @@ def _parse_state(toks, lineno: int) -> tuple:
     # |norm^2 - 1| <= 1e-12 puts the norm within about 0.5e-12 of 1, far inside
     # _parse_state_token's 1e-12 whatever the rounding; a non-finite, zero or
     # overflowing row fails the test and goes through _parse_state_token
-    near = np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12
     rows = list(map(tuple, xy.view(complex).tolist()))
     if len(at) == len(toks) and near.all():
         return tuple(rows)
@@ -337,8 +337,9 @@ def _stacks_are_unitary(gates, at, params, tol: float) -> bool:
     for m in square:
         if len(m):
             eye = np.eye(m.shape[-1])
-            if not np.all(np.abs(m.conj().transpose(0, 2, 1) @ m - eye) <= tol + 1e-5 * eye):
-                return False
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the test
+                if not np.all(np.abs(m.conj().transpose(0, 2, 1) @ m - eye) <= tol + 1e-5 * eye):
+                    return False
     return True
 
 
@@ -362,23 +363,31 @@ def _check_gates(gates, linenos, tol: float):
         for j in np.flatnonzero(mask):
             failed.setdefault(at[cls][j], message(j))
 
-    if at["gvw"]:
-        dv, dw, m = _vw_dets(params["gvw"]["V"], params["gvw"]["W"])
-        fail("gvw", ~_dets_match(dv, dw, tol),
-             lambda j: (f"gvw gate rejected: determinant mismatch: det V = "
-                        f"{dv[j] if m[j] == 1 else dv[j] * m[j] * m[j]}, "
-                        f"det W = {dw[j] if m[j] == 1 else dw[j] * m[j] * m[j]}"))
-        det = np.abs(dv) * np.abs(dw) * m * m * m * m  # det G(V, W) = det V det W
-        fail("gvw", det <= tol, lambda j: _not_invertible("gvw", det[j]))
-    if at["mg12"]:
-        B = params["mg12"]["B"]
-        ok = matchgate.is_matchgate(matchgate.swap_convention(B), tol=max(tol, 1e-10))
-        fail("mg12", ~ok, lambda j: "mg12 gate rejected: matrix fails the matchgate identities")
-        det_b = np.abs(np.linalg.det(B))
-        fail("mg12", det_b <= tol, lambda j: _not_invertible("mg12", det_b[j]))
-    if at["u1"]:
-        det_u = np.abs(np.linalg.det(params["u1"]["U"]))
-        fail("u1", det_u <= tol, lambda j: _not_invertible("u1", det_u[j]))
+    # |det| = |det(M/m)| m^k may overflow to inf: a nonzero det, which passes
+    with np.errstate(over="ignore"):
+        if at["gvw"]:
+            V, W = params["gvw"]["V"], params["gvw"]["W"]
+            m = _largest_entry(V, W)
+            dv, dw = np.split(_scaled_dets(np.concatenate([V, W]), np.concatenate([m, m])), 2)
+            fail("gvw", ~_dets_match(dv, dw, tol),
+                 lambda j: (f"gvw gate rejected: determinant mismatch: det V = "
+                            f"{dv[j] if m[j] == 1 else dv[j] * m[j] * m[j]}, "
+                            f"det W = {dw[j] if m[j] == 1 else dw[j] * m[j] * m[j]}"))
+            det = np.abs(dv) * np.abs(dw) * m * m * m * m  # det G(V, W) = det V det W
+            fail("gvw", det <= tol, lambda j: _not_invertible("gvw", det[j]))
+        if at["mg12"]:
+            B = params["mg12"]["B"]
+            ok = matchgate.is_matchgate(matchgate.swap_convention(B), tol=max(tol, 1e-10))
+            fail("mg12", ~ok,
+                 lambda j: "mg12 gate rejected: matrix fails the matchgate identities")
+            m = _largest_entry(B)
+            det_b = np.abs(_scaled_dets(B, m)) * m * m * m * m
+            fail("mg12", det_b <= tol, lambda j: _not_invertible("mg12", det_b[j]))
+        if at["u1"]:
+            U = params["u1"]["U"]
+            m = _largest_entry(U)
+            det_u = np.abs(_scaled_dets(U, m)) * m * m
+            fail("u1", det_u <= tol, lambda j: _not_invertible("u1", det_u[j]))
     if failed:
         first = min(failed)
         raise ParseError(failed[first], linenos[first])
@@ -622,8 +631,8 @@ def classify(B) -> list[str]:
     V, W = matchgate.extract_vw(B)
     off_block = B - matchgate.g_vw(V, W)
     if np.abs(off_block).max() <= 1e-12:
-        dv, dw, _ = _vw_dets(V[None], W[None])
-        if _dets_match(dv[0], dw[0], tol):
+        dv, dw = _scaled_dets(np.stack([V, W]), np.repeat(_largest_entry(V[None], W[None]), 2))
+        if _dets_match(dv, dw, tol):
             out.append("gvw")
     d = np.diag(B)
     if (np.abs(B - np.diag(d)).max() <= 1e-12 and np.all(d != 0)

@@ -113,6 +113,9 @@ def cmd_verify_matchgate(args) -> int:
     if args.physical:
         B = matchgate.swap_convention(B)
     vals = matchgate.identities(B)
+    if not np.isfinite(vals).all():
+        raise MgsimError(f"matchgate identity values overflow: entries up to "
+                         f"{np.abs(B).max():.3e} are too large to square")
     return _emit({
         "is_matchgate": matchgate.is_matchgate(B, tol=args.tol),
         "identities": [_c2j(v) for v in vals],
@@ -146,17 +149,23 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # each random circuit is rendered to .mg text first, so that a row times what
+    # `mgsim run` pays after reading the file: parse, then simulate
     rng = np.random.default_rng(args.seed)
     rows = []
     for n in args.n:
-        circ = sampling.random_circuit(n, args.gates, rng, classes=("gvw", "diag", "exp"))
+        text = circuits.render(sampling.random_circuit(n, args.gates, rng,
+                                                       classes=("gvw", "diag", "exp")))
         t0 = time.perf_counter()
+        circ = circuits.parse(text, tol=args.tol)
+        parsed = time.perf_counter()
         res = engine_quadratic.simulate(circ.gates, circ.input_state(), circ.k,
-                                        unitary=True, tol=args.tol)
+                                        unitary=circ.unitary, tol=args.tol)
         dt = time.perf_counter() - t0
-        rows.append({"n": n, "gates": args.gates, "seconds": dt,
+        rows.append({"n": n, "gates": args.gates, "seconds": dt, "parse_s": parsed - t0,
                      "gates_per_sec": args.gates / dt, "p0": res.p0})
-        print(f"n={n}: {dt:.3f} s, {args.gates / dt:.0f} gates/s", file=sys.stderr)
+        print(f"n={n}: {dt:.3f} s ({parsed - t0:.3f} s parse), {args.gates / dt:.0f} gates/s",
+              file=sys.stderr)
     exponent = None
     if len(args.n) >= 2:
         logn = np.log([r["n"] for r in rows])
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     heisenberg_mode(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("bench", help="time the quadratic engine on random circuits")
+    p = sub.add_parser("bench", help="time parse and the quadratic engine on random circuits")
     p.add_argument("--n", type=_line_counts, default="50,100,200",
                    help="comma-separated line counts")
     p.add_argument("--gates", type=_gate_count, default=1000)

@@ -90,11 +90,16 @@ def test_classify(capsys, tmp_path):
     assert data["classes"] == ["mg12", "gvw", "diag"]
 
 
-def test_bench(capsys):
+def test_bench(capsys, monkeypatch):
+    # each row times parse of the rendered circuit text, then the quadratic engine
+    parsed = []
+    parse = circuits.parse
+    monkeypatch.setattr(circuits, "parse", lambda text, tol: parsed.append(text) or parse(text, tol))
     code, data = run_json(capsys, ["bench", "--n", "8,16", "--gates", "20", "--seed", "7"])
     assert code == 0
     assert [r["n"] for r in data["runs"]] == [8, 16]
-    assert all(r["seconds"] > 0 for r in data["runs"])
+    assert all(0 < r["parse_s"] < r["seconds"] for r in data["runs"])
+    assert [text.splitlines()[0] for text in parsed] == ["circuit n=8", "circuit n=16"]
     assert data["fitted_exponent"] is not None
 
 
@@ -157,6 +162,55 @@ def test_large_diag_entries_are_accepted(capsys, tmp_path, argv):
     code, data = run_json(capsys, [argv[0], str(path), *argv[1:]])
     assert code == 0 and all(res["expectation"] == [1.0, 0.0]
                              for res in data.get("engines", {"": data}).values())
+
+
+LARGE_GATE = "circuit n=2\nstate (0.6,0)(0,0.8) +\ngate {gate}\nmeasure 1\n"
+GVW = "gvw 1 V=[{v},0;0,{v}] W=[{v},0;0,{v}]"
+MG12 = "mg12 B=[{v},0,0,0;0,{v},0,0;0,0,{v},0;0,0,0,{v}]"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gate, v", [(GVW, "1e160"), (MG12, "1e200")])
+@pytest.mark.parametrize("argv", ENGINE_ARGV)
+def test_large_gate_entries_give_the_identity_gates_value(capsys, tmp_path, argv, gate, v):
+    # the determinant and identity checks divide by the largest entry first, so
+    # det V = 1e320 or B's identity products cannot overflow; v * I acts as I
+    values = {}
+    for scale in ("1", v):
+        path = tmp_path / "large.mg"
+        path.write_text(LARGE_GATE.format(gate=gate.format(v=scale)))
+        code, data = run_json(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 0
+        values[scale] = [complex(*res["expectation"])
+                         for res in data.get("engines", {"": data}).values()]
+    assert np.abs(np.subtract(values["1"], values[v])).max() < 1e-12
+
+
+@pytest.mark.parametrize("argv", ENGINE_ARGV)
+def test_tiny_gvw_entries_are_still_singular(capsys, tmp_path, argv):
+    path = tmp_path / "tiny.mg"
+    path.write_text(LARGE_GATE.format(gate=GVW.format(v="1e-170")))
+    err = assert_one_error(capsys, main([argv[0], str(path), *argv[1:]]))
+    assert err == "error: line 3: gvw gate rejected: matrix is not invertible (|det| = 0.000e+00)\n"
+
+
+def _strict_json(text: str):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_large_matchgate_identities_stay_finite(capsys, tmp_path):
+    path = tmp_path / "B.json"
+    path.write_text(json.dumps((1e200 * np.eye(4)).tolist()))
+    assert main(["verify-matchgate", str(path)]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data["is_matchgate"] is True and all(v == [0.0, 0.0] for v in data["identities"])
+    code, data = run_json(capsys, ["classify", str(path)])
+    assert code == 0 and data["classes"] == ["mg12", "gvw", "diag"]
+    # SWAP's identities do not vanish: at this scale their values overflow
+    path.write_text(json.dumps((1e200 * np.eye(4)[[0, 2, 1, 3]]).tolist()))
+    assert "overflow" in assert_one_error(capsys, main(["verify-matchgate", str(path)]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,15 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (apply_gate, apply_matrix, computational, exp_block_generator, gate_transfer,
-                      heisenberg_observable)
+                      heisenberg_observable, reference_gate_block)
 
 from mgsim import circuits, engine_lie, sampling
-from mgsim.engine_quadratic import _gate_blocks, simulate
+from mgsim.cli import main
+from mgsim.engine_quadratic import _CHUNK, _gate_blocks, _propagate_columns, simulate
 from mgsim.errors import DimensionError
 from mgsim.exponents import GateExponent, compile_u1
 from mgsim.jw import C0_MODES, PARITY, JwFamily
@@ -254,3 +258,61 @@ def test_non_unitary_exp_gate_takes_expm_and_matches_oracle(rng, monkeypatch):
         assert abs(got - ref) < 1e-10
     # only the non-unitary exp gate reaches expm, once per simulation
     assert calls == [(6, 6)] * n
+
+
+def _exp_block_size(g) -> int:
+    """The size of an exp gate's block: its nonzero a and b indices, and d_0 with b."""
+    a = [pair for pair, val in g.param("a") if val != 0]
+    b = [sigma for sigma, val in g.param("b") if val != 0]
+    return len({mu for pair in a for mu in pair} | set(b) | ({0} if b else set()))
+
+
+def test_run_batches_its_numpy_calls(tmp_path, monkeypatch):
+    # one `run` over three chunks of all five classes: parse takes one stacked det per
+    # class that has one, and the engine one stacked inverse per chunk and one eigh
+    # per exp block size in a chunk, never one call per gate
+    circ = sampling.random_circuit(6, 2 * _CHUNK + 40, np.random.default_rng(9))
+    assert {g.cls for g in circ.gates} == set(sampling.ALL_CLASSES) and circ.unitary
+    path = tmp_path / "three_chunks.mg"
+    path.write_text(circuits.render(circ))
+    chunks = [circ.gates[i:i + _CHUNK] for i in range(0, len(circ.gates), _CHUNK)]
+    sizes = sum(len({_exp_block_size(g) for g in chunk if g.cls == "exp"}) for chunk in chunks)
+    calls = {"det": 0, "inv": 0, "eigh": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path)]) == 0
+    # det: one each for gvw (V and W stacked together), mg12 and u1
+    assert calls == {"det": 3, "inv": len(chunks), "eigh": sizes}
+
+
+@pytest.mark.parametrize("n", [2, 50])
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_batched_blocks_match_the_per_gate_reference(n, count):
+    # every class, unitary and not, in one list: exp blocks of one size that are
+    # real and that are not share a batch; so do parsed specs and compiled exponents
+    rng = np.random.default_rng(count * n)
+    classes = [c for c in sampling.ALL_CLASSES if n >= 2 or c in ("u1", "exp")]
+    gates = [sampling.random_gate(classes[i % len(classes)], n, rng, unitary=bool(i % 3))
+             for i in range(count - 5)]
+    gates += circuits.compile(circuits.Circuit(n, ((1.0, 0j),) * n, tuple(gates[:5]), 1, False))
+    exp = [g for g in gates if isinstance(g, circuits.GateSpec) and g.cls == "exp"]
+    sizes = {unitary: {_exp_block_size(g) for g in exp if circuits._gates_are_unitary([g], 0)
+                       == unitary} for unitary in (True, False)}
+    assert sizes[True] & sizes[False]
+    refs = [reference_gate_block(g, n) for g in gates]
+    blocks = _gate_blocks(gates, n)
+    assert len(blocks) == len(refs) == count
+    for (idx, block), (ref_idx, ref) in zip(blocks, refs):
+        assert idx == ref_idx
+        assert np.abs(block - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+    # the chunked propagation against the reference blocks applied gate by gate
+    cols = np.zeros((2 * n + 1, 2), dtype=complex)
+    cols[1, 0] = cols[2, 1] = 1.0
+    for idx, ref in reversed(refs):
+        cols[idx] = ref @ cols[idx]
+    got = _propagate_columns(gates, n, 1, 2)
+    assert np.abs(got - cols).max() <= 1e-12 * max(1.0, np.abs(cols).max())

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import apply_gate, apply_matrix, dense_gate, is_unitary_exponent
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgsim import circuits, matchgate, sampling
-from mgsim.circuits import (_gates_are_unitary, classify, parse, parse_complex, render,
-                            render_complex)
+from mgsim.circuits import (_gates_are_unitary, _parse_state, _parse_state_token, classify, parse,
+                            parse_complex, render, render_complex)
 from mgsim.errors import GateClassError, ParseError
 from mgsim.sampling import random_su2
 from test_cli import CLOSURE_ONLY
@@ -243,3 +247,115 @@ def test_classify():
 def test_classify_gvw(rng):
     B = matchgate.g_vw(random_su2(rng), random_su2(rng))
     assert "gvw" in classify(B)
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ("[1,x;2,3]", "line 3, col 0: bad complex literal 'x'"),
+    ("[1,2;3]", "line 3, col 0: ragged matrix rows"),
+    ("[1,2;x]", "line 3, col 0: bad complex literal 'x'"),
+    ("[inf,1;0,1]", "line 3, col 0: bad complex literal 'inf'"),
+    ("[1e999,0;0,1]", "line 3, col 0: non-finite complex literal '1e999'"),
+    ("[nan,0;0,1]", "line 3, col 0: non-finite complex literal 'nan'"),
+    ("[1,2;3,4;]", "line 3, col 0: bad complex literal ''"),
+    ("[]", "line 3, col 0: bad complex literal ''"),
+    ("[1;2]", "line 3: U must be 2x2, got 2x1"),
+])
+def test_matrix_errors_name_the_first_bad_entry(matrix, error):
+    # a matrix is converted in one pass; any fault sends it entry by entry, so the
+    # message is the one parse_complex gives for the first bad entry
+    with pytest.raises(ParseError) as exc:
+        parse(f"circuit n=1\nstate 0\ngate u1 U={matrix}\nmeasure 1\n")
+    assert str(exc.value) == error
+
+
+def test_matrix_round_trip_is_exact(rng):
+    # the one-pass conversion of a rendered matrix gives parse_complex's values, bit for bit
+    values = [complex(rng.normal() * 10.0 ** rng.integers(-300, 300), rng.normal())
+              for _ in range(400)] + [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324, -5e-324j]
+    for start in range(0, len(values), 4):
+        rows = (tuple(values[start:start + 2]), tuple(values[start + 2:start + 4]))
+        text = circuits._render_matrix(rows)
+        got = circuits._parse_matrix(text, 1, 0)
+        assert got == rows
+        assert repr(got) == repr(tuple(tuple(parse_complex(e) for e in row.split(","))
+                                       for row in text[1:-1].split(";")))
+
+
+@pytest.mark.parametrize("text, error", [
+    # the batched determinant checks run before a later line's error is raised
+    ("gate gvw 1 V=[1,0;0,1] W=[2,0;0,1]\ngate diag 1 2 [1,1,1,-1]\n",
+     "line 3: gvw gate rejected: determinant mismatch: det V = (1+0j), det W = (2+0j)"),
+    ("gate gvw 1 V=[1,0;0,1] W=[2,0;0,1]\nfrobnicate\n",
+     "line 3: gvw gate rejected: determinant mismatch: det V = (1+0j), det W = (2+0j)"),
+    ("gate u1 U=[1,1;1,1]\ngate gvw 1 V=[1,0;0,1] W=[2,0;0,1]\n",
+     "line 3: u1 gate rejected: matrix is not invertible (|det| = 0.000e+00)"),
+    ("gate gvw 1 V=[1,0;0,1] W=[1,0;0,1]\ngate gvw 2 V=[0,0;0,0] W=[0,0;0,0]\n"
+     "gate gvw 1 V=[1,0;0,1] W=[3,0;0,1]\n",
+     "line 4: gvw gate rejected: matrix is not invertible (|det| = 0.000e+00)"),
+    ("gate mg12 B=[1,0,0,0;0,0,1,0;0,1,0,0;0,0,0,0]\n",
+     "line 3: mg12 gate rejected: matrix fails the matchgate identities"),
+])
+def test_batched_gate_checks_report_the_first_failing_gate(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse(f"circuit n=3\nstate 0 0 0\n{text}measure 1\n")
+    assert str(exc.value) == error
+
+
+def test_large_gate_entries_pass_the_batched_checks():
+    # V = W = 1e160 I has det V = det W = 1e320, which overflows; the checks divide
+    # by the largest entry first, and tiny entries are still refused as singular
+    big = "[1e160,0;0,1e160]"
+    assert parse(f"circuit n=2\nstate 0 0\ngate gvw 1 V={big} W={big}\nmeasure 1\n").gates
+    with pytest.raises(ParseError, match=r"not invertible \(\|det\| = 0.000e\+00\)"):
+        tiny = "[1e-170,0;0,1e-170]"
+        parse(f"circuit n=2\nstate 0 0\ngate gvw 1 V={tiny} W={tiny}\nmeasure 1\n")
+    B = "[" + ";".join(",".join("1e200" if r == c else "0" for c in range(4)) for r in range(4)) + "]"
+    assert parse(f"circuit n=2\nstate 0 0\ngate mg12 B={B}\nmeasure 1\n").gates
+    assert classify(1e200 * np.eye(4)) == ["mg12", "gvw", "diag"]
+
+
+_AMPLITUDE = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 0.6, 0.8, 1.0, 1e-200,
+                                                              1e200, 5e-324]))
+_BROKEN = ["(1,x)(0,0)", "(inf,0)(1,0)", "(nan,0)(1,0)", "(1,0,0)(0,0)", "(0,0)(0,0)", "(1,0)",
+           "((1,0)(0,1))", "(1_0,0)(0,1)", "(1e400,0)(0,1)", "(1,0)(0,1)(0,1)", "(,1)(0,1)",
+           "x", "(1,0)(0,1", "(1,0)x(0,1)", "(1e-200,0)(0,0)"]
+
+
+@st.composite
+def state_tokens(draw):
+    """State tokens: named ones, (re,im)(re,im) pairs normalised or not, and now and
+    then a malformed or degenerate one."""
+    def pair():
+        x = [draw(_AMPLITUDE) for _ in range(4)]
+        if draw(st.booleans()):
+            norm = math.hypot(*x)
+            x = [v / norm for v in x] if norm else x
+        return f"({x[0]!r},{x[1]!r})({x[2]!r},{x[3]!r})"
+
+    named = st.sampled_from(["0", "1", "+", "-", "i", "-i"])
+    token = st.one_of(named, st.builds(pair), st.builds(pair))
+    toks = draw(st.lists(token, min_size=1, max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(_BROKEN)))
+    return toks
+
+
+def _per_token(toks):
+    try:
+        return tuple(_parse_state_token(t, 7) for t in toks)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@example(["(0.6,0.0)(0.0,0.8)"] * 20)
+@example(["(3.0,0.0)(0.0,4.0)", "+"])
+@given(state_tokens())
+def test_bulk_state_parse_equals_the_per_token_parse(toks):
+    ref = _per_token(toks)
+    try:
+        got = _parse_state(toks, 7)
+    except ParseError as exc:
+        assert str(exc) == ref
+    else:
+        assert got == ref and repr(got) == repr(ref)

@@ -98,33 +98,59 @@ CALLED_FROM_OUTSIDE = ("nullspace_Afive", "reduced_check", "d_values", "sample_m
 
 
 def public_definitions(source: str) -> list[tuple[str, str]]:
-    """(qualified name, pattern of a use): a word for each public module-level function
-    and class, an attribute for each public method of a module-level class."""
+    """(qualified name, name) of each public module-level function and class, and of
+    each public method of a module-level class."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            found.append((node.name, rf"\b{node.name}\b"))
+            found.append((node.name, node.name))
         for m in node.body if isinstance(node, ast.ClassDef) else []:
             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
-                found.append((f"{node.name}.{m.name}", rf"\.{m.name}\b"))
+                found.append((f"{node.name}.{m.name}", m.name))
     return found
 
 
+def referenced_names(source: str) -> tuple[set[str], set[str]]:
+    """The names a module's code reads, as bare names and as attributes.
+
+    The scan walks the syntax tree, so a name in a docstring or a comment is no
+    use of it, while an f-string's fields and a quoted annotation are code.
+    """
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for quoted in _quoted_annotations(tree):
+        names |= {node.id for node in ast.walk(ast.parse(quoted, mode="eval"))
+                  if isinstance(node, ast.Name)}
+    return names, attrs
+
+
 def names_without_a_caller(sources: dict[str, str]) -> list[str]:
-    """Public definitions whose name is used nowhere in the sources outside a def or
-    class statement."""
-    text = re.sub(r"\b(?:def|class)\s+\w+", "", "\n".join(sources.values()))
+    """Public definitions that no code in the sources reads: a function or class by
+    its name or as an attribute, a method as an attribute."""
+    names, attrs = set(), set()
+    for source in sources.values():
+        more_names, more_attrs = referenced_names(source)
+        names |= more_names
+        attrs |= more_attrs
     return sorted(f"{path}: {qual}" for path, source in sources.items()
-                  for qual, pattern in public_definitions(source) if not re.search(pattern, text))
+                  for qual, name in public_definitions(source)
+                  if name not in attrs and ("." in qual or name not in names))
 
 
 def test_scan_finds_a_name_without_a_caller():
     sources = {"a.py": ("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
                         "class K:\n    def method(self):\n        pass\n\n"
                         "    def called(self):\n        return method\n\n"
-                        "    def _private(self):\n        pass\n"),
-               "b.py": "from a import K\n\ndef _helper():\n    return K().called()\n"}
-    assert names_without_a_caller(sources) == ["a.py: K.method", "a.py: unused"]
+                        "    def shown(self):\n        pass\n\n"
+                        "    def _private(self):\n        pass\n\n"
+                        "    def __repr__(self):\n        return f'K({self.shown()})'\n\n"
+                        "def documented():\n    pass\n"),
+               "b.py": ("from a import K\n\ndef _helper():\n"
+                        "    \"\"\"Says documented() and K().method() but calls neither.\"\"\"\n"
+                        "    return K().called()  # documented()\n")}
+    assert names_without_a_caller(sources) == ["a.py: K.method", "a.py: documented",
+                                               "a.py: unused"]
 
 
 def test_every_public_name_has_a_production_caller():

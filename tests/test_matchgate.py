@@ -164,3 +164,26 @@ def test_zero_pattern_implies_det_match(rng):
 def test_swap_convention_involution(rng):
     B = random_entries(rng, (4, 4))
     assert np.allclose(mg.swap_convention(mg.swap_convention(B)), B)
+
+
+def test_stacked_identities_match_the_terms_as_written(rng):
+    # a stack gives each matrix's values, term by term as IDENTITY_TERMS writes them;
+    # entries up to 1 are not rescaled, so only the rounding of the products may differ
+    B = random_entries(rng, (40, 4, 4)) / 3
+    B[::2] = [mg.sample_matchgate((1, 1), 0.5, 0.3 * random_entries(rng, 10)) for _ in B[::2]]
+    B /= np.maximum(1.0, np.abs(B).max(axis=(1, 2), keepdims=True))
+    ref = np.array([[sum(s * M[a[0] - 1, a[1] - 1] * M[b[0] - 1, b[1] - 1] for s, a, b in terms)
+                     for terms in mg.IDENTITY_TERMS] for M in B])
+    assert np.abs(mg.identities(B) - ref).max() <= 1e-15
+    assert np.abs([mg.identities(M) for M in B] - ref).max() <= 1e-15
+    assert mg.is_matchgate(B).tolist() == [mg.is_matchgate(M) for M in B] == [True, False] * 20
+
+
+def test_identities_scale_out_large_entries(rng):
+    # m^2 M(B/m) with m the largest entry: finite where M(B)'s products overflow
+    B = mg.sample_matchgate((2, 3), 1.0, random_entries(rng, 10))
+    for lam in (1e100, 1e200, 1e300):
+        assert mg.is_matchgate(lam * B) and mg.is_matchgate(mg.swap_convention(lam * np.eye(4)))
+        assert np.isfinite(mg.identities(lam * np.eye(4))).all()
+    assert not mg.is_matchgate(1e300 * SWAP_GATE)
+    assert mg.identities(1e100 * SWAP_GATE)[0] == 2e200
