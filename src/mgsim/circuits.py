@@ -284,8 +284,8 @@ def _parse_state(toks, lineno: int) -> tuple:
     if not at:
         return tuple(out)
     text = " ".join(toks[i] for i in at).encode()
-    # the tokens are (re,im)(re,im) exactly when this is their structure, and then
-    # dropping the parentheses and the spaces leaves their 4 numbers a token
+    # the tokens are all (re,im)(re,im) when their structure bytes read "(,)(,) (,)(,) ...";
+    # then deleting "(" and " " and turning ")" into "," lists their numbers
     if text.translate(None, _NOT_STRUCTURE) != b" ".join([b"(,)(,)"] * len(at)):
         return tuple(_parse_state_token(t, lineno) for t in toks)
     try:
@@ -338,8 +338,9 @@ def _stacks_are_unitary(gates, at, params, tol: float) -> bool:
         if len(m):
             eye = np.eye(m.shape[-1])
             with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the test
-                if not np.all(np.abs(m.conj().transpose(0, 2, 1) @ m - eye) <= tol + 1e-5 * eye):
-                    return False
+                gap = np.abs(m.conj().transpose(0, 2, 1) @ m - eye)
+            if not np.all(gap <= tol + 1e-5 * eye):
+                return False
     return True
 
 

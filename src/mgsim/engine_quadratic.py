@@ -15,7 +15,10 @@ d_0 d_sigma = -i c_sigma; the block covers d_0 only when b is nonempty.
 When X is exactly real antisymmetric, as on every unitary exp gate, iX is
 Hermitian and K = V diag(e^{-i lam}) V^H comes from numpy's eigh of iX; any
 other block takes scipy's expm, imported on first use, so a run on
-matrix-class and unitary exp gates never loads scipy.  K^T = K^{-1} in both
+matrix-class and unitary exp gates never loads scipy.  Blocks are built a
+chunk of gates at a time and class by class, so numpy is called per chunk,
+not per gate: the matrix-class gates of a chunk share one stacked inverse,
+and its real antisymmetric exp blocks one stacked eigh per block size.  K^T = K^{-1} in both
 cases, so conjugating by the gate inverse (the non-unitary generalisation of
 the usual adjoint) uses the same K matrices; the engine always computes
 <psi0| C^{-1} O C |psi0>, which coincides with the Born-rule quantity for
@@ -28,7 +31,7 @@ the gates in reverse, each gate touching only its support rows.  The value
 is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a product state m is
 semiseparable, so one left-to-right scan over the lines evaluates it.
 
-Cost: O(sum_g s_g^2 + n) time for gates of support s_g, O(n) memory.
+Cost: O(sum_g s_g^2 + n) time for gates of support s_g, O(n + _CHUNK) memory.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ def _exp_blocks(exps, n: int) -> list[tuple[int, list[int], np.ndarray]]:
 def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
     """Support d indices and the transfer restricted to them, for each GateSpec or
     GateExponent of a list, built class by class."""
-    matrix, exps, at = [], [], []
+    matrix, exps, exp_at = [], [], []
     for i, g in enumerate(gates):
         if isinstance(g, GateSpec):
             if max(g.lines, default=0) > n:
@@ -177,13 +180,13 @@ def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
             raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
         else:
             exps.append((g.a, g.b))
-        at.append(i)
+        exp_at.append(i)
     blocks = [None] * len(gates)
     if matrix:
         for i, block in zip(matrix, _matrix_blocks([gates[i] for i in matrix])):
             blocks[i] = block
     for j, idx, K in _exp_blocks(exps, n):
-        blocks[at[j]] = (idx, K)
+        blocks[exp_at[j]] = (idx, K)
     return [b for b in blocks if b is not None]
 
 
@@ -206,7 +209,7 @@ def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
     cols[mu, 0] = cols[nu, 1] = 1.0
     for stop in range(len(gates), 0, -_CHUNK):
         for idx, block in reversed(_gate_blocks(gates[max(stop - _CHUNK, 0):stop], n)):
-            if idx[-1] - idx[0] == len(idx) - 1:  # a slice is a view: cheaper than an index list
+            if idx[-1] - idx[0] == len(idx) - 1:  # a slice costs less than an index list
                 idx = slice(idx[0], idx[-1] + 1)
             cols[idx] = block @ cols[idx]
     return cols

@@ -94,7 +94,8 @@ def test_bench(capsys, monkeypatch):
     # each row times parse of the rendered circuit text, then the quadratic engine
     parsed = []
     parse = circuits.parse
-    monkeypatch.setattr(circuits, "parse", lambda text, tol: parsed.append(text) or parse(text, tol))
+    monkeypatch.setattr(circuits, "parse",
+                        lambda text, tol: parsed.append(text) or parse(text, tol))
     code, data = run_json(capsys, ["bench", "--n", "8,16", "--gates", "20", "--seed", "7"])
     assert code == 0
     assert [r["n"] for r in data["runs"]] == [8, 16]

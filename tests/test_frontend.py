@@ -309,7 +309,8 @@ def test_large_gate_entries_pass_the_batched_checks():
     with pytest.raises(ParseError, match=r"not invertible \(\|det\| = 0.000e\+00\)"):
         tiny = "[1e-170,0;0,1e-170]"
         parse(f"circuit n=2\nstate 0 0\ngate gvw 1 V={tiny} W={tiny}\nmeasure 1\n")
-    B = "[" + ";".join(",".join("1e200" if r == c else "0" for c in range(4)) for r in range(4)) + "]"
+    B = "[" + ";".join(",".join("1e200" if r == c else "0" for c in range(4))
+                       for r in range(4)) + "]"
     assert parse(f"circuit n=2\nstate 0 0\ngate mg12 B={B}\nmeasure 1\n").gates
     assert classify(1e200 * np.eye(4)) == ["mg12", "gvw", "diag"]
 
