@@ -84,6 +84,10 @@ class SimResult:
 # that _D2T @ M.reshape(5, 16).T is the matrix of traces tr(d_a M_b).
 _D2 = np.array([JwFamily(2).d(mu).to_matrix() for mu in range(5)])
 _D2T = _D2.transpose(0, 2, 1).reshape(5, 16)
+# Each d_b, a Pauli string, has one nonzero entry per column l, in row _D2_ROW[b, l]
+# and of value _D2_PHASE[b, l]; so M d_b is a gather of M's columns, with no sums.
+_D2_ROW = np.abs(_D2).argmax(axis=1)
+_D2_PHASE = np.take_along_axis(_D2, _D2_ROW[:, None, :], axis=1)[:, 0, :]
 
 # Blocks are built for this many gates at a time, last chunk first, so that
 # numpy's per-call cost is paid per chunk while the blocks held stay O(_CHUNK).
@@ -92,14 +96,15 @@ _CHUNK = 256
 
 def _matrix_blocks(specs) -> list[tuple[list[int], np.ndarray]]:
     """Support d indices and K_ab = 1/4 tr(d_a B^{-1} d_b B) of matrix-class gates,
-    through one stacked inverse and one contraction against _D2T.
+    through one stacked inverse, one stacked product and one contraction against _D2T.
 
     The Z strings left of (and, for diag, between) a gate's lines commute with
     B, so the two-line K carries over to the gate's global d indices.
     """
     B = gate_matrices(specs)
-    M = (np.linalg.inv(B)[:, None] @ _D2) @ B[:, None]
-    K = 0.25 * np.einsum("ak,gbk->gab", _D2T, M.reshape(-1, 5, 16))
+    inv_d = np.linalg.inv(B)[:, :, _D2_ROW].transpose(0, 2, 1, 3) * _D2_PHASE[:, None, :]
+    M = inv_d @ B[:, None]  # M[g, b] = B_g^{-1} d_b B_g
+    K = 0.25 * (_D2T @ M.reshape(-1, 5, 16).transpose(0, 2, 1))
     out = []
     for spec, k in zip(specs, K):
         if spec.cls == "mg12":
