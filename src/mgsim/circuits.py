@@ -180,20 +180,6 @@ def parse_complex(tok: str, lineno: int = 0, col: int = 0) -> complex:
     return val
 
 
-def _parse_literals(text: str) -> list | None:
-    """The comma-separated complex literals of text, or None where one of them is
-    malformed or not finite; then parse_complex, entry by entry, names the fault.
-
-    One replace and one conversion pass over the whole text cost less than a
-    parse_complex call per entry; each literal is converted as parse_complex
-    converts it, so values are identical."""
-    try:
-        vals = list(map(complex, text.replace("i", "j").split(",")))
-    except ValueError:
-        return None
-    return vals if all(map(cmath.isfinite, vals)) else None
-
-
 def render_complex(val: complex) -> str:
     re, im = float(val.real), float(val.imag)
     if im == 0:
@@ -207,15 +193,19 @@ def render_complex(val: complex) -> str:
 def _parse_matrix(tok: str, lineno: int, col: int) -> tuple:
     if not (tok.startswith("[") and tok.endswith("]")):
         raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno, col)
-    cells = tok[1:-1].split(";")
-    width = cells[0].count(",") + 1
-    if all(row.count(",") + 1 == width for row in cells):
-        vals = _parse_literals(tok[1:-1].replace(";", ","))
-        if vals is not None:
-            return tuple(tuple(vals[r:r + width]) for r in range(0, len(vals), width))
+    # one replace and one conversion pass cost less than a parse_complex call per
+    # entry, and convert each literal as it does; a malformed, non-finite or ragged
+    # matrix (or one whose sum overflows) goes entry by entry below, naming the fault
+    try:
+        rows = tuple(tuple(map(complex, row.split(",")))
+                     for row in tok[1:-1].replace("i", "j").split(";"))
+    except ValueError:
+        rows = None
+    if rows and len(set(map(len, rows))) == 1 and cmath.isfinite(sum(map(sum, rows))):
+        return rows
     rows = []
     width = None
-    for row in cells:
+    for row in tok[1:-1].split(";"):
         entries = tuple(parse_complex(e, lineno, col) for e in row.split(","))
         if width is None:
             width = len(entries)

@@ -171,7 +171,7 @@ MG12 = "mg12 B=[{v},0,0,0;0,{v},0,0;0,0,{v},0;0,0,0,{v}]"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("gate, v", [(GVW, "1e160"), (MG12, "1e200")])
+@pytest.mark.parametrize("gate, v", [(GVW, "1e160"), (MG12, "1e200")], ids=["gvw", "mg12"])
 @pytest.mark.parametrize("argv", ENGINE_ARGV)
 def test_large_gate_entries_give_the_identity_gates_value(capsys, tmp_path, argv, gate, v):
     # the determinant and identity checks divide by the largest entry first, so
