@@ -1,5 +1,10 @@
 """Line-oriented circuit files, gate-class validation, and compilation.
 
+``parse`` validates every gate once and keeps its raw parameters in a GateSpec.
+``compile`` turns each gate into the exp gate e^A of its Jordan-Wigner exponent
+(see ``exponents``), so a compiled circuit is one an all-exp circuit file would
+parse to, and every engine reads it as it reads a parsed exp line.
+
 Grammar (one statement per line, '#' starts a comment):
 
     circuit n=<int>
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import matchgate
 from .errors import GateClassError, MgsimError, ParseError
-from .exponents import GateExponent, compile_diag, compile_matrix, compile_u1
+from .exponents import compile_diag, compile_matrix, compile_u1
 from .pauli import ProductState
 
 GATE_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
@@ -69,12 +74,13 @@ class GateSpec:
         return _class_matrices(self.cls, {name: np.array(val, dtype=complex)
                                           for name, val in self.params})
 
-    def exponent(self, n: int) -> GateExponent:
-        """The coefficients of an exp gate as a GateExponent on n lines."""
-        if self.cls != "exp":
-            raise GateClassError(f"{self.cls} gates carry no exponent; compile them")
-        return GateExponent.make(n, dict(self.param("a")), dict(self.param("b")),
-                                 self.param("s"))
+
+def exp_spec(a: dict, b: dict, s) -> GateSpec:
+    """The exp gate of coefficients a {(mu, nu): a_{mu,nu}}, b {sigma: b_sigma} and s,
+    kept as given, on the lines its indices touch."""
+    support = {(mu + 1) // 2 for pair in a for mu in pair} | {(sigma + 1) // 2 for sigma in b}
+    return GateSpec("exp", tuple(sorted(support)),
+                    (("a", tuple(sorted(a.items()))), ("b", tuple(sorted(b.items()))), ("s", s)))
 
 
 _DIAGONAL = np.arange(4)
@@ -170,13 +176,13 @@ class Circuit:
         return ProductState(np.array(self.state, dtype=complex))
 
 
-def parse_complex(tok: str, lineno: int = 0, col: int = 0) -> complex:
+def parse_complex(tok: str, lineno: int = 0) -> complex:
     try:
         val = complex(tok.replace("i", "j"))
     except ValueError:
-        raise ParseError(f"bad complex literal {tok!r}", lineno, col) from None
+        raise ParseError(f"bad complex literal {tok!r}", lineno) from None
     if not (cmath.isfinite(val)):
-        raise ParseError(f"non-finite complex literal {tok!r}", lineno, col)
+        raise ParseError(f"non-finite complex literal {tok!r}", lineno)
     return val
 
 
@@ -190,9 +196,9 @@ def render_complex(val: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _parse_matrix(tok: str, lineno: int, col: int) -> tuple:
+def _parse_matrix(tok: str, lineno: int) -> tuple:
     if not (tok.startswith("[") and tok.endswith("]")):
-        raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno, col)
+        raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno)
     # one replace and one conversion pass cost less than a parse_complex call per
     # entry, and convert each literal as it does; a malformed, non-finite or ragged
     # matrix (or one whose sum overflows) goes entry by entry below, naming the fault
@@ -206,11 +212,11 @@ def _parse_matrix(tok: str, lineno: int, col: int) -> tuple:
     rows = []
     width = None
     for row in tok[1:-1].split(";"):
-        entries = tuple(parse_complex(e, lineno, col) for e in row.split(","))
+        entries = tuple(parse_complex(e, lineno) for e in row.split(","))
         if width is None:
             width = len(entries)
         elif len(entries) != width:
-            raise ParseError("ragged matrix rows", lineno, col)
+            raise ParseError("ragged matrix rows", lineno)
         rows.append(entries)
     return tuple(rows)
 
@@ -394,7 +400,7 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
     def named(prefix, what, shape):
         for tok in args:
             if tok.startswith(prefix + "="):
-                rows = _parse_matrix(tok[len(prefix) + 1:], lineno, 0)
+                rows = _parse_matrix(tok[len(prefix) + 1:], lineno)
                 _require_shape(rows, shape, what, lineno)
                 return rows
         raise ParseError(f"gate {cls} is missing its {prefix}= matrix", lineno)
@@ -418,7 +424,7 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
         l = _parse_int(args[1], lineno, "line")
         if not 1 <= k < l <= n:
             raise ParseError(f"diag needs lines 1 <= k < l <= n, got {k}, {l}", lineno)
-        rows = _parse_matrix(args[2], lineno, 0)
+        rows = _parse_matrix(args[2], lineno)
         _require_shape(rows, (1, 4), "diag vector", lineno)
         d = rows[0]
         if any(e == 0 for e in d):
@@ -469,12 +475,7 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
             s = val
         else:
             raise ParseError(f"unknown exp parameter {key!r}", lineno)
-    support = sorted({line for pair in a for mu in pair for line in ((mu + 1) // 2,)}
-                     | {(sigma + 1) // 2 for sigma in b})
-    return GateSpec(
-        "exp", tuple(support),
-        (("a", tuple(sorted(a.items()))), ("b", tuple(sorted(b.items()))), ("s", s)),
-    )
+    return exp_spec(a, b, s)
 
 
 def parse(text: str, tol: float = 1e-9) -> Circuit:
@@ -546,28 +547,31 @@ def parse(text: str, tol: float = 1e-9) -> Circuit:
     return Circuit(n, state, tuple(gates), k, unitary)
 
 
-def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateExponent]:
-    """Gate exponents of a parsed circuit in application order.
+def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
+    """The exp gate of each gate of a parsed circuit, in application order.
 
-    No check that ``parse`` made is repeated; errors carry the offending gate index.
+    Exact zero coefficients are dropped and the rest made complex.  No check that
+    ``parse`` made is repeated; errors carry the offending gate index.
     """
     out = []
     for idx, spec in enumerate(circuit.gates):
         try:
-            out.append(_compile_gate(spec, circuit.n, tol))
+            a, b, s = _compile_gate(spec, tol)
         except MgsimError as exc:
             raise GateClassError(f"gate {idx + 1} ({spec.cls}): {exc}") from exc
+        out.append(exp_spec({key: complex(v) for key, v in a.items() if v != 0},
+                            {key: complex(v) for key, v in b.items() if v != 0}, complex(s)))
     return out
 
 
-def _compile_gate(spec: GateSpec, n: int, tol: float) -> GateExponent:
+def _compile_gate(spec: GateSpec, tol: float) -> tuple[dict, dict, complex]:
     if spec.cls == "diag":
-        return compile_diag(spec.param("d"), spec.lines[0], spec.lines[1], n)
+        return compile_diag(spec.param("d"), spec.lines[0], spec.lines[1])
     if spec.cls == "u1":
-        return compile_u1(spec.param("U"), n)
+        return compile_u1(spec.param("U"))
     if spec.cls == "exp":
-        return spec.exponent(n)
-    return compile_matrix(spec.matrix(), spec.lines[0], n, tol)
+        return dict(spec.param("a")), dict(spec.param("b")), spec.param("s")
+    return compile_matrix(spec.matrix(), spec.lines[0], tol)
 
 
 def _render_state_token(pair) -> str:

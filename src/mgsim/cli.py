@@ -74,35 +74,31 @@ def _result_payload(res) -> dict:
     }
 
 
-def _run_engine(engine: str, circ, gates, args):
+_SIMULATORS = {"quadratic": engine_quadratic.simulate, "lie": engine_lie.simulate}
+
+
+def _run_engine(engine: str, circ, tol: float, mode: str = oracle.INVERSE):
+    """One engine's result on a parsed circuit.  The quadratic engine and the oracle read
+    matrix gates off the parsed specs; only the Lie engine works on the compiled exp gates."""
     state = circ.input_state()
-    if engine == "quadratic":
-        return engine_quadratic.simulate(gates, state, circ.k, unitary=circ.unitary,
-                                         tol=args.tol)
-    if engine == "lie":
-        return engine_lie.simulate(gates, state, circ.k, unitary=circ.unitary, tol=args.tol)
+    gates = circuits.compile(circ, tol=tol) if engine == "lie" else circ.gates
+    if engine in _SIMULATORS:
+        return _SIMULATORS[engine](gates, state, circ.k, unitary=circ.unitary, tol=tol)
     t0 = time.perf_counter()
-    value = oracle.expectation_heisenberg(gates, state, circ.k, mode=args.heisenberg_mode)
+    value = oracle.expectation_heisenberg(gates, state, circ.k, mode=mode)
     ms = (time.perf_counter() - t0) * 1e3
     return engine_quadratic.SimResult.from_value(value, "dense", len(gates), ms,
-                                                 circ.unitary, args.tol)
-
-
-def _check_heisenberg_mode(args, circ, engine: str):
-    if args.heisenberg_mode == oracle.ADJOINT and engine != "dense" and not circ.unitary:
-        raise MgsimError(
-            "--heisenberg-mode adjoint on a non-unitary circuit requires --engine dense"
-        )
+                                                 circ.unitary, tol)
 
 
 def cmd_run(args) -> int:
     with open(args.circuit, encoding="utf-8") as fh:
         circ = circuits.parse(fh.read(), tol=args.tol)
-    _check_heisenberg_mode(args, circ, args.engine)
-    # the quadratic engine and the oracle read matrix gates off the parsed
-    # specs; only the Lie engine works on the compiled exponents
-    gates = circuits.compile(circ, tol=args.tol) if args.engine == "lie" else circ.gates
-    res = _run_engine(args.engine, circ, gates, args)
+    if args.heisenberg_mode == oracle.ADJOINT and args.engine != "dense" and not circ.unitary:
+        raise MgsimError(
+            "--heisenberg-mode adjoint on a non-unitary circuit requires --engine dense"
+        )
+    res = _run_engine(args.engine, circ, args.tol, args.heisenberg_mode)
     return _emit({**_result_payload(res), "n": circ.n, "k": circ.k, "unitary": circ.unitary})
 
 
@@ -134,11 +130,7 @@ def cmd_compare(args) -> int:
     engines = ["quadratic", "lie"]
     if circ.n <= oracle.MAX_LINES:
         engines.append("dense")
-    results = {}
-    for eng in engines:
-        _check_heisenberg_mode(args, circ, eng)
-        gates = circuits.compile(circ, tol=args.tol) if eng == "lie" else circ.gates
-        results[eng] = _run_engine(eng, circ, gates, args)
+    results = {eng: _run_engine(eng, circ, args.tol) for eng in engines}
     values = [r.expectation for r in results.values()]
     dev = max(abs(u - v) for u in values for v in values)
     return _emit({
@@ -157,10 +149,10 @@ def cmd_bench(args) -> int:
         text = circuits.render(sampling.random_circuit(n, args.gates, rng,
                                                        classes=("gvw", "diag", "exp")))
         t0 = time.perf_counter()
-        circ = circuits.parse(text, tol=args.tol)
+        circ = circuits.parse(text)
         parsed = time.perf_counter()
         res = engine_quadratic.simulate(circ.gates, circ.input_state(), circ.k,
-                                        unitary=circ.unitary, tol=args.tol)
+                                        unitary=circ.unitary)
         dt = time.perf_counter() - t0
         rows.append({"n": n, "gates": args.gates, "seconds": dt, "parse_s": parsed - t0,
                      "gates_per_sec": args.gates / dt, "p0": res.p0})
@@ -218,15 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     def tol(p):
         p.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    def heisenberg_mode(p):
-        p.add_argument("--heisenberg-mode", choices=(oracle.INVERSE, oracle.ADJOINT),
-                       default=oracle.INVERSE, dest="heisenberg_mode")
-
     p = sub.add_parser("run", help="simulate a circuit file")
     p.add_argument("circuit")
     p.add_argument("--engine", choices=ENGINES, default="quadratic")
     tol(p)
-    heisenberg_mode(p)
+    p.add_argument("--heisenberg-mode", choices=(oracle.INVERSE, oracle.ADJOINT),
+                   default=oracle.INVERSE, dest="heisenberg_mode")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify-matchgate", help="check the ten identities on a JSON matrix")
@@ -243,14 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run all engines on a circuit and compare")
     p.add_argument("circuit")
     tol(p)
-    heisenberg_mode(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="time parse and the quadratic engine on random circuits")
     p.add_argument("--n", type=_line_counts, default="50,100,200",
                    help="comma-separated line counts")
     p.add_argument("--gates", type=_gate_count, default=1000)
-    tol(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -4,7 +4,9 @@ The linear span of the identity, the 2n generators c_mu, and the n(2n-1)
 Hermitian quadratics i c_mu c_nu closes under commutators (dimension
 n(2n+1) + 1, the complexified so(2n+1) plus center).  Conjugation by e^A
 therefore acts on coefficient vectors over this basis as e^M, where
-M = sum_j xi_j ad(B_j) for the coefficients xi of A.
+M = sum_j xi_j ad(B_j) for the coefficients xi of A.  Gates are exp GateSpecs,
+as ``circuits.compile`` returns every gate, and xi is read off their
+coefficients.
 
 Whether two basis elements have a nonzero bracket depends only on the c
 indices they share: c_mu and c_nu anticommute for mu != nu, c_mu and
@@ -34,7 +36,6 @@ import numpy as np
 
 from .engine_quadratic import SimResult
 from .errors import DimensionError, InconsistencyError
-from .exponents import GateExponent
 from .jw import PARITY, JwFamily
 from .pauli import PauliString, PauliSum, ProductState, commutation_sign, expectation, pauli_mul
 
@@ -82,15 +83,16 @@ def build_basis(n: int) -> LieBasis:
     return LieBasis(n, tuple(elems), tuple(pairs))
 
 
-def gate_coefficients(g: GateExponent, basis: LieBasis) -> np.ndarray:
-    """Expand A = sum 2a c c + sum b c + s over the basis: xi such that A = sum xi_j B_j."""
-    if basis.n != g.n:
-        raise DimensionError(f"basis has n={basis.n}, exponent has n={g.n}")
+def gate_coefficients(g, basis: LieBasis) -> np.ndarray:
+    """Expand the A = sum 2a c c + sum b c + s of an exp gate over the basis: xi such
+    that A = sum xi_j B_j."""
+    if max(g.lines, default=0) > basis.n:
+        raise DimensionError(f"gate on lines {g.lines}, basis has n={basis.n}")
     xi = np.zeros(basis.dim, dtype=complex)
-    xi[0] = g.s
-    for sigma, val in g.b:
+    xi[0] = g.param("s")
+    for sigma, val in g.param("b"):
         xi[sigma] = val
-    for (mu, nu), val in g.a:
+    for (mu, nu), val in g.param("a"):
         # 2a c_mu c_nu = -2i a * (i c_mu c_nu)
         xi[basis.index_of_pair(mu, nu)] = -2j * val
     return xi
@@ -197,8 +199,6 @@ def _propagate(gates, k: int, n: int) -> np.ndarray:
     eta = np.zeros(basis.dim, dtype=complex)
     eta[basis.index_of_pair(2 * k - 1, 2 * k)] = -1.0  # Z_k = -(i c_{2k-1} c_{2k})
     for g in reversed(list(gates)):
-        if g.n != n:
-            raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
         # g^{-1} O g is the adjoint action of e^{-A}
         eta = _apply_adjoint(eta, -gate_coefficients(g, basis), n)
     return eta

@@ -6,8 +6,8 @@ gate's support.  For the matrix gate classes (gvw, diag, mg12, u1) the block
 is read straight off the gate matrix as K_ab = 1/4 tr(d_a B^{-1} d_b B) over
 the five two-line operators d_0..d_4 (Jozsa & Miyake, arXiv:0804.4050): no
 logarithm is taken, so every invertible matchgate is accepted, including
-those that are only limits of exponentials.  Only `exp` gates, and compiled
-GateExponents, go through their exponent as K = exp(X), X = -4 atilde.  Here
+those that are only limits of exponentials.  Only `exp` gates, parsed or
+compiled, go through their exponent as K = exp(X), X = -4 atilde.  Here
 atilde is the exponent made purely quadratic in the d's: atilde_{mu,nu} =
 a_{mu,nu} for mu, nu >= 1 and atilde_{0,sigma} = i b_sigma / 2, so that
 A = sum_{mu<nu} 2 atilde_{mu,nu} d_mu d_nu + s, the linear terms becoming
@@ -21,15 +21,16 @@ not per gate: the matrix-class gates of a chunk share one stacked inverse,
 and its real antisymmetric exp blocks one stacked eigh per block size.  K^T = K^{-1} in both
 cases, so conjugating by the gate inverse (the non-unitary generalisation of
 the usual adjoint) uses the same K matrices; the engine always computes
-<psi0| C^{-1} O C |psi0>, which coincides with the Born-rule quantity for
+<psi0| C^{-1} Z_k C |psi0>, which coincides with the Born-rule quantity for
 unitary circuits.
 
-Every supported observable is quadratic, O = -i d_mu d_nu, so C^{-1} O C =
--i (K d)_mu (K d)_nu needs only the two columns u = K e_mu and v = K e_nu of
-the circuit's total transfer K = K_1 ... K_G.  They are propagated through
-the gates in reverse, each gate touching only its support rows.  The value
-is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a product state m is
-semiseparable, so one left-to-right scan over the lines evaluates it.
+The measured Z_k = -i d_mu d_nu, with mu = 2k-1 and nu = 2k, is quadratic, so
+C^{-1} Z_k C = -i (K d)_mu (K d)_nu needs only the two columns u = K e_mu and
+v = K e_nu of the circuit's total transfer K = K_1 ... K_G.  They are
+propagated through the gates in reverse, each gate touching only its support
+rows.  The value is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a
+product state m is semiseparable, so one left-to-right scan over the lines
+evaluates it.
 
 Cost: O(sum_g s_g^2 + n) time for gates of support s_g, O(n + _CHUNK) memory.
 """
@@ -43,15 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateSpec, gate_matrices
+from .circuits import gate_matrices
 from .errors import DimensionError, InconsistencyError
 from .jw import JwFamily
 from .pauli import ProductState
 
 ENGINE_NAME = "quadratic"
-
-# Observables expressible in the d-basis.
-_OBSERVABLES = ("Z", "X1", "Y1")
 
 
 @dataclass(frozen=True)
@@ -170,21 +168,16 @@ def _exp_blocks(exps, n: int) -> list[tuple[int, list[int], np.ndarray]]:
 
 
 def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
-    """Support d indices and the transfer restricted to them, for each GateSpec or
-    GateExponent of a list, built class by class."""
+    """Support d indices and the transfer restricted to them, for each GateSpec of a
+    list, built class by class."""
     matrix, exps, exp_at = [], [], []
     for i, g in enumerate(gates):
-        if isinstance(g, GateSpec):
-            if max(g.lines, default=0) > n:
-                raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
-            if g.cls != "exp":
-                matrix.append(i)
-                continue
-            exps.append((g.param("a"), g.param("b")))
-        elif g.n != n:
-            raise DimensionError(f"gate has n={g.n}, circuit has n={n}")
-        else:
-            exps.append((g.a, g.b))
+        if max(g.lines, default=0) > n:
+            raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
+        if g.cls != "exp":
+            matrix.append(i)
+            continue
+        exps.append((g.param("a"), g.param("b")))
         exp_at.append(i)
     blocks = [None] * len(gates)
     if matrix:
@@ -195,17 +188,11 @@ def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
     return [b for b in blocks if b is not None]
 
 
-def _observable_indices(k: int, n: int, observable: str) -> tuple[int, int]:
-    """(mu, nu) with O = -i d_mu d_nu."""
-    if observable == "Z":
-        if not 1 <= k <= n:
-            raise DimensionError(f"measured line {k} outside 1..{n}")
-        return 2 * k - 1, 2 * k  # Z_k = -i d_{2k-1} d_{2k}
-    if observable == "X1":
-        return 1, 0  # X_1 = c_1 = -i d_1 d_0
-    if observable == "Y1":
-        return 2, 0  # Y_1 = c_2 = -i d_2 d_0
-    raise ValueError(f"unsupported observable {observable!r}; one of {_OBSERVABLES}")
+def _observable_indices(k: int, n: int) -> tuple[int, int]:
+    """(mu, nu) with Z_k = -i d_mu d_nu."""
+    if not 1 <= k <= n:
+        raise DimensionError(f"measured line {k} outside 1..{n}")
+    return 2 * k - 1, 2 * k
 
 
 def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
@@ -245,22 +232,16 @@ def _pair_form(u: np.ndarray, v: np.ndarray, state: ProductState) -> complex:
     return total
 
 
-def simulate(
-    gates,
-    state: ProductState,
-    k: int,
-    observable: str = "Z",
-    unitary: bool | None = None,
-    tol: float = 1e-9,
-) -> SimResult:
-    """Expectation of the measured observable after the circuit, in poly(n) time.
+def simulate(gates, state: ProductState, k: int, unitary: bool | None = None,
+             tol: float = 1e-9) -> SimResult:
+    """<psi0| C^{-1} Z_k C |psi0> in poly(n) time.
 
-    ``gates`` are parsed GateSpecs or compiled GateExponents, in application order.
+    ``gates`` are GateSpecs, parsed or compiled, in application order.
     """
     n = state.n
     t0 = time.perf_counter()
     gates = list(gates)
-    cols = _propagate_columns(gates, n, *_observable_indices(k, n, observable))
+    cols = _propagate_columns(gates, n, *_observable_indices(k, n))
     value = -1j * _pair_form(cols[:, 0], cols[:, 1], state)
     elapsed = (time.perf_counter() - t0) * 1e3
     return SimResult.from_value(value, ENGINE_NAME, len(gates), elapsed, unitary, tol)

@@ -7,15 +7,15 @@ A gate is represented as e^A with
 i.e. the full antisymmetric double sum over quadratic terms plus linear terms
 plus a scalar.  Diagonal quadratic terms (mu = nu) contribute only a scalar
 and are folded into s.  The compile routines take gates the parser has
-already checked and repeat none of its checks: :func:`compile_matrix` turns a
-G(V, W) on nearest-neighbour lines or a general matchgate on lines 1-2 into
-this form through the 4x4 generator logarithm, :func:`compile_diag` a diagonal
-matchgate on any pair through commuting Z logs, and :func:`compile_u1` a
-1-qubit gate on line 1.  An exp gate carries its coefficients as written.
-A GateExponent holds only these coefficients: the quadratic engine extends
-them over d_0..d_2n itself, the oracle expands them over Pauli strings with
-:func:`to_pauli_sum`, and the parser decides from the gate as written whether
-e^A is unitary.
+already checked, repeat none of its checks, and return the coefficients as
+(a, b, s), a mapping (mu, nu) with mu < nu to a_{mu,nu} and b mapping sigma
+to b_sigma: :func:`compile_matrix` turns a G(V, W) on nearest-neighbour lines
+or a general matchgate on lines 1-2 into this form through the 4x4 generator
+logarithm, :func:`compile_diag` a diagonal matchgate on any pair through
+commuting Z logs, and :func:`compile_u1` a 1-qubit gate on line 1.
+``circuits.compile`` turns them into exp gates, the form an exp line of a
+circuit file is parsed to, and :func:`to_pauli_sum` expands an exp gate over
+Pauli strings for the oracle.
 
 Phases are never taken on faith from shorthand like "Z_k = c_{2k-1}c_{2k}":
 every constant here is produced by the exact Pauli algebra (the true relation
@@ -24,7 +24,6 @@ carries a factor -i) and is cross-checked against the dense oracle in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,49 +34,16 @@ from .jw import JwFamily, jw
 from .pauli import PauliString, PauliSum, pauli_mul
 
 
-def _freeze_dict(d):
-    return tuple(sorted(d.items()))
-
-
-@dataclass(frozen=True)
-class GateExponent:
-    """Sparse coefficients (a, b, s) of a gate exponent on an n-line register.
-
-    ``a`` maps index pairs (mu, nu) with 1 <= mu < nu <= 2n to the
-    antisymmetric quadratic coefficient a_{mu,nu} (the mirrored lower entry is
-    implied); ``b`` maps sigma to the linear coefficient.
-    """
-
-    n: int
-    a: tuple = ()  # sorted ((mu, nu), value) pairs, mu < nu
-    b: tuple = ()  # sorted (sigma, value) pairs
-    s: complex = 0j
-
-    @classmethod
-    def make(cls, n, a=None, b=None, s=0j) -> "GateExponent":
-        a = dict(a or {})
-        b = dict(b or {})
-        for (mu, nu) in a:
-            if not 1 <= mu < nu <= 2 * n:
-                raise DimensionError(f"quadratic index pair ({mu},{nu}) invalid for n={n}")
-        for sigma in b:
-            if not 1 <= sigma <= 2 * n:
-                raise DimensionError(f"linear index {sigma} outside 1..{2 * n}")
-        a = {k: complex(v) for k, v in a.items() if v != 0}
-        b = {k: complex(v) for k, v in b.items() if v != 0}
-        return cls(n, _freeze_dict(a), _freeze_dict(b), complex(s))
-
-
-def to_pauli_sum(g: GateExponent, family: JwFamily) -> PauliSum:
-    """Expand A over Pauli strings exactly, on the family's line count."""
-    if family.n != g.n:
-        raise DimensionError(f"family has n={family.n}, exponent has n={g.n}")
+def to_pauli_sum(g, family: JwFamily) -> PauliSum:
+    """Expand the A of an exp gate over Pauli strings exactly, on the family's line count."""
+    if max(g.lines, default=0) > family.n:
+        raise DimensionError(f"gate on lines {g.lines}, family has n={family.n}")
     strings = []
-    for (mu, nu), val in g.a:
+    for (mu, nu), val in g.param("a"):
         strings.append(pauli_mul(family.c(mu), family.c(nu)).with_coeff(2 * val))
-    for sigma, val in g.b:
+    for sigma, val in g.param("b"):
         strings.append(family.c(sigma).with_coeff(val))
-    strings.append(PauliString(family.lines, 0, 0, 0, g.s))
+    strings.append(PauliString(family.lines, 0, 0, 0, g.param("s")))
     return PauliSum.from_strings(strings, n=family.lines)
 
 
@@ -90,7 +56,7 @@ def _pair_phases() -> tuple[complex, ...]:
     return tuple(out)
 
 
-def compile_matrix(B, k: int, n: int, tol: float = 1e-9) -> GateExponent:
+def compile_matrix(B, k: int, tol: float = 1e-9) -> tuple[dict, dict, complex]:
     """Compile a parsed gvw or mg12 matchgate B on lines (k, k+1).
 
     ``B`` is the 4x4 matrix in standard qubit order, already checked by the
@@ -120,10 +86,10 @@ def compile_matrix(B, k: int, n: int, tol: float = 1e-9) -> GateExponent:
     for (mu, nu), phi, val in zip(matchgate.GENERATOR_PAIRS, _pair_phases(), coeffs[5:]):
         if abs(val) > 1e-15 * scale:
             a[(offset + mu, offset + nu)] = val / (2 * phi)
-    return GateExponent.make(n, a, b, coeffs[0])
+    return a, b, coeffs[0]
 
 
-def compile_diag(d, k: int, l: int, n: int) -> GateExponent:
+def compile_diag(d, k: int, l: int) -> tuple[dict, dict, complex]:
     """Compile a parsed diag(d1..d4) on lines k < l (any pair) via commuting Z logs."""
     lam = np.log(np.asarray(d, dtype=complex))
     # principal logs may disagree by 2*pi*i across the constraint; repair on lam[3]
@@ -133,10 +99,10 @@ def compile_diag(d, k: int, l: int, n: int) -> GateExponent:
     beta = (lam[0] - lam[1] + lam[2] - lam[3]) / 4
     # Z_k = -i c_{2k-1} c_{2k}: alpha * Z_k means 2 a_{2k-1,2k} = -i alpha
     a = {(2 * k - 1, 2 * k): -0.5j * alpha, (2 * l - 1, 2 * l): -0.5j * beta}
-    return GateExponent.make(n, a, {}, gamma)
+    return a, {}, gamma
 
 
-def compile_u1(U, n: int) -> GateExponent:
+def compile_u1(U) -> tuple[dict, dict, complex]:
     """Compile a parsed invertible 1-qubit gate on line 1."""
     L = matchgate.principal_log(np.asarray(U, dtype=complex))
     paulis = {
@@ -151,5 +117,5 @@ def compile_u1(U, n: int) -> GateExponent:
     # X_1 = c_1, Y_1 = c_2, Z_1 = -i c_1 c_2
     b = {1: cx, 2: cy}
     a = {(1, 2): -0.5j * cz}
-    return GateExponent.make(n, a, b, delta)
+    return a, b, delta
 

@@ -4,17 +4,16 @@ State vectors index the computational basis with line 1 as the most
 significant bit.  The oracle refuses to run beyond MAX_LINES qubit lines: it
 exists to verify the polynomial-time engines, not to compete with them.
 
-Gates come as parsed GateSpecs or as compiled GateExponents.  A gvw, diag,
-mg12 or u1 spec is applied as its own matrix B, and its inverse pass as
-B^-1; gvw and mg12 take B from GateSpec.matrix(), the reader the quadratic
-engine also uses.  A reshape of the state puts the gate's lines on their own
-axes, so no exponential, logarithm or Pauli expansion is taken: u1
+Gates come as GateSpecs, parsed or compiled.  A gvw, diag, mg12 or u1 spec is
+applied as its own matrix B, and its inverse pass as B^-1; gvw and mg12 take B
+from GateSpec.matrix().  A reshape of the state puts the gate's lines on their
+own axes, so no exponential, logarithm or Pauli expansion is taken: u1
 multiplies the leading axis by U, gvw and mg12 the axis of lines (k, k+1) by
 B, and diag scales the state by its four entries broadcast over lines k and
 l.  Closure-only matchgates, which have no logarithm in the span, therefore
 run here too.
 
-An exp spec or a GateExponent e^A is expanded over Pauli strings, and its
+An exp gate e^A, parsed or compiled, is expanded over Pauli strings, and its
 lines are split in two.  On an *active* line some term has X or Y; on a
 *diagonal* line every term has I or Z (the Jordan-Wigner Z strings), so it
 never mixes basis states there.  Each basis value r of the diagonal lines
@@ -35,7 +34,7 @@ import numpy as np
 
 from .circuits import GateSpec
 from .errors import DimensionError, MgsimError, SizeLimitError
-from .exponents import GateExponent, to_pauli_sum
+from .exponents import to_pauli_sum
 from .jw import PARITY, JwFamily
 from .pauli import ProductState
 
@@ -107,11 +106,8 @@ class _Split(NamedTuple):
         return out.reshape((2,) * n).transpose(self.unperm).reshape(-1)
 
 
-def _split(g: GateExponent, n: int) -> _Split:
-    """Expand a gate over Pauli strings and split its lines into active and diagonal."""
-    _check_n(n)
-    if g.n != n:
-        raise DimensionError(f"gate has n={g.n}, state has n={n}")
+def _split(g, n: int) -> _Split:
+    """Expand an exp gate over Pauli strings and split its lines into active and diagonal."""
     terms = to_pauli_sum(g, _family(n)).terms
     flip = support = 0
     for x, z in terms:
@@ -178,16 +174,12 @@ def _matrix_gate(spec: GateSpec) -> _MatrixGate:
     return _MatrixGate(spec.cls, spec.lines, spec.matrix())
 
 
-def _prepare(g, n: int):
-    """The way the oracle applies one GateSpec or GateExponent on n lines."""
+def _prepare(g: GateSpec, n: int):
+    """The way the oracle applies one GateSpec on n lines."""
     _check_n(n)
-    if isinstance(g, GateSpec):
-        if max(g.lines, default=0) > n:
-            raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
-        if g.cls != "exp":
-            return _matrix_gate(g)
-        g = g.exponent(n)
-    return _split(g, n)
+    if max(g.lines, default=0) > n:
+        raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
+    return _split(g, n) if g.cls == "exp" else _matrix_gate(g)
 
 
 INVERSE = "inverse"
@@ -197,10 +189,10 @@ ADJOINT = "adjoint"
 def expectation_heisenberg(gates, state: ProductState, k: int, mode: str = INVERSE) -> complex:
     """<psi0| C^{-1} Z_k C |psi0> (inverse mode) or <psi0| C^dag Z_k C |psi0> (adjoint).
 
-    ``gates`` are parsed GateSpecs or compiled GateExponents, in application
-    order.  The two modes coincide for unitary circuits.  Adjoint mode equals
-    <C psi0| Z_k |C psi0> and needs no inverses; inverse mode applies the
-    inverse gates in reverse order and fails on singular gates.
+    ``gates`` are GateSpecs, parsed or compiled, in application order.  The two
+    modes coincide for unitary circuits.  Adjoint mode equals <C psi0| Z_k |C psi0>
+    and needs no inverses; inverse mode applies the inverse gates in reverse
+    order and fails on singular gates.
     """
     n = state.n
     _check_n(n)

@@ -11,10 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import matchgate
-from .circuits import Circuit, GateSpec, _gates_are_unitary
+from .circuits import GATE_CLASSES, Circuit, GateSpec, _gates_are_unitary, exp_spec
 from .pauli import ProductState
-
-ALL_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
 
 
 def random_state(n: int, rng: np.random.Generator) -> ProductState:
@@ -74,15 +72,12 @@ def random_gate(cls: str, n: int, rng: np.random.Generator, unitary: bool = True
             a[(mu, nu)] += strength * 0.5j * rng.normal()
             b[sigma] += strength * 0.3 * rng.normal()
             s += strength * 0.1 * rng.normal()
-        support = tuple(sorted({(mu + 1) // 2, (nu + 1) // 2, (sigma + 1) // 2}))
-        return GateSpec("exp", support,
-                        (("a", tuple(sorted(a.items()))), ("b", tuple(sorted(b.items()))),
-                         ("s", complex(s))))
+        return exp_spec(a, b, complex(s))
     raise ValueError(f"unknown gate class {cls!r}")
 
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator,
-                   classes=ALL_CLASSES, unitary: bool = True,
+                   classes=GATE_CLASSES, unitary: bool = True,
                    computational_input: bool = False) -> Circuit:
     classes = [c for c in classes if n >= 2 or c in ("u1", "exp")]
     strength = min(1.0, 2.0 / max(depth, 1))

@@ -6,11 +6,11 @@ import pytest
 import scipy.linalg
 
 from mgsim.engine_lie import LieBasis, _apply_adjoint, build_basis
-from mgsim.circuits import GateSpec
+from mgsim.circuits import GateSpec, exp_spec
 from mgsim.engine_quadratic import (_exp_generators, _gate_blocks, _observable_indices,
                                      _propagate_columns)
 from mgsim.errors import InconsistencyError
-from mgsim.exponents import GateExponent, to_pauli_sum
+from mgsim.exponents import to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
 from mgsim.matchgate import g_vw
 from mgsim.oracle import _prepare
@@ -22,11 +22,18 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def heisenberg_observable(gates, k: int, family: JwFamily, observable: str = "Z") -> PauliSum:
-    """C^{-1} O C expanded as a Pauli sum over the family's n lines, from the
+def exp_gate(a=None, b=None, s=0j) -> GateSpec:
+    """The exp gate of coefficients a {(mu, nu): value}, b {sigma: value} and s, made
+    complex, with exact zeros dropped as compile drops them."""
+    return exp_spec({key: complex(v) for key, v in (a or {}).items() if v != 0},
+                    {key: complex(v) for key, v in (b or {}).items() if v != 0}, complex(s))
+
+
+def heisenberg_observable(gates, k: int, family: JwFamily) -> PauliSum:
+    """C^{-1} Z_k C expanded as a Pauli sum over the family's n lines, from the
     quadratic engine's two propagated columns."""
     n = family.n
-    cols = _propagate_columns(list(gates), n, *_observable_indices(k, n, observable))
+    cols = _propagate_columns(list(gates), n, *_observable_indices(k, n))
     u, v = cols[:, 0], cols[:, 1]
     B = -0.5j * (np.outer(u, v) - np.outer(v, u))
     out = _expand_coeff_matrix(B, family)
@@ -57,7 +64,7 @@ def computational(bits) -> ProductState:
 
 
 def apply_gate(state: np.ndarray, g, n: int, inverse: bool = False) -> np.ndarray:
-    """The oracle's action of one GateSpec or GateExponent (or its inverse) on a dense state."""
+    """The oracle's action of one GateSpec (or its inverse) on a dense state."""
     return _prepare(g, n).apply(state, inverse)
 
 
@@ -72,29 +79,30 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, lines, n: int) -> np.nda
     return np.moveaxis(psi.reshape(shape), range(m), axes).reshape(-1)
 
 
-def dense_gate(g: GateExponent) -> np.ndarray:
-    """The full 2^n x 2^n matrix e^A of a gate exponent, through one dense expm:
+def dense_gate(g: GateSpec, n: int) -> np.ndarray:
+    """The full 2^n x 2^n matrix e^A of an exp gate on n lines, through one dense expm:
     the reference for the oracle's split exponentials."""
-    return scipy.linalg.expm(to_pauli_sum(g, JwFamily(g.n, PARITY)).to_matrix())
+    return scipy.linalg.expm(to_pauli_sum(g, JwFamily(n, PARITY)).to_matrix())
 
 
-def is_unitary_exponent(g: GateExponent, tol: float = 1e-8) -> bool:
-    """e^A is manifestly unitary up to a global phase: a real, b and s imaginary."""
-    return (all(abs(val.imag) <= tol for _, val in g.a)
-            and all(abs(val.real) <= tol for _, val in g.b) and abs(g.s.real) <= tol)
+def is_unitary_exponent(g: GateSpec, tol: float = 1e-8) -> bool:
+    """e^A of an exp gate is manifestly unitary up to a global phase: a real, b and s
+    imaginary."""
+    return (all(abs(val.imag) <= tol for _, val in g.param("a"))
+            and all(abs(val.real) <= tol for _, val in g.param("b"))
+            and abs(g.param("s").real) <= tol)
 
 
-def exp_block_generator(g: GateExponent) -> tuple[list[int], np.ndarray]:
-    """The support and X = -4 atilde of the quadratic engine's block for g, before
-    the engine exponentiates it."""
-    [(gates, X)] = _exp_generators([(g.a, g.b)], g.n).values()
+def exp_block_generator(g: GateSpec, n: int) -> tuple[list[int], np.ndarray]:
+    """The support and X = -4 atilde of the quadratic engine's block for an exp gate on
+    n lines, before the engine exponentiates it."""
+    [(gates, X)] = _exp_generators([(g.param("a"), g.param("b"))], n).values()
     return gates[0][1], X[0]
 
 
-def gate_transfer(g, n: int | None = None) -> np.ndarray:
+def gate_transfer(g: GateSpec, n: int) -> np.ndarray:
     """The quadratic engine's K of one gate, embedded in the identity over d indices
-    0..2n; n defaults to a GateExponent's own."""
-    n = g.n if n is None else n
+    0..2n."""
     K = np.eye(2 * n + 1, dtype=complex)
     for idx, block in _gate_blocks([g], n):
         K[np.ix_(idx, idx)] = block
@@ -118,27 +126,26 @@ def reference_matrix(spec: GateSpec) -> np.ndarray:
     return np.kron(np.array(spec.param("U"), dtype=complex), np.eye(2))
 
 
-def reference_gate_block(g, n: int) -> tuple[list[int], np.ndarray]:
-    """Support d indices and transfer block of one GateSpec or GateExponent, built gate
-    by gate: the reference for the quadratic engine's batched blocks.
+def reference_gate_block(g: GateSpec) -> tuple[list[int], np.ndarray]:
+    """Support d indices and transfer block of one GateSpec, built gate by gate: the
+    reference for the quadratic engine's batched blocks.
 
-    Matrix classes: K_ab = 1/4 tr(d_a B^{-1} d_b B), one inverse per gate.  Exp gates
-    and exponents: e^X with X = -4 atilde, through eigh of iX when X is exactly real
-    antisymmetric, else scipy's expm.
+    Matrix classes: K_ab = 1/4 tr(d_a B^{-1} d_b B), one inverse per gate.  Exp gates:
+    e^X with X = -4 atilde over their nonzero coefficients, through eigh of iX when X
+    is exactly real antisymmetric, else scipy's expm.
     """
-    if isinstance(g, GateSpec):
-        if g.cls != "exp":
-            B = reference_matrix(g)
-            M = np.linalg.inv(B) @ _D2 @ B
-            K = 0.25 * _D2T @ M.reshape(5, 16).T
-            if g.cls == "mg12":
-                return [0, 1, 2, 3, 4], K
-            if g.cls == "u1":
-                return [0, 1, 2], K[:3, :3]
-            k, l = g.lines
-            return [2 * k - 1, 2 * k, 2 * l - 1, 2 * l], K[1:, 1:]
-        g = g.exponent(n)
-    atilde = list(g.a) + [((0, sigma), 0.5j * val) for sigma, val in g.b]
+    if g.cls != "exp":
+        B = reference_matrix(g)
+        M = np.linalg.inv(B) @ _D2 @ B
+        K = 0.25 * _D2T @ M.reshape(5, 16).T
+        if g.cls == "mg12":
+            return [0, 1, 2, 3, 4], K
+        if g.cls == "u1":
+            return [0, 1, 2], K[:3, :3]
+        k, l = g.lines
+        return [2 * k - 1, 2 * k, 2 * l - 1, 2 * l], K[1:, 1:]
+    atilde = ([(pair, val) for pair, val in g.param("a") if val != 0]
+              + [((0, sigma), 0.5j * val) for sigma, val in g.param("b") if val != 0])
     idx = sorted({mu for pair, _ in atilde for mu in pair})
     pos = {mu: p for p, mu in enumerate(idx)}
     m = np.zeros((len(idx), len(idx)), dtype=complex)

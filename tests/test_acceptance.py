@@ -211,7 +211,7 @@ def test_criterion_10_unitary_sanity():
         res = simulate(gates, state, circ.k, unitary=True)
         worst_pop = max(worst_pop, abs(res.p0 + res.p1 - 1.0))
         for g in gates:
-            K = gate_transfer(g)
+            K = gate_transfer(g, n)
             worst_orth = max(worst_orth,
                              float(np.linalg.norm(K @ K.T - np.eye(K.shape[0]))))
         vi = expectation_heisenberg(gates, state, circ.k, INVERSE)

@@ -95,7 +95,7 @@ def test_bench(capsys, monkeypatch):
     parsed = []
     parse = circuits.parse
     monkeypatch.setattr(circuits, "parse",
-                        lambda text, tol: parsed.append(text) or parse(text, tol))
+                        lambda text: parsed.append(text) or parse(text))
     code, data = run_json(capsys, ["bench", "--n", "8,16", "--gates", "20", "--seed", "7"])
     assert code == 0
     assert [r["n"] for r in data["runs"]] == [8, 16]
@@ -222,6 +222,8 @@ def test_large_matchgate_identities_stay_finite(capsys, tmp_path):
     ["classify", "{matrix}", "--tol", "1e-6"],
     ["verify-matchgate", "{matrix}", "--heisenberg-mode", "adjoint"],
     ["bench", "--engine", "quadratic"],
+    ["compare", "{circuit}", "--heisenberg-mode", "adjoint"],
+    ["bench", "--tol", "1e-9"],
 ])
 def test_removed_flags_are_usage_errors(circuit_file, tmp_path, argv):
     matrix = tmp_path / "B.json"
@@ -249,12 +251,12 @@ def test_bad_bench_gate_counts_are_usage_errors(capsys, gates):
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
-@pytest.mark.parametrize("command", ["run", "compare", "verify-matchgate", "bench"])
+@pytest.mark.parametrize("command", ["run", "compare", "verify-matchgate"])
 def test_bad_tol_is_a_usage_error(capsys, circuit_file, tmp_path, command, tol):
     matrix = tmp_path / "B.json"
     matrix.write_text(json.dumps(np.eye(4).tolist()))
     target = {"run": [circuit_file], "compare": [circuit_file],
-              "verify-matchgate": [matrix], "bench": []}[command]
+              "verify-matchgate": [matrix]}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *map(str, target), "--tol", tol])
     assert exc.value.code == 2
@@ -334,7 +336,7 @@ def test_closure_only_gate_runs_on_the_quadratic_engine(capsys, tmp_path):
 def _run_with_logarithms_forbidden(capsys, tmp_path, monkeypatch, *flags):
     rng = np.random.default_rng(5)
     gates = tuple(sampling.random_gate(cls, 4, rng, unitary=False)
-                  for cls in sampling.ALL_CLASSES * 2)
+                  for cls in circuits.GATE_CLASSES * 2)
     circ = circuits.Circuit(4, ((1.0, 0j),) * 4, gates, 3, False)
     path = tmp_path / "all_classes.mg"
     path.write_text(circuits.render(circ))
@@ -378,7 +380,7 @@ def test_back_to_back_runs_share_no_state(capsys, circuit_file, monkeypatch):
 def test_compare_at_n200(capsys, tmp_path):
     # above the oracle's 12 lines, compare runs the quadratic and Lie engines only
     circ = sampling.random_circuit(200, 150, np.random.default_rng(8), unitary=False)
-    assert {spec.cls for spec in circ.gates} == set(sampling.ALL_CLASSES)
+    assert {spec.cls for spec in circ.gates} == set(circuits.GATE_CLASSES)
     path = tmp_path / "n200.mg"
     path.write_text(circuits.render(circ))
     code, data = run_json(capsys, ["compare", str(path)])
@@ -424,7 +426,7 @@ def mg_files(draw):
         return " ".join(["exp", *a, *b, f"s={draw(lit)}"])
 
     state = " ".join(draw(st.sampled_from(["0", "1", "+", "-i"])) for _ in range(n))
-    gates = [f"gate {gate(cls)}" for cls in draw(st.lists(st.sampled_from(sampling.ALL_CLASSES),
+    gates = [f"gate {gate(cls)}" for cls in draw(st.lists(st.sampled_from(circuits.GATE_CLASSES),
                                                            min_size=1, max_size=3))]
     return "\n".join([f"circuit n={n}", f"state {state}", *gates, f"measure {draw(line)}", ""])
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (adjoint_transfer, computational, dense_gate, dense_generator, gate_transfer,
-                      structure_constants)
+from conftest import (adjoint_transfer, computational, dense_gate, dense_generator, exp_gate,
+                      gate_transfer, structure_constants)
 from mgsim import circuits, sampling
 from mgsim.circuits import GateSpec
 from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, build_basis,
                               gate_coefficients, heisenberg_observable, simulate)
 from mgsim.engine_quadratic import simulate as simulate_quadratic
-from mgsim.exponents import GateExponent
 from mgsim.pauli import ProductState, commutation_sign, pauli_mul
 
 
@@ -104,20 +103,20 @@ def test_adjoint_transfer_identity():
 def test_adjoint_transfer_matches_quadratic_block(rng):
     # a single quadratic generator rotates the (c_1, c_2) plane; the Lie
     # transfer must equal the inverse of the quadratic engine's K block
-    g = GateExponent.make(2, a={(1, 2): complex(rng.normal(), rng.normal())})
+    g = exp_gate(a={(1, 2): complex(rng.normal(), rng.normal())})
     sc = structure_constants(2)
     a = adjoint_transfer(gate_coefficients(g, sc.basis), sc)
-    K = gate_transfer(g)
+    K = gate_transfer(g, 2)
     assert np.linalg.norm(a[1:3, 1:3] - np.linalg.inv(K)[1:3, 1:3]) < 1e-10
 
 
 def test_adjoint_transfer_vs_dense_conjugation(rng):
     n = 3
-    g = GateExponent.make(n, a={(2, 5): 0.4 - 0.2j}, b={1: 0.3j}, s=0.1)
+    g = exp_gate(a={(2, 5): 0.4 - 0.2j}, b={1: 0.3j}, s=0.1)
     sc = structure_constants(n)
     basis = sc.basis
     a = adjoint_transfer(gate_coefficients(g, basis), sc)
-    G = dense_gate(g)
+    G = dense_gate(g, n)
     Ginv = np.linalg.inv(G)
     for i in (1, 4, basis.index_of_pair(1, 2)):
         lhs = G @ basis.elements[i].to_matrix() @ Ginv
@@ -160,16 +159,16 @@ def _compile_specs(specs, n):
 
 
 def _gates_of_every_kind(rng, n):
-    """Compiled random gates of every class, unitary and not, plus one exponent
+    """Compiled random gates of every class, unitary and not, plus one exp gate
     with up to four quadratic terms and linear terms on the first and last index."""
-    classes = sampling.ALL_CLASSES if n >= 2 else ("u1", "exp")
+    classes = circuits.GATE_CLASSES if n >= 2 else ("u1", "exp")
     specs = [sampling.random_gate(cls, n, rng, unitary=unitary)
              for cls in classes for unitary in (True, False)]
     gates = _compile_specs(specs, n)
     pairs = [(mu, nu) for mu in range(1, 2 * n + 1) for nu in range(mu + 1, 2 * n + 1)]
     picks = rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)
-    gates.append(GateExponent.make(n, a={pairs[p]: complex(*rng.normal(size=2)) for p in picks},
-                                   b={1: 0.3j, 2 * n: 0.2 - 0.1j}, s=0.1))
+    gates.append(exp_gate(a={pairs[p]: complex(*rng.normal(size=2)) for p in picks},
+                          b={1: 0.3j, 2 * n: 0.2 - 0.1j}, s=0.1))
     return gates
 
 
@@ -245,7 +244,7 @@ def test_matches_quadratic_engine_at_large_n(rng, n):
     # line 1 carries the mg12 and u1 gates, so every class reaches Z_1
     for unitary in (True, False):
         circ = dataclasses.replace(sampling.random_circuit(n, 120, rng, unitary=unitary), k=1)
-        assert {spec.cls for spec in circ.gates} == set(sampling.ALL_CLASSES)
+        assert {spec.cls for spec in circ.gates} == set(circuits.GATE_CLASSES)
         state = circ.input_state()
         a = simulate(circuits.compile(circ), state, 1).expectation
         b = simulate_quadratic(circ.gates, state, 1).expectation

@@ -4,34 +4,32 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (apply_gate, apply_matrix, computational, exp_block_generator, gate_transfer,
+from conftest import (computational, exp_block_generator, exp_gate, gate_transfer,
                       heisenberg_observable, reference_gate_block)
 
 from mgsim import circuits, engine_lie, sampling
 from mgsim.cli import main
 from mgsim.engine_quadratic import _CHUNK, _gate_blocks, _propagate_columns, simulate
 from mgsim.errors import DimensionError
-from mgsim.exponents import GateExponent, compile_u1
+from mgsim.exponents import compile_u1
 from mgsim.jw import C0_MODES, PARITY, JwFamily
 from mgsim.oracle import INVERSE, expectation_heisenberg
 from mgsim.pauli import ProductState, expectation
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]])
 
 
 def test_zero_exponent_transfer():
-    assert np.allclose(gate_transfer(GateExponent.make(2)), np.eye(5))
+    assert np.allclose(gate_transfer(exp_gate(), 2), np.eye(5))
 
 
 def test_transfer_is_orthogonal(rng):
     # K^T = K^-1 holds for any antisymmetric exponent; complex exponents can
     # make ||K|| large, so the check is relative to ||K||^2
     for _ in range(20):
-        g = GateExponent.make(3, a={(1, 4): complex(rng.normal(), rng.normal())},
-                              b={2: complex(rng.normal(), rng.normal())})
-        K = gate_transfer(g)
+        g = exp_gate(a={(1, 4): complex(rng.normal(), rng.normal())},
+                     b={2: complex(rng.normal(), rng.normal())})
+        K = gate_transfer(g, 3)
         scale = max(1.0, np.linalg.norm(K) ** 2)
         assert np.linalg.norm(K @ K.T - np.eye(7)) < 1e-9 * scale
 
@@ -45,7 +43,7 @@ def test_empty_circuit():
 
 def test_hadamard_population():
     state = computational([0, 0])
-    res = simulate([compile_u1(H, 2)], state, 1)
+    res = simulate([exp_gate(*compile_u1(H))], state, 1)
     assert abs(res.p0 - 0.5) < 1e-12
 
 
@@ -116,37 +114,12 @@ def test_heisenberg_observable_expectation(rng):
     assert abs(via_sum - direct) < 1e-12
 
 
-def _dense_reference(gates, state, k, observable):
-    """<psi0| C^-1 O C |psi0> on the state vector, for O = Z_k, X_1 or Y_1."""
-    if observable == "Z":
-        return expectation_heisenberg(gates, state, k, INVERSE)
-    n = state.n
-    psi = state.to_vector()
-    for g in gates:
-        psi = apply_gate(psi, g, n)
-    v = apply_matrix(psi, X if observable == "X1" else Y, [1], n)
-    for g in reversed(gates):
-        v = apply_gate(v, g, n, inverse=True)
-    return complex(np.vdot(state.to_vector(), v))
-
-
-def test_x1_y1_observables(rng):
-    n = 3
-    circ = sampling.random_circuit(n, 4, rng)
-    gates = circuits.compile(circ)
-    state = circ.input_state()
-    for obs in ("X1", "Y1"):
-        ref = _dense_reference(gates, state, 1, obs)
-        got = simulate(gates, state, 1, observable=obs).expectation
-        assert abs(got - ref) < 1e-9
-
-
 def test_populations_only_when_real():
     # a gate with complex scalar leaves the expectation real (scalar cancels
     # under inverse conjugation), but a genuinely complex value must not
     # populate p0/p1
     state = ProductState.normalized([[1, 1j]])
-    g = GateExponent.make(1, b={1: 0.5})  # non-unitary
+    g = exp_gate(b={1: 0.5})  # non-unitary
     res = simulate([g], state, 1)
     if abs(res.expectation.imag) > 1e-9:
         assert res.p0 is None and res.p1 is None
@@ -164,7 +137,7 @@ def test_matrix_block_matches_compiled_transfer(rng, cls):
         spec = circ.gates[0]
         apart += spec.cls == "diag" and spec.lines[1] > spec.lines[0] + 1
         K = gate_transfer(spec, n)
-        ref = gate_transfer(circuits.compile(circ)[0])
+        ref = gate_transfer(circuits.compile(circ)[0], n)
         assert np.abs(K - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     assert cls != "diag" or apart > 0  # non-adjacent diag lines are covered
 
@@ -176,11 +149,10 @@ def test_spec_gates_match_compiled_gates_and_oracle(rng):
                                        unitary=bool(trial % 3))
         gates = circuits.compile(circ)
         state = circ.input_state()
-        for obs in ("Z", "X1", "Y1"):
-            got = simulate(circ.gates, state, circ.k, observable=obs).expectation
-            via_exponents = simulate(gates, state, circ.k, observable=obs).expectation
-            assert abs(got - via_exponents) < 1e-10
-            assert abs(got - _dense_reference(gates, state, circ.k, obs)) < 1e-10
+        got = simulate(circ.gates, state, circ.k).expectation
+        via_exponents = simulate(gates, state, circ.k).expectation
+        assert abs(got - via_exponents) < 1e-10
+        assert abs(got - expectation_heisenberg(gates, state, circ.k, INVERSE)) < 1e-10
 
 
 def test_spec_outside_the_register_is_refused():
@@ -214,25 +186,27 @@ def _random_unitary_exponent(n: int, rng):
     a = {pairs[p]: float(rng.normal()) for p in picks}
     b = {int(sigma): 1j * float(rng.normal()) for sigma in rng.integers(1, 2 * n + 1, size=3)
          if rng.random() < 0.5}
-    return GateExponent.make(n, a, b, 0.3j)
+    return exp_gate(a, b, 0.3j)
 
 
 def test_unitary_exp_blocks_take_eigh_and_match_expm(rng, monkeypatch):
     # a real a and an imaginary b make X = -4 atilde exactly real antisymmetric,
     # and such blocks are exponentiated through eigh, without scipy
-    gates = [_random_unitary_exponent(1 + trial % 7, rng) for trial in range(200)]
+    sizes = [1 + trial % 7 for trial in range(200)]
+    gates = [_random_unitary_exponent(n, rng) for n in sizes]
     refs = []
-    for g in gates:
-        idx, X = exp_block_generator(g)
+    for g, n in zip(gates, sizes):
+        idx, X = exp_block_generator(g, n)
         refs.append((idx, scipy.linalg.expm(X)))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a unitary exp block must not reach scipy's expm")
 
     monkeypatch.setattr(scipy.linalg, "expm", forbidden)
-    blocks = {n: iter(_gate_blocks([g for g in gates if g.n == n], n)) for n in range(1, 8)}
-    for g, (ref_idx, ref) in zip(gates, refs):
-        idx, block = next(blocks[g.n])
+    blocks = {n: iter(_gate_blocks([g for g, m in zip(gates, sizes) if m == n], n))
+              for n in range(1, 8)}
+    for n, (ref_idx, ref) in zip(sizes, refs):
+        idx, block = next(blocks[n])
         assert idx == ref_idx and block.dtype == np.float64
         assert np.abs(block - ref).max() <= 1e-13
         assert np.abs(block.T @ block - np.eye(len(idx))).max() <= 1e-13
@@ -272,7 +246,7 @@ def test_run_batches_its_numpy_calls(tmp_path, monkeypatch):
     # class that has one, and the engine one stacked inverse per chunk and one eigh
     # per exp block size in a chunk, never one call per gate
     circ = sampling.random_circuit(6, 2 * _CHUNK + 40, np.random.default_rng(9))
-    assert {g.cls for g in circ.gates} == set(sampling.ALL_CLASSES) and circ.unitary
+    assert {g.cls for g in circ.gates} == set(circuits.GATE_CLASSES) and circ.unitary
     path = tmp_path / "three_chunks.mg"
     path.write_text(circuits.render(circ))
     chunks = [circ.gates[i:i + _CHUNK] for i in range(0, len(circ.gates), _CHUNK)]
@@ -293,17 +267,17 @@ def test_run_batches_its_numpy_calls(tmp_path, monkeypatch):
 @pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_batched_blocks_match_the_per_gate_reference(n, count):
     # every class, unitary and not, in one list: exp blocks of one size that are
-    # real and that are not share a batch; so do parsed specs and compiled exponents
+    # real and that are not share a batch; so do parsed and compiled gates
     rng = np.random.default_rng(count * n)
-    classes = [c for c in sampling.ALL_CLASSES if n >= 2 or c in ("u1", "exp")]
+    classes = [c for c in circuits.GATE_CLASSES if n >= 2 or c in ("u1", "exp")]
     gates = [sampling.random_gate(classes[i % len(classes)], n, rng, unitary=bool(i % 3))
              for i in range(count - 5)]
     gates += circuits.compile(circuits.Circuit(n, ((1.0, 0j),) * n, tuple(gates[:5]), 1, False))
-    exp = [g for g in gates if isinstance(g, circuits.GateSpec) and g.cls == "exp"]
+    exp = [g for g in gates if g.cls == "exp"]
     sizes = {unitary: {_exp_block_size(g) for g in exp if circuits._gates_are_unitary([g], 0)
                        == unitary} for unitary in (True, False)}
     assert sizes[True] & sizes[False]
-    refs = [reference_gate_block(g, n) for g in gates]
+    refs = [reference_gate_block(g) for g in gates]
     blocks = _gate_blocks(gates, n)
     assert len(blocks) == len(refs) == count
     for (idx, block), (ref_idx, ref) in zip(blocks, refs):

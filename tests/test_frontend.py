@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mgsim import circuits, matchgate, sampling
 from mgsim.circuits import (_gates_are_unitary, _parse_state, _parse_state_token, classify, parse,
                             parse_complex, render, render_complex)
+from mgsim.engine_quadratic import simulate
 from mgsim.errors import GateClassError, ParseError
 from mgsim.sampling import random_su2
 from test_cli import CLOSURE_ONLY
@@ -57,6 +59,7 @@ def test_comments_and_blank_lines():
     ("circuit n=2\nstate 0 0\ngate gvw 1 V=[1,0;0,1] W=[2,0;0,1]\nmeasure 1\n",
      "determinant mismatch"),
     ("circuit n=2\nstate 0 0\ngate exp a:2,1=1\nmeasure 1\n", "invalid for n=2"),
+    ("circuit n=2\nstate 0 0\ngate exp b:5=1\nmeasure 1\n", "linear index 5 outside 1..4"),
     ("circuit n=2\nstate 0 0\ngate gvw 1 V=[1,0;0,0] W=[0,0;0,1]\nmeasure 1\n",
      "gvw gate rejected: matrix is not invertible"),
     ("circuit n=2\nstate 0 0\ngate mg12 B=[1,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0]\nmeasure 1\n",
@@ -124,6 +127,24 @@ def test_render_round_trip_random(rng):
         assert again == circ
 
 
+def test_compiled_circuit_round_trips_and_keeps_its_value(rng):
+    # a compiled circuit is an all-exp circuit: rendered and parsed back it gives the
+    # same gates, and the same value as the circuit it was compiled from
+    seen = set()
+    for trial in range(40):
+        n = 1 + trial % 6
+        circ = sampling.random_circuit(n, int(rng.integers(1, 12)), rng, unitary=bool(trial % 2))
+        seen.update(g.cls for g in circ.gates)
+        compiled = dataclasses.replace(circ, gates=tuple(circuits.compile(circ)))
+        again = parse(render(compiled))
+        assert again.gates == compiled.gates and all(g.cls == "exp" for g in again.gates)
+        state = circ.input_state()
+        ref = simulate(circ.gates, state, circ.k).expectation
+        got = simulate(again.gates, state, again.k).expectation
+        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (n, got, ref)
+    assert seen == set(circuits.GATE_CLASSES)
+
+
 def test_unitary_flag_detection(rng):
     uni = sampling.random_circuit(3, 5, rng, unitary=True)
     assert parse(render(uni)).unitary
@@ -146,7 +167,7 @@ def _gate_is_unitary(spec, tol):
 def test_batch_unitary_check_matches_per_matrix_reference(rng):
     for tol in (1e-8, 1e-6):
         for unitary in (True, False):
-            for cls in sampling.ALL_CLASSES:
+            for cls in circuits.GATE_CLASSES:
                 gates = [sampling.random_gate(cls, 4, rng, unitary=unitary) for _ in range(6)]
                 for g in gates:
                     assert _gates_are_unitary([g], tol) == _gate_is_unitary(g, tol)
@@ -204,7 +225,7 @@ def test_compile_mixed_circuit_matches_dense(rng):
         psi = apply_gate(psi, g, n)
     for spec in circ.gates:
         if spec.cls == "exp":
-            ref = dense_gate(circuits._compile_gate(spec, n, 1e-9)) @ ref
+            ref = dense_gate(spec, n) @ ref
         else:  # spec.matrix() is U (x) I on lines 1, 2 for u1
             ref = apply_matrix(ref, spec.matrix(), (1, 2) if spec.cls == "u1" else spec.lines, n)
     assert np.linalg.norm(psi - ref) < 1e-9
@@ -220,7 +241,7 @@ def test_compile_error_names_gate_index():
 def test_compile_repeats_no_parse_check(rng, monkeypatch):
     # parse checked every determinant and identity, so compile takes neither
     circ = parse(render(sampling.random_circuit(4, 40, rng, unitary=False)))
-    assert {g.cls for g in circ.gates} == set(sampling.ALL_CLASSES)
+    assert {g.cls for g in circ.gates} == set(circuits.GATE_CLASSES)
     calls = []
     det, is_matchgate = np.linalg.det, matchgate.is_matchgate
 
@@ -250,14 +271,14 @@ def test_classify_gvw(rng):
 
 
 @pytest.mark.parametrize("matrix, error", [
-    ("[1,x;2,3]", "line 3, col 0: bad complex literal 'x'"),
-    ("[1,2;3]", "line 3, col 0: ragged matrix rows"),
-    ("[1,2;x]", "line 3, col 0: bad complex literal 'x'"),
-    ("[inf,1;0,1]", "line 3, col 0: bad complex literal 'inf'"),
-    ("[1e999,0;0,1]", "line 3, col 0: non-finite complex literal '1e999'"),
-    ("[nan,0;0,1]", "line 3, col 0: non-finite complex literal 'nan'"),
-    ("[1,2;3,4;]", "line 3, col 0: bad complex literal ''"),
-    ("[]", "line 3, col 0: bad complex literal ''"),
+    ("[1,x;2,3]", "line 3: bad complex literal 'x'"),
+    ("[1,2;3]", "line 3: ragged matrix rows"),
+    ("[1,2;x]", "line 3: bad complex literal 'x'"),
+    ("[inf,1;0,1]", "line 3: bad complex literal 'inf'"),
+    ("[1e999,0;0,1]", "line 3: non-finite complex literal '1e999'"),
+    ("[nan,0;0,1]", "line 3: non-finite complex literal 'nan'"),
+    ("[1,2;3,4;]", "line 3: bad complex literal ''"),
+    ("[]", "line 3: bad complex literal ''"),
     ("[1;2]", "line 3: U must be 2x2, got 2x1"),
 ])
 def test_matrix_errors_name_the_first_bad_entry(matrix, error):
@@ -275,7 +296,7 @@ def test_matrix_round_trip_is_exact(rng):
     for start in range(0, len(values), 4):
         rows = (tuple(values[start:start + 2]), tuple(values[start + 2:start + 4]))
         text = circuits._render_matrix(rows)
-        got = circuits._parse_matrix(text, 1, 0)
+        got = circuits._parse_matrix(text, 1)
         assert got == rows
         assert repr(got) == repr(tuple(tuple(parse_complex(e) for e in row.split(","))
                                        for row in text[1:-1].split(";")))

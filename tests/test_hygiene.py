@@ -181,7 +181,7 @@ def test_compare_on_diagonalizable_gates_leaves_scipy_sparse_unloaded(tmp_path):
     # start-up; gates with a well-conditioned eigenbasis must never reach it
     rng = np.random.default_rng(3)
     gates = tuple(sampling.random_gate(cls, 4, rng, unitary=unitary)
-                  for unitary in (True, False) for cls in sampling.ALL_CLASSES)
+                  for unitary in (True, False) for cls in circuits.GATE_CLASSES)
     path = tmp_path / "diagonalizable.mg"
     path.write_text(circuits.render(circuits.Circuit(4, ((0.6, 0.8j),) * 4, gates, 2, False)))
     assert not _loads_in_fresh_process(["compare", str(path)], "scipy.sparse")
@@ -191,7 +191,7 @@ def test_run_on_unitary_gates_leaves_scipy_unloaded(tmp_path):
     # matrix-class blocks are read off the gate, and unitary exp blocks are
     # exponentiated through eigh, so the quadratic engine runs on numpy alone
     circ = sampling.random_circuit(6, 40, np.random.default_rng(4))
-    assert {g.cls for g in circ.gates} == set(sampling.ALL_CLASSES) and circ.unitary
+    assert {g.cls for g in circ.gates} == set(circuits.GATE_CLASSES) and circ.unitary
     path = tmp_path / "unitary.mg"
     path.write_text(circuits.render(circ))
     assert not _loads_in_fresh_process(["run", str(path)], "scipy")

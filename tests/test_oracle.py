@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import apply_gate, apply_matrix, computational, dense_gate
+from conftest import apply_gate, apply_matrix, computational, dense_gate, exp_gate
 
 from mgsim import circuits, sampling
 from mgsim.engine_quadratic import simulate
 from mgsim.errors import DimensionError, SizeLimitError
-from mgsim.exponents import GateExponent, compile_diag, compile_u1, to_pauli_sum
+from mgsim.exponents import compile_diag, compile_u1, to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
 from mgsim.oracle import ADJOINT, INVERSE, MAX_LINES, expectation_heisenberg
 from mgsim.pauli import ProductState
@@ -39,11 +39,11 @@ def test_apply_matrix_two_lines(rng):
 
 def test_size_cap():
     with pytest.raises(SizeLimitError):
-        apply_gate(np.zeros(2 ** (MAX_LINES + 1)), compile_u1(X, MAX_LINES + 1), MAX_LINES + 1)
+        apply_gate(np.zeros(2 ** (MAX_LINES + 1)), exp_gate(*compile_u1(X)), MAX_LINES + 1)
 
 
 def test_dense_gate_matches_full_expm(rng):
-    g = GateExponent.make(3, a={(1, 5): 0.4 - 0.1j}, b={2: 0.3j}, s=0.2)
+    g = exp_gate(a={(1, 5): 0.4 - 0.1j}, b={2: 0.3j}, s=0.2)
     full = scipy.linalg.expm(to_pauli_sum(g, JwFamily(3, PARITY)).to_matrix())
     columns = np.column_stack([apply_gate(e, g, 3) for e in np.eye(8, dtype=complex)])
     assert np.allclose(columns, full, atol=1e-12)
@@ -51,29 +51,30 @@ def test_dense_gate_matches_full_expm(rng):
 
 def test_apply_gate_support_restriction(rng):
     # a gate touching lines 2..3 of 4 must act identically via the local path
-    g = GateExponent.make(4, a={(3, 6): 0.5}, b={4: 0.2j})
+    g = exp_gate(a={(3, 6): 0.5}, b={4: 0.2j})
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    expect = dense_gate(g) @ psi
+    expect = dense_gate(g, 4) @ psi
     assert np.allclose(apply_gate(psi, g, 4), expect, atol=1e-12)
     inv = apply_gate(apply_gate(psi, g, 4), g, 4, inverse=True)
     assert np.allclose(inv, psi, atol=1e-10)
 
 
-def _negated(g: GateExponent) -> GateExponent:
-    return GateExponent.make(g.n, {k: -v for k, v in g.a}, {k: -v for k, v in g.b}, -g.s)
+def _negated(g):
+    return exp_gate({k: -v for k, v in g.param("a")}, {k: -v for k, v in g.param("b")},
+                    -g.param("s"))
 
 
-def _assert_matches_dense(g: GateExponent, rng):
-    """apply_gate against the full e^A and e^-A, within 1e-12 of the larger of 1 and |ref|."""
-    n = g.n
+def _assert_matches_dense(g, n: int, rng):
+    """apply_gate against the full e^A and e^-A on n lines, within 1e-12 of the larger
+    of 1 and |ref|."""
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     for inverse, ref_gate in ((False, g), (True, _negated(g))):
-        ref = dense_gate(ref_gate) @ psi
+        ref = dense_gate(ref_gate, n) @ psi
         gap = np.abs(apply_gate(psi, g, n, inverse=inverse) - ref).max()
         assert gap <= 1e-12 * max(1.0, np.abs(ref).max()), (inverse, gap)
 
 
-def _random_exp_gate(n: int, rng, unitary: bool) -> GateExponent:
+def _random_exp_gate(n: int, rng, unitary: bool):
     """Several a and b terms, always including the full-length JW pair (1, 2n)."""
     def coeff(real: bool):
         val = rng.normal(scale=0.5)
@@ -86,19 +87,19 @@ def _random_exp_gate(n: int, rng, unitary: bool) -> GateExponent:
         mu, nu = sorted(int(v) for v in rng.choice(np.arange(1, 2 * n + 1), size=2, replace=False))
         a[(mu, nu)] = coeff(True)
     b = {int(sigma): coeff(False) for sigma in rng.integers(1, 2 * n + 1, size=2)}
-    return GateExponent.make(n, a=a, b=b, s=coeff(False))
+    return exp_gate(a=a, b=b, s=coeff(False))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 10])
 @pytest.mark.parametrize("unitary", [True, False])
 def test_apply_gate_matches_dense_gate_on_exp_gates(rng, n, unitary):
     for _ in range(1 if n == 10 else 4):
-        _assert_matches_dense(_random_exp_gate(n, rng, unitary), rng)
+        _assert_matches_dense(_random_exp_gate(n, rng, unitary), n, rng)
 
 
 @pytest.mark.parametrize("n, pair", [(10, (1, 20)), (10, (2, 19)), (8, (1, 15)), (8, (3, 4))])
 def test_apply_gate_matches_dense_gate_on_long_strings(rng, n, pair):
-    _assert_matches_dense(GateExponent.make(n, a={pair: 0.7 - 0.2j}, b={pair[1]: 0.3j}, s=0.1), rng)
+    _assert_matches_dense(exp_gate(a={pair: 0.7 - 0.2j}, b={pair[1]: 0.3j}, s=0.1), n, rng)
 
 
 @pytest.mark.parametrize("unitary", [True, False])
@@ -106,7 +107,7 @@ def test_apply_gate_matches_dense_gate_on_diag_gate(rng, unitary):
     # a diag gate is all Z strings: it has no active lines
     d = np.exp((0 if unitary else 0.4) * rng.normal(size=4) + 1j * rng.normal(size=4))
     d[3] = d[1] * d[2] / d[0]
-    _assert_matches_dense(compile_diag(d, 2, 5, 6), rng)
+    _assert_matches_dense(exp_gate(*compile_diag(d, 2, 5)), 6, rng)
 
 
 def test_long_string_gate_exponentiates_only_its_active_lines(rng, monkeypatch):
@@ -119,7 +120,7 @@ def test_long_string_gate_exponentiates_only_its_active_lines(rng, monkeypatch):
         return expm(A)
 
     monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
-    g = GateExponent.make(10, a={(1, 20): 0.7})
+    g = exp_gate(a={(1, 20): 0.7})
     psi = rng.normal(size=1 << 10) + 0j
     apply_gate(psi, g, 10)
     apply_gate(psi, g, 10, inverse=True)
@@ -129,22 +130,22 @@ def test_long_string_gate_exponentiates_only_its_active_lines(rng, monkeypatch):
 
 
 def test_scalar_only_gate(rng):
-    g = GateExponent.make(2, s=0.3 - 0.7j)
+    g = exp_gate(s=0.3 - 0.7j)
     psi = rng.normal(size=4) + 0j
     assert np.allclose(apply_gate(psi, g, 2), np.exp(0.3 - 0.7j) * psi)
     # neither active nor diagonal lines; the zero exponent has no terms at all
-    _assert_matches_dense(g, rng)
-    _assert_matches_dense(GateExponent.make(3), rng)
+    _assert_matches_dense(g, 2, rng)
+    _assert_matches_dense(exp_gate(), 3, rng)
 
 
 def test_run_circuit_hadamard():
-    psi = apply_gate(computational([0, 0]).to_vector(), compile_u1(H, 2), 2)
+    psi = apply_gate(computational([0, 0]).to_vector(), exp_gate(*compile_u1(H)), 2)
     assert np.allclose(psi, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
 
 
 def test_heisenberg_modes_coincide_for_unitary(rng):
-    g1 = compile_u1(H, 3)
-    g2 = GateExponent.make(3, a={(2, 4): float(rng.normal())}, b={5: 0.3j})
+    g1 = exp_gate(*compile_u1(H))
+    g2 = exp_gate(a={(2, 4): float(rng.normal())}, b={5: 0.3j})
     state = ProductState.normalized(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
     for k in (1, 2, 3):
         vi = expectation_heisenberg([g1, g2], state, k, INVERSE)
@@ -153,9 +154,9 @@ def test_heisenberg_modes_coincide_for_unitary(rng):
 
 
 def test_heisenberg_inverse_matches_manual(rng):
-    g = GateExponent.make(2, a={(1, 4): 0.3 + 0.2j}, b={2: 0.1 - 0.2j})
+    g = exp_gate(a={(1, 4): 0.3 + 0.2j}, b={2: 0.1 - 0.2j})
     state = ProductState.normalized(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    G = dense_gate(g)
+    G = dense_gate(g, 2)
     Z1 = np.kron(np.diag([1, -1]), np.eye(2))
     psi = state.to_vector()
     ref = np.vdot(psi, np.linalg.inv(G) @ Z1 @ G @ psi)
@@ -180,7 +181,7 @@ def _random_circuits(rng, unitary, count=30, depth=12):
         circ = sampling.random_circuit(1 + t % 10, depth, rng, unitary=unitary)
         seen.update(g.cls for g in circ.gates)
         out.append(circ)
-    assert seen == set(sampling.ALL_CLASSES)
+    assert seen == set(circuits.GATE_CLASSES)
     return out
 
 
