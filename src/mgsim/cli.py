@@ -241,11 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # a flag the subcommand lacks gets that subcommand's usage line, like a bad value
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         # an overflowing gate is reported by the finite guard as one error line,
         # not preceded by numpy's floating-point warnings

@@ -251,12 +251,13 @@ def test_bad_bench_gate_counts_are_usage_errors(capsys, gates):
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
-@pytest.mark.parametrize("command", ["run", "compare", "verify-matchgate"])
+@pytest.mark.parametrize("command", ["run", "compare", "verify-matchgate", "bench"])
 def test_bad_tol_is_a_usage_error(capsys, circuit_file, tmp_path, command, tol):
+    # bench takes no --tol at all, so any value there is a usage error too
     matrix = tmp_path / "B.json"
     matrix.write_text(json.dumps(np.eye(4).tolist()))
     target = {"run": [circuit_file], "compare": [circuit_file],
-              "verify-matchgate": [matrix]}[command]
+              "verify-matchgate": [matrix], "bench": []}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *map(str, target), "--tol", tol])
     assert exc.value.code == 2
