@@ -341,7 +341,8 @@ def _stacks_are_unitary(gates, at, params, tol: float) -> bool:
 
 
 def _not_invertible(cls: str, det: float) -> str:
-    return f"{cls} gate rejected: matrix is not invertible (|det| = {det:.3e})"
+    shown = f"|det| = {det:.3e}" if np.isfinite(det) else "its determinant is not finite"
+    return f"{cls} gate rejected: matrix is not invertible ({shown})"
 
 
 def _check_gates(gates, linenos, tol: float):
@@ -360,7 +361,9 @@ def _check_gates(gates, linenos, tol: float):
         for j in np.flatnonzero(mask):
             failed.setdefault(at[cls][j], message(j))
 
-    # |det| = |det(M/m)| m^k may overflow to inf: a nonzero det, which passes
+    # |det| = |det(M/m)| m^k may overflow to inf: a nonzero det, which passes.  A nan
+    # (0 * inf, or a scaled det that numpy cannot form) fails: a gate passes only on a
+    # |det| known to exceed tol
     with np.errstate(over="ignore"):
         if at["gvw"]:
             V, W = params["gvw"]["V"], params["gvw"]["W"]
@@ -371,7 +374,7 @@ def _check_gates(gates, linenos, tol: float):
                             f"{dv[j] if m[j] == 1 else dv[j] * m[j] * m[j]}, "
                             f"det W = {dw[j] if m[j] == 1 else dw[j] * m[j] * m[j]}"))
             det = np.abs(dv) * np.abs(dw) * m * m * m * m  # det G(V, W) = det V det W
-            fail("gvw", det <= tol, lambda j: _not_invertible("gvw", det[j]))
+            fail("gvw", ~(det > tol), lambda j: _not_invertible("gvw", det[j]))
         if at["mg12"]:
             B = params["mg12"]["B"]
             ok = matchgate.is_matchgate(matchgate.swap_convention(B), tol=max(tol, 1e-10))
@@ -379,12 +382,12 @@ def _check_gates(gates, linenos, tol: float):
                  lambda j: "mg12 gate rejected: matrix fails the matchgate identities")
             m = _largest_entry(B)
             det_b = np.abs(_scaled_dets(B, m)) * m * m * m * m
-            fail("mg12", det_b <= tol, lambda j: _not_invertible("mg12", det_b[j]))
+            fail("mg12", ~(det_b > tol), lambda j: _not_invertible("mg12", det_b[j]))
         if at["u1"]:
             U = params["u1"]["U"]
             m = _largest_entry(U)
             det_u = np.abs(_scaled_dets(U, m)) * m * m
-            fail("u1", det_u <= tol, lambda j: _not_invertible("u1", det_u[j]))
+            fail("u1", ~(det_u > tol), lambda j: _not_invertible("u1", det_u[j]))
     if failed:
         first = min(failed)
         raise ParseError(failed[first], linenos[first])

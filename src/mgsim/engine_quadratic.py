@@ -28,11 +28,17 @@ The measured Z_k = -i d_mu d_nu, with mu = 2k-1 and nu = 2k, is quadratic, so
 C^{-1} Z_k C = -i (K d)_mu (K d)_nu needs only the two columns u = K e_mu and
 v = K e_nu of the circuit's total transfer K = K_1 ... K_G.  They are
 propagated through the gates in reverse, each gate touching only its support
-rows.  The value is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a
-product state m is semiseparable, so one left-to-right scan over the lines
-evaluates it.
+rows.  So the columns depend only on the gates in Z_k's backward light cone:
+walking the gates last first from the cone {mu, nu}, a gate whose support
+meets the cone is kept and widens it, and any other gate is skipped before its
+block is built, since it would only multiply rows that are still exactly zero.
+The value is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a product
+state m is semiseparable, so one left-to-right scan evaluates it, over the
+lines from the lowest to the highest one that u and v touch.
 
-Cost: O(sum_g s_g^2 + n) time for gates of support s_g, O(n + _CHUNK) memory.
+Cost: O(G + sum_{kept g} s_g^2 + w) time for G gates, kept gates of support
+s_g and a scan over w <= n lines, on top of the O(n) columns; O(n + _CHUNK)
+memory.
 """
 
 from __future__ import annotations
@@ -92,46 +98,66 @@ _D2_PHASE = np.take_along_axis(_D2, _D2_ROW[:, None, :], axis=1)[:, 0, :]
 _CHUNK = 256
 
 
-def _matrix_blocks(specs) -> list[tuple[list[int], np.ndarray]]:
-    """Support d indices and K_ab = 1/4 tr(d_a B^{-1} d_b B) of matrix-class gates,
-    through one stacked inverse, one stacked product and one contraction against _D2T.
+# The support d indices of the classes on fixed lines: mg12 acts on d_0..d_4, and
+# u1's U (x) I commutes with d_3, d_4.
+_FIXED_SUPPORT = {"mg12": [0, 1, 2, 3, 4], "u1": [0, 1, 2]}
+
+
+def _read_gate(g, n: int) -> tuple[list[int], list | None]:
+    """Support d indices of a GateSpec's block and, for an exp gate, its atilde entries
+    [((mu, nu), atilde_{mu,nu})]; a DimensionError when the gate leaves the n lines.
+
+    gvw and diag preserve parity, so their support is the four indices of their two
+    lines, without d_0.  An exp gate's support is d_0 (only when b has a nonzero
+    entry) and the indices of its nonzero coefficients, sorted; atilde_{mu,nu} =
+    a_{mu,nu}, atilde_{0,sigma} = i b_sigma / 2.
+    """
+    if max(g.lines, default=0) > n:
+        raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
+    if g.cls != "exp":
+        if g.cls in _FIXED_SUPPORT:
+            return _FIXED_SUPPORT[g.cls], None
+        a, b = g.lines
+        return [2 * a - 1, 2 * a, 2 * b - 1, 2 * b], None
+    atilde = ([(pair, val) for pair, val in g.param("a") if val != 0]
+              + [((0, sigma), 0.5j * val) for sigma, val in g.param("b") if val != 0])
+    idx = sorted({mu for pair, _ in atilde for mu in pair})
+    if idx and idx[-1] > 2 * n:
+        raise DimensionError(f"exp gate on d index {idx[-1]}, circuit has n={n}")
+    return idx, atilde
+
+
+def _matrix_blocks(read) -> list[tuple[list[int], np.ndarray]]:
+    """Blocks K_ab = 1/4 tr(d_a B^{-1} d_b B) of matrix-class gates given as
+    (spec, support) pairs, through one stacked inverse, one stacked product and one
+    contraction against _D2T.
 
     The Z strings left of (and, for diag, between) a gate's lines commute with
     B, so the two-line K carries over to the gate's global d indices.
     """
-    B = gate_matrices(specs)
+    B = gate_matrices([spec for spec, _ in read])
     inv_d = np.linalg.inv(B)[:, :, _D2_ROW].transpose(0, 2, 1, 3) * _D2_PHASE[:, None, :]
     M = inv_d @ B[:, None]  # M[g, b] = B_g^{-1} d_b B_g
     K = 0.25 * (_D2T @ M.reshape(-1, 5, 16).transpose(0, 2, 1))
     out = []
-    for spec, k in zip(specs, K):
+    for (spec, idx), k in zip(read, K):
         if spec.cls == "mg12":
-            out.append(([0, 1, 2, 3, 4], k))
-        elif spec.cls == "u1":  # U (x) I commutes with d_3, d_4
-            out.append(([0, 1, 2], k[:3, :3]))
-        else:  # gvw and diag preserve parity: d_0 is untouched
-            a, b = spec.lines
-            out.append(([2 * a - 1, 2 * a, 2 * b - 1, 2 * b], k[1:, 1:]))
+            out.append((idx, k))
+        elif spec.cls == "u1":
+            out.append((idx, k[:3, :3]))
+        else:  # gvw and diag: d_0 is untouched
+            out.append((idx, k[1:, 1:]))
     return out
 
 
-def _exp_generators(exps, n: int) -> dict[int, tuple[list, np.ndarray]]:
-    """X = -4 atilde of exp gates given as (a, b) coefficient pairs, grouped by block
-    size: size -> ([(position, support d indices)], (G, size, size) stack of X).
-
-    The support is d_0 (only when b has a nonzero entry) and the indices of the
-    nonzero coefficients, sorted; atilde_{mu,nu} = a_{mu,nu}, atilde_{0,sigma} =
-    i b_sigma / 2.
+def _exp_generators(exps) -> dict[int, tuple[list, np.ndarray]]:
+    """X = -4 atilde of exp gates given as (support, atilde) pairs from _read_gate,
+    grouped by block size: size -> ([(position, support)], (G, size, size) stack of X).
     """
     groups = {}
-    for j, (a, b) in enumerate(exps):
-        atilde = ([(pair, val) for pair, val in a if val != 0]
-                  + [((0, sigma), 0.5j * val) for sigma, val in b if val != 0])
-        idx = sorted({mu for pair, _ in atilde for mu in pair})
+    for j, (idx, atilde) in enumerate(exps):
         if not idx:
             continue  # e^A is a scalar: K is the identity
-        if idx[-1] > 2 * n:
-            raise DimensionError(f"exp gate on d index {idx[-1]}, circuit has n={n}")
         pos = {mu: p for p, mu in enumerate(idx)}
         gates, entries = groups.setdefault(len(idx), ([], []))
         entries += [(len(gates), pos[mu], pos[nu], val) for (mu, nu), val in atilde]
@@ -146,15 +172,15 @@ def _exp_generators(exps, n: int) -> dict[int, tuple[list, np.ndarray]]:
     return out
 
 
-def _exp_blocks(exps, n: int) -> list[tuple[int, list[int], np.ndarray]]:
-    """(position, support, K = e^X) of exp gates given as (a, b) pairs.
+def _exp_blocks(exps) -> list[tuple[int, list[int], np.ndarray]]:
+    """(position, support, K = e^X) of exp gates given as (support, atilde) pairs.
 
     When X is exactly real antisymmetric (every unitary exp gate), iX is Hermitian
     and K = V diag(e^{-i lam}) V^H comes from one stacked eigh per block size;
     any other block takes scipy's expm, imported on first use.
     """
     out = []
-    for gates, X in _exp_generators(exps, n).values():
+    for gates, X in _exp_generators(exps).values():
         Xr = X.real
         real = ~X.imag.any(axis=(1, 2)) & (Xr == -Xr.transpose(0, 2, 1)).all(axis=(1, 2))
         if real.any():
@@ -167,25 +193,30 @@ def _exp_blocks(exps, n: int) -> list[tuple[int, list[int], np.ndarray]]:
     return out
 
 
-def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
-    """Support d indices and the transfer restricted to them, for each GateSpec of a
-    list, built class by class."""
+def _blocks(read) -> list[tuple[list[int], np.ndarray]]:
+    """Support d indices and the transfer restricted to them, in order, for gates given
+    as _read_gate's (spec, support, atilde) triples; built class by class, and none
+    for an exp gate whose e^A is a scalar."""
     matrix, exps, exp_at = [], [], []
-    for i, g in enumerate(gates):
-        if max(g.lines, default=0) > n:
-            raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
-        if g.cls != "exp":
+    for i, (_, idx, atilde) in enumerate(read):
+        if atilde is None:
             matrix.append(i)
-            continue
-        exps.append((g.param("a"), g.param("b")))
-        exp_at.append(i)
-    blocks = [None] * len(gates)
+        else:
+            exps.append((idx, atilde))
+            exp_at.append(i)
+    blocks = [None] * len(read)
     if matrix:
-        for i, block in zip(matrix, _matrix_blocks([gates[i] for i in matrix])):
+        for i, block in zip(matrix, _matrix_blocks([read[i][:2] for i in matrix])):
             blocks[i] = block
-    for j, idx, K in _exp_blocks(exps, n):
+    for j, idx, K in _exp_blocks(exps):
         blocks[exp_at[j]] = (idx, K)
     return [b for b in blocks if b is not None]
+
+
+def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
+    """Support d indices and the transfer restricted to them, for each GateSpec of a
+    list on n lines."""
+    return _blocks([(g, *_read_gate(g, n)) for g in gates])
 
 
 def _observable_indices(k: int, n: int) -> tuple[int, int]:
@@ -196,15 +227,36 @@ def _observable_indices(k: int, n: int) -> tuple[int, int]:
 
 
 def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
-    """Columns mu and nu of K_1 ... K_G as a (2n+1) x 2 array."""
+    """Columns mu and nu of K_1 ... K_G as a (2n+1) x 2 array.
+
+    The gates are walked last first from the cone {mu, nu}.  A gate whose support
+    misses the cone would only multiply rows that are still exactly zero, so it is
+    skipped; a gate that meets it adds its support to the cone.  Blocks are built
+    for _CHUNK kept gates at a time.
+    """
     cols = np.zeros((2 * n + 1, 2), dtype=complex)
     cols[mu, 0] = cols[nu, 1] = 1.0
-    for stop in range(len(gates), 0, -_CHUNK):
-        for idx, block in reversed(_gate_blocks(gates[max(stop - _CHUNK, 0):stop], n)):
-            if idx[-1] - idx[0] == len(idx) - 1:  # a slice costs less than an index list
-                idx = slice(idx[0], idx[-1] + 1)
-            cols[idx] = block @ cols[idx]
+    cone = {mu, nu}
+    kept = []
+    for g in reversed(gates):
+        idx, atilde = _read_gate(g, n)
+        if cone.isdisjoint(idx):
+            continue
+        cone.update(idx)
+        kept.append((g, idx, atilde))
+        if len(kept) == _CHUNK:
+            _apply_blocks(cols, _blocks(kept))
+            kept = []
+    _apply_blocks(cols, _blocks(kept))
     return cols
+
+
+def _apply_blocks(cols: np.ndarray, blocks) -> None:
+    """cols[idx] = block @ cols[idx] for each (idx, block) in turn."""
+    for idx, block in blocks:
+        if idx[-1] - idx[0] == len(idx) - 1:  # a slice costs less than an index list
+            idx = slice(idx[0], idx[-1] + 1)
+        cols[idx] = block @ cols[idx]
 
 
 def _pair_form(u: np.ndarray, v: np.ndarray, state: ProductState) -> complex:
@@ -217,14 +269,22 @@ def _pair_form(u: np.ndarray, v: np.ndarray, state: ProductState) -> complex:
     carry sum_a left_a u_a (resp. v_a) times the Z products up to the current
     site, so the scan only multiplies and adds: a vanishing product of many
     small <Z_j> underflows to 0 instead of dividing.
+
+    The scan covers only the lines from the lowest to the highest one that u or v
+    touches, from line 1 when d_0 is touched: before them the accumulators are
+    zero, and after them nothing is added.
     """
+    touched = np.flatnonzero((u != 0) | (v != 0))
+    if not touched.size:
+        return 0j
+    lo, hi = max(int(touched[0]) - 1, 0) // 2, (int(touched[-1]) + 1) // 2  # lines lo+1..hi
     e = state.single_line_expectations()
-    ex, ey, ez = (e[p].tolist() for p in "XYZ")
-    u, v = u.tolist(), v.tolist()
-    acc_u, acc_v = -1j * u[0], -1j * v[0]
+    ex, ey, ez = (e[p][lo:hi].tolist() for p in "XYZ")
+    acc_u, acc_v = -1j * complex(u[0]), -1j * complex(v[0])
+    u, v = u[2 * lo + 1:2 * hi + 1].tolist(), v[2 * lo + 1:2 * hi + 1].tolist()
     total = 0j
-    for q in range(state.n):
-        a, b = 2 * q + 1, 2 * q + 2
+    for q in range(hi - lo):
+        a, b = 2 * q, 2 * q + 1
         total += (ex[q] * (v[a] * acc_u - u[a] * acc_v) + ey[q] * (v[b] * acc_u - u[b] * acc_v)
                   + 1j * ez[q] * (u[a] * v[b] - u[b] * v[a]))
         acc_u = acc_u * ez[q] - 1j * ey[q] * u[a] + 1j * ex[q] * u[b]

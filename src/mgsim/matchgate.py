@@ -322,6 +322,9 @@ def _project_to_span(A) -> tuple[np.ndarray, float]:
 # principal log comes from logm, and above _SHIFT_COND no shifted branch is tried.
 _EIGEN_COND = 1e4
 _SHIFT_COND = 1e8
+# logm's result is kept while its relative error ||e^L - B|| / ||B|| stays at or below
+# this; a larger error refuses the matrix.
+_LOGM_ERR = 1e-9
 # Branch shifts 2*pi*i*k of a 4x4 matrix's eigenvalue logs, k in -2..2, ordered
 # by total |k|, the zero shift (the principal branch) left out.
 _SHIFTS = 2j * np.pi * np.array(sorted(
@@ -336,23 +339,39 @@ def _candidate_logs(B):
     V diag(log lam + 2*pi*i*k) V^-1, ordered by total shift magnitude; logm
     stands in for the principal one when V is ill conditioned, as for a
     defective matrix, and no shifted candidate is tried when V is nearly
-    singular.
+    singular.  A logm result whose error estimate is too large raises
+    LogBranchError instead.
     """
     lam, V = np.linalg.eig(B)
     cond = np.linalg.cond(V)
     if cond > _SHIFT_COND:
-        import scipy.linalg
-        yield scipy.linalg.logm(B)
+        yield _checked_logm(B)
         return
     logs = np.log(lam)
     Vinv = np.linalg.inv(V)
-    if cond <= _EIGEN_COND:
-        yield (V * logs) @ Vinv
-    else:
-        import scipy.linalg
-        yield scipy.linalg.logm(B)
+    yield (V * logs) @ Vinv if cond <= _EIGEN_COND else _checked_logm(B)
     for shift in _SHIFTS:
         yield (V * (logs + shift)) @ Vinv
+
+
+def _checked_logm(B) -> np.ndarray:
+    """scipy's principal logarithm L of B, kept only when e^L reproduces B within
+    _LOGM_ERR relative (1-norm); a LogBranchError otherwise.
+
+    The check replaces logm's own warning about an inaccurate result, which is
+    therefore not shown.
+    """
+    import warnings
+
+    import scipy.linalg
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
+        L = scipy.linalg.logm(B)
+    err = np.linalg.norm(scipy.linalg.expm(L) - B, 1) / np.linalg.norm(B, 1)
+    if not err <= _LOGM_ERR:
+        raise LogBranchError(f"no accurate logarithm: e^L misses the matrix by {err:.1e} "
+                             f"relative")
+    return L
 
 
 def principal_log(B) -> np.ndarray:

@@ -8,7 +8,7 @@ import scipy.linalg
 from mgsim.engine_lie import LieBasis, _apply_adjoint, build_basis
 from mgsim.circuits import GateSpec, exp_spec
 from mgsim.engine_quadratic import (_exp_generators, _gate_blocks, _observable_indices,
-                                     _propagate_columns)
+                                     _propagate_columns, _read_gate)
 from mgsim.errors import InconsistencyError
 from mgsim.exponents import to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
@@ -96,7 +96,7 @@ def is_unitary_exponent(g: GateSpec, tol: float = 1e-8) -> bool:
 def exp_block_generator(g: GateSpec, n: int) -> tuple[list[int], np.ndarray]:
     """The support and X = -4 atilde of the quadratic engine's block for an exp gate on
     n lines, before the engine exponentiates it."""
-    [(gates, X)] = _exp_generators([(g.param("a"), g.param("b"))], n).values()
+    [(gates, X)] = _exp_generators([_read_gate(g, n)]).values()
     return gates[0][1], X[0]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.linalg
 from conftest import (computational, exp_block_generator, exp_gate, gate_transfer,
                       heisenberg_observable, reference_gate_block)
 
-from mgsim import circuits, engine_lie, sampling
+from mgsim import circuits, engine_lie, engine_quadratic, sampling
 from mgsim.cli import main
 from mgsim.engine_quadratic import _CHUNK, _gate_blocks, _propagate_columns, simulate
 from mgsim.errors import DimensionError
@@ -290,3 +291,125 @@ def test_batched_blocks_match_the_per_gate_reference(n, count):
         cols[idx] = ref @ cols[idx]
     got = _propagate_columns(gates, n, 1, 2)
     assert np.abs(got - cols).max() <= 1e-12 * max(1.0, np.abs(cols).max())
+
+
+def _reference_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
+    """Columns mu and nu of K_1 ... K_G, with every gate's reference block applied in turn."""
+    cols = np.zeros((2 * n + 1, 2), dtype=complex)
+    cols[mu, 0] = cols[nu, 1] = 1.0
+    for idx, block in reversed([reference_gate_block(g) for g in gates]):
+        cols[idx] = block @ cols[idx]
+    return cols
+
+
+def _count_built_gates(monkeypatch) -> list[int]:
+    """The number of gates each call of the engine's block builder receives."""
+    built = []
+    blocks = engine_quadratic._blocks
+
+    def counting(read):
+        built.append(len(read))
+        return blocks(read)
+
+    monkeypatch.setattr(engine_quadratic, "_blocks", counting)
+    return built
+
+
+def _gates_off_lines(lines, count: int, n: int, rng, classes=circuits.GATE_CLASSES) -> list:
+    """Random gates of the given classes, unitary and not, none of them on the given lines."""
+    gates = []
+    while len(gates) < count:
+        g = sampling.random_gate(classes[len(gates) % len(classes)], n, rng,
+                                 unitary=bool(len(gates) % 2), strength=2.0 / count)
+        if not set(g.lines) & set(lines):
+            gates.append(g)
+    return gates
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+@pytest.mark.parametrize("n", [2, 40, 300])
+def test_pruned_columns_equal_the_full_propagation(n, unitary, monkeypatch):
+    # all five classes, and exp gates with and without b, over more than one chunk:
+    # for each measured line tried, the columns built from the gates that reach Z_k
+    # are exactly those of every gate's reference block applied in turn
+    rng = np.random.default_rng(n + unitary)
+    count = _CHUNK + 60
+    gates = [sampling.random_gate(circuits.GATE_CLASSES[i % 5], n, rng, unitary, 2.0 / count)
+             for i in range(count)]
+    for i in range(3, count, 7):  # exp gates without b
+        mu, nu = sorted(int(v) for v in rng.choice(np.arange(1, 2 * n + 1), 2, replace=False))
+        gates[i] = exp_gate(a={(mu, nu): complex(rng.normal(), 0 if unitary else rng.normal())})
+    built = _count_built_gates(monkeypatch)
+    for k in sorted({1, (n + 1) // 2, n}):
+        mu, nu = 2 * k - 1, 2 * k
+        assert np.array_equal(_propagate_columns(gates, n, mu, nu),
+                              _reference_columns(gates, n, mu, nu))
+    assert n < 300 or sum(built) < 3 * count  # some gates were skipped
+
+
+def test_a_cone_that_stays_on_one_line(monkeypatch):
+    # Z rotations on line k commute with Z_k, and every other gate acts on other
+    # lines: only the rotations are built, and the value is the input's <Z_k>
+    n, k = 300, 150
+    rng = np.random.default_rng(3)
+    gates = _gates_off_lines([k], 270, n, rng)
+    for i in range(30):
+        rotation = complex(rng.normal(), 0.1 * rng.normal())  # non-unitary, and kept O(1)
+        gates.insert(10 * i, exp_gate(a={(2 * k - 1, 2 * k): rotation}))
+    state = sampling.random_state(n, rng)
+    built = _count_built_gates(monkeypatch)
+    cols = _propagate_columns(gates, n, 2 * k - 1, 2 * k)
+    assert built == [30]
+    assert np.array_equal(cols, _reference_columns(gates, n, 2 * k - 1, 2 * k))
+    assert np.flatnonzero(cols.any(axis=1)).tolist() == [2 * k - 1, 2 * k]
+    res = simulate(gates, state, k)
+    assert abs(res.expectation - state.single_line_expectations()["Z"][k - 1]) < 1e-12
+
+
+def test_the_scan_covers_the_lines_the_columns_reach():
+    # a cone in the middle of a wide register, without and with d_0 (reached
+    # through an exp gate's b): the value against the Heisenberg observable
+    # expanded term by term
+    n, k = 300, 150
+    rng = np.random.default_rng(4)
+    state = sampling.random_state(n, rng)
+    for b in ({}, {2 * k + 3: 0.4j}):
+        gates = [dataclasses.replace(sampling.random_gate("gvw", n, rng), lines=(q, q + 1))
+                 for q in (k - 3, k + 2, k - 1, k, k + 1)]
+        gates.append(exp_gate(a={(2 * k - 1, 2 * k + 2): 0.7}, b=b))
+        obs = heisenberg_observable(gates, k, JwFamily(n, PARITY))
+        assert abs(simulate(gates, state, k).expectation - expectation(state, obs)) < 1e-12
+
+
+def test_gates_far_from_the_measured_line_build_no_block(monkeypatch):
+    # 300 gates, unitary and not, on lines 3..40 never reach Z_1: no inverse, eigh
+    # or expm is taken, and the value is the input's <Z_1>
+    n = 40
+    rng = np.random.default_rng(5)
+    gates = _gates_off_lines([1, 2], 300, n, rng, classes=("gvw", "diag", "exp"))
+    assert {g.cls for g in gates} == {"gvw", "diag", "exp"}
+    state = sampling.random_state(n, rng)
+    calls = []
+    for module, name in ((np.linalg, "inv"), (np.linalg, "eigh"), (scipy.linalg, "expm")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    res = simulate(gates, state, 1)
+    assert calls == []
+    assert abs(res.expectation - state.single_line_expectations()["Z"][0]) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [
+    circuits.GateSpec("gvw", (3, 4), (("V", ((1, 0), (0, 1))), ("W", ((1, 0), (0, 1))))),
+    exp_gate(a={(5, 7): 0.3}),
+    # lines that understate the support: only the d index is out of range
+    circuits.GateSpec("exp", (3,), (("a", (((5, 7), 0.3 + 0j),)), ("b", ()), ("s", 0j))),
+], ids=["gvw-line", "exp-line", "exp-index"])
+def test_a_gate_outside_the_cone_is_still_checked(bad, rng):
+    # the bad gate acts on lines 3 and 4 of n=3 and comes first, so the walk from
+    # Z_1 reaches it last, after gates that keep the cone on lines 1 and 2
+    gates = [bad, sampling.random_gate("mg12", 3, rng), sampling.random_gate("u1", 3, rng),
+             exp_gate(a={(1, 4): 0.2}, b={2: 0.1j})]
+    with pytest.raises(DimensionError):
+        simulate(gates, computational([0, 1, 0]), 1)
