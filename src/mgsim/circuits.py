@@ -37,6 +37,8 @@ from .pauli import ProductState
 
 GATE_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
 
+_DEFAULT_TOL = 1e-9  # parse's tolerance, by which classify also judges a matrix
+
 _STATE_TOKENS = {
     "0": (1.0, 0.0),
     "1": (0.0, 1.0),
@@ -136,32 +138,12 @@ def gate_matrices(specs) -> np.ndarray:
     return out
 
 
-def _dets_match(dv, dw, tol: float):
-    """The gvw rule det V = det W, within tol relative to the determinants' size;
-    elementwise on arrays."""
-    return abs(dv - dw) <= tol * (abs(dv) + abs(dw) + 1)
-
-
-def _largest_entry(*stacks) -> np.ndarray:
-    """m = max(1, max |entry|) per gate, over one or more (G, k, k) stacks."""
-    return np.maximum(1.0, np.max([np.abs(M).max(axis=(1, 2)) for M in stacks], axis=0))
-
-
 def _scaled_dets(M: np.ndarray, m: np.ndarray) -> np.ndarray:
     """det(M_g / m_g) for a (G, k, k) stack in one call, so that large entries cannot
     overflow it; where m_g is 1, M_g is used as given, so for entries up to 1 every
     determinant rule is unchanged."""
     mm = m[:, None, None]
     return np.linalg.det(np.where(mm > 1, M / mm, M))
-
-
-def _diag_condition_holds(d, tol: float) -> bool:
-    """The diagonal matchgate rule B11*B44 = B22*B33, within tol relative to
-    max(1, max|d|)^2; the entries are divided by max(1, max|d|) before they are
-    multiplied, so that large entries cannot overflow the products."""
-    m = max(1.0, max(abs(e) for e in d))
-    e = [x / m for x in d]
-    return abs(e[0] * e[3] - e[1] * e[2]) <= tol
 
 
 @dataclass(frozen=True)
@@ -345,56 +327,81 @@ def _not_invertible(cls: str, det: float) -> str:
     return f"{cls} gate rejected: matrix is not invertible ({shown})"
 
 
-def _check_gates(gates, linenos, tol: float):
-    """parse's determinant and matchgate-identity checks, one batch per class.
+def _rule_faults(cls: str, stacks: dict, tol: float) -> list:
+    """The rules of one matrix class, run on its parameter stacks: each rule's mask of
+    failing gates and a function from a failing gate's position to its message, in
+    the order a gate's rules run.
 
-    Raises the ParseError, with its line, of the earliest gate that fails a check
-    (a gate's checks in the order gvw: det V = det W, then invertible; mg12:
-    identities, then invertible); otherwise returns the gates' positions by class and
-    the classes' parameter stacks.
+    gvw: det V = det W, then invertible; diag: nonzero entries, then B11*B44 =
+    B22*B33; mg12: the matchgate identities, then invertible; u1: invertible.  Each
+    rule runs on entries divided by m = max(1, max |entry|) of each gate, so that no
+    entry size overflows it.  |det| = |det(M/m)| m^k may overflow to inf (callers
+    ignore the warning): a nonzero det, which passes.  A nan (0 * inf, or a scaled
+    det that numpy cannot form) fails: a gate passes only on a |det| known to exceed tol.
+    """
+    if cls == "gvw":
+        V, W = stacks["V"], stacks["W"]
+        m = matchgate.entry_scale(np.concatenate([V, W], axis=2)).ravel()
+        dv, dw = np.split(_scaled_dets(np.concatenate([V, W]), np.concatenate([m, m])), 2)
+        det = np.abs(dv) * np.abs(dw) * m * m * m * m  # det G(V, W) = det V det W
+        return [(~(np.abs(dv - dw) <= tol * (np.abs(dv) + np.abs(dw) + 1)),
+                 lambda j: (f"gvw gate rejected: determinant mismatch: det V = "
+                            f"{dv[j] if m[j] == 1 else dv[j] * m[j] * m[j]}, "
+                            f"det W = {dw[j] if m[j] == 1 else dw[j] * m[j] * m[j]}")),
+                (~(det > tol), lambda j: _not_invertible("gvw", det[j]))]
+    if cls == "diag":
+        d = stacks["d"]
+        # e = d / max(1, max |d|) and |e1 e4 - e2 e3|, from the float operations and hypot
+        # that Python's complex arithmetic uses: numpy's complex abs and product loops
+        # round differently, which would move the decision for a gap within rounding of tol
+        x, y = d.real, d.imag
+        m = np.maximum(1.0, np.hypot(x, y).max(axis=1, keepdims=True))
+        x, y = (x / m).T, (y / m).T
+        gap = np.hypot((x[0] * x[3] - y[0] * y[3]) - (x[1] * x[2] - y[1] * y[2]),
+                       (x[0] * y[3] + y[0] * x[3]) - (x[1] * y[2] + y[1] * x[2]))
+        return [((d == 0).any(axis=1), lambda j: "diag entries must be nonzero"),
+                (gap > tol, lambda j: _diag_violation(d[j].tolist()))]
+    if cls == "mg12":
+        B = stacks["B"]
+        m = matchgate.entry_scale(B).ravel()
+        det = np.abs(_scaled_dets(B, m)) * m * m * m * m
+        return [(~matchgate.is_matchgate(matchgate.swap_convention(B), tol=max(tol, 1e-10)),
+                 lambda j: "mg12 gate rejected: matrix fails the matchgate identities"),
+                (~(det > tol), lambda j: _not_invertible("mg12", det[j]))]
+    U = stacks["U"]
+    m = matchgate.entry_scale(U).ravel()
+    det = np.abs(_scaled_dets(U, m)) * m * m
+    return [(~(det > tol), lambda j: _not_invertible("u1", det[j]))]
+
+
+def _diag_violation(d) -> str:
+    return ("diagonal matchgate condition B11*B44 = B22*B33 violated: "
+            f"{d[0] * d[3]} != {d[1] * d[2]}")
+
+
+def _check_gates(gates, linenos, tol: float):
+    """parse's class rules, one batch per class (see _rule_faults).
+
+    Raises the ParseError, with its line, of the earliest gate that fails a rule, with
+    the message of the first rule it fails; otherwise returns the gates' positions by
+    class and the classes' parameter stacks.
     """
     at = _positions(gates)
     params = _class_params(gates, at)
     failed = {}
-
-    def fail(cls, mask, message):
-        for j in np.flatnonzero(mask):
-            failed.setdefault(at[cls][j], message(j))
-
-    # |det| = |det(M/m)| m^k may overflow to inf: a nonzero det, which passes.  A nan
-    # (0 * inf, or a scaled det that numpy cannot form) fails: a gate passes only on a
-    # |det| known to exceed tol
     with np.errstate(over="ignore"):
-        if at["gvw"]:
-            V, W = params["gvw"]["V"], params["gvw"]["W"]
-            m = _largest_entry(V, W)
-            dv, dw = np.split(_scaled_dets(np.concatenate([V, W]), np.concatenate([m, m])), 2)
-            fail("gvw", ~_dets_match(dv, dw, tol),
-                 lambda j: (f"gvw gate rejected: determinant mismatch: det V = "
-                            f"{dv[j] if m[j] == 1 else dv[j] * m[j] * m[j]}, "
-                            f"det W = {dw[j] if m[j] == 1 else dw[j] * m[j] * m[j]}"))
-            det = np.abs(dv) * np.abs(dw) * m * m * m * m  # det G(V, W) = det V det W
-            fail("gvw", ~(det > tol), lambda j: _not_invertible("gvw", det[j]))
-        if at["mg12"]:
-            B = params["mg12"]["B"]
-            ok = matchgate.is_matchgate(matchgate.swap_convention(B), tol=max(tol, 1e-10))
-            fail("mg12", ~ok,
-                 lambda j: "mg12 gate rejected: matrix fails the matchgate identities")
-            m = _largest_entry(B)
-            det_b = np.abs(_scaled_dets(B, m)) * m * m * m * m
-            fail("mg12", ~(det_b > tol), lambda j: _not_invertible("mg12", det_b[j]))
-        if at["u1"]:
-            U = params["u1"]["U"]
-            m = _largest_entry(U)
-            det_u = np.abs(_scaled_dets(U, m)) * m * m
-            fail("u1", ~(det_u > tol), lambda j: _not_invertible("u1", det_u[j]))
+        for cls, stacks in params.items():
+            if at[cls]:
+                for mask, message in _rule_faults(cls, stacks, tol):
+                    for j in np.flatnonzero(mask):
+                        failed.setdefault(at[cls][j], message(j))
     if failed:
         first = min(failed)
         raise ParseError(failed[first], linenos[first])
     return at, params
 
 
-def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
+def _parse_gate(fields, n: int, lineno: int) -> GateSpec:
     cls = fields[0]
     if cls not in GATE_CLASSES:
         raise ParseError(f"unknown gate class {cls!r}; one of {GATE_CLASSES}", lineno)
@@ -429,15 +436,7 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
             raise ParseError(f"diag needs lines 1 <= k < l <= n, got {k}, {l}", lineno)
         rows = _parse_matrix(args[2], lineno)
         _require_shape(rows, (1, 4), "diag vector", lineno)
-        d = rows[0]
-        if any(e == 0 for e in d):
-            raise ParseError("diag entries must be nonzero", lineno)
-        if not _diag_condition_holds(d, tol):
-            raise ParseError(
-                f"diagonal matchgate condition B11*B44 = B22*B33 violated: "
-                f"{d[0] * d[3]} != {d[1] * d[2]}", lineno
-            )
-        return GateSpec("diag", (k, l), (("d", d),))
+        return GateSpec("diag", (k, l), (("d", rows[0]),))
 
     if cls == "mg12":
         if n < 2:
@@ -481,12 +480,12 @@ def _parse_gate(fields, n: int, lineno: int, tol: float) -> GateSpec:
     return exp_spec(a, b, s)
 
 
-def parse(text: str, tol: float = 1e-9) -> Circuit:
+def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
     """The circuit of a .mg text, every gate validated.
 
-    The determinant and matchgate-identity checks run once per gate class, after
-    the gate lines are read; before any later error is raised they run on the
-    gates read so far, so the error reported is always the first in the file.
+    The class rules (see _rule_faults) run once per gate class, after the gate
+    lines are read; before any later error is raised they run on the gates read so
+    far, so the error reported is always the first in the file.
     """
     n = None
     state = None
@@ -522,7 +521,7 @@ def parse(text: str, tol: float = 1e-9) -> Circuit:
                     raise ParseError("gate before circuit header", lineno)
                 if len(fields) < 2:
                     raise ParseError("gate line needs a class tag", lineno)
-                gates.append(_parse_gate(fields[1:], n, lineno, tol))
+                gates.append(_parse_gate(fields[1:], n, lineno))
                 linenos.append(lineno)
             elif head == "measure":
                 if n is None:
@@ -614,26 +613,25 @@ def render(circuit: Circuit) -> str:
 
 
 def classify(B) -> list[str]:
-    """Which gate classes a 4x4 (or 2x2) matrix fits, by direct structural tests."""
+    """The gate lines that would take a 4x4 (or 2x2) matrix at parse's default tolerance.
+
+    B has the layout of a u1 gate when it is 2x2; a 4x4 B has the mg12 layout, the gvw
+    layout when it is zero outside the two parity blocks, and the diag layout when it
+    is diagonal, each to within 1e-12 of its largest entry.  Of these, the classes
+    whose rules B passes are returned, by the rules and the tolerance parse applies to
+    a gate line, so a singular matchgate fits none.
+    """
     B = np.asarray(B, dtype=complex)
-    out = []
     if B.shape == (2, 2):
-        if abs(np.linalg.det(B)) > 1e-12:
-            out.append("u1")
-        return out
-    if B.shape != (4, 4):
-        return out
-    tol = 1e-10
-    if matchgate.is_matchgate(matchgate.swap_convention(B), tol=tol):
-        out.append("mg12")
-    V, W = matchgate.extract_vw(B)
-    off_block = B - matchgate.g_vw(V, W)
-    if np.abs(off_block).max() <= 1e-12:
-        dv, dw = _scaled_dets(np.stack([V, W]), np.repeat(_largest_entry(V[None], W[None]), 2))
-        if _dets_match(dv, dw, tol):
-            out.append("gvw")
-    d = np.diag(B)
-    if (np.abs(B - np.diag(d)).max() <= 1e-12 and np.all(d != 0)
-            and _diag_condition_holds(d, tol)):
-        out.append("diag")
-    return out
+        layouts = {"u1": {"U": B}}
+    elif B.shape == (4, 4):
+        V, W = matchgate.extract_vw(B)
+        layouts = {cls: params for cls, params in
+                   (("mg12", {"B": B}), ("gvw", {"V": V, "W": W}), ("diag", {"d": np.diag(B)}))
+                   if np.abs(B - _class_matrices(cls, params)).max() <= 1e-12 * np.abs(B).max()}
+    else:
+        return []
+    with np.errstate(over="ignore"):
+        return [cls for cls, params in layouts.items()
+                if not any(mask[0] for mask, _ in _rule_faults(
+                    cls, {name: val[None] for name, val in params.items()}, _DEFAULT_TOL))]

@@ -40,7 +40,7 @@ def _load_matrix(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also ints of 4300+ digits, deep nesting
             raise MgsimError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(data, dict):
         data = data.get("matrix", data.get("B"))
@@ -55,7 +55,10 @@ def _load_matrix(path: str) -> np.ndarray:
             raise MgsimError(f"{path}: complex entries must be [re, im] pairs")
         if not all(isinstance(x, (int, float)) for x in parts):
             raise MgsimError(f"{path}: non-numeric matrix entry {e!r}")
-        val = complex(parts[0], parts[1])
+        try:
+            val = complex(parts[0], parts[1])
+        except OverflowError:  # an int beyond the float range
+            raise MgsimError(f"{path}: matrix entry too large for a float") from None
         if not cmath.isfinite(val):
             raise MgsimError(f"{path}: non-finite matrix entry {e!r}")
         return val

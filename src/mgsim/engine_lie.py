@@ -98,7 +98,7 @@ def gate_coefficients(g, basis: LieBasis) -> np.ndarray:
     return xi
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=None)
 def _block_plan(n: int, terms: tuple) -> tuple:
     """How M = sum_j xi_j ad(B_j) splits into blocks, for xi supported on ``terms``.
 

@@ -213,12 +213,6 @@ def _blocks(read) -> list[tuple[list[int], np.ndarray]]:
     return [b for b in blocks if b is not None]
 
 
-def _gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
-    """Support d indices and the transfer restricted to them, for each GateSpec of a
-    list on n lines."""
-    return _blocks([(g, *_read_gate(g, n)) for g in gates])
-
-
 def _observable_indices(k: int, n: int) -> tuple[int, int]:
     """(mu, nu) with Z_k = -i d_mu d_nu."""
     if not 1 <= k <= n:

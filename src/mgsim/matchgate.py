@@ -73,7 +73,7 @@ def _as_mat4_stack(B) -> np.ndarray:
     return B
 
 
-def _entry_scale(B) -> np.ndarray:
+def entry_scale(B) -> np.ndarray:
     """m = max(1, max |B_ij|) of each matrix of a stack, shaped to divide it."""
     return np.maximum(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
 
@@ -108,7 +108,7 @@ def identities(B) -> np.ndarray:
     multiplying back by m twice keeps a vanishing value at 0.
     """
     B = _as_mat4_stack(B)
-    m = _entry_scale(B)
+    m = entry_scale(B)
     vals = _unscaled_identities((B / m).reshape(-1, 4, 4)).reshape(B.shape[:-2] + (10,))
     return m[..., 0] * (m[..., 0] * vals)
 
@@ -128,7 +128,7 @@ def is_matchgate(B, tol: float = 1e-10):
     if tol <= 0:
         raise ValueError("tol must be positive")
     B = _as_mat4_stack(B)
-    stack = (B / _entry_scale(B)).reshape(-1, 4, 4)
+    stack = (B / entry_scale(B)).reshape(-1, 4, 4)
     worst = np.abs(_unscaled_identities(stack)).max(axis=1)
     ok = worst <= tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)) ** 2)
     return bool(ok[0]) if B.ndim == 2 else ok

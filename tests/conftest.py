@@ -7,7 +7,7 @@ import scipy.linalg
 
 from mgsim.engine_lie import LieBasis, _apply_adjoint, build_basis
 from mgsim.circuits import GateSpec, exp_spec
-from mgsim.engine_quadratic import (_exp_generators, _gate_blocks, _observable_indices,
+from mgsim.engine_quadratic import (_blocks, _exp_generators, _observable_indices,
                                      _propagate_columns, _read_gate)
 from mgsim.errors import InconsistencyError
 from mgsim.exponents import to_pauli_sum
@@ -100,11 +100,17 @@ def exp_block_generator(g: GateSpec, n: int) -> tuple[list[int], np.ndarray]:
     return gates[0][1], X[0]
 
 
+def gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
+    """The quadratic engine's support d indices and the transfer restricted to them, for
+    each GateSpec of a list on n lines, built as the engine builds a chunk of kept gates."""
+    return _blocks([(g, *_read_gate(g, n)) for g in gates])
+
+
 def gate_transfer(g: GateSpec, n: int) -> np.ndarray:
     """The quadratic engine's K of one gate, embedded in the identity over d indices
     0..2n."""
     K = np.eye(2 * n + 1, dtype=complex)
-    for idx, block in _gate_blocks([g], n):
+    for idx, block in gate_blocks([g], n):
         K[np.ix_(idx, idx)] = block
     return K
 

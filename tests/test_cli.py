@@ -443,7 +443,8 @@ SINGULAR_U1 = "circuit n=3\nstate 0 0 0\ngate u1 U=[0,0;1,1e308]\nmeasure 1\n"
 
 
 def _assert_cli_contract(tmp_path_factory, argv, text):
-    """Exit 0 with one JSON line and nothing on stderr, or exit 1 with one error line."""
+    """Exit 0 with one line of strict JSON and nothing on stderr, or exit 1 with one
+    error line."""
     path = tmp_path_factory.getbasetemp() / "fuzz.mg"
     path.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()) as out, \
@@ -451,7 +452,7 @@ def _assert_cli_contract(tmp_path_factory, argv, text):
         code = main([argv[0], str(path), *argv[1:]])
     out, err = out.getvalue(), err.getvalue()
     if code == 0:
-        assert len(out.splitlines()) == 1 and err == "" and json.loads(out), (text, err)
+        assert len(out.splitlines()) == 1 and err == "" and _strict_json(out), (text, err)
     else:
         assert (code, out, len(err.splitlines())) == (1, "", 1) and err.startswith("error: "), text
 
@@ -475,4 +476,49 @@ def test_run_keeps_the_cli_contract_on_any_mg_file(tmp_path_factory, text):
 @given(mg_files())
 def test_every_engine_keeps_the_cli_contract_on_any_mg_file(tmp_path_factory, argv, text):
     # the Lie engine compiles every gate, and the oracle applies it densely
+    _assert_cli_contract(tmp_path_factory, argv, text)
+
+
+_HUGE_INT_ENTRY = "[[1" + "0" * 400 + ", 0], [0, 1]]"  # beyond the float range
+_LONG_INT_ENTRY = "[[" + "1" * 5000 + "]]"  # beyond what json converts to an int
+_DEEP_ARRAYS = "[" * 100000 + "]" * 100000
+
+
+@st.composite
+def matrix_json(draw):
+    """Matrix-JSON text: 0 to 5 rows of 0 to 5 entries, ragged now and then; ints up
+    to 401 digits, floats up to +-1e308 and non-finite ones, [re, im] pairs, bools,
+    strings and null; a {"matrix": ...} wrapper; and malformed or deeply nested text."""
+    scalar = st.one_of(st.integers(-3, 3), st.integers(-10 ** 400, 10 ** 400),
+                       st.floats(-1e308, 1e308), st.sampled_from([0.0, 1.0, 1e-300, 1e308]),
+                       st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+                       st.text(max_size=3), st.none())
+    entry = st.one_of(scalar, scalar, st.lists(scalar, min_size=0, max_size=3))
+    cols = draw(st.integers(0, 5))
+    rows = [draw(st.lists(entry, min_size=w, max_size=w))
+            for w in draw(st.lists(st.one_of(st.just(cols), st.integers(0, 5)),
+                                   min_size=0, max_size=5))]
+    data = draw(st.sampled_from([rows, {"matrix": rows}, {"B": rows}, {"other": rows}]))
+    text = json.dumps(data)
+    kind = draw(st.integers(0, 9))
+    if kind == 0:  # cut short
+        text = text[:draw(st.integers(0, len(text)))]
+    elif kind == 1:  # wrapped in more arrays than a matrix has
+        depth = draw(st.sampled_from([1, 2, 50, 5000, 100000]))
+        text = "[" * depth + text + "]" * depth
+    elif kind == 2:  # a stray character
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list("[]{},:\"x-"))) + text[at:]
+    return text
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["classify"], ["verify-matchgate"],
+                                  ["verify-matchgate", "--physical"]], ids=" ".join)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@example(_HUGE_INT_ENTRY)
+@example(_LONG_INT_ENTRY)
+@example(_DEEP_ARRAYS)
+@given(matrix_json())
+def test_matrix_commands_keep_the_cli_contract_on_any_json(tmp_path_factory, argv, text):
     _assert_cli_contract(tmp_path_factory, argv, text)

@@ -5,12 +5,12 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (computational, exp_block_generator, exp_gate, gate_transfer,
+from conftest import (computational, exp_block_generator, exp_gate, gate_blocks, gate_transfer,
                       heisenberg_observable, reference_gate_block)
 
 from mgsim import circuits, engine_lie, engine_quadratic, sampling
 from mgsim.cli import main
-from mgsim.engine_quadratic import _CHUNK, _gate_blocks, _propagate_columns, simulate
+from mgsim.engine_quadratic import _CHUNK, _propagate_columns, simulate
 from mgsim.errors import DimensionError
 from mgsim.exponents import compile_u1
 from mgsim.jw import C0_MODES, PARITY, JwFamily
@@ -204,7 +204,7 @@ def test_unitary_exp_blocks_take_eigh_and_match_expm(rng, monkeypatch):
         raise AssertionError("a unitary exp block must not reach scipy's expm")
 
     monkeypatch.setattr(scipy.linalg, "expm", forbidden)
-    blocks = {n: iter(_gate_blocks([g for g, m in zip(gates, sizes) if m == n], n))
+    blocks = {n: iter(gate_blocks([g for g, m in zip(gates, sizes) if m == n], n))
               for n in range(1, 8)}
     for n, (ref_idx, ref) in zip(sizes, refs):
         idx, block = next(blocks[n])
@@ -279,7 +279,7 @@ def test_batched_blocks_match_the_per_gate_reference(n, count):
                        == unitary} for unitary in (True, False)}
     assert sizes[True] & sizes[False]
     refs = [reference_gate_block(g) for g in gates]
-    blocks = _gate_blocks(gates, n)
+    blocks = gate_blocks(gates, n)
     assert len(blocks) == len(refs) == count
     for (idx, block), (ref_idx, ref) in zip(blocks, refs):
         assert idx == ref_idx

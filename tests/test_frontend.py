@@ -322,6 +322,27 @@ def test_batched_gate_checks_report_the_first_failing_gate(text, error):
     assert str(exc.value) == error
 
 
+def test_the_batched_diag_rule_decides_as_the_scalar_formula(rng):
+    # gaps within rounding of tol: a gate passes exactly when abs(e1*e4 - e2*e3) <= tol
+    # holds in Python's complex arithmetic, with e = d / max(1, max |d|), in one parse
+    # of many gates as in a parse of each
+    lines, expected = [], []
+    for _ in range(600):
+        d = np.exp(2j * np.pi * rng.random(4))
+        d[3] = d[1] * d[2] / d[0] * (1 + 1e-9 * (1 + 1e-8 * rng.integers(-3, 4)))
+        d = (d * rng.choice([1.0, 1e150, 1e200])).tolist()
+        m = max(1.0, max(abs(x) for x in d))
+        e = [x / m for x in d]
+        expected.append(abs(e[0] * e[3] - e[1] * e[2]) <= 1e-9)
+        lines.append(f"diag 1 2 {circuits._render_matrix([d])}")
+    assert 100 < sum(expected) < 500
+    for line, ok in zip(lines, expected):
+        assert _parses(line) == ok
+    with pytest.raises(ParseError, match="B11\\*B44 = B22\\*B33") as exc:
+        parse("circuit n=2\nstate 0 0\n" + "".join(f"gate {g}\n" for g in lines) + "measure 1\n")
+    assert exc.value.line == 3 + expected.index(False)
+
+
 def test_large_gate_entries_pass_the_batched_checks():
     # V = W = 1e160 I has det V = det W = 1e320, which overflows; the checks divide
     # by the largest entry first, and tiny entries are still refused as singular
@@ -381,3 +402,91 @@ def test_bulk_state_parse_equals_the_per_token_parse(toks):
         assert str(exc) == ref
     else:
         assert got == ref and repr(got) == repr(ref)
+
+
+def _gate_lines(B) -> dict:
+    """The one-gate lines that carry B exactly, by class: u1 for a 2x2 B; mg12 for a
+    4x4 one, plus gvw when B is zero outside the parity blocks and diag when it is
+    diagonal."""
+    if B.shape == (2, 2):
+        return {"u1": f"u1 U={circuits._render_matrix(B)}"}
+    lines = {"mg12": f"mg12 B={circuits._render_matrix(B)}"}
+    V, W = matchgate.extract_vw(B)
+    if np.array_equal(matchgate.g_vw(V, W), B):
+        lines["gvw"] = f"gvw 1 V={circuits._render_matrix(V)} W={circuits._render_matrix(W)}"
+    if np.array_equal(np.diag(np.diag(B)), B):
+        lines["diag"] = f"diag 1 2 {circuits._render_matrix([np.diag(B)])}"
+    return lines
+
+
+def _parses(line: str) -> bool:
+    try:
+        parse(f"circuit n=2\nstate 0 +\ngate {line}\nmeasure 1\n")
+    except ParseError:
+        return False
+    return True
+
+
+def _classify_cases() -> dict:
+    """2x2 and 4x4 matrices on both sides of each class rule, by name."""
+    rng = np.random.default_rng(19)
+    cases = {"zero 4x4": np.zeros((4, 4)), "diag(1,0,0,0)": np.diag([1.0, 0, 0, 0]),
+             "1e-5 I (2x2)": 1e-5 * np.eye(2),
+             "G(I, diag(1,1+5e-10))": matchgate.g_vw(np.eye(2), np.diag([1, 1 + 5e-10])),
+             "diag(1,1,1,1+5e-10)": np.diag([1, 1, 1, 1 + 5e-10]),
+             "closure-only": matchgate.g_vw([[1, 1], [0, 1]], [[-1, 1], [0, -1]])}
+    for i in range(3):
+        M4, M2 = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for k in (4, 2))
+        V, W = random_su2(rng), random_su2(rng)
+        d = np.exp(2j * np.pi * rng.random(4))
+        d[3] = d[1] * d[2] / d[0]
+        cases |= {f"random 4x4 #{i}": M4, f"random 2x2 #{i}": M2,
+                  f"rank 1 4x4 #{i}": np.outer(M4[0], M4[1]),
+                  f"rank 2 4x4 #{i}": M4[:, :2] @ M4[:2],
+                  f"rank 1 2x2 #{i}": np.outer(M2[0], M2[1]),
+                  f"G(V, W) #{i}": matchgate.g_vw(V, W),
+                  f"G(V, 2W) #{i}": matchgate.g_vw(V, 2 * W),
+                  f"G(rank 1, rank 1) #{i}": matchgate.g_vw(np.outer(*V), np.outer(*W)),
+                  f"exp_L #{i}": matchgate.swap_convention(matchgate.exp_L(rng.normal(size=11))),
+                  f"diag matchgate #{i}": np.diag(d),
+                  f"diag with a zero entry #{i}": np.diag(d * [1, 1, 0, 1]),
+                  f"diag non-matchgate #{i}": np.diag(d * [1, 1, 1, -1])}
+    for f in (0.5, 0.99, 1.01, 2.0):  # each rule's residual or |det| at f times its bound
+        t = 1e-9 * f
+        cases |= {  # the gvw rule's bound is 3 tol here, the identities' tol ||B||_F^2 = 4 tol
+            f"det W - det V = 3 * {f}e-9": matchgate.g_vw(np.eye(2), np.diag([1, 1 + 3 * t])),
+            f"diag gap {f}e-9": np.diag([1, 1, 1, 1 + t]),
+            f"identity residual 4 * {f}e-9": np.diag([1, 1, 1, 1 + 4 * t]),
+            f"u1 |det| = {f}e-9": np.diag([1e-3, t / 1e-3]),
+            f"gvw |det| = {f}e-9": matchgate.g_vw(np.diag([1, t ** 0.5]), np.diag([t ** 0.5, 1]))}
+    for name, B in list(cases.items()):  # every case again at both ends of the float range
+        cases |= {f"{name} * 1e200": 1e200 * B, f"{name} * 1e-170": 1e-170 * B}
+    return {name: np.asarray(B, dtype=complex) for name, B in cases.items()}
+
+
+CLASSIFY_CASES = _classify_cases()
+
+
+@pytest.mark.parametrize("name", CLASSIFY_CASES)
+def test_classify_lists_exactly_the_gate_lines_that_parse(name):
+    # classify and parse judge a matrix by the same class rules, at parse's default tol
+    B = CLASSIFY_CASES[name]
+    assert {cls for cls, line in _gate_lines(B).items() if _parses(line)} == set(classify(B))
+
+
+def test_the_classify_cases_reach_both_sides_of_every_rule():
+    accepted, refused = set(), set()
+    for B in CLASSIFY_CASES.values():
+        found = classify(B)
+        accepted |= set(found)
+        refused |= set(_gate_lines(B)) - set(found)
+    assert accepted == refused == {"gvw", "diag", "mg12", "u1"}
+
+
+@pytest.mark.parametrize("name, classes", [
+    ("zero 4x4", []), ("diag(1,0,0,0)", []), ("1e-5 I (2x2)", []),
+    ("G(I, diag(1,1+5e-10))", ["mg12", "gvw", "diag"]),
+    ("diag(1,1,1,1+5e-10)", ["mg12", "gvw", "diag"]),
+])
+def test_classify_refuses_singular_matrices_and_keeps_parse_tolerance(name, classes):
+    assert classify(CLASSIFY_CASES[name]) == classes

@@ -125,16 +125,23 @@ def referenced_names(source: str) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-def names_without_a_caller(sources: dict[str, str]) -> list[str]:
-    """Public definitions that no code in the sources reads: a function or class by
-    its name or as an attribute, a method as an attribute."""
+def private_functions(source: str) -> list[tuple[str, str]]:
+    """(name, name) of each private module-level function, dunders aside."""
+    return [(node.name, node.name) for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")]
+
+
+def names_without_a_caller(sources: dict[str, str], definitions=public_definitions) -> list[str]:
+    """Definitions (public ones by default) that no code in the sources reads: a
+    function or class by its name or as an attribute, a method as an attribute."""
     names, attrs = set(), set()
     for source in sources.values():
         more_names, more_attrs = referenced_names(source)
         names |= more_names
         attrs |= more_attrs
     return sorted(f"{path}: {qual}" for path, source in sources.items()
-                  for qual, name in public_definitions(source)
+                  for qual, name in definitions(source)
                   if name not in attrs and ("." in qual or name not in names))
 
 
@@ -158,6 +165,22 @@ def test_every_public_name_has_a_production_caller():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert [where for where in names_without_a_caller(sources)
             if re.split(r"[ .]", where)[-1] not in CALLED_FROM_OUTSIDE] == []
+
+
+def test_scan_finds_a_private_function_without_a_caller():
+    sources = {"a.py": ("def _used():\n    pass\n\ndef _unused():\n    return _used()\n\n"
+                        "def _documented():\n    pass\n\ndef __getattr__(name):\n    pass\n\n"
+                        "class K:\n    def _method(self):\n        pass\n"),
+               "b.py": ("import a\n\ndef _helper():\n"
+                        "    \"\"\"Says _documented().\"\"\"\n    return a._unused()\n")}
+    assert names_without_a_caller(sources, private_functions) == ["a.py: _documented",
+                                                                  "b.py: _helper"]
+
+
+def test_every_private_function_has_a_production_caller():
+    # a helper kept only for the tests belongs in conftest, as the engines' references do
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert names_without_a_caller(sources, private_functions) == []
 
 
 def _loads_in_fresh_process(argv, module: str) -> bool:
