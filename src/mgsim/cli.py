@@ -53,7 +53,7 @@ def _load_matrix(path: str) -> np.ndarray:
         parts = e if isinstance(e, list) else [e, 0]
         if len(parts) != 2:
             raise MgsimError(f"{path}: complex entries must be [re, im] pairs")
-        if not all(isinstance(x, (int, float)) for x in parts):
+        if not all(type(x) in (int, float) for x in parts):  # a JSON bool is no number
             raise MgsimError(f"{path}: non-numeric matrix entry {e!r}")
         try:
             val = complex(parts[0], parts[1])

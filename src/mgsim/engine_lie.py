@@ -16,7 +16,9 @@ block on the elements inside S, and for every index tau outside S one block
 on the elements i c_s c_tau (s in S), joined by c_tau when A has linear
 terms.  Taken with s first, the outside blocks are all equal, so each gate
 costs one batched expm of two small blocks, and no table of structure
-constants is built.  M is never formed as a dense matrix.
+constants is built.  M is never formed as a dense matrix.  The observable
+C^-1 Z_k C comes out as a Pauli sum {(x_mask, z_mask): coeff} with one term
+per nonzero coefficient of the propagated vector.
 
 The derivation is completely independent of the quadratic d-operator
 transfer: no extended operator d_0 appears, the basis is exponentially
@@ -37,7 +39,7 @@ import numpy as np
 from .engine_quadratic import SimResult
 from .errors import DimensionError, InconsistencyError
 from .jw import PARITY, JwFamily
-from .pauli import PauliString, PauliSum, ProductState, commutation_sign, expectation, pauli_mul
+from .pauli import PauliString, ProductState, commutation_sign, expectation, pauli_mul
 
 ENGINE_NAME = "lie"
 
@@ -79,7 +81,7 @@ def build_basis(n: int) -> LieBasis:
         for nu in range(mu + 1, 2 * n + 1):
             prod = pauli_mul(family.c(mu), family.c(nu))
             pairs.append(((mu, nu), len(elems)))
-            elems.append(PauliString(n, prod.x_mask, prod.z_mask, prod.phase_pow + 1, prod.coeff))
+            elems.append(PauliString(n, prod.x_mask, prod.z_mask, prod.phase_pow + 1))
     return LieBasis(n, tuple(elems), tuple(pairs))
 
 
@@ -183,13 +185,13 @@ def _apply_adjoint(eta: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def heisenberg_observable(gates, k: int, n: int) -> PauliSum:
-    """C^{-1} Z_k C as a Pauli sum, via adjoint transfers over the Lie basis."""
+def heisenberg_observable(gates, k: int, n: int) -> dict:
+    """C^{-1} Z_k C as Pauli terms {(x_mask, z_mask): coeff}, one per nonzero eta entry,
+    via adjoint transfers over the Lie basis."""
     eta = _propagate(gates, k, n)
-    basis = build_basis(n)
-    return PauliSum.from_strings(
-        (basis.elements[i].with_coeff(eta[i]) for i in np.flatnonzero(eta)), n=n
-    )
+    elems = build_basis(n).elements
+    return {(elems[i].x_mask, elems[i].z_mask): eta[i] * elems[i].scalar
+            for i in np.flatnonzero(eta)}
 
 
 def _propagate(gates, k: int, n: int) -> np.ndarray:

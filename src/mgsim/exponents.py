@@ -15,7 +15,8 @@ logarithm, :func:`compile_diag` a diagonal matchgate on any pair through
 commuting Z logs, and :func:`compile_u1` a 1-qubit gate on line 1.
 ``circuits.compile`` turns them into exp gates, the form an exp line of a
 circuit file is parsed to, and :func:`to_pauli_sum` expands an exp gate over
-Pauli strings for the oracle.
+Pauli strings for the oracle, as a dict {(x_mask, z_mask): coeff} with one
+term per nonzero coefficient.
 
 Phases are never taken on faith from shorthand like "Z_k = c_{2k-1}c_{2k}":
 every constant here is produced by the exact Pauli algebra (the true relation
@@ -31,20 +32,18 @@ import numpy as np
 from . import matchgate
 from .errors import DimensionError, GateClassError
 from .jw import JwFamily, jw
-from .pauli import PauliString, PauliSum, pauli_mul
+from .pauli import PauliString, pauli_mul
 
 
-def to_pauli_sum(g, family: JwFamily) -> PauliSum:
-    """Expand the A of an exp gate over Pauli strings exactly, on the family's line count."""
+def to_pauli_sum(g, family: JwFamily) -> dict:
+    """The A of an exp gate over Pauli strings on the family's line count, as terms
+    {(x_mask, z_mask): coeff}, one per nonzero coefficient (all strings are distinct)."""
     if max(g.lines, default=0) > family.n:
         raise DimensionError(f"gate on lines {g.lines}, family has n={family.n}")
-    strings = []
-    for (mu, nu), val in g.param("a"):
-        strings.append(pauli_mul(family.c(mu), family.c(nu)).with_coeff(2 * val))
-    for sigma, val in g.param("b"):
-        strings.append(family.c(sigma).with_coeff(val))
-    strings.append(PauliString(family.lines, 0, 0, 0, g.param("s")))
-    return PauliSum.from_strings(strings, n=family.lines)
+    pairs = [(pauli_mul(family.c(mu), family.c(nu)), 2 * val) for (mu, nu), val in g.param("a")]
+    pairs += [(family.c(sigma), val) for sigma, val in g.param("b")]
+    pairs.append((PauliString(family.lines, 0, 0), g.param("s")))
+    return {(p.x_mask, p.z_mask): val * p.scalar for p, val in pairs if val != 0}
 
 
 @lru_cache(maxsize=None)

@@ -49,7 +49,7 @@ def jw_tilde2(mu: int) -> PauliString:
     p = jw(2, mu)
     # reverse the two tensor factors by swapping mask bits
     swap = lambda m: ((m & 1) << 1) | ((m >> 1) & 1)
-    return PauliString(2, swap(p.x_mask), swap(p.z_mask), p.phase_pow, p.coeff)
+    return PauliString(2, swap(p.x_mask), swap(p.z_mask), p.phase_pow)
 
 
 def c0(n: int, mode: str) -> PauliString:
@@ -77,7 +77,7 @@ class JwFamily:
         self._d = [self._c[0]]
         for mu in range(1, 2 * n + 1):
             p = pauli_mul(self._c[mu], self._c[0])
-            self._d.append(PauliString(self.lines, p.x_mask, p.z_mask, p.phase_pow + 1, p.coeff))
+            self._d.append(PauliString(self.lines, p.x_mask, p.z_mask, p.phase_pow + 1))
 
     def c(self, mu: int) -> PauliString:
         if not 0 <= mu <= 2 * self.n:

@@ -113,11 +113,6 @@ def identities(B) -> np.ndarray:
     return m[..., 0] * (m[..., 0] * vals)
 
 
-def _scale2(B) -> float:
-    """Degree-2 normalization: max(1, ||B||_F^2)."""
-    return max(1.0, float(np.linalg.norm(B) ** 2))
-
-
 def is_matchgate(B, tol: float = 1e-10):
     """True iff all ten identities vanish, relative to the squared matrix scale.
 
@@ -146,13 +141,14 @@ def identities_containing(ij: tuple[int, int]) -> list[int]:
 
 
 def reduced_check(B, ij: tuple[int, int], tol: float = 1e-10) -> bool:
-    """Check only the five identities M(ij); valid when B_ij is nonzero."""
+    """Check only the five identities M(ij), on B/m as is_matchgate; valid when B_ij != 0."""
     B = _as_mat4(B)
+    B = B / entry_scale(B)
     scale = np.linalg.norm(B)
     if abs(B[ij[0] - 1, ij[1] - 1]) <= tol * scale:
         raise MatchgateError(f"entry B{ij[0]}{ij[1]} is (numerically) zero; reduction needs B_ij != 0")
     vals = identities(B)
-    return float(np.max(np.abs(vals[identities_containing(ij)]))) <= tol * _scale2(B)
+    return float(np.max(np.abs(vals[identities_containing(ij)]))) <= tol * max(1.0, scale ** 2)
 
 
 def _partner_structure(ij):
@@ -261,11 +257,16 @@ def d_values(B) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvector_predicate(B, tol: float = 1e-10) -> bool:
-    """True iff F_0 is an eigenvector of both B(x)B and B^T (x) B^T."""
+    """True iff F_0 is an eigenvector of both B(x)B and B^T (x) B^T.
+
+    Like :func:`is_matchgate`, the test runs on B/m with m = max(1, max |B_ij|),
+    the same rule in exact arithmetic, so that B(x)B does not overflow.
+    """
     B = _as_mat4(B)
+    B = B / entry_scale(B)
     f0 = _F[0]
     f0n2 = f0 @ f0
-    scale = _scale2(B) * np.linalg.norm(f0)
+    scale = max(1.0, float(np.linalg.norm(B) ** 2)) * np.linalg.norm(f0)
     for M in (B, B.T):
         v = np.kron(M, M) @ f0
         resid = v - (f0 @ v) / f0n2 * f0

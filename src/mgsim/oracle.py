@@ -108,7 +108,7 @@ class _Split(NamedTuple):
 
 def _split(g, n: int) -> _Split:
     """Expand an exp gate over Pauli strings and split its lines into active and diagonal."""
-    terms = to_pauli_sum(g, _family(n)).terms
+    terms = to_pauli_sum(g, _family(n))
     flip = support = 0
     for x, z in terms:
         flip |= x

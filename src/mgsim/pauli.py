@@ -5,13 +5,15 @@ A Pauli product is encoded by two n-bit masks.  Bit ``k-1`` of ``x_mask`` and
 
     (0, 0) -> I,   (1, 0) -> X,   (0, 1) -> Z,   (1, 1) -> Y.
 
-The operator represented by a :class:`PauliString` is
+The operator represented by a :class:`PauliString` is the Pauli-group element
 
-    coeff * i**phase_pow * (P_1 x P_2 x ... x P_n)
+    i**phase_pow * (P_1 x P_2 x ... x P_n)
 
-with line 1 the leftmost tensor factor.  The phase of a product of two strings
-is an exact integer power of i, so Clifford-algebra identities (commutation,
-involution) hold without any floating-point tolerance.
+with line 1 the leftmost tensor factor.  It carries no float: the phase of a
+product of two strings is an exact integer power of i, so Clifford-algebra
+identities (commutation, involution) hold without any floating-point
+tolerance.  A linear combination of Pauli products is a plain dict
+``{(x_mask, z_mask): coeff}``, the coefficient absorbing any phase.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ _PAULI_1Q = {
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
+# i**p; spelled out because 1j**3 is complex(-0.0, -1.0)
+_PHASES = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -38,7 +43,6 @@ class PauliString:
     x_mask: int
     z_mask: int
     phase_pow: int = 0
-    coeff: complex = 1.0 + 0j
 
     def __post_init__(self):
         if self.n < 1:
@@ -47,7 +51,6 @@ class PauliString:
         if self.x_mask & ~full or self.z_mask & ~full:
             raise DimensionError("mask has bits outside the n lines")
         object.__setattr__(self, "phase_pow", self.phase_pow % 4)
-        object.__setattr__(self, "coeff", complex(self.coeff))
 
     def label(self) -> str:
         return "".join(
@@ -55,15 +58,12 @@ class PauliString:
         )
 
     def __repr__(self):
-        return f"PauliString({self.coeff!r}*i^{self.phase_pow}*{self.label()})"
+        return f"PauliString(i^{self.phase_pow}*{self.label()})"
 
     @property
     def scalar(self) -> complex:
-        """The full scalar prefactor coeff * i**phase_pow."""
-        return self.coeff * (1j ** self.phase_pow)
-
-    def with_coeff(self, coeff: complex) -> "PauliString":
-        return PauliString(self.n, self.x_mask, self.z_mask, self.phase_pow, coeff)
+        """The phase i**phase_pow, with +0.0 wherever a part vanishes."""
+        return _PHASES[self.phase_pow]
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix; intended for small n only."""
@@ -86,7 +86,7 @@ def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
         + 2 * (p.z_mask & q.x_mask).bit_count()
         - (x & z).bit_count()
     )
-    return PauliString(p.n, x, z, p.phase_pow + q.phase_pow + dphase, p.coeff * q.coeff)
+    return PauliString(p.n, x, z, p.phase_pow + q.phase_pow + dphase)
 
 
 def commutation_sign(p: PauliString, q: PauliString) -> int:
@@ -95,54 +95,6 @@ def commutation_sign(p: PauliString, q: PauliString) -> int:
         raise DimensionError(f"line counts differ: {p.n} != {q.n}")
     anti = ((p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()) % 2
     return -1 if anti else 1
-
-
-DEFAULT_DROP_TOL = 1e-14
-
-
-class PauliSum:
-    """A complex-linear combination of Pauli products.
-
-    Terms are keyed by (x_mask, z_mask); the stored coefficient absorbs the
-    i-power phase of any contributing string.  Coefficients with magnitude
-    at most ``DEFAULT_DROP_TOL`` are dropped on construction and accumulation.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict[tuple[int, int], complex] = {}
-        if terms:
-            for key, val in dict(terms).items():
-                if abs(val) > DEFAULT_DROP_TOL:
-                    self.terms[key] = complex(val)
-
-    @classmethod
-    def from_strings(cls, strings, n: int) -> "PauliSum":
-        out = cls(n)
-        for s in strings:
-            out._add_string(s)
-        out._prune()
-        return out
-
-    def _add_string(self, s: PauliString, weight: complex = 1.0):
-        if s.n != self.n:
-            raise DimensionError(f"line counts differ: {s.n} != {self.n}")
-        key = (s.x_mask, s.z_mask)
-        self.terms[key] = self.terms.get(key, 0j) + weight * s.scalar
-
-    def _prune(self):
-        dead = [k for k, v in self.terms.items() if abs(v) <= DEFAULT_DROP_TOL]
-        for k in dead:
-            del self.terms[k]
-
-    def to_matrix(self) -> np.ndarray:
-        dim = 1 << self.n
-        m = np.zeros((dim, dim), dtype=complex)
-        for (x, z), val in self.terms.items():
-            m += val * PauliString(self.n, x, z).to_matrix()
-        return m
 
 
 @dataclass(frozen=True)
@@ -193,14 +145,13 @@ class ProductState:
         return v
 
 
-def expectation(state: ProductState, s: PauliSum) -> complex:
-    """<state| s |state> at cost O(n * number of terms)."""
-    if state.n != s.n:
-        raise DimensionError(f"line counts differ: {state.n} != {s.n}")
+def expectation(state: ProductState, terms: dict) -> complex:
+    """<state| sum coeff * P |state> over the terms {(x_mask, z_mask): coeff}, at cost
+    O(n * number of terms)."""
     e = state.single_line_expectations()
     ex, ey, ez = e["X"], e["Y"], e["Z"]
     total = 0j
-    for (x, z), coeff in s.terms.items():
+    for (x, z), coeff in terms.items():
         val = coeff
         support = x | z
         while support and val:

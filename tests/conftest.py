@@ -14,7 +14,7 @@ from mgsim.exponents import to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
 from mgsim.matchgate import g_vw
 from mgsim.oracle import _prepare
-from mgsim.pauli import PauliString, PauliSum, ProductState, commutation_sign, pauli_mul
+from mgsim.pauli import PauliString, ProductState, commutation_sign, pauli_mul
 
 
 @pytest.fixture
@@ -29,25 +29,34 @@ def exp_gate(a=None, b=None, s=0j) -> GateSpec:
                     {key: complex(v) for key, v in (b or {}).items() if v != 0}, complex(s))
 
 
-def heisenberg_observable(gates, k: int, family: JwFamily) -> PauliSum:
-    """C^{-1} Z_k C expanded as a Pauli sum over the family's n lines, from the
-    quadratic engine's two propagated columns."""
+def heisenberg_observable(gates, k: int, family: JwFamily) -> dict:
+    """C^{-1} Z_k C expanded as Pauli terms {(x_mask, z_mask): coeff} over the family's
+    n lines, from the quadratic engine's two propagated columns."""
     n = family.n
     cols = _propagate_columns(list(gates), n, *_observable_indices(k, n))
     u, v = cols[:, 0], cols[:, 1]
     B = -0.5j * (np.outer(u, v) - np.outer(v, u))
     out = _expand_coeff_matrix(B, family)
     # each d_a d_b is c_a c_b or -i c_b, so no term may act on an auxiliary line
-    assert all(x >> n == 0 and z >> n == 0 for x, z in out.terms), "observable left the n lines"
-    return PauliSum(n, out.terms)
+    assert all(x >> n == 0 and z >> n == 0 for x, z in out), "observable left the n lines"
+    return out
 
 
-def _expand_coeff_matrix(B: np.ndarray, family: JwFamily, drop_tol: float = 1e-14) -> PauliSum:
-    """sum_{a != b} B[a, b] d_a d_b for an antisymmetric B."""
-    out = PauliSum(family.lines)
-    for a, b in zip(*np.nonzero(np.abs(B) > drop_tol)):
-        out._add_string(pauli_mul(family.d(a), family.d(b)), weight=B[a, b])
-    out._prune()
+def _expand_coeff_matrix(B: np.ndarray, family: JwFamily) -> dict:
+    """sum_{a != b} B[a, b] d_a d_b for an antisymmetric B, as Pauli terms; the pairs
+    (a, b) and (b, a) share a term."""
+    out = {}
+    for a, b in zip(*np.nonzero(B)):
+        p = pauli_mul(family.d(a), family.d(b))
+        out[p.x_mask, p.z_mask] = out.get((p.x_mask, p.z_mask), 0j) + B[a, b] * p.scalar
+    return out
+
+
+def terms_matrix(terms: dict, n: int) -> np.ndarray:
+    """The dense 2^n x 2^n matrix of Pauli terms {(x_mask, z_mask): coeff}."""
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for (x, z), val in terms.items():
+        out += val * PauliString(n, x, z).to_matrix()
     return out
 
 
@@ -82,7 +91,7 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, lines, n: int) -> np.nda
 def dense_gate(g: GateSpec, n: int) -> np.ndarray:
     """The full 2^n x 2^n matrix e^A of an exp gate on n lines, through one dense expm:
     the reference for the oracle's split exponentials."""
-    return scipy.linalg.expm(to_pauli_sum(g, JwFamily(n, PARITY)).to_matrix())
+    return scipy.linalg.expm(terms_matrix(to_pauli_sum(g, JwFamily(n, PARITY)), n))
 
 
 def is_unitary_exponent(g: GateSpec, tol: float = 1e-8) -> bool:

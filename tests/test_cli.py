@@ -216,6 +216,16 @@ def test_large_matchgate_identities_stay_finite(capsys, tmp_path):
     assert "overflow" in assert_one_error(capsys, main(["verify-matchgate", str(path)]))
 
 
+def test_large_non_matchgate_fails_both_predicates(capsys, tmp_path):
+    path = tmp_path / "B.json"
+    B = np.eye(4)
+    B[0, 1] = 1e-3  # mixes the parity blocks
+    path.write_text(json.dumps((1e155 * B).tolist()))
+    code, data = run_json(capsys, ["verify-matchgate", str(path)])
+    assert code == 0
+    assert data["is_matchgate"] is False and data["eigenvector_predicate"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "{circuit}", "--c0-mode", "parity"],
     ["run", "{circuit}", "--seed", "1"],
@@ -284,6 +294,9 @@ def test_zero_tol_is_accepted(capsys, circuit_file):
     ("classify", "[[NaN, 0], [0, 1]]"),
     ("verify-matchgate", "[[Infinity, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"),
     ("verify-matchgate", "[[[1, 0, 0], 0], [0, 1]]"),
+    ("classify", "[[true, false], [false, true]]"),
+    ("verify-matchgate", "[[true, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"),
+    ("verify-matchgate", "[[[1, false], 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"),
 ])
 def test_bad_input_is_a_domain_error(capsys, tmp_path, command, text):
     path = tmp_path / "input"

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 
 from conftest import (adjoint_transfer, computational, dense_gate, dense_generator, exp_gate,
-                      gate_transfer, structure_constants)
+                      gate_transfer, structure_constants, terms_matrix)
 from mgsim import circuits, sampling
 from mgsim.circuits import GateSpec
-from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, build_basis,
+from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, _propagate, build_basis,
                               gate_coefficients, heisenberg_observable, simulate)
 from mgsim.engine_quadratic import simulate as simulate_quadratic
 from mgsim.pauli import ProductState, commutation_sign, pauli_mul
@@ -151,7 +151,20 @@ def test_heisenberg_observable_matches_quadratic(rng):
     gates = circuits.compile(circ)
     s1 = heisenberg_observable(gates, circ.k, n)
     s2 = quad_obs(gates, circ.k, JwFamily(n, PARITY))
-    assert np.linalg.norm(s1.to_matrix() - s2.to_matrix()) < 1e-9
+    assert np.linalg.norm(terms_matrix(s1, n) - terms_matrix(s2, n)) < 1e-9
+
+
+def test_heisenberg_observable_has_one_term_per_nonzero_eta(rng):
+    cases = [(2, [exp_gate(a={(1, 3): 1e-16})], 1)]  # an eta entry far below 1e-14
+    for n in (3, 5):
+        circ = sampling.random_circuit(n, 6, rng)
+        cases.append((n, circuits.compile(circ), circ.k))
+    for n, gates, k in cases:
+        eta = _propagate(gates, k, n)
+        obs = heisenberg_observable(gates, k, n)
+        assert [abs(v) for v in obs.values()] == np.abs(eta[np.flatnonzero(eta)]).tolist()
+    tiny = _propagate(cases[0][1], 1, 2)
+    assert 0 < np.abs(tiny[np.flatnonzero(tiny)]).min() < 1e-14
 
 
 def _compile_specs(specs, n):

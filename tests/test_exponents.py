@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import dense_gate, exp_block_generator, exp_gate, is_unitary_exponent
+from conftest import dense_gate, exp_block_generator, exp_gate, is_unitary_exponent, terms_matrix
 
 from mgsim import circuits, sampling
 from mgsim import matchgate as mg
 from mgsim.errors import GateClassError
 from mgsim.exponents import compile_diag, compile_matrix, compile_u1, to_pauli_sum
 from mgsim.jw import C0_MODES, PARITY, JwFamily
-from mgsim.pauli import PauliString, PauliSum, pauli_mul
+from mgsim.pauli import pauli_mul
 from mgsim.sampling import random_su2
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -29,18 +29,17 @@ def test_extended_quadratic_reproduces_pauli_sum(rng):
         assert (0 in idx) == bool(g.param("b")) and np.array_equal(atilde, -atilde.T)
         for mode in C0_MODES:
             fam = JwFamily(n, mode)
-            out = PauliSum(fam.lines)
+            out = g.param("s") * np.eye(1 << fam.lines)
             for p, q in itertools.combinations(range(len(idx)), 2):
-                out._add_string(pauli_mul(fam.d(idx[p]), fam.d(idx[q])), weight=2 * atilde[p, q])
-            out._add_string(PauliString(fam.lines, 0, 0), weight=g.param("s"))
-            ref = to_pauli_sum(g, fam).to_matrix()
-            assert np.abs(out.to_matrix() - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+                out += 2 * atilde[p, q] * pauli_mul(fam.d(idx[p]), fam.d(idx[q])).to_matrix()
+            ref = terms_matrix(to_pauli_sum(g, fam), fam.lines)
+            assert np.abs(out - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_to_pauli_sum_dense(rng):
     g = exp_gate(a={(2, 5): 0.3 + 0.1j}, b={1: -0.2j, 6: 0.4}, s=0.25j)
     fam = JwFamily(3, PARITY)
-    A = to_pauli_sum(g, fam).to_matrix()
+    A = terms_matrix(to_pauli_sum(g, fam), fam.lines)
     ref = np.zeros((8, 8), dtype=complex)
     for (mu, nu), val in g.param("a"):
         ref += 2 * val * pauli_mul(fam.c(mu), fam.c(nu)).to_matrix()
@@ -48,6 +47,25 @@ def test_to_pauli_sum_dense(rng):
         ref += val * fam.c(sigma).to_matrix()
     ref += g.param("s") * np.eye(8)
     assert np.allclose(A, ref, atol=1e-13)
+
+
+def test_to_pauli_sum_has_one_term_per_nonzero_coefficient(rng):
+    for trial in range(24):
+        n = 1 + trial % 4
+        pick = lambda: complex(rng.normal(), rng.normal()) if rng.random() < 0.6 else 0j
+        a = {pair: pick() for pair in itertools.combinations(range(1, 2 * n + 1), 2)}
+        b = {sigma: pick() for sigma in range(1, 2 * n + 1)}
+        g = circuits.exp_spec(a, b, pick())  # written zeros kept, as parse keeps them
+        coeffs = [2 * v for v in a.values()] + list(b.values()) + [g.param("s")]
+        for mode in C0_MODES:
+            terms = to_pauli_sum(g, JwFamily(n, mode))
+            assert [abs(v) for v in terms.values()] == [abs(v) for v in coeffs if v != 0]
+
+
+def test_a_tiny_coefficient_keeps_its_term():
+    circ = circuits.parse("circuit n=2\nstate 0 0\ngate exp a:1,2=4e-15\nmeasure 1\n")
+    # c_1 c_2 = i Z_1
+    assert to_pauli_sum(circ.gates[0], JwFamily(2, PARITY)) == {(0, 1): 8e-15j}
 
 
 def _is_zero(g) -> bool:

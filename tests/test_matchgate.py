@@ -72,6 +72,20 @@ def test_predicate_equivalence_samples(rng):
         assert mg.is_matchgate(B, tol=1e-9) == mg.eigenvector_predicate(B, tol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1, 1e100, 1e155, 1e200, 1e-170])
+def test_predicates_agree_at_every_scale(rng, scale):
+    # B (x) B of the unscaled entries overflows above about 1e154
+    matchgates = [mg.sample_matchgate((4, 4), 1.0 + 0.3j, random_entries(rng, 10))
+                  for _ in range(20)]
+    others = [random_entries(rng, (4, 4)) for _ in range(20)] + [SWAP_GATE]
+    for B in matchgates + others:
+        B = scale * B
+        assert mg.is_matchgate(B, tol=1e-9) == mg.eigenvector_predicate(B, tol=1e-9)
+        assert mg.is_matchgate(B, tol=1e-9) == mg.reduced_check(B, (4, 4), tol=1e-9)
+    assert all(mg.is_matchgate(scale * B, tol=1e-9) for B in matchgates)
+    assert scale < 1 or not any(mg.is_matchgate(scale * B, tol=1e-9) for B in others)
+
+
 def test_antisym_basis_orthogonal():
     F = mg.antisym_basis()
     gram = F @ F.T

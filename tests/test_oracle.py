@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import apply_gate, apply_matrix, computational, dense_gate, exp_gate
+from conftest import apply_gate, apply_matrix, computational, dense_gate, exp_gate, terms_matrix
 
 from mgsim import circuits, sampling
 from mgsim.engine_quadratic import simulate
 from mgsim.errors import DimensionError, SizeLimitError
 from mgsim.exponents import compile_diag, compile_u1, to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
-from mgsim.oracle import ADJOINT, INVERSE, MAX_LINES, expectation_heisenberg
+from mgsim.oracle import ADJOINT, INVERSE, MAX_LINES, _split, expectation_heisenberg
 from mgsim.pauli import ProductState
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,9 +44,17 @@ def test_size_cap():
 
 def test_dense_gate_matches_full_expm(rng):
     g = exp_gate(a={(1, 5): 0.4 - 0.1j}, b={2: 0.3j}, s=0.2)
-    full = scipy.linalg.expm(to_pauli_sum(g, JwFamily(3, PARITY)).to_matrix())
+    full = scipy.linalg.expm(terms_matrix(to_pauli_sum(g, JwFamily(3, PARITY)), 3))
     columns = np.column_stack([apply_gate(e, g, 3) for e in np.eye(8, dtype=complex)])
     assert np.allclose(columns, full, atol=1e-12)
+
+
+def test_a_written_zero_coefficient_activates_no_line():
+    text = "circuit n=4\nstate 0 0 0 0\ngate exp a:3,4=0.3 {}\nmeasure 1\n"
+    base, padded = (_split(circuits.parse(text.format(extra)).gates[0], 4)
+                    for extra in ("", "a:1,7=0 b:2=0"))
+    assert padded.lines == base.lines == (2,)
+    assert np.array_equal(padded.blocks, base.blocks)
 
 
 def test_apply_gate_support_restriction(rng):

@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import computational, pauli
+from conftest import computational, pauli, terms_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgsim.errors import DimensionError
-from mgsim.pauli import (PauliString, PauliSum, ProductState, commutation_sign, expectation,
-                         pauli_mul)
+from mgsim.pauli import PauliString, ProductState, commutation_sign, expectation, pauli_mul
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
@@ -57,35 +58,34 @@ def test_dimension_mismatch():
         pauli_mul(pauli("X"), pauli("XX"))
 
 
+def test_scalar_is_the_phase_as_a_unit_coefficient_times_a_power_of_i():
+    # bit for bit, signed zeros included: 1j**3 alone is complex(-0.0, -1.0)
+    parts = lambda c: [(abs(v), math.copysign(1.0, v)) for v in (c.real, c.imag)]
+    for p in range(4):
+        assert parts(PauliString(1, 0, 0, p).scalar) == parts((1.0 + 0j) * 1j ** p)
+
+
 def test_sum_expectation_matches_dense(rng):
     for _ in range(200):
         n = 3
-        strings = [
-            PauliString(n, int(rng.integers(0, 8)), int(rng.integers(0, 8)),
-                        int(rng.integers(0, 4)), complex(rng.normal(), rng.normal()))
-            for _ in range(5)
-        ]
-        s = PauliSum.from_strings(strings, n=n)
+        terms = {}
+        for _ in range(5):
+            x, z, p = int(rng.integers(0, 8)), int(rng.integers(0, 8)), int(rng.integers(0, 4))
+            val = complex(rng.normal(), rng.normal()) * PauliString(n, x, z, p).scalar
+            terms[x, z] = terms.get((x, z), 0j) + val
         state = ProductState.normalized(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
         vec = state.to_vector()
-        dense = np.vdot(vec, s.to_matrix() @ vec)
-        assert abs(expectation(state, s) - dense) < 1e-12
+        dense = np.vdot(vec, terms_matrix(terms, n) @ vec)
+        assert abs(expectation(state, terms) - dense) < 1e-12
 
 
 def test_expectation_linear(rng):
     n = 4
     state = ProductState.normalized(rng.normal(size=(n, 2)))
-    p, q = PauliString(n, 3, 5, 0, 0.7), PauliString(n, 1, 2, 1, -0.4j)
-    lhs = expectation(state, PauliSum.from_strings([p, q.with_coeff(2.5 * q.coeff)], n=n))
-    rhs = (expectation(state, PauliSum.from_strings([p], n=n))
-           + 2.5 * expectation(state, PauliSum.from_strings([q], n=n)))
+    p, q = 0.7 * PauliString(n, 3, 5, 0).scalar, -0.4j * PauliString(n, 1, 2, 1).scalar
+    lhs = expectation(state, {(3, 5): p, (1, 2): 2.5 * q})
+    rhs = expectation(state, {(3, 5): p}) + 2.5 * expectation(state, {(1, 2): q})
     assert abs(lhs - rhs) < 1e-12
-
-
-def test_sum_accumulates_and_prunes():
-    x = pauli("X")
-    s = PauliSum.from_strings([x, x.with_coeff(-1.0)], n=1)
-    assert s.terms == {}
 
 
 def test_product_state_validation():
