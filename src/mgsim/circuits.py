@@ -25,6 +25,7 @@ mg12 on lines (1, 2), u1 on line 1, diag on any pair k < l.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import matchgate
 from .errors import GateClassError, MgsimError, ParseError
-from .exponents import compile_diag, compile_matrix, compile_u1
+from .exponents import (compile_diag, compile_matrix, compile_u1, matrix_exponent, u1_coords,
+                        u1_exponent)
 from .pauli import ProductState
 
 GATE_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
@@ -552,13 +554,18 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
 def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
     """The exp gate of each gate of a parsed circuit, in application order.
 
-    Exact zero coefficients are dropped and the rest made complex.  No check that
-    ``parse`` made is repeated; errors carry the offending gate index.
+    The principal logarithms of the gvw and mg12 gates are taken as one 4x4 stack,
+    and those of the u1 gates as one 2x2 stack (see _eigen_logs).  A gate whose
+    eigenbasis is ill conditioned, or whose principal log misses the generator
+    span, goes on alone to ``matchgate.span_log`` or ``principal_log``.  Exact zero
+    coefficients are dropped and the rest made complex.  No check that ``parse``
+    made is repeated; errors carry the offending gate index.
     """
+    logs = _eigen_logs(circuit.gates, tol)
     out = []
     for idx, spec in enumerate(circuit.gates):
         try:
-            a, b, s = _compile_gate(spec, tol)
+            a, b, s = _compile_gate(spec, tol, logs.get(idx))
         except MgsimError as exc:
             raise GateClassError(f"gate {idx + 1} ({spec.cls}): {exc}") from exc
         out.append(exp_spec({key: complex(v) for key, v in a.items() if v != 0},
@@ -566,14 +573,35 @@ def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
     return out
 
 
-def _compile_gate(spec: GateSpec, tol: float) -> tuple[dict, dict, complex]:
+def _eigen_logs(gates, tol: float) -> dict:
+    """Position -> the logarithm's coefficients, for the gates whose log the stacked
+    eigendecompositions give: the 11 generator coefficients of a gvw or mg12 gate
+    whose principal log lies in the span, the u1_coords of a u1 gate."""
+    at = _positions(gates)
+    out = {}
+    pos = at["gvw"] + at["mg12"]
+    if pos:
+        ok, L = matchgate.eigen_logs(matchgate.swap_convention(
+            gate_matrices([gates[i] for i in pos])))
+        fits, coeffs = matchgate.span_coefficients(L, tol)
+        out.update(zip(itertools.compress(itertools.compress(pos, ok), fits), coeffs))
+    if at["u1"]:
+        ok, L = matchgate.eigen_logs(_param_stacks([gates[i] for i in at["u1"]], "u1")["U"])
+        out.update(zip(itertools.compress(at["u1"], ok), u1_coords(L).T))
+    return out
+
+
+def _compile_gate(spec: GateSpec, tol: float, log=None) -> tuple[dict, dict, complex]:
+    """(a, b, s) of one gate; ``log`` is its coefficients from _eigen_logs, if any."""
     if spec.cls == "diag":
         return compile_diag(spec.param("d"), spec.lines[0], spec.lines[1])
     if spec.cls == "u1":
-        return compile_u1(spec.param("U"))
+        return compile_u1(spec.param("U")) if log is None else u1_exponent(*log)
     if spec.cls == "exp":
         return dict(spec.param("a")), dict(spec.param("b")), spec.param("s")
-    return compile_matrix(spec.matrix(), spec.lines[0], tol)
+    if log is None:
+        return compile_matrix(spec.matrix(), spec.lines[0], tol)
+    return matrix_exponent(log, spec.lines[0], tol)
 
 
 def _render_state_token(pair) -> str:

@@ -15,8 +15,10 @@ one index.  So M is read off the gate's c-support S in closed form: one
 block on the elements inside S, and for every index tau outside S one block
 on the elements i c_s c_tau (s in S), joined by c_tau when A has linear
 terms.  Taken with s first, the outside blocks are all equal, so each gate
-costs one batched expm of two small blocks, and no table of structure
-constants is built.  M is never formed as a dense matrix.  The observable
+has at most two distinct blocks, and no table of structure constants is
+built.  M is never formed as a dense matrix.  The blocks of a chunk of
+gates are built first and exponentiated by ``linalg.expm_stack``, one call
+per block size, then applied gate by gate in order.  The observable
 C^-1 Z_k C comes out as a Pauli sum {(x_mask, z_mask): coeff} with one term
 per nonzero coefficient of the propagated vector.
 
@@ -36,12 +38,19 @@ from itertools import combinations
 
 import numpy as np
 
+from . import linalg
 from .engine_quadratic import SimResult
 from .errors import DimensionError, InconsistencyError
 from .jw import PARITY, JwFamily
 from .pauli import PauliString, ProductState, commutation_sign, expectation, pauli_mul
 
 ENGINE_NAME = "lie"
+
+# Blocks are built for _CHUNK gates at a time, last gate first, or for fewer once
+# they hold _CHUNK_ENTRIES entries (16 MB): expm_stack is called per chunk, and the
+# blocks held stay bounded whatever the gates' supports.
+_CHUNK = 256
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,11 +121,10 @@ def _block_plan(n: int, terms: tuple) -> tuple:
     outside blocks are equal, so their entries are computed for the first
     tau only, from the exact Pauli product of each term with each element.
 
-    Returns (s, flat, j, val, parts).  The inside and the shared outside
-    generator, zero padded to s x s and stacked, are
-    ``blocks.flat[flat] = xi[j] * val``; ``parts`` holds one (idx, sign) per
-    stacked block, whose rows (the inside block's one, the outside block's
-    one per tau) give the basis indices it acts on and their signs.
+    Returns one (idx, sign, flat, j, val) per part, the inside one first: the
+    part's s x s generator is ``block.flat[flat] = xi[j] * val``, and the rows
+    of idx and sign (the inside part's one, the outside part's one per tau)
+    give the basis indices it acts on and their signs.
     """
     basis = build_basis(n)
     terms = [j for j in terms if j]  # the identity commutes with everything
@@ -135,13 +143,14 @@ def _block_plan(n: int, terms: tuple) -> tuple:
             if terms[0] <= 2 * n:  # terms ascend, so the gate has linear terms
                 outside, sign = np.hstack([outside, tau]), np.hstack([sign, np.ones(tau.shape)])
             parts.append((outside, sign))
-    size = max((idx.shape[1] for idx, _ in parts), default=0)
     elems = basis.elements
-    flat, js, vals = [], [], []
-    for b, (idx, sign) in enumerate(parts):
+    plan = []
+    for idx, sign in parts:
+        size = idx.shape[1]
         rep = list(zip(idx[0].tolist(), sign[0].tolist()))  # the first tau stands for all
         where = {(elems[i].x_mask, elems[i].z_mask): (p, sg * elems[i].scalar)
                  for p, (i, sg) in enumerate(rep)}
+        flat, js, vals = [], [], []
         for j in terms:
             for q, (i, sg) in enumerate(rep):
                 if commutation_sign(elems[j], elems[i]) == 1:
@@ -153,36 +162,39 @@ def _block_plan(n: int, terms: tuple) -> tuple:
                         f"commutator of basis elements {j}, {i} left their block"
                     )
                 p, scal = hit
-                flat.append((b * size + p) * size + q)
+                flat.append(p * size + q)
                 js.append(j)
                 vals.append(2 * sg * prod.scalar / scal)
-    return (size, np.array(flat, dtype=np.intp), np.array(js, dtype=np.intp),
-            np.array(vals, dtype=complex), tuple(parts))
+        plan.append((idx, sign, np.array(flat, dtype=np.intp), np.array(js, dtype=np.intp),
+                     np.array(vals, dtype=complex)))
+    return tuple(plan)
 
 
-def _generator_blocks(xi: np.ndarray, n: int):
-    """The stacked, zero-padded blocks of M for coefficients xi, and their (idx, sign) parts."""
-    size, flat, j, val, parts = _block_plan(n, tuple(np.flatnonzero(xi).tolist()))
-    blocks = np.zeros(len(parts) * size * size, dtype=complex)
-    blocks[flat] = xi[j] * val
-    return blocks.reshape(len(parts), size, size), parts
-
-
-def _apply_adjoint(eta: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
-    """eta <- e^M eta, block by block; indices outside every block keep their value.
-
-    One batched expm covers both blocks: the zero padding of the smaller one
-    exponentiates to the identity and is sliced off.
-    """
-    import scipy.linalg
-
-    out = eta.copy()
-    blocks, parts = _generator_blocks(xi, n)
-    if parts:
-        for e, (idx, sign) in zip(scipy.linalg.expm(blocks), parts):
-            s = idx.shape[1]
-            out[idx] = sign * ((sign * eta[idx]) @ e[:s, :s].T)
+def _generator_blocks(xi: np.ndarray, n: int) -> list:
+    """The blocks of M for coefficients xi, one (idx, sign, block) per part of _block_plan,
+    each block of its part's own size."""
+    out = []
+    for idx, sign, flat, j, val in _block_plan(n, tuple(np.flatnonzero(xi).tolist())):
+        size = idx.shape[1]
+        block = np.zeros(size * size, dtype=complex)
+        block[flat] = xi[j] * val
+        out.append((idx, sign, block.reshape(size, size)))
     return out
+
+
+def _apply_blocks(eta: np.ndarray, parts) -> None:
+    """eta <- e^block eta on each part's indices, for (idx, sign, block) parts in turn;
+    indices outside every part keep their value.
+
+    The blocks of one size are exponentiated in one expm_stack call.
+    """
+    by_size = {}
+    for _, _, block in parts:
+        by_size.setdefault(len(block), []).append(block)
+    exps = {size: iter(linalg.expm_stack(np.array(blocks))) for size, blocks in by_size.items()}
+    for idx, sign, block in parts:
+        e = next(exps[len(block)])
+        eta[idx] = sign * ((sign * eta[idx]) @ e.T)
 
 
 def heisenberg_observable(gates, k: int, n: int) -> dict:
@@ -200,9 +212,17 @@ def _propagate(gates, k: int, n: int) -> np.ndarray:
     basis = build_basis(n)
     eta = np.zeros(basis.dim, dtype=complex)
     eta[basis.index_of_pair(2 * k - 1, 2 * k)] = -1.0  # Z_k = -(i c_{2k-1} c_{2k})
+    parts, held, entries = [], 0, 0
     for g in reversed(list(gates)):
         # g^{-1} O g is the adjoint action of e^{-A}
-        eta = _apply_adjoint(eta, -gate_coefficients(g, basis), n)
+        blocks = _generator_blocks(-gate_coefficients(g, basis), n)
+        parts += blocks
+        held += 1
+        entries += sum(block.size for _, _, block in blocks)
+        if held == _CHUNK or entries >= _CHUNK_ENTRIES:
+            _apply_blocks(eta, parts)
+            parts, held, entries = [], 0, 0
+    _apply_blocks(eta, parts)
     return eta
 
 

@@ -14,15 +14,15 @@ A = sum_{mu<nu} 2 atilde_{mu,nu} d_mu d_nu + s, the linear terms becoming
 d_0 d_sigma = -i c_sigma; the block covers d_0 only when b is nonempty.
 When X is exactly real antisymmetric, as on every unitary exp gate, iX is
 Hermitian and K = V diag(e^{-i lam}) V^H comes from numpy's eigh of iX; any
-other block takes scipy's expm, imported on first use, so a run on
-matrix-class and unitary exp gates never loads scipy.  Blocks are built a
-chunk of gates at a time and class by class, so numpy is called per chunk,
-not per gate: the matrix-class gates of a chunk share one stacked inverse,
-and its real antisymmetric exp blocks one stacked eigh per block size.  K^T = K^{-1} in both
-cases, so conjugating by the gate inverse (the non-unitary generalisation of
-the usual adjoint) uses the same K matrices; the engine always computes
-<psi0| C^{-1} Z_k C |psi0>, which coincides with the Born-rule quantity for
-unitary circuits.
+other block takes ``linalg.expm_stack``, Pade scaling and squaring in numpy.
+Blocks are built a chunk of gates at a time and class by class, so numpy is
+called per chunk, not per gate: the matrix-class gates of a chunk share one
+stacked inverse, its real antisymmetric exp blocks one stacked eigh per block
+size, and its other exp blocks one expm_stack call per block size.
+K^T = K^{-1} in both cases, so conjugating by the gate inverse (the
+non-unitary generalisation of the usual adjoint) uses the same K matrices;
+the engine always computes <psi0| C^{-1} Z_k C |psi0>, which coincides with
+the Born-rule quantity for unitary circuits.
 
 The measured Z_k = -i d_mu d_nu, with mu = 2k-1 and nu = 2k, is quadratic, so
 C^{-1} Z_k C = -i (K d)_mu (K d)_nu needs only the two columns u = K e_mu and
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .circuits import gate_matrices
 from .errors import DimensionError, InconsistencyError
 from .jw import JwFamily
@@ -177,7 +178,7 @@ def _exp_blocks(exps) -> list[tuple[int, list[int], np.ndarray]]:
 
     When X is exactly real antisymmetric (every unitary exp gate), iX is Hermitian
     and K = V diag(e^{-i lam}) V^H comes from one stacked eigh per block size;
-    any other block takes scipy's expm, imported on first use.
+    the other blocks of a size take one linalg.expm_stack call.
     """
     out = []
     for gates, X in _exp_generators(exps).values():
@@ -188,8 +189,8 @@ def _exp_blocks(exps) -> list[tuple[int, list[int], np.ndarray]]:
             K = ((V * np.exp(-1j * lam)[:, None, :]) @ V.conj().transpose(0, 2, 1)).real
             out += [(*gate, k) for gate, k in zip(itertools.compress(gates, real), K)]
         if not real.all():
-            import scipy.linalg
-            out += [(*gates[i], scipy.linalg.expm(X[i])) for i in np.flatnonzero(~real)]
+            K = linalg.expm_stack(X[~real])
+            out += [(*gate, k) for gate, k in zip(itertools.compress(gates, ~real), K)]
     return out
 
 

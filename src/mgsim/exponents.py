@@ -66,7 +66,12 @@ def compile_matrix(B, k: int, tol: float = 1e-9) -> tuple[dict, dict, complex]:
     2 a_{mu,nu} = coeff / phi_{mu,nu}.  Linear terms are refused for k > 1,
     where a local c_sigma lacks the Z string of lines 1..k-1.
     """
-    coeffs = matchgate.span_log(matchgate.swap_convention(B), tol=tol)
+    return matrix_exponent(matchgate.span_log(matchgate.swap_convention(B), tol=tol), k, tol)
+
+
+def matrix_exponent(coeffs, k: int, tol: float = 1e-9) -> tuple[dict, dict, complex]:
+    """(a, b, s) of a gvw or mg12 gate on lines (k, k+1) from the 11 generator
+    coefficients of its logarithm (tilde convention), as :func:`compile_matrix`."""
     offset = 2 * (k - 1)
     scale = max(1.0, float(np.linalg.norm(coeffs)))
     linear_floor = (tol if k > 1 else 1e-12) * scale
@@ -103,18 +108,21 @@ def compile_diag(d, k: int, l: int) -> tuple[dict, dict, complex]:
 
 def compile_u1(U) -> tuple[dict, dict, complex]:
     """Compile a parsed invertible 1-qubit gate on line 1."""
-    L = matchgate.principal_log(np.asarray(U, dtype=complex))
-    paulis = {
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    delta = np.trace(L) / 2
-    cx = np.trace(paulis["X"] @ L) / 2
-    cy = np.trace(paulis["Y"] @ L) / 2
-    cz = np.trace(paulis["Z"] @ L) / 2
+    return u1_exponent(*u1_coords(matchgate.principal_log(np.asarray(U, dtype=complex))))
+
+
+_XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def u1_coords(L) -> np.ndarray:
+    """(delta, cx, cy, cz) = tr(L) / 2, tr(X L) / 2, tr(Y L) / 2, tr(Z L) / 2 of a 2x2
+    logarithm, or (4, G) of a (G, 2, 2) stack of them."""
+    return np.array([np.trace(L, axis1=-2, axis2=-1)]
+                    + [np.trace(P @ L, axis1=-2, axis2=-1) for P in _XYZ]) / 2
+
+
+def u1_exponent(delta, cx, cy, cz) -> tuple[dict, dict, complex]:
+    """(a, b, s) of a u1 gate from the u1_coords of its logarithm."""
     # X_1 = c_1, Y_1 = c_2, Z_1 = -i c_1 c_2
-    b = {1: cx, 2: cy}
-    a = {(1, 2): -0.5j * cz}
-    return a, b, delta
+    return {(1, 2): -0.5j * cz}, {1: cx, 2: cy}, delta
 

@@ -11,10 +11,11 @@ A matrix satisfying the identities in the standard Jordan-Wigner convention
 instead is related by the basis relabeling 1,2,3,4 -> 1,3,2,4 (a swap of the
 two qubits); :func:`swap_convention` performs that relabeling.
 
-Logarithms are taken in the eigenbasis: from B = V diag(lam) V^-1, branch k
-is V diag(log lam + 2 pi i k) V^-1, exact and cheap while V is well
-conditioned; ``scipy.linalg.logm`` covers defective and nearly defective
-matrices.
+Exponentials come from ``linalg.expm_stack``.  Logarithms are taken in the
+eigenbasis: from B = V diag(lam) V^-1, branch k is
+V diag(log lam + 2 pi i k) V^-1, exact and cheap while V is well conditioned;
+``scipy.linalg.logm`` covers defective and nearly defective matrices, and it
+is the one place the package imports scipy.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import itertools
 
 import numpy as np
 
+from . import linalg
 from .errors import LogBranchError, MatchgateError
 
 _I2 = np.eye(2, dtype=complex)
@@ -290,8 +292,9 @@ _PAULI16 = np.array([_pauli_kron(a + b) for a in _PAULI_NAMES for b in _PAULI_NA
 
 
 def pauli_coords(A) -> np.ndarray:
-    """Coordinates of a 4x4 matrix over the 16 Pauli products P_i (x) P_j (i-major)."""
-    return np.einsum("kij,ji->k", _PAULI16, _as_mat4(A)) / 4
+    """Coordinates of a 4x4 matrix, or of each matrix of a (G, 4, 4) stack, over the 16
+    Pauli products P_i (x) P_j (i-major)."""
+    return np.einsum("kij,...ji->...k", _PAULI16, _as_mat4_stack(A)) / 4
 
 
 _GEN_POSITIONS = [
@@ -305,18 +308,15 @@ def exp_L(coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (11,):
         raise MatchgateError(f"expected 11 coefficients, got shape {coeffs.shape}")
-    import scipy.linalg
-
-    A = sum(c * G for c, G in zip(coeffs, _GENS))
-    return scipy.linalg.expm(A)
+    return linalg.expm_stack(sum(c * G for c, G in zip(coeffs, _GENS)))
 
 
-def _project_to_span(A) -> tuple[np.ndarray, float]:
-    """Generator coefficients of A and the norm of the out-of-span residual."""
+def _project_to_span(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generator coefficients of each matrix of a (G, 4, 4) stack, the norm of its
+    out-of-span residual, and its scale max(1, ||A||_F)."""
     coords = pauli_coords(A)
-    coeffs = coords[_GEN_POSITIONS]
-    resid = 2.0 * float(np.linalg.norm(coords[_OFF_POSITIONS]))  # coords norm -> matrix norm
-    return coeffs, resid
+    resid = 2.0 * np.linalg.norm(coords[:, _OFF_POSITIONS], axis=1)  # coords norm -> matrix norm
+    return coords[:, _GEN_POSITIONS], resid, np.maximum(1.0, np.linalg.norm(A, axis=(1, 2)))
 
 
 # Eigenbasis logs are taken while cond(V) stays under _EIGEN_COND; above it the
@@ -368,11 +368,33 @@ def _checked_logm(B) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
         L = scipy.linalg.logm(B)
-    err = np.linalg.norm(scipy.linalg.expm(L) - B, 1) / np.linalg.norm(B, 1)
+    err = np.linalg.norm(linalg.expm_stack(L) - B, 1) / np.linalg.norm(B, 1)
     if not err <= _LOGM_ERR:
         raise LogBranchError(f"no accurate logarithm: e^L misses the matrix by {err:.1e} "
                              f"relative")
     return L
+
+
+def eigen_logs(B) -> tuple[np.ndarray, np.ndarray]:
+    """Principal logarithms of a (G, m, m) stack, from one eigendecomposition, where the
+    eigenbasis is well conditioned.
+
+    Returns the mask of matrices whose cond(V) is at most _EIGEN_COND and, for
+    those in order, V diag(log lam) V^-1: the log that :func:`principal_log`
+    gives them, computed by the same operations.
+    """
+    lam, V = np.linalg.eig(B)
+    ok = np.linalg.cond(V) <= _EIGEN_COND
+    V = V[ok]
+    return ok, (V * np.log(lam[ok])[:, None, :]) @ np.linalg.inv(V)
+
+
+def span_coefficients(L, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of logarithms of a (G, 4, 4) stack that lie in the 11-generator span,
+    by :func:`span_log`'s rule, and the generator coefficients of those in order."""
+    coeffs, resid, scale = _project_to_span(L)
+    fits = resid <= tol * scale
+    return fits, coeffs[fits]
 
 
 def principal_log(B) -> np.ndarray:
@@ -404,8 +426,7 @@ def span_log(B, tol: float = 1e-9) -> np.ndarray:
     """
     best_resid = np.inf
     for A in _candidate_logs(B):
-        coeffs, resid = _project_to_span(A)
-        scale = max(1.0, float(np.linalg.norm(A)))
+        [coeffs], [resid], [scale] = _project_to_span(A[None])
         if resid <= tol * scale:
             return coeffs
         best_resid = min(best_resid, resid / scale)

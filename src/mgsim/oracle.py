@@ -19,10 +19,12 @@ lines are split in two.  On an *active* line some term has X or Y; on a
 never mixes basis states there.  Each basis value r of the diagonal lines
 gives term t a sign s_t(r) = +-1, and A is block-diagonal in r with block
 sum_t s_t(r) val_t Q_t, Q_t being term t on the active lines.  Values with the
-same sign pattern share one block, so a gate costs one 2^m x 2^m exponential
+same sign pattern share one block, so a gate needs one 2^m x 2^m exponential
 per pattern (m active lines, at most 2^T patterns for T terms) instead of one
 over its whole support.  The split uses only Pauli algebra and is exact; a
-gate whose support lines are all active is exponentiated densely.
+gate whose support lines are all active is exponentiated densely.  The blocks
+B of all exp gates of a circuit are exponentiated before the state is touched,
+e^B and e^-B together, in one ``linalg.expm_stack`` call per block dimension.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .circuits import GateSpec
 from .errors import DimensionError, MgsimError, SizeLimitError
 from .exponents import to_pauli_sum
@@ -39,6 +42,9 @@ from .jw import PARITY, JwFamily
 from .pauli import ProductState
 
 MAX_LINES = 12
+
+# The most block entries one expm_stack call takes (16 MB of complex blocks).
+_BATCH_ENTRIES = 1 << 20
 
 _Z_SIGNS = np.array([[1.0], [-1.0]])  # Z on the middle axis of psi.reshape(2^(k-1), 2, -1)
 
@@ -73,41 +79,39 @@ def _signs(masks: np.ndarray, index: np.ndarray) -> np.ndarray:
     return 1 - 2 * parity
 
 
-class _Split(NamedTuple):
-    """A gate exponent A, block-diagonal in the basis values of its diagonal lines.
+class _ExpGate(NamedTuple):
+    """An exp gate e^A, block-diagonal in the basis values of its diagonal lines.
 
     ``lines`` lists the active lines (some term has X or Y there), then the
     diagonal lines (every term has I or Z there); ``perm`` orders the state's
     line axes as ``lines`` followed by the others, and ``unperm`` undoes it.
     Diagonal-line basis values that give every term the same sign share one
-    block ``blocks[p]`` of A on the active lines; ``groups[p]`` lists those
-    values.
+    block B_p of A on the active lines; ``groups[p]`` lists those values, and
+    ``exps[0][p]`` is e^B_p, ``exps[1][p]`` e^-B_p.
     """
 
     lines: tuple
     perm: tuple
     unperm: tuple
     groups: tuple
-    blocks: np.ndarray  # (patterns, 2^m, 2^m)
+    exps: np.ndarray  # (2, patterns, 2^m, 2^m)
 
     def apply(self, state: np.ndarray, inverse: bool = False) -> np.ndarray:
         """e^A (or e^-A) on a dense state, one block per diagonal-line sign pattern."""
-        import scipy.linalg
-
-        exps = scipy.linalg.expm(-self.blocks if inverse else self.blocks)
-        dim = self.blocks.shape[-1]
+        dim = self.exps.shape[-1]
         n = len(self.perm)
         psi = np.asarray(state, dtype=complex).reshape((2,) * n).transpose(self.perm)
         psi = psi.reshape(dim, -1, (1 << n) >> len(self.lines))
         out = np.empty_like(psi)
-        for e, rows in zip(exps, self.groups):
+        for e, rows in zip(self.exps[int(inverse)], self.groups):
             block = psi[:, rows]
             out[:, rows] = (e @ block.reshape(dim, -1)).reshape(block.shape)
         return out.reshape((2,) * n).transpose(self.unperm).reshape(-1)
 
 
-def _split(g, n: int) -> _Split:
-    """Expand an exp gate over Pauli strings and split its lines into active and diagonal."""
+def _split(g, n: int) -> tuple[tuple, np.ndarray]:
+    """Expand an exp gate over Pauli strings and split its lines into active and diagonal:
+    the (lines, perm, unperm, groups) of its _ExpGate, and its blocks B_p stacked."""
     terms = to_pauli_sum(g, _family(n))
     flip = support = 0
     for x, z in terms:
@@ -136,7 +140,7 @@ def _split(g, n: int) -> _Split:
         blocks[:, cols ^ xa, cols] += patterns[t][:, None] * columns[t]
     lines = active + diag
     perm = [l - 1 for l in lines] + [k for k in range(n) if k + 1 not in lines]
-    return _Split(tuple(lines), tuple(perm), tuple(np.argsort(perm).tolist()), groups, blocks)
+    return (tuple(lines), tuple(perm), tuple(np.argsort(perm).tolist()), groups), blocks
 
 
 class _MatrixGate(NamedTuple):
@@ -174,12 +178,44 @@ def _matrix_gate(spec: GateSpec) -> _MatrixGate:
     return _MatrixGate(spec.cls, spec.lines, spec.matrix())
 
 
-def _prepare(g: GateSpec, n: int):
-    """The way the oracle applies one GateSpec on n lines."""
+def _exponentiate(blocks: np.ndarray) -> np.ndarray:
+    """e^B and e^-B of a (count, dim, dim) stack of blocks, as (2, count, dim, dim).
+
+    One expm_stack call takes all 2 count matrices, or as many as hold
+    _BATCH_ENTRIES entries when the blocks are large, so that its temporaries
+    stay bounded.
+    """
+    both = np.concatenate([blocks, -blocks])
+    step = max(1, _BATCH_ENTRIES // blocks[0].size)
+    for i in range(0, len(both), step):
+        both[i:i + step] = linalg.expm_stack(both[i:i + step])
+    return both.reshape((2,) + blocks.shape)
+
+
+def _prepare(gates, n: int) -> list:
+    """The way the oracle applies each GateSpec of a list on n lines.
+
+    The blocks of all exp gates are exponentiated together, one _exponentiate call
+    per block dimension.
+    """
     _check_n(n)
-    if max(g.lines, default=0) > n:
-        raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
-    return _split(g, n) if g.cls == "exp" else _matrix_gate(g)
+    out, splits = [], {}
+    for i, g in enumerate(gates):
+        if max(g.lines, default=0) > n:
+            raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
+        if g.cls == "exp":
+            layout, blocks = _split(g, n)
+            splits.setdefault(blocks.shape[-1], []).append((i, layout, blocks))
+            out.append(None)
+        else:
+            out.append(_matrix_gate(g))
+    for group in splits.values():
+        exps = _exponentiate(np.concatenate([blocks for _, _, blocks in group]))
+        start = 0
+        for i, layout, blocks in group:
+            out[i] = _ExpGate(*layout, exps[:, start:start + len(blocks)])
+            start += len(blocks)
+    return out
 
 
 INVERSE = "inverse"
@@ -198,7 +234,7 @@ def expectation_heisenberg(gates, state: ProductState, k: int, mode: str = INVER
     _check_n(n)
     if not 1 <= k <= n:
         raise DimensionError(f"measured line {k} outside 1..{n}")
-    prepared = [_prepare(g, n) for g in gates]
+    prepared = _prepare(gates, n)
     psi0 = state.to_vector()
     phi = psi0
     for gate in prepared:

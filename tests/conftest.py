@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mgsim.engine_lie import LieBasis, _apply_adjoint, build_basis
+from mgsim.engine_lie import LieBasis, _apply_blocks, _generator_blocks, build_basis
 from mgsim.circuits import GateSpec, exp_spec
 from mgsim.engine_quadratic import (_blocks, _exp_generators, _observable_indices,
                                      _propagate_columns, _read_gate)
 from mgsim.errors import InconsistencyError
 from mgsim.exponents import to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
+from mgsim.linalg import expm_stack
 from mgsim.matchgate import g_vw
 from mgsim.oracle import _prepare
 from mgsim.pauli import PauliString, ProductState, commutation_sign, pauli_mul
@@ -74,7 +75,7 @@ def computational(bits) -> ProductState:
 
 def apply_gate(state: np.ndarray, g, n: int, inverse: bool = False) -> np.ndarray:
     """The oracle's action of one GateSpec (or its inverse) on a dense state."""
-    return _prepare(g, n).apply(state, inverse)
+    return _prepare([g], n)[0].apply(state, inverse)
 
 
 def apply_matrix(state: np.ndarray, matrix: np.ndarray, lines, n: int) -> np.ndarray:
@@ -147,7 +148,7 @@ def reference_gate_block(g: GateSpec) -> tuple[list[int], np.ndarray]:
 
     Matrix classes: K_ab = 1/4 tr(d_a B^{-1} d_b B), one inverse per gate.  Exp gates:
     e^X with X = -4 atilde over their nonzero coefficients, through eigh of iX when X
-    is exactly real antisymmetric, else scipy's expm.
+    is exactly real antisymmetric, else expm_stack on X alone.
     """
     if g.cls != "exp":
         B = reference_matrix(g)
@@ -171,7 +172,7 @@ def reference_gate_block(g: GateSpec) -> tuple[list[int], np.ndarray]:
     if not X.imag.any() and np.array_equal(X.real, -X.real.T):
         lam, V = np.linalg.eigh(1j * X.real)
         return idx, ((V * np.exp(-1j * lam)) @ V.conj().T).real
-    return idx, scipy.linalg.expm(X)
+    return idx, expm_stack(X)
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,8 @@ def dense_generator(xi, sc: StructureConstants) -> np.ndarray:
 def adjoint_transfer(xi, sc: StructureConstants) -> np.ndarray:
     """e^M as a dense matrix, one column per basis element, each through the
     engine's block-wise action: e^A (sum eta_i B_i) e^{-A} = sum (e^M eta)_i B_i."""
-    xi = np.asarray(xi, dtype=complex)
-    return np.column_stack([_apply_adjoint(e, xi, sc.basis.n)
-                            for e in np.eye(sc.basis.dim, dtype=complex)])
+    parts = _generator_blocks(np.asarray(xi, dtype=complex), sc.basis.n)
+    columns = np.eye(sc.basis.dim, dtype=complex)
+    for column in columns:
+        _apply_blocks(column, parts)
+    return columns.T

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import strategies as st
 
 from mgsim import circuits, matchgate, sampling
 from mgsim.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 H = 0.7071067811865476
 
@@ -151,6 +157,22 @@ def test_non_finite_value_is_a_domain_error(capsys, tmp_path, argv):
     path = tmp_path / "overflow.mg"
     path.write_text("circuit n=1\nstate 0\ngate exp a:1,2=1e308 b:1=1e308\nmeasure 1\n")
     assert_one_error(capsys, main([argv[0], str(path), *argv[1:]]))
+
+
+@pytest.mark.parametrize("gate", ["a:1,3=1e300", "a:1,3=1e300i", "a:1,2=1e300 b:3=1e300"])
+@pytest.mark.parametrize("argv", [["run", "--engine", "lie"], ["compare"]])
+def test_huge_exp_gate_is_one_error_line(tmp_path, argv, gate):
+    # a generator of norm 1e300 would need about 1000 squarings, each doubling the
+    # rounding error: expm_stack gives nan for it, which the engine reports as one
+    # error line; in a fresh process, with every warning an error and a time limit
+    path = tmp_path / "huge.mg"
+    path.write_text(f"circuit n=2\nstate + 0\ngate exp {gate}\nmeasure 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "mgsim.cli", argv[0], str(path),
+                           *argv[1:]], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), done.stderr
 
 
 LARGE_DIAG = "circuit n=2\nstate 0 0\ngate diag 1 2 [1e200,1e200,1e200,1e200]\nmeasure 1\n"

@@ -6,9 +6,9 @@ import scipy.linalg
 
 from conftest import (adjoint_transfer, computational, dense_gate, dense_generator, exp_gate,
                       gate_transfer, structure_constants, terms_matrix)
-from mgsim import circuits, sampling
+from mgsim import circuits, engine_lie, linalg, sampling
 from mgsim.circuits import GateSpec
-from mgsim.engine_lie import (_apply_adjoint, _generator_blocks, _propagate, build_basis,
+from mgsim.engine_lie import (_apply_blocks, _generator_blocks, _propagate, build_basis,
                               gate_coefficients, heisenberg_observable, simulate)
 from mgsim.engine_quadratic import simulate as simulate_quadratic
 from mgsim.pauli import ProductState, commutation_sign, pauli_mul
@@ -189,12 +189,10 @@ def _scattered_generator(xi, n):
     """The engine's closed-form blocks of M scattered into one dense matrix."""
     dim = build_basis(n).dim
     M = np.zeros((dim, dim), dtype=complex)
-    blocks, parts = _generator_blocks(xi, n)
-    for block, (idx, sign) in zip(blocks, parts):
-        s = idx.shape[1]
-        assert not block[s:].any() and not block[:, s:].any()  # padding stays zero
+    for idx, sign, block in _generator_blocks(xi, n):
+        assert block.shape == (idx.shape[1],) * 2  # each block has its part's own size
         for row, row_sign in zip(idx, sign):
-            M[np.ix_(row, row)] += np.outer(row_sign, row_sign) * block[:s, :s]
+            M[np.ix_(row, row)] += np.outer(row_sign, row_sign) * block
     return M
 
 
@@ -219,7 +217,8 @@ def test_block_exponential_matches_dense_generator(rng, n):
         xi = gate_coefficients(g, sc.basis)
         ref = scipy.linalg.expm(dense_generator(xi, sc))
         eta = rng.normal(size=sc.basis.dim) + 1j * rng.normal(size=sc.basis.dim)
-        got = _apply_adjoint(eta, xi, n)
+        got = eta.copy()
+        _apply_blocks(got, _generator_blocks(xi, n))
         assert np.linalg.norm(got - ref @ eta) <= 1e-12 * max(1.0, np.linalg.norm(ref @ eta))
         assert np.linalg.norm(adjoint_transfer(xi, sc) - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
@@ -236,18 +235,52 @@ def test_two_line_gates_exponentiate_small_blocks(rng, monkeypatch):
     gates = _compile_specs(specs, n)
     state = ProductState.normalized(rng.normal(size=(n, 2)) + 0j)
     shapes = []
-    expm = scipy.linalg.expm
+    expm_stack = linalg.expm_stack
 
     def recording_expm(A):
         shapes.append(np.shape(A))
-        return expm(A)
+        return expm_stack(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+    monkeypatch.setattr(linalg, "expm_stack", recording_expm)
     simulate(gates, state, 5)
     sc = structure_constants(n)
     for g in gates:
         adjoint_transfer(gate_coefficients(g, sc.basis), sc)
     assert shapes and max(max(shape[-2:]) for shape in shapes) <= 10
+
+
+@pytest.mark.parametrize("count", [engine_lie._CHUNK - 1, engine_lie._CHUNK,
+                                   engine_lie._CHUNK + 1])
+@pytest.mark.parametrize("entries", [engine_lie._CHUNK_ENTRIES, 500])
+def test_chunked_propagation_equals_gate_by_gate(count, entries, monkeypatch):
+    # chunks end at _CHUNK gates or at the entry budget; each expm_stack result is
+    # independent of the rest of its stack, so the chunked vector is bitwise the
+    # one of exponentiating and applying each gate's blocks on its own
+    n, k = 4, 2
+    circ = sampling.random_circuit(n, count, np.random.default_rng(11), unitary=False)
+    gates = circuits.compile(circ)
+    basis = build_basis(n)
+    ref = np.zeros(basis.dim, dtype=complex)
+    ref[basis.index_of_pair(2 * k - 1, 2 * k)] = -1.0
+    for g in reversed(gates):
+        _apply_blocks(ref, _generator_blocks(-gate_coefficients(g, basis), n))
+    calls = []
+    expm_stack = linalg.expm_stack
+
+    def counting(A):
+        calls.append(len(A))
+        return expm_stack(A)
+
+    monkeypatch.setattr(engine_lie, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(linalg, "expm_stack", counting)
+    assert np.array_equal(_propagate(gates, k, n), ref)
+    sizes = [[len(block) for _, _, block in _generator_blocks(gate_coefficients(g, basis), n)]
+             for g in reversed(gates)]
+    assert sum(calls) == sum(map(len, sizes))
+    # one call per block size per chunk of _CHUNK gates, and more when the budget cuts
+    step = engine_lie._CHUNK
+    per_chunk = sum(len(set().union(*sizes[i:i + step])) for i in range(0, count, step))
+    assert len(calls) > per_chunk if entries == 500 else len(calls) == per_chunk
 
 
 @pytest.mark.parametrize("n", [100, 200])

@@ -202,3 +202,46 @@ def test_defective_gates_compile_through_logm(monkeypatch):
     u = exp_gate(*compile_u1(J))
     assert np.linalg.norm(dense_gate(u, 2) - np.kron(J, np.eye(2))) <= 1e-12
     assert calls == [(4, 4), (2, 2)]
+
+
+def _compile_alone(spec):
+    """The exp gate of one spec through compile_matrix, compile_u1 or compile_diag on its
+    own: the reference for compile's stacked logarithms."""
+    if spec.cls in ("gvw", "mg12"):
+        return exp_gate(*compile_matrix(spec.matrix(), spec.lines[0]))
+    if spec.cls == "u1":
+        return exp_gate(*compile_u1(spec.param("U")))
+    if spec.cls == "diag":
+        return exp_gate(*compile_diag(spec.param("d"), *spec.lines))
+    return exp_gate(dict(spec.param("a")), dict(spec.param("b")), spec.param("s"))
+
+
+def test_stacked_logarithms_equal_the_per_gate_path(rng, monkeypatch):
+    # compile takes the principal logs of the gvw and mg12 gates as one 4x4 stack
+    # and those of the u1 gates as one 2x2 stack, bit for bit the coefficients of
+    # compiling each gate alone.  A gate whose principal log misses the span goes on
+    # alone to span_log's branch search, and so does a nearly defective gate
+    # (cond(V) about 2e6), with its own eig and logm
+    n = 5
+    J = ((1, 1), (0, 1.000001))
+    defective = [circuits.GateSpec("gvw", (3, 4), (("V", J), ("W", J))),
+                 circuits.GateSpec("u1", (1,), (("U", J),))]
+    for unitary in (True, False):
+        specs = [sampling.random_gate(cls, n, rng, unitary=unitary)
+                 for cls in circuits.GATE_CLASSES for _ in range(8)] + defective
+        specs = [specs[i] for i in rng.permutation(len(specs))]
+        refs = [_compile_alone(spec) for spec in specs]
+        calls = []
+        with monkeypatch.context() as patch:
+            for module, name in ((np.linalg, "eig"), (scipy.linalg, "logm")):
+                def counting(A, _name=name, _fn=getattr(module, name)):
+                    calls.append((_name, np.shape(A)))
+                    return _fn(A)
+                patch.setattr(module, name, counting)
+            got = _compile_specs(specs, n)
+        assert [repr(g.params) for g in got] == [repr(g.params) for g in refs]
+        stacked = [("eig", (17, 4, 4)), ("eig", (9, 2, 2))]
+        assert calls[:2] == stacked and ("logm", (2, 2)) in calls and ("logm", (4, 4)) in calls
+        if unitary:  # every unitary principal log lies in the span
+            assert sorted(calls[2:]) == [("eig", (2, 2)), ("eig", (4, 4)),
+                                         ("logm", (2, 2)), ("logm", (4, 4))]

@@ -226,9 +226,58 @@ def test_run_on_a_closure_only_gate_leaves_scipy_unloaded(tmp_path):
     assert not _loads_in_fresh_process(["run", str(path)], "scipy")
 
 
-def test_run_on_a_non_unitary_exp_gate_loads_scipy(tmp_path):
-    # the counterpart of the two tests above: this block is not real
-    # antisymmetric, so it goes to scipy's expm, and the probe sees the load
+def test_compare_on_a_non_unitary_circuit_leaves_scipy_unloaded(tmp_path):
+    # every exponential of the three engines, and compile's eigenbasis logs, are
+    # taken in numpy: only an ill-conditioned gate sends compile to scipy's logm
+    circ = sampling.random_circuit(4, 40, np.random.default_rng(6), unitary=False)
+    assert {g.cls for g in circ.gates} == set(circuits.GATE_CLASSES) and not circ.unitary
     path = tmp_path / "non_unitary.mg"
-    path.write_text("circuit n=2\nstate 0 +\ngate exp a:1,3=0.5+0.2i\nmeasure 1\n")
-    assert _loads_in_fresh_process(["run", str(path)], "scipy")
+    path.write_text(circuits.render(circ))
+    assert not _loads_in_fresh_process(["compare", str(path)], "scipy")
+
+
+def test_compare_on_a_nearly_defective_gate_loads_scipy(tmp_path):
+    # the counterpart of the tests above: V's eigenvectors are nearly parallel,
+    # cond(V) is about 4e6, so compile takes the principal log from scipy's logm,
+    # and the probe sees the load
+    path = tmp_path / "nearly_defective.mg"
+    path.write_text("circuit n=2\nstate 0 +\n"
+                    "gate gvw 1 V=[1,1;0,1.000001] W=[1,1;0,1.000001]\nmeasure 1\n")
+    assert _loads_in_fresh_process(["compare", str(path)], "scipy")
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The enclosing function of each import of scipy in a module, "<module>" outside one."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            found.extend(where for name in names if name.split(".")[0] == "scipy")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_scipy_imports():
+    source = ("import scipy\nfrom . import scipy_like\nimport numpy\n"
+              "def f():\n    import os\n    def g():\n        from scipy.linalg import logm\n"
+              "class A:\n    def h(self):\n        import scipy.sparse as sp\n")
+    assert scipy_imports(source) == ["<module>", "g", "h"]
+
+
+def test_src_imports_scipy_only_for_logm():
+    # one exponential, linalg.expm_stack, serves all of src/; scipy stays the
+    # fallback logarithm of ill-conditioned gates
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             for where in scipy_imports(path.read_text(encoding="utf-8"))]
+    assert found == ["matchgate._checked_logm"]

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from conftest import apply_gate, apply_matrix, computational, dense_gate, exp_gate, terms_matrix
 
-from mgsim import circuits, sampling
+from mgsim import circuits, linalg, oracle, sampling
 from mgsim.engine_quadratic import simulate
 from mgsim.errors import DimensionError, SizeLimitError
 from mgsim.exponents import compile_diag, compile_u1, to_pauli_sum
@@ -51,10 +51,10 @@ def test_dense_gate_matches_full_expm(rng):
 
 def test_a_written_zero_coefficient_activates_no_line():
     text = "circuit n=4\nstate 0 0 0 0\ngate exp a:3,4=0.3 {}\nmeasure 1\n"
-    base, padded = (_split(circuits.parse(text.format(extra)).gates[0], 4)
-                    for extra in ("", "a:1,7=0 b:2=0"))
-    assert padded.lines == base.lines == (2,)
-    assert np.array_equal(padded.blocks, base.blocks)
+    (base, base_blocks), (padded, padded_blocks) = (
+        _split(circuits.parse(text.format(extra)).gates[0], 4) for extra in ("", "a:1,7=0 b:2=0"))
+    assert padded[0] == base[0] == (2,)  # the active and diagonal lines
+    assert np.array_equal(padded_blocks, base_blocks)
 
 
 def test_apply_gate_support_restriction(rng):
@@ -121,13 +121,13 @@ def test_apply_gate_matches_dense_gate_on_diag_gate(rng, unitary):
 def test_long_string_gate_exponentiates_only_its_active_lines(rng, monkeypatch):
     # exp a:1,20 on 10 lines is X or Y on lines 1 and 10 and Z on lines 2..9
     shapes = []
-    expm = scipy.linalg.expm
+    expm_stack = linalg.expm_stack
 
     def recording_expm(A):
         shapes.append(np.shape(A))
-        return expm(A)
+        return expm_stack(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+    monkeypatch.setattr(linalg, "expm_stack", recording_expm)
     g = exp_gate(a={(1, 20): 0.7})
     psi = rng.normal(size=1 << 10) + 0j
     apply_gate(psi, g, 10)
@@ -233,19 +233,48 @@ def test_matrix_spec_kernels_match_apply_matrix(rng, cls):
     assert cls != "diag" or apart
 
 
+def test_exp_blocks_take_one_call_per_dimension(rng, monkeypatch):
+    # the blocks B of all exp gates of a circuit are exponentiated before the state
+    # is touched, e^B and e^-B in one expm_stack call per block dimension, or in
+    # more once a call would pass _BATCH_ENTRIES; a result does not depend on the
+    # rest of its stack, so the value keeps its bits
+    circ = sampling.random_circuit(6, 40, rng, unitary=False)
+    gates, state = circuits.compile(circ), circ.input_state()
+    blocks = [_split(g, circ.n)[1] for g in gates]
+    dims = {b.shape[-1]: 0 for b in blocks}
+    for b in blocks:
+        dims[b.shape[-1]] += len(b)
+    calls = []
+    expm_stack = linalg.expm_stack
+
+    def recording_expm(A):
+        calls.append(np.shape(A))
+        return expm_stack(A)
+
+    monkeypatch.setattr(linalg, "expm_stack", recording_expm)
+    value = expectation_heisenberg(gates, state, circ.k)
+    assert len(dims) > 1
+    assert sorted(calls) == sorted((2 * count, dim, dim) for dim, count in dims.items())
+    calls.clear()
+    monkeypatch.setattr(oracle, "_BATCH_ENTRIES", 64)
+    assert expectation_heisenberg(gates, state, circ.k) == value
+    assert all(shape[0] * shape[1] ** 2 <= 64 or shape[0] == 1 for shape in calls)
+    assert len(calls) > len(dims)
+
+
 def test_matrix_specs_take_no_exponential(rng, monkeypatch):
     circ = sampling.random_circuit(6, 40, rng, classes=MATRIX_CLASSES, unitary=False)
     state = circ.input_state()
     compiled = circuits.compile(circ)
     refs = {mode: expectation_heisenberg(compiled, state, circ.k, mode) for mode in (INVERSE, ADJOINT)}
     calls = []
-    expm = scipy.linalg.expm
+    expm_stack = linalg.expm_stack
 
     def recording_expm(A):
         calls.append(np.shape(A))
-        return expm(A)
+        return expm_stack(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+    monkeypatch.setattr(linalg, "expm_stack", recording_expm)
     for mode, ref in refs.items():
         got = expectation_heisenberg(circ.gates, state, circ.k, mode)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
