@@ -1,6 +1,13 @@
 """Line-oriented circuit files, gate-class validation, and compilation.
 
 ``parse`` validates every gate once and keeps its raw parameters in a GateSpec.
+It converts the numbers of a file in one pass per gate class: the bracketed texts of
+all gvw (diag, mg12, u1) gates are joined, their ','/';' layout is checked at once,
+and their entries go through one complex conversion and one finiteness test; the exp
+values are converted the same way, and the state line is read from its text in one
+float conversion.  A file with a line written otherwise than ``render`` writes it
+(arguments out of order, a bad literal, shape or line number) is read line by line,
+which names its first error.
 ``compile`` turns each gate into the exp gate e^A of its Jordan-Wigner exponent
 (see ``exponents``), so a compiled circuit is one an all-exp circuit file would
 parse to, and every engine reads it as it reads a parsed exp line.
@@ -17,6 +24,7 @@ Grammar (one statement per line, '#' starts a comment):
     measure <k>
 
 Matrices are row-major in brackets, rows separated by ';', entries by ','.
+An exp line gives each a:mu,nu, b:sigma and s at most once.
 Complex literals are `a`, `bi`, or `a+bi` (17 significant digits round-trip).
 Line numbers are 1-based; gvw acts on the nearest-neighbour pair (k, k+1),
 mg12 on lines (1, 2), u1 on line 1, diag on any pair k < l.
@@ -183,16 +191,6 @@ def render_complex(val: complex) -> str:
 def _parse_matrix(tok: str, lineno: int) -> tuple:
     if not (tok.startswith("[") and tok.endswith("]")):
         raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno)
-    # one replace and one conversion pass cost less than a parse_complex call per
-    # entry, and convert each literal as it does; a malformed, non-finite or ragged
-    # matrix (or one whose sum overflows) goes entry by entry below, naming the fault
-    try:
-        rows = tuple(tuple(map(complex, row.split(",")))
-                     for row in tok[1:-1].replace("i", "j").split(";"))
-    except ValueError:
-        rows = None
-    if rows and len(set(map(len, rows))) == 1 and cmath.isfinite(sum(map(sum, rows))):
-        return rows
     rows = []
     width = None
     for row in tok[1:-1].split(";"):
@@ -247,57 +245,75 @@ def _parse_state_token(tok: str, lineno: int) -> tuple:
     raise ParseError(f"bad state token {tok!r}", lineno)
 
 
-# Every byte but the structure of (re,im)(re,im) tokens and the space between them.
-_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b"(), ")
+# Every byte but the structure of (re,im)(re,im) tokens, the space between them and the
+# whitespace that float() would strip from a number.
+_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b"(), \t\n\x0b\x0c\r")
+# turning "(" and ")" into "," and deleting " " splits n such tokens into 6n + 1 fields:
+# the numbers, and an empty field at every index divisible by 3
+_TO_FIELDS = bytes.maketrans(b"()", b",,"), b" "
 
 
-def _parse_state(toks, lineno: int) -> tuple:
-    """The state line's amplitude pairs: named tokens by lookup, (re,im)(re,im) tokens in
-    one bulk conversion with a vectorised finiteness and norm test.
+def _read_state(body: str, n: int, lineno: int):
+    """The amplitude pairs of a state line body of exactly n (re,im)(re,im) tokens
+    between single spaces, in one float conversion; None for any other body.
 
-    Rows whose norm is not within 1e-12 of 1, and every line the bulk path does not
-    take, go through _parse_state_token, which normalises them with math.hypot and
-    raises every error, so the result and the errors are those of the per-token parser.
+    A pair whose norm is not within about 0.5e-12 of 1 is normalised, or refused, by
+    _parse_state_token.
     """
-    out = [_STATE_TOKENS.get(t) for t in toks]
-    at = [i for i, v in enumerate(out) if v is None]
-    if not at:
-        return tuple(out)
-    text = " ".join(toks[i] for i in at).encode()
-    # the tokens are all (re,im)(re,im) when their structure bytes read "(,)(,) (,)(,) ...";
-    # then deleting "(" and " " and turning ")" into "," lists their numbers
-    if text.translate(None, _NOT_STRUCTURE) != b" ".join([b"(,)(,)"] * len(at)):
-        return tuple(_parse_state_token(t, lineno) for t in toks)
+    text = body.encode()
+    if text.translate(None, _NOT_STRUCTURE) != b" ".join([b"(,)(,)"] * n):
+        return None
+    nums = text.translate(*_TO_FIELDS).split(b",")
+    if any(nums[::3]):  # a byte before, after or between the pairs
+        return None
+    del nums[::3]
     try:
-        xy = np.array(list(map(float, text.translate(None, b"( ").replace(b")", b",")
-                               .split(b",")[:-1]))).reshape(-1, 4)
+        xy = np.fromiter(map(float, nums), float, len(nums)).reshape(-1, 4)
     except ValueError:
-        return tuple(_parse_state_token(t, lineno) for t in toks)
+        return None
     # |norm^2 - 1| <= 1e-12 puts the norm within about 0.5e-12 of 1, far inside
-    # _parse_state_token's 1e-12 whatever the rounding; a non-finite, zero or
-    # overflowing row fails the test and goes through _parse_state_token
+    # _parse_state_token's 1e-12 whatever the rounding, so those pairs are kept as
+    # written there too; a non-finite, zero or overflowing row fails the test
     with np.errstate(over="ignore", invalid="ignore"):
-        near = np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12
-    rows = list(map(tuple, xy.view(complex).tolist()))
-    if len(at) == len(toks) and near.all():
-        return tuple(rows)
-    for i, row, keep in zip(at, rows, near.tolist()):
-        out[i] = row if keep else _parse_state_token(toks[i], lineno)
-    return tuple(out)
+        off = np.flatnonzero(~(np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12)).tolist()
+    pairs = list(zip(*[iter(xy.view(complex).ravel().tolist())] * 2))
+    if off:
+        toks = body.split(" ")
+        for i in off:
+            pairs[i] = _parse_state_token(toks[i], lineno)
+    return tuple(pairs)
+
+
+def _parse_state(body: str, n: int, lineno: int) -> tuple:
+    """The state line's amplitude pairs, from the text after 'state': by _read_state, or
+    token by token through _parse_state_token, which normalises pairs and raises every
+    error."""
+    pairs = _read_state(body, n, lineno)
+    if pairs is not None:
+        return pairs
+    toks = body.split()
+    if len(toks) != n:
+        raise ParseError(f"state needs {n} tokens, got {len(toks)}", lineno)
+    return tuple(_parse_state_token(t, lineno) for t in toks)
 
 
 def _gates_are_unitary(gates, tol: float) -> bool:
     """Whether every gate is unitary."""
-    at = _positions(gates)
-    return _stacks_are_unitary(gates, at, _class_params(gates, at), tol)
+    return _stacks_are_unitary(_class_params(gates, _positions(gates)), tol)
 
 
 def _class_params(gates, at) -> dict[str, dict[str, np.ndarray]]:
-    """The parameter stacks of every matrix class of a gate list."""
-    return {cls: _param_stacks([gates[i] for i in at[cls]], cls) for cls in _MATRIX_PARAMS}
+    """The parameter stacks of every class of a gate list: each matrix class's raw
+    matrices, and the a, b and s values of the exp gates."""
+    params = {cls: _param_stacks([gates[i] for i in at[cls]], cls) for cls in _MATRIX_PARAMS}
+    exp = [gates[i] for i in at["exp"]]
+    params["exp"] = {"a": np.array([v for g in exp for _, v in g.param("a")], dtype=complex),
+                     "b": np.array([v for g in exp for _, v in g.param("b")], dtype=complex),
+                     "s": np.array([g.param("s") for g in exp], dtype=complex)}
+    return params
 
 
-def _stacks_are_unitary(gates, at, params, tol: float) -> bool:
+def _stacks_are_unitary(params, tol: float) -> bool:
     """Whether every gate is unitary, from the classes' parameter stacks.
 
     The V, W, U and B matrices pass when M^H M = I entrywise within
@@ -305,13 +321,11 @@ def _stacks_are_unitary(gates, at, params, tol: float) -> bool:
     checked in one batch per shape.  diag entries must have unit modulus, and
     an exp gate needs a real, b and s imaginary (unitary up to global phase).
     """
-    if np.any(np.abs(np.abs(params["diag"]["d"]) - 1.0) > tol):
+    exp = params["exp"]
+    if (np.any(np.abs(np.abs(params["diag"]["d"]) - 1.0) > tol)
+            or not (np.all(np.abs(exp["a"].imag) <= tol) and np.all(np.abs(exp["b"].real) <= tol)
+                    and np.all(np.abs(exp["s"].real) <= tol))):
         return False
-    for g in (gates[i] for i in at["exp"]):
-        if not (all(abs(val.imag) <= tol for _, val in g.param("a"))
-                and all(abs(val.real) <= tol for _, val in g.param("b"))
-                and abs(g.param("s").real) <= tol):
-            return False
     square = (np.concatenate([params["gvw"]["V"], params["gvw"]["W"], params["u1"]["U"]]),
               params["mg12"]["B"])
     for m in square:
@@ -381,26 +395,23 @@ def _diag_violation(d) -> str:
             f"{d[0] * d[3]} != {d[1] * d[2]}")
 
 
-def _check_gates(gates, linenos, tol: float):
-    """parse's class rules, one batch per class (see _rule_faults).
+def _raise_first_fault(lines, at, params, tol: float):
+    """parse's class rules, one batch per matrix class (see _rule_faults), on the gates of
+    gate lines [(lineno, fields)] read so far.
 
     Raises the ParseError, with its line, of the earliest gate that fails a rule, with
-    the message of the first rule it fails; otherwise returns the gates' positions by
-    class and the classes' parameter stacks.
+    the message of the first rule it fails.
     """
-    at = _positions(gates)
-    params = _class_params(gates, at)
     failed = {}
     with np.errstate(over="ignore"):
-        for cls, stacks in params.items():
+        for cls in _MATRIX_PARAMS:
             if at[cls]:
-                for mask, message in _rule_faults(cls, stacks, tol):
+                for mask, message in _rule_faults(cls, params[cls], tol):
                     for j in np.flatnonzero(mask):
                         failed.setdefault(at[cls][j], message(j))
     if failed:
         first = min(failed)
-        raise ParseError(failed[first], linenos[first])
-    return at, params
+        raise ParseError(failed[first], lines[first][0])
 
 
 def _parse_gate(fields, n: int, lineno: int) -> GateSpec:
@@ -453,60 +464,224 @@ def _parse_gate(fields, n: int, lineno: int) -> GateSpec:
         return GateSpec("u1", (1,), (("U", named("U", "U", (2, 2))),))
 
     # exp: raw coefficients a:mu,nu=<c>  b:sigma=<c>  s=<c>
-    a = {}
-    b = {}
-    s = 0j
+    entries = {}
     for tok in args:
         if "=" not in tok:
             raise ParseError(f"bad exp parameter {tok!r}", lineno)
         key, _, sval = tok.partition("=")
         val = parse_complex(sval, lineno)
-        if key.startswith("a:"):
-            idx = key[2:].split(",")
-            if len(idx) != 2:
-                raise ParseError(f"bad quadratic index {key!r}; want a:mu,nu", lineno)
-            mu = _parse_int(idx[0], lineno, "index")
-            nu = _parse_int(idx[1], lineno, "index")
-            if not 1 <= mu < nu <= 2 * n:
-                raise ParseError(f"quadratic index pair ({mu},{nu}) invalid for n={n}", lineno)
-            a[(mu, nu)] = val
-        elif key.startswith("b:"):
-            sigma = _parse_int(key[2:], lineno, "index")
-            if not 1 <= sigma <= 2 * n:
-                raise ParseError(f"linear index {sigma} outside 1..{2 * n}", lineno)
-            b[sigma] = val
-        elif key == "s":
-            s = val
+        idx = _exp_key(key, n, lineno)
+        if idx in entries:
+            raise ParseError(f"repeated exp parameter {key!r}", lineno)
+        entries[idx] = val
+    return _exp_gate(entries)
+
+
+def _exp_key(key: str, n: int, lineno: int) -> tuple:
+    """An exp parameter's key as ("a", (mu, nu)), ("b", sigma) or ("s", None)."""
+    if key.startswith("a:"):
+        idx = key[2:].split(",")
+        if len(idx) != 2:
+            raise ParseError(f"bad quadratic index {key!r}; want a:mu,nu", lineno)
+        mu = _parse_int(idx[0], lineno, "index")
+        nu = _parse_int(idx[1], lineno, "index")
+        if not 1 <= mu < nu <= 2 * n:
+            raise ParseError(f"quadratic index pair ({mu},{nu}) invalid for n={n}", lineno)
+        return "a", (mu, nu)
+    if key.startswith("b:"):
+        sigma = _parse_int(key[2:], lineno, "index")
+        if not 1 <= sigma <= 2 * n:
+            raise ParseError(f"linear index {sigma} outside 1..{2 * n}", lineno)
+        return "b", sigma
+    if key == "s":
+        return "s", None
+    raise ParseError(f"unknown exp parameter {key!r}", lineno)
+
+
+def _exp_gate(entries: dict) -> GateSpec:
+    """The exp gate of {_exp_key: value} entries; s is 0 when not given."""
+    a, b, s = {}, {}, 0j
+    for (kind, idx), val in entries.items():
+        if kind == "a":
+            a[idx] = val
+        elif kind == "b":
+            b[idx] = val
         else:
-            raise ParseError(f"unknown exp parameter {key!r}", lineno)
+            s = val
     return exp_spec(a, b, s)
+
+
+# The separators of one matrix of each matrix class: ',' between entries, ';' between rows.
+_LAYOUTS = {"gvw": ",;,", "diag": ",,,", "mg12": ",,,;,,,;,,,;,,,", "u1": ",;,"}
+# Every byte but those separators and the '/' that _convert puts between texts.
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",;/")
+# turning every separator into ',' (and 'i' into 'j') lists the entries
+_TO_ENTRIES = bytes.maketrans(b";/i", b",,j")
+
+
+def _inside(tok: str, prefix: str) -> str:
+    """The text inside an argument `<prefix>...]`; ValueError for any other argument."""
+    if tok.startswith(prefix) and tok.endswith("]"):
+        return tok[len(prefix):-1]
+    raise ValueError(tok)
+
+
+def _convert(texts, layout: str):
+    """The complex entries of texts that each have the separators layout gives, as one
+    list and one array, in one conversion; None when a text has other separators or an
+    entry is malformed or not finite."""
+    if not texts:
+        return [], np.zeros(0, dtype=complex)
+    data = "/".join(texts).encode()
+    if data.translate(None, _NOT_SEPARATOR) != "/".join([layout] * len(texts)).encode():
+        return None
+    try:
+        vals = list(map(complex, data.translate(_TO_ENTRIES).decode().split(",")))
+    except ValueError:
+        return None
+    arr = np.array(vals, dtype=complex)
+    return (vals, arr) if np.isfinite(arr).all() else None
+
+
+def _nest(vals, shape):
+    """Consecutive values of an iterable grouped into nested tuples of a shape."""
+    for size in reversed(shape):
+        vals = zip(*[iter(vals)] * size)
+    return vals
+
+
+def _read_batched(lines, n: int):
+    """The gates of parse's gate lines [(lineno, fields)], their positions by class and
+    the classes' parameter stacks, with the values of each class converted in one pass
+    (see _convert); the class rules are not run.
+
+    None when a line is not in the form render writes (an unknown class, a wrong
+    argument count, arguments out of render's order, a line number out of range or a
+    bad exp key), a value is malformed or not finite, or an exp key is given twice;
+    _parse_gate then reads every line and names the fault.
+    """
+    at = {cls: [] for cls in GATE_CLASSES}
+    supports = {cls: [] for cls in _LAYOUTS}
+    texts = {cls: [] for cls in _LAYOUTS}
+    exp_keys, exp_texts, keys = [], [], {}
+    try:
+        for i, (lineno, fields) in enumerate(lines):
+            cls = fields[0]
+            if cls == "gvw":
+                _, k, V, W = fields
+                k = int(k)
+                if not 1 <= k < n:
+                    return None
+                supports[cls].append((k, k + 1))
+                texts[cls] += _inside(V, "V=["), _inside(W, "W=[")
+            elif cls == "diag":
+                _, k, l, d = fields
+                k, l = int(k), int(l)
+                if not 1 <= k < l <= n:
+                    return None
+                supports[cls].append((k, l))
+                texts[cls].append(_inside(d, "["))
+            elif cls == "mg12" or cls == "u1":
+                _, M = fields
+                if cls == "mg12" and n < 2:
+                    return None
+                supports[cls].append((1, 2) if cls == "mg12" else (1,))
+                texts[cls].append(_inside(M, "B=[" if cls == "mg12" else "U=["))
+            elif cls == "exp":
+                line_keys = []
+                for tok in fields[1:]:
+                    key, _, val = tok.partition("=")
+                    if key not in keys:
+                        keys[key] = _exp_key(key, n, lineno)
+                    line_keys.append(keys[key])
+                    exp_texts.append(val)
+                exp_keys.append(line_keys)
+            else:
+                return None
+            at[cls].append(i)
+    except (ValueError, ParseError):  # a wrong argument count or form, a bad line or key
+        return None
+    gates = [None] * len(lines)
+    params = {}
+    for cls, named in _MATRIX_PARAMS.items():
+        read = _convert(texts[cls], _LAYOUTS[cls])
+        if read is None:
+            return None
+        vals, arr = read
+        names = tuple(named)
+        shape = named[names[0]]
+        arr = arr.reshape((-1, len(names)) + shape)
+        params[cls] = {name: arr[:, j] for j, name in enumerate(names)}
+        for i, support, values in zip(at[cls], supports[cls], _nest(vals, (len(names),) + shape)):
+            gates[i] = GateSpec(cls, support, tuple(zip(names, values)))
+    read = _convert(exp_texts, "")
+    if read is None:
+        return None
+    vals, arr = read
+    it = iter(vals)
+    for i, line_keys in zip(at["exp"], exp_keys):
+        entries = dict(zip(line_keys, it))  # takes len(line_keys) values from it
+        if len(entries) < len(line_keys):
+            return None
+        gates[i] = _exp_gate(entries)
+    kinds = np.array([kind for line_keys in exp_keys for kind, _ in line_keys])
+    params["exp"] = {kind: arr[kinds == kind] for kind in "abs"}
+    return gates, at, params
+
+
+def _read_gates(lines, n: int, tol: float):
+    """The gates of parse's gate lines [(lineno, fields)] and their classes' parameter
+    stacks, every gate checked; raises the first error among the lines' own errors and
+    the class rules, by line.
+
+    The values of each class are converted in one pass (see _read_batched).  A file
+    with a line that pass does not take goes line by line through _parse_gate, which
+    holds every gate line error.
+    """
+    read = _read_batched(lines, n)
+    if read is not None:
+        gates, at, params = read
+    else:
+        gates = []
+        try:
+            for lineno, fields in lines:
+                gates.append(_parse_gate(fields, n, lineno))
+        except ParseError:
+            at = _positions(gates)
+            _raise_first_fault(lines, at, _class_params(gates, at), tol)
+            raise
+        at = _positions(gates)
+        params = _class_params(gates, at)
+    _raise_first_fault(lines, at, params, tol)
+    return gates, params
 
 
 def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
     """The circuit of a .mg text, every gate validated.
 
-    The class rules (see _rule_faults) run once per gate class, after the gate
-    lines are read; before any later error is raised they run on the gates read so
-    far, so the error reported is always the first in the file.
+    The gate lines are read after the other lines (see _read_gates), and the class
+    rules (see _rule_faults) run once per gate class; before any later error is raised
+    the gate lines above it are read and checked, so the error reported is always the
+    first in the file.
     """
     n = None
     state = None
-    gates = []
-    linenos = []
+    gate_lines = []
     k = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            fields = line.split()
-            head = fields[0]
+            head, *rest = line.split(None, 1)
+            body = rest[0] if rest else ""
             if head == "circuit":
                 if n is not None:
                     raise ParseError("duplicate circuit header", lineno)
-                if len(fields) != 2 or not fields[1].startswith("n="):
+                args = body.split()
+                if len(args) != 1 or not args[0].startswith("n="):
                     raise ParseError("header must be 'circuit n=<int>'", lineno)
-                n = _parse_int(fields[1][2:], lineno, "line count")
+                n = _parse_int(args[0][2:], lineno, "line count")
                 if n < 1:
                     raise ParseError(f"need n >= 1, got {n}", lineno)
             elif head == "state":
@@ -514,25 +689,23 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
                     raise ParseError("state before circuit header", lineno)
                 if state is not None:
                     raise ParseError("duplicate state line", lineno)
-                toks = fields[1:]
-                if len(toks) != n:
-                    raise ParseError(f"state needs {n} tokens, got {len(toks)}", lineno)
-                state = _parse_state(toks, lineno)
+                state = _parse_state(body, n, lineno)
             elif head == "gate":
                 if n is None:
                     raise ParseError("gate before circuit header", lineno)
-                if len(fields) < 2:
+                args = body.split()
+                if not args:
                     raise ParseError("gate line needs a class tag", lineno)
-                gates.append(_parse_gate(fields[1:], n, lineno))
-                linenos.append(lineno)
+                gate_lines.append((lineno, args))
             elif head == "measure":
                 if n is None:
                     raise ParseError("measure before circuit header", lineno)
                 if k is not None:
                     raise ParseError("duplicate measure line", lineno)
-                if len(fields) != 2:
+                args = body.split()
+                if len(args) != 1:
                     raise ParseError("measure takes a single line number", lineno)
-                k = _parse_int(fields[1], lineno, "measured line")
+                k = _parse_int(args[0], lineno, "measured line")
                 if not 1 <= k <= n:
                     raise ParseError(f"measured line {k} outside 1..{n}", lineno)
             else:
@@ -544,11 +717,10 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
         if k is None:
             raise ParseError("missing measure line", 0)
     except ParseError:
-        _check_gates(gates, linenos, tol)
+        _read_gates(gate_lines, n, tol)
         raise
-    at, params = _check_gates(gates, linenos, tol)
-    unitary = _stacks_are_unitary(gates, at, params, max(tol, 1e-8))
-    return Circuit(n, state, tuple(gates), k, unitary)
+    gates, params = _read_gates(gate_lines, n, tol)
+    return Circuit(n, state, tuple(gates), k, _stacks_are_unitary(params, max(tol, 1e-8)))
 
 
 def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:

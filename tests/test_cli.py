@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -431,42 +432,61 @@ ORDINARY = ("0", "1", "-1", "0.5", "1i", "-0.5i", "0.6+0.8i")
 EXTREME = ("1e200", "-1e200", "1e200i", "1e-200", "1e308", "-1e308", "inf", "nan")
 
 
+_AMPLITUDES = ("0.0", "-0.0", "1.0", "0.6", "-0.8")
+_EXTREME_AMPLITUDES = ("5e-324", "1e-200", "1e200", "1e308", "inf", "nan")
+
+
 @st.composite
 def mg_files(draw):
     """.mg text over the gate grammar: the five classes, lines in and out of range,
-    and literals from 0 and 1 up to 1e308, inf and nan."""
+    literals from 0 and 1 up to 1e308, inf and nan, state pairs normalised or not,
+    V= and W= in either order, and tabs between fields."""
     n = draw(st.integers(1, 4))
     # one extreme literal per file, so that some gates still pass the class rules
     lit = st.sampled_from(ORDINARY + (draw(st.sampled_from(EXTREME)),))
     line = st.one_of(st.integers(1, n), st.integers(0, n + 1))
     index = st.one_of(st.integers(1, 2 * n), st.integers(0, 2 * n + 1))
+    sep = draw(st.sampled_from([" ", " ", "\t", " \t "]))
+    # an extreme amplitude in half of the files, so that most state lines still parse
+    extreme = draw(st.sampled_from(_EXTREME_AMPLITUDES)) if draw(st.booleans()) else "1.0"
+    amplitude = st.sampled_from(_AMPLITUDES + (extreme,))
 
     def matrix(size):  # diagonal half the time, so that the class rules can hold
         diagonal = draw(st.booleans())
         return "[" + ";".join(",".join(draw(lit) if r == c or not diagonal else "0"
                                        for c in range(size)) for r in range(size)) + "]"
 
+    def pair():  # (re,im)(re,im), normalised half the time
+        x = [float(draw(amplitude)) for _ in range(4)]
+        norm = math.hypot(*x)
+        if draw(st.booleans()) and 0 < norm < math.inf:
+            x = [v / norm for v in x]
+        return f"({x[0]!r},{x[1]!r})({x[2]!r},{x[3]!r})"
+
     def gate(cls):
         k = draw(line)
         if cls == "gvw":
             V = matrix(2)
-            return f"gvw {k} V={V} W={V if draw(st.booleans()) else matrix(2)}"
+            VW = [f"V={V}", f"W={V if draw(st.booleans()) else matrix(2)}"]
+            return sep.join(["gvw", str(k), *(VW[::-1] if draw(st.booleans()) else VW)])
         if cls == "diag":
             l = draw(st.one_of(st.just(k + 1), line))
-            return f"diag {k} {l} [{','.join(draw(lit) for _ in range(4))}]"
+            return sep.join(["diag", str(k), str(l), f"[{','.join(draw(lit) for _ in range(4))}]"])
         if cls == "mg12":
-            return f"mg12 B={matrix(4)}"
+            return f"mg12{sep}B={matrix(4)}"
         if cls == "u1":
-            return f"u1 U={matrix(2)}"
+            return f"u1{sep}U={matrix(2)}"
         a = [f"a:{mu},{draw(st.one_of(st.just(mu + 1), index))}={draw(lit)}"
              for mu in draw(st.lists(index, max_size=2))]
         b = [f"b:{sigma}={draw(lit)}" for sigma in draw(st.lists(index, max_size=2))]
-        return " ".join(["exp", *a, *b, f"s={draw(lit)}"])
+        return sep.join(["exp", *a, *b, f"s={draw(lit)}"])
 
-    state = " ".join(draw(st.sampled_from(["0", "1", "+", "-i"])) for _ in range(n))
-    gates = [f"gate {gate(cls)}" for cls in draw(st.lists(st.sampled_from(circuits.GATE_CLASSES),
-                                                           min_size=1, max_size=3))]
-    return "\n".join([f"circuit n={n}", f"state {state}", *gates, f"measure {draw(line)}", ""])
+    named = st.sampled_from(["0", "1", "+", "-i"])
+    state = sep.join(draw(st.one_of(named, named, st.builds(pair))) for _ in range(n))
+    gates = [f"gate{sep}{gate(cls)}"
+             for cls in draw(st.lists(st.sampled_from(circuits.GATE_CLASSES), min_size=1,
+                                      max_size=3))]
+    return "\n".join([f"circuit n={n}", f"state{sep}{state}", *gates, f"measure {draw(line)}", ""])
 
 
 # logm's result for this gate misses U by 100%: the Lie engine's compile must refuse

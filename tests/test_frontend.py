@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +70,13 @@ def test_comments_and_blank_lines():
      "u1 gate rejected: matrix is not invertible"),
     ("circuit n=2\nstate 0 0\ngate diag 1 2 [1,0,0,1]\nmeasure 1\n",
      "diag entries must be nonzero"),
+    # a key given twice is refused, not overwritten by its last value
+    ("circuit n=2\nstate 0 0\ngate exp a:1,3=1 a:1,3=0.5\nmeasure 1\n",
+     "line 3: repeated exp parameter 'a:1,3'"),
+    ("circuit n=2\nstate 0 0\ngate exp b:1=0.3i b:1=0.7i\nmeasure 1\n",
+     "line 3: repeated exp parameter 'b:1'"),
+    ("circuit n=2\nstate 0 0\ngate exp s=1 s=2i\nmeasure 1\n",
+     "line 3: repeated exp parameter 's'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -282,24 +291,27 @@ def test_classify_gvw(rng):
     ("[1;2]", "line 3: U must be 2x2, got 2x1"),
 ])
 def test_matrix_errors_name_the_first_bad_entry(matrix, error):
-    # a matrix is converted in one pass; any fault sends it entry by entry, so the
-    # message is the one parse_complex gives for the first bad entry
+    # a file whose matrices the batched conversion cannot take is read line by line, so
+    # the message is the one parse_complex gives for the first bad entry
     with pytest.raises(ParseError) as exc:
         parse(f"circuit n=1\nstate 0\ngate u1 U={matrix}\nmeasure 1\n")
     assert str(exc.value) == error
 
 
 def test_matrix_round_trip_is_exact(rng):
-    # the one-pass conversion of a rendered matrix gives parse_complex's values, bit for bit
+    # the batched conversion of rendered matrices gives parse_complex's values, bit for
+    # bit, in the gates and in the parameter stack the class rules run on
     values = [complex(rng.normal() * 10.0 ** rng.integers(-300, 300), rng.normal())
               for _ in range(400)] + [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324, -5e-324j]
-    for start in range(0, len(values), 4):
-        rows = (tuple(values[start:start + 2]), tuple(values[start + 2:start + 4]))
-        text = circuits._render_matrix(rows)
-        got = circuits._parse_matrix(text, 1)
-        assert got == rows
-        assert repr(got) == repr(tuple(tuple(parse_complex(e) for e in row.split(","))
-                                       for row in text[1:-1].split(";")))
+    texts = [circuits._render_matrix((tuple(values[i:i + 2]), tuple(values[i + 2:i + 4])))
+             for i in range(0, len(values), 4)]
+    lines = [(i, ["u1", f"U={t}"]) for i, t in enumerate(texts)]
+    gates, _, params = circuits._read_batched(lines, 1)
+    want = tuple(tuple(tuple(parse_complex(e) for e in row.split(","))
+                       for row in t[1:-1].split(";")) for t in texts)
+    got = tuple(g.param("U") for g in gates)
+    assert got == want and repr(got) == repr(want)
+    assert repr(params["u1"]["U"].tolist()) == repr([[list(row) for row in m] for m in want])
 
 
 @pytest.mark.parametrize("text, error", [
@@ -315,6 +327,13 @@ def test_matrix_round_trip_is_exact(rng):
      "line 4: gvw gate rejected: matrix is not invertible (|det| = 0.000e+00)"),
     ("gate mg12 B=[1,0,0,0;0,0,1,0;0,1,0,0;0,0,0,0]\n",
      "line 3: mg12 gate rejected: matrix fails the matchgate identities"),
+    # a gate line's own error is raised at its line, before a later line is read ...
+    ("gate u1 U=[1,x;0,1]\nfrobnicate\n", "line 3: bad complex literal 'x'"),
+    # ... but after the class rules of the gates above it
+    ("gate gvw 1 V=[1,0;0,1] W=[2,0;0,1]\ngate u1 U=[1,x;0,1]\n",
+     "line 3: gvw gate rejected: determinant mismatch: det V = (1+0j), det W = (2+0j)"),
+    ("gate gvw 1 V=[1,0;0,1] W=[1,0;0,1]\ngate diag 1 2 [1,1,1,x]\n",
+     "line 4: bad complex literal 'x'"),
 ])
 def test_batched_gate_checks_report_the_first_failing_gate(text, error):
     with pytest.raises(ParseError) as exc:
@@ -390,18 +409,67 @@ def _per_token(toks):
         return str(exc)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@example(["(0.6,0.0)(0.0,0.8)"] * 20)
-@example(["(3.0,0.0)(0.0,4.0)", "+"])
-@given(state_tokens())
-def test_bulk_state_parse_equals_the_per_token_parse(toks):
-    ref = _per_token(toks)
+def _per_token_body(body, n):
+    """The state line body read as the per-token parser reads it."""
+    toks = body.split()
+    if len(toks) != n:
+        return str(ParseError(f"state needs {n} tokens, got {len(toks)}", 7))
+    return _per_token(toks)
+
+
+def _read_body(body, n):
     try:
-        got = _parse_state(toks, 7)
+        return _parse_state(body, n, 7)
     except ParseError as exc:
-        assert str(exc) == ref
-    else:
-        assert got == ref and repr(got) == repr(ref)
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@example(["(0.6,0.0)(0.0,0.8)"] * 20, " ", 0)
+@example(["(3.0,0.0)(0.0,4.0)", "+"], " ", 0)
+@example(["(1,0)(0,0)", "0"], "\t", -1)
+@given(state_tokens(), st.sampled_from([" ", " ", " ", "  ", "\t", "\u00a0", "\x1f"]),
+       st.sampled_from([0, 0, 0, -1, 1]))
+def test_bulk_state_parse_equals_the_per_token_parse(toks, sep, extra):
+    # the state line is read from its text: single spaces between pairs take the
+    # one-pass conversion, any other line goes token by token; n may differ from the
+    # number of tokens
+    n = max(1, len(toks) + extra)
+    ref = _per_token_body(sep.join(toks), n)
+    got = _read_body(sep.join(toks), n)
+    assert got == ref and repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("body, n", [
+    ("(1,0)(0,0)\t0", 1), ("(1,0)(0,0)\t0 (1,0)(0,0)", 2), ("(\t1,0)(0,0)", 1),
+    ("(1,0\t)(0,0)", 1), ("(1,0)(0,0)\u00a00", 1), ("(1,0)(0,0)\u00a0(1,0)(0,0)", 2),
+    ("(1,0)(0,0)\x1f(1,0)(0,0)", 2), ("(1,0)(0,0)x", 1), ("0(1,0)(0,0)", 1),
+    ("(1,0)0(0,0)", 1), ("(1,0)(0,0)x (1,0)(0,0)", 2), ("(1,0)(0,0) x(1,0)(0,0)", 2),
+    ("(1,0)(0,0)", 2), ("(1,0)(0,0) (1,0)(0,0)", 1), ("(1,0)(0,0) (1,0)(0,0)", 3),
+    ("(1,0)(0,0) 0", 1), ("(1,0)(0,0)\n(1,0)(0,0)", 2), ("(1_0,0)(0,0)", 1),
+    ("(\u0661,0)(0,0)", 1), ("(3,0)(0,4) (nan,0)(1,0)", 2), ("(0,0)(0,0) (1,x)(0,0)", 2)])
+def test_state_bodies_read_as_in_the_per_token_parse(body, n):
+    # whitespace inside or between tokens, junk before, after or between the pairs, and
+    # a token count other than n all read as the per-token parser reads them
+    ref = _per_token_body(body, n)
+    got = _read_body(body, n)
+    assert got == ref and repr(got) == repr(ref)
+
+
+def test_the_one_pass_state_reader_takes_pairs(monkeypatch):
+    pairs = ["(0.6,0.0)(0.0,0.8)", "(1.0,-0.0)(0.0,0.0)", "(0.0,5e-324)(-1.0,0.0)"]
+    assert circuits._read_state(" ".join(pairs), 3, 7) == _per_token(pairs)
+    assert circuits._read_state(" ".join(pairs[:2] + ["+"]), 3, 7) is None
+    assert circuits._read_state("  ".join(pairs), 3, 7) is None
+    assert circuits._read_state(" ".join(pairs), 2, 7) is None
+    # a pair off norm is normalised by the per-token parser, and only that pair
+    calls = []
+    per_token = circuits._parse_state_token
+    monkeypatch.setattr(circuits, "_parse_state_token",
+                        lambda tok, lineno: calls.append(tok) or per_token(tok, lineno))
+    mixed = pairs[:2] + ["(3,0)(0,4)"]
+    assert circuits._read_state(" ".join(mixed), 3, 7) == _per_token(mixed)
+    assert calls == ["(3,0)(0,4)"]
 
 
 def _gate_lines(B) -> dict:
@@ -490,3 +558,117 @@ def test_the_classify_cases_reach_both_sides_of_every_rule():
 ])
 def test_classify_refuses_singular_matrices_and_keeps_parse_tolerance(name, classes):
     assert classify(CLASSIFY_CASES[name]) == classes
+
+
+def _outcome(text):
+    """parse's result: the circuit and its repr, or the error text and line."""
+    try:
+        circ = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return circ, repr(circ)
+
+
+def _per_line_outcome(text):
+    """_outcome with the one-pass readers off: every gate line goes through _parse_gate
+    and every state token through _parse_state_token."""
+    with mock.patch.object(circuits, "_read_batched", lambda lines, n: None), \
+            mock.patch.object(circuits, "_read_state", lambda body, n, lineno: None):
+        return _outcome(text)
+
+
+_EXTREME_ENTRIES = ["0.0", "-0.0", "0.0-0.0i", "-0.0+0.0i", "5e-324", "-5e-324i", "1e300",
+                    "-1e300i"]
+_FAULTS = ["gate u1 U=[1,{};0,1]".format(bad) for bad in ("x", "1..2", "1e999", "nan", "inf",
+                                                           "", "1i2", "(1")] + [
+    "gate u1 U=[1,0;0]", "gate u1 U=[1,0,0;0,1,0]", "gate mg12 B=[1,0;0,1]",
+    "gate gvw {n} V=[1,0;0,1] W=[1,0;0,1]", "gate gvw 0 V=[1,0;0,1] W=[1,0;0,1]",
+    "gate diag 1 1 [1,1,1,1]", "gate diag 1 {m} [1,1,1,1]", "gate gvw 1 V=[1,0;0,1]",
+    "gate bogus 1", "gate exp a:1,1=1", "gate exp b:{m}=1", "gate exp q=1",
+    "gate exp a:1,2=1 a:1,2=2", "gate exp s", "gate exp s=1/2", "gate u1 U=[1,0;0,1/2]",
+    "gate u1 U=[1,0;0,1]x", "gate u1 xU=[1,0;0,1]", "gate diag 1 2 1[1,1,1,1]",
+    "gate gvw 1 V=[1,0;0,1]W=[1,0;0,1] V=[1,0;0,1]W=[1,0;0,1]\ngate gvw 1 1 1",
+    "frobnicate", "measure 1"]
+# gates that fail a class rule, for n >= 1 and n >= 2
+_RULE_FAILURES = [["gate u1 U=[1,1;1,1]"],
+                  ["gate gvw 1 V=[1,0;0,1] W=[2,0;0,1]", "gate diag 1 2 [1,1,1,-1]",
+                   "gate mg12 B=[1,0,0,0;0,0,1,0;0,1,0,0;0,0,0,1]"]]
+
+
+@st.composite
+def edited_files(draw):
+    """Rendered random circuits of all five classes, unitary or not, edited: V= and W=
+    swapped, i written j, tabs, runs of spaces, no-break spaces, comments, extreme
+    entries, and now and then one faulty line at a random place, sometimes after a gate
+    that fails a class rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 5))
+    circ = sampling.random_circuit(n, draw(st.integers(0, 8)), rng, unitary=draw(st.booleans()),
+                                   computational_input=draw(st.booleans()))
+    lines = render(circ).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        edit = draw(st.sampled_from(["swap", "j", "tab", "spaces", "nbsp", "comment", "entry"]))
+        if edit == "swap":
+            line = re.sub(r"(V=\S+) (W=\S+)", r"\2 \1", line)
+        elif edit == "j" and line.startswith("gate"):
+            head, cls, rest = (line.split(" ", 2) + [""])[:3]
+            line = f"{head} {cls} {rest.replace('i', 'j')}"
+        elif edit in ("tab", "spaces", "nbsp"):
+            at = [m.start() for m in re.finditer(" ", line)]
+            if at:
+                j = draw(st.sampled_from(at))
+                space = {"tab": "\t", "spaces": "   ", "nbsp": "\u00a0"}[edit]
+                line = line[:j] + space + line[j + 1:]
+        elif edit == "comment":
+            line += draw(st.sampled_from([" # note", "#", "\t# [1,x;0,1]"]))
+        elif edit == "entry":
+            spans = [m.span() for m in re.finditer(r"(?<=[\[,;=])[^,;\[\]\s]+", line)]
+            if spans and line.startswith("gate"):
+                a, b = draw(st.sampled_from(spans))
+                line = line[:a] + draw(st.sampled_from(_EXTREME_ENTRIES)) + line[b:]
+        lines[i] = line
+    if draw(st.integers(0, 2)) == 0:
+        fault = [draw(st.sampled_from(_FAULTS)).format(n=n, m=2 * n + 1)]
+        if draw(st.booleans()):
+            fault = [draw(st.sampled_from(_RULE_FAILURES[min(n, 2) - 1]))] + fault
+        at = draw(st.integers(2, len(lines) - 1))
+        lines[at:at] = fault
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edited_files())
+def test_batched_parse_equals_the_per_line_parse(text):
+    assert _outcome(text) == _per_line_outcome(text)
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_fault_reads_as_in_the_per_line_parse(fault, n):
+    gates = ["gate u1 U=[0,1;1,0]", "gate exp a:1,2=0.5 b:1=1i s=-1i"]
+    for before in [[]] + [[g] for g in _RULE_FAILURES[min(n, 2) - 1]]:
+        text = "\n".join([f"circuit n={n}", "state " + " ".join(["(0.6,0.0)(0.0,0.8)"] * n),
+                          *gates, *before, fault.format(n=n, m=2 * n + 1), *gates, "measure 1", ""])
+        assert _outcome(text) == _per_line_outcome(text)
+
+
+def test_canonical_files_never_reach_the_per_line_parser(rng, monkeypatch):
+    # a silent fall back to the per-line parser would keep every result and lose the gain
+    calls = []
+    per_line, per_token = circuits._parse_gate, circuits._parse_state_token
+    monkeypatch.setattr(circuits, "_parse_gate", lambda fields, n, lineno:
+                        calls.append(lineno) or per_line(fields, n, lineno))
+    monkeypatch.setattr(circuits, "_parse_state_token",
+                        lambda tok, lineno: calls.append(tok) or per_token(tok, lineno))
+    seen = set()
+    for trial in range(30):
+        circ = sampling.random_circuit(1 + trial % 5, 8, rng, unitary=bool(trial % 2))
+        seen.update(g.cls for g in circ.gates)
+        assert parse(render(circ)) == circ
+    assert calls == [] and seen == set(circuits.GATE_CLASSES)
+    text = "circuit n=2\nstate 0 +\ngate u1 U=[0,1;1,0]\ngate gvw 1 {}\nmeasure 1\n"
+    swapped = parse(text.format("W=[0,1;-1,0] V=[1,0;0,1]"))
+    assert calls == ["0", "+", 3, 4]
+    assert swapped == parse(text.format("V=[1,0;0,1] W=[0,1;-1,0]"))
