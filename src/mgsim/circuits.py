@@ -403,7 +403,8 @@ def _raise_first_fault(lines, at, params, tol: float):
     the message of the first rule it fails.
     """
     failed = {}
-    with np.errstate(over="ignore"):
+    # an overflowing or singular matrix fails its rule by its inf or nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for cls in _MATRIX_PARAMS:
             if at[cls]:
                 for mask, message in _rule_faults(cls, params[cls], tol):
@@ -831,7 +832,7 @@ def classify(B) -> list[str]:
                    if np.abs(B - _class_matrices(cls, params)).max() <= 1e-12 * np.abs(B).max()}
     else:
         return []
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return [cls for cls, params in layouts.items()
                 if not any(mask[0] for mask, _ in _rule_faults(
                     cls, {name: val[None] for name, val in params.items()}, _DEFAULT_TOL))]

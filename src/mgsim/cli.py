@@ -30,9 +30,7 @@ def _c2j(val: complex):
 
 
 def _emit(payload: dict) -> int:
-    payload = {"schema": SCHEMA, **payload}
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps({"schema": SCHEMA, **payload}) + "\n")
     return 0
 
 

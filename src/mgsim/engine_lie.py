@@ -6,7 +6,9 @@ n(2n+1) + 1, the complexified so(2n+1) plus center).  Conjugation by e^A
 therefore acts on coefficient vectors over this basis as e^M, where
 M = sum_j xi_j ad(B_j) for the coefficients xi of A.  Gates are exp GateSpecs,
 as ``circuits.compile`` returns every gate, and xi is read off their
-coefficients.
+coefficients.  The basis is not stored: in its order (identity, c_1..c_2n,
+then i c_mu c_nu for mu < nu) an index is closed form, and ``element``
+builds the Pauli string of an index on demand.
 
 Whether two basis elements have a nonzero bracket depends only on the c
 indices they share: c_mu and c_nu anticommute for mu != nu, c_mu and
@@ -15,12 +17,12 @@ one index.  So M is read off the gate's c-support S in closed form: one
 block on the elements inside S, and for every index tau outside S one block
 on the elements i c_s c_tau (s in S), joined by c_tau when A has linear
 terms.  Taken with s first, the outside blocks are all equal, so each gate
-has at most two distinct blocks, and no table of structure constants is
-built.  M is never formed as a dense matrix.  The blocks of a chunk of
-gates are built first and exponentiated by ``linalg.expm_stack``, one call
-per block size, then applied gate by gate in order.  The observable
-C^-1 Z_k C comes out as a Pauli sum {(x_mask, z_mask): coeff} with one term
-per nonzero coefficient of the propagated vector.
+has at most two distinct blocks, built from the Pauli strings of their first
+rows only.  M is never formed as a dense matrix.  The blocks of a chunk of
+gates are exponentiated by ``linalg.expm_stack``, one call per block size,
+then applied gate by gate in order.  The propagated coefficients eta of
+C^-1 Z_k C are a dense vector, so n is capped by a memory budget, and their
+value on the product state is summed in numpy (``_expectation``).
 
 The derivation is completely independent of the quadratic d-operator
 transfer: no extended operator d_0 appears, the basis is exponentially
@@ -31,20 +33,24 @@ the performance engine.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from . import linalg
 from .engine_quadratic import SimResult
-from .errors import DimensionError, InconsistencyError
-from .jw import PARITY, JwFamily
-from .pauli import PauliString, ProductState, commutation_sign, expectation, pauli_mul
+from .errors import DimensionError, InconsistencyError, SizeLimitError
+from .jw import jw
+from .pauli import PauliString, ProductState, commutation_sign, pauli_mul
 
 ENGINE_NAME = "lie"
+
+# The coefficient vector eta takes 16 bytes per basis element; an n whose eta
+# passes this budget is refused (n <= 2896 fits), so a run stays well under 1 GB.
+MAX_ETA_BYTES = 256 << 20
 
 # Blocks are built for _CHUNK gates at a time, last gate first, or for fewer once
 # they hold _CHUNK_ENTRIES entries (16 MB): expm_stack is called per chunk, and the
@@ -53,65 +59,52 @@ _CHUNK = 256
 _CHUNK_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class LieBasis:
-    """Ordered Hermitian basis of L1+2: identity, c_mu, then i c_mu c_nu (mu < nu)."""
-
-    n: int
-    elements: tuple  # PauliStrings, all with scalar prefactor +1 or -1
-    pair_index: tuple  # sorted ((mu, nu), basis index) entries
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def _pair_lookup(self) -> np.ndarray:
-        """The basis index of i c_mu c_nu at [mu, nu] and at [nu, mu]."""
-        mu, nu = np.array([pair for pair, _ in self.pair_index]).T
-        table = np.zeros((2 * self.n + 1,) * 2, dtype=np.intp)
-        table[mu, nu] = table[nu, mu] = [idx for _, idx in self.pair_index]
-        return table
-
-    def index_of_pair(self, mu: int, nu: int) -> int:
-        if not 1 <= mu < nu <= 2 * self.n:
-            raise KeyError((mu, nu))
-        return int(self._pair_lookup[mu, nu])
+def dimension(n: int) -> int:
+    """The number n(2n+1) + 1 of basis elements on n lines."""
+    return n * (2 * n + 1) + 1
 
 
-@lru_cache(maxsize=None)
-def build_basis(n: int) -> LieBasis:
-    family = JwFamily(n, PARITY)
-    elems = [PauliString(n, 0, 0)]
-    for mu in range(1, 2 * n + 1):
-        elems.append(family.c(mu))
-    pairs = []
-    for mu in range(1, 2 * n + 1):
-        for nu in range(mu + 1, 2 * n + 1):
-            prod = pauli_mul(family.c(mu), family.c(nu))
-            pairs.append(((mu, nu), len(elems)))
-            elems.append(PauliString(n, prod.x_mask, prod.z_mask, prod.phase_pow + 1))
-    return LieBasis(n, tuple(elems), tuple(pairs))
+def _pair_index(n: int, mu, nu):
+    """The basis index of i c_mu c_nu, mu < nu; ints or integer arrays."""
+    return 2 * n + 1 + (mu - 1) * (4 * n - mu) // 2 + nu - mu - 1
 
 
-def gate_coefficients(g, basis: LieBasis) -> np.ndarray:
-    """Expand the A = sum 2a c c + sum b c + s of an exp gate over the basis: xi such
-    that A = sum xi_j B_j."""
-    if max(g.lines, default=0) > basis.n:
-        raise DimensionError(f"gate on lines {g.lines}, basis has n={basis.n}")
-    xi = np.zeros(basis.dim, dtype=complex)
-    xi[0] = g.param("s")
-    for sigma, val in g.param("b"):
-        xi[sigma] = val
-    for (mu, nu), val in g.param("a"):
-        # 2a c_mu c_nu = -2i a * (i c_mu c_nu)
-        xi[basis.index_of_pair(mu, nu)] = -2j * val
-    return xi
+def _c_indices(n: int, i: int) -> tuple:
+    """The c indices of basis element i: () for the identity, (mu,) for c_mu, and
+    (mu, nu) for i c_mu c_nu, inverting _pair_index."""
+    if i <= 2 * n:
+        return (i,) if i else ()
+    # mu - 1 is the largest m with m (w - m) <= 2r, i.e. w - 2m >= ceil(sqrt(w^2 - 8r))
+    r, w = i - 2 * n - 1, 4 * n - 1
+    m = (w - 1 - math.isqrt(w * w - 8 * r - 1)) // 2
+    return m + 1, r - m * (w - m) // 2 + m + 2
+
+
+def element(n: int, i: int) -> PauliString:
+    """Basis element i on n lines, a Hermitian Pauli string of scalar +1 or -1."""
+    idx = _c_indices(n, i)
+    if len(idx) < 2:
+        return jw(n, idx[0]) if idx else PauliString(n, 0, 0)
+    prod = pauli_mul(jw(n, idx[0]), jw(n, idx[1]))
+    return PauliString(n, prod.x_mask, prod.z_mask, prod.phase_pow + 1)
+
+
+def gate_coefficients(g, n: int) -> tuple[tuple, np.ndarray]:
+    """The nonzero coefficients of an exp gate's A = sum 2a c c + sum b c + s on n
+    lines: ascending basis indices and their values xi, with A = s + sum xi_j B_j.
+    s, on the identity, commutes with everything and is left out."""
+    if max(g.lines, default=0) > n:
+        raise DimensionError(f"gate on lines {g.lines}, basis has n={n}")
+    terms = [(sigma, val) for sigma, val in g.param("b") if val != 0]
+    # 2a c_mu c_nu = -2i a * (i c_mu c_nu)
+    terms += [(_pair_index(n, mu, nu), -2j * val) for (mu, nu), val in g.param("a") if val != 0]
+    return tuple(j for j, _ in terms), np.array([val for _, val in terms], dtype=complex)
 
 
 @lru_cache(maxsize=None)
 def _block_plan(n: int, terms: tuple) -> tuple:
-    """How M = sum_j xi_j ad(B_j) splits into blocks, for xi supported on ``terms``.
+    """How M = sum_j xi_j ad(B_j) splits into blocks, for xi on the ascending basis
+    indices ``terms``.
 
     With S the c indices the terms touch, M is block diagonal over the inside
     block (c_s and i c_s c_t for s < t in S) and, for each tau outside S, an
@@ -121,63 +114,59 @@ def _block_plan(n: int, terms: tuple) -> tuple:
     outside blocks are equal, so their entries are computed for the first
     tau only, from the exact Pauli product of each term with each element.
 
-    Returns one (idx, sign, flat, j, val) per part, the inside one first: the
-    part's s x s generator is ``block.flat[flat] = xi[j] * val``, and the rows
-    of idx and sign (the inside part's one, the outside part's one per tau)
-    give the basis indices it acts on and their signs.
+    Returns one (idx, sign, flat, pos, val) per part, the inside one first: the
+    part's s x s generator is ``block.flat[flat] = xi[pos] * val``, for xi the
+    values of the terms, and the rows of idx and sign (the inside part's one,
+    the outside part's one per tau) give the basis indices it acts on and their
+    signs.
     """
-    basis = build_basis(n)
-    terms = [j for j in terms if j]  # the identity commutes with everything
-    support = set()
-    for j in terms:
-        support.update(basis.pair_index[j - 2 * n - 1][0] if j > 2 * n else (j,))
-    S = sorted(support)
-    table = basis._pair_lookup
+    S = sorted({mu for j in terms for mu in _c_indices(n, j)})
     parts = []
     if S:
-        inside = S + [table[s, t] for s, t in combinations(S, 2)]
+        inside = S + [_pair_index(n, s, t) for s, t in combinations(S, 2)]
         parts.append((np.array([inside]), np.ones((1, len(inside)))))
-        tau = np.array([[t] for t in range(1, 2 * n + 1) if t not in support], dtype=np.intp)
+        tau = np.delete(np.arange(1, 2 * n + 1), np.array(S) - 1)[:, None]
         if len(tau):
-            outside, sign = table[S, tau], np.where(S < tau, 1.0, -1.0)
+            S = np.array(S)
+            outside = _pair_index(n, np.minimum(S, tau), np.maximum(S, tau))
+            sign = np.where(S < tau, 1.0, -1.0)
             if terms[0] <= 2 * n:  # terms ascend, so the gate has linear terms
                 outside, sign = np.hstack([outside, tau]), np.hstack([sign, np.ones(tau.shape)])
             parts.append((outside, sign))
-    elems = basis.elements
+    gens = [element(n, j) for j in terms]
     plan = []
     for idx, sign in parts:
         size = idx.shape[1]
-        rep = list(zip(idx[0].tolist(), sign[0].tolist()))  # the first tau stands for all
-        where = {(elems[i].x_mask, elems[i].z_mask): (p, sg * elems[i].scalar)
-                 for p, (i, sg) in enumerate(rep)}
-        flat, js, vals = [], [], []
-        for j in terms:
-            for q, (i, sg) in enumerate(rep):
-                if commutation_sign(elems[j], elems[i]) == 1:
+        rep = [(element(n, i), sg) for i, sg in zip(idx[0].tolist(), sign[0].tolist())]
+        where = {(e.x_mask, e.z_mask): (q, sg * e.scalar) for q, (e, sg) in enumerate(rep)}
+        flat, pos, vals = [], [], []
+        for p, gen in enumerate(gens):
+            for q, (e, sg) in enumerate(rep):
+                if commutation_sign(gen, e) == 1:
                     continue
-                prod = pauli_mul(elems[j], elems[i])  # [B_j, B_i] = 2 B_j B_i here
+                prod = pauli_mul(gen, e)  # [B_j, B_i] = 2 B_j B_i here
                 hit = where.get((prod.x_mask, prod.z_mask))
                 if hit is None:
                     raise InconsistencyError(
-                        f"commutator of basis elements {j}, {i} left their block"
+                        f"commutator of basis elements {terms[p]}, {idx[0, q]} left their block"
                     )
-                p, scal = hit
-                flat.append(p * size + q)
-                js.append(j)
+                row, scal = hit
+                flat.append(row * size + q)
+                pos.append(p)
                 vals.append(2 * sg * prod.scalar / scal)
-        plan.append((idx, sign, np.array(flat, dtype=np.intp), np.array(js, dtype=np.intp),
+        plan.append((idx, sign, np.array(flat, dtype=np.intp), np.array(pos, dtype=np.intp),
                      np.array(vals, dtype=complex)))
     return tuple(plan)
 
 
-def _generator_blocks(xi: np.ndarray, n: int) -> list:
-    """The blocks of M for coefficients xi, one (idx, sign, block) per part of _block_plan,
-    each block of its part's own size."""
+def _generator_blocks(terms: tuple, xi: np.ndarray, n: int) -> list:
+    """The blocks of M for the values xi on the basis indices ``terms``, one
+    (idx, sign, block) per part of _block_plan, each block of its part's own size."""
     out = []
-    for idx, sign, flat, j, val in _block_plan(n, tuple(np.flatnonzero(xi).tolist())):
+    for idx, sign, flat, pos, val in _block_plan(n, terms):
         size = idx.shape[1]
         block = np.zeros(size * size, dtype=complex)
-        block[flat] = xi[j] * val
+        block[flat] = xi[pos] * val
         out.append((idx, sign, block.reshape(size, size)))
     return out
 
@@ -197,25 +186,22 @@ def _apply_blocks(eta: np.ndarray, parts) -> None:
         eta[idx] = sign * ((sign * eta[idx]) @ e.T)
 
 
-def heisenberg_observable(gates, k: int, n: int) -> dict:
-    """C^{-1} Z_k C as Pauli terms {(x_mask, z_mask): coeff}, one per nonzero eta entry,
-    via adjoint transfers over the Lie basis."""
-    eta = _propagate(gates, k, n)
-    elems = build_basis(n).elements
-    return {(elems[i].x_mask, elems[i].z_mask): eta[i] * elems[i].scalar
-            for i in np.flatnonzero(eta)}
-
-
 def _propagate(gates, k: int, n: int) -> np.ndarray:
+    """The coefficients eta of C^{-1} Z_k C over the basis, through adjoint transfers."""
     if not 1 <= k <= n:
         raise DimensionError(f"measured line {k} outside 1..{n}")
-    basis = build_basis(n)
-    eta = np.zeros(basis.dim, dtype=complex)
-    eta[basis.index_of_pair(2 * k - 1, 2 * k)] = -1.0  # Z_k = -(i c_{2k-1} c_{2k})
+    if 16 * dimension(n) > MAX_ETA_BYTES:
+        raise SizeLimitError(
+            f"Lie engine capped at {MAX_ETA_BYTES} bytes of coefficients: n={n} lines need "
+            f"{16 * dimension(n)}; use the quadratic engine"
+        )
+    eta = np.zeros(dimension(n), dtype=complex)
+    eta[_pair_index(n, 2 * k - 1, 2 * k)] = -1.0  # Z_k = -(i c_{2k-1} c_{2k})
     parts, held, entries = [], 0, 0
     for g in reversed(list(gates)):
         # g^{-1} O g is the adjoint action of e^{-A}
-        blocks = _generator_blocks(-gate_coefficients(g, basis), n)
+        terms, xi = gate_coefficients(g, n)
+        blocks = _generator_blocks(terms, -xi, n)
         parts += blocks
         held += 1
         entries += sum(block.size for _, _, block in blocks)
@@ -226,11 +212,39 @@ def _propagate(gates, k: int, n: int) -> np.ndarray:
     return eta
 
 
+def _expectation(eta: np.ndarray, state: ProductState) -> complex:
+    """sum_i eta_i <psi0| B_i |psi0> on a product state.
+
+    <c_{2k-1}>, <c_{2k}> are prod_{j<k} <Z_j> times <X_k>, <Y_k>.  For mu < nu on
+    lines k < l, <i c_mu c_nu> = f_mu prod_{k<j<l} <Z_j> g_nu, with f = <Y_k>, -<X_k>
+    and g = <X_l>, <Y_l> for odd, even indices; on one line i c_{2k-1} c_{2k} = -Z_k.
+    The pairs are summed by rows of fixed mu, contiguous in eta, in one scan from
+    line n down to 1 that carries each g_nu times the <Z_j> passed: it only
+    multiplies, so a vanishing product of <Z_j> underflows to 0 instead of dividing.
+    """
+    n = state.n
+    e = state.single_line_expectations()
+    ex, ey, ez = e["X"], e["Y"], e["Z"]
+    prefix = np.cumprod(np.concatenate(([1.0 + 0j], ez[:-1])))
+    total = eta[0] + eta[1:2 * n + 1:2] @ (prefix * ex) + eta[2:2 * n + 1:2] @ (prefix * ey)
+    ex, ey, ez = ex.tolist(), ey.tolist(), ez.tolist()
+    carried = np.zeros(2 * n, dtype=complex)  # g_nu prod <Z_j>, for nu on lines after k
+    for k in range(n, 0, -1):
+        # eta[start] is i c_{2k-1} c_{2k}; then come rows 2k-1 and 2k over nu = 2k+1..2n
+        start, width = _pair_index(n, 2 * k - 1, 2 * k), 2 * (n - k)
+        rest = carried[2 * k:]
+        odd, even = eta[start + 1:start + 2 * width + 1].reshape(2, width) @ rest
+        total += ey[k - 1] * odd - ex[k - 1] * even - ez[k - 1] * eta[start]
+        rest *= ez[k - 1]
+        carried[2 * k - 2:2 * k] = ex[k - 1], ey[k - 1]
+    return complex(total)
+
+
 def simulate(gates, state: ProductState, k: int, unitary: bool | None = None,
              tol: float = 1e-9) -> SimResult:
     n = state.n
     t0 = time.perf_counter()
     gates = list(gates)
-    value = expectation(state, heisenberg_observable(gates, k, n))
+    value = _expectation(_propagate(gates, k, n), state)
     elapsed = (time.perf_counter() - t0) * 1e3
     return SimResult.from_value(value, ENGINE_NAME, len(gates), elapsed, unitary, tol)

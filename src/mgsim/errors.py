@@ -35,7 +35,7 @@ class ParseError(MgsimError):
 
 
 class SizeLimitError(MgsimError):
-    """Dense oracle invoked beyond its hard qubit cap."""
+    """An engine invoked beyond its size cap (oracle lines, Lie engine memory)."""
 
 
 class InconsistencyError(MgsimError):

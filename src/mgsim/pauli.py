@@ -14,6 +14,9 @@ product of two strings is an exact integer power of i, so Clifford-algebra
 identities (commutation, involution) hold without any floating-point
 tolerance.  A linear combination of Pauli products is a plain dict
 ``{(x_mask, z_mask): coeff}``, the coefficient absorbing any phase.
+
+A :class:`ProductState` holds one normalized amplitude pair per line; the
+engines evaluate their observables from its single-line expectations.
 """
 
 from __future__ import annotations
@@ -141,24 +144,6 @@ class ProductState:
         """Dense 2^n state vector, line 1 as the most significant bit."""
         v = np.array([1.0 + 0j])
         for k in range(self.n):
-            v = np.kron(v, self.amps[k])
+            v = (v[:, None] * self.amps[k]).reshape(-1)
         return v
 
-
-def expectation(state: ProductState, terms: dict) -> complex:
-    """<state| sum coeff * P |state> over the terms {(x_mask, z_mask): coeff}, at cost
-    O(n * number of terms)."""
-    e = state.single_line_expectations()
-    ex, ey, ez = e["X"], e["Y"], e["Z"]
-    total = 0j
-    for (x, z), coeff in terms.items():
-        val = coeff
-        support = x | z
-        while support and val:
-            lsb = support & -support
-            k = lsb.bit_length() - 1
-            xb = (x >> k) & 1
-            val *= ey[k] if (xb and (z >> k) & 1) else (ex[k] if xb else ez[k])
-            support ^= lsb
-        total += val
-    return total

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mgsim.engine_lie import LieBasis, _apply_blocks, _generator_blocks, build_basis
+from mgsim.engine_lie import _apply_blocks, _generator_blocks, dimension, element, gate_coefficients
 from mgsim.circuits import GateSpec, exp_spec
 from mgsim.engine_quadratic import (_blocks, _exp_generators, _observable_indices,
                                      _propagate_columns, _read_gate)
@@ -58,6 +58,50 @@ def terms_matrix(terms: dict, n: int) -> np.ndarray:
     out = np.zeros((1 << n, 1 << n), dtype=complex)
     for (x, z), val in terms.items():
         out += val * PauliString(n, x, z).to_matrix()
+    return out
+
+
+def terms_expectation(state: ProductState, terms: dict) -> complex:
+    """<state| sum coeff * P |state> over Pauli terms {(x_mask, z_mask): coeff}, term by
+    term and line by line: the reference at sizes the dense matrix cannot reach."""
+    e = state.single_line_expectations()
+    ex, ey, ez = e["X"], e["Y"], e["Z"]
+    total = 0j
+    for (x, z), coeff in terms.items():
+        val = coeff
+        support = x | z
+        while support and val:
+            lsb = support & -support
+            k = lsb.bit_length() - 1
+            xb = (x >> k) & 1
+            val *= ey[k] if (xb and (z >> k) & 1) else (ex[k] if xb else ez[k])
+            support ^= lsb
+        total += val
+    return total
+
+
+def dense_expectation(state: ProductState, terms: dict) -> complex:
+    """<state| sum coeff * P |state> through the dense matrix of the terms."""
+    vec = state.to_vector()
+    return np.vdot(vec, terms_matrix(terms, state.n) @ vec)
+
+
+def lie_terms(eta: np.ndarray, n: int) -> dict:
+    """sum_i eta_i B_i over the Lie engine's basis as Pauli terms {(x_mask, z_mask): coeff},
+    one per nonzero eta entry."""
+    out = {}
+    for i in np.flatnonzero(eta):
+        e = element(n, int(i))
+        out[e.x_mask, e.z_mask] = eta[i] * e.scalar
+    return out
+
+
+def dense_coefficients(g: GateSpec, n: int) -> np.ndarray:
+    """The Lie engine's coefficients of an exp gate on n lines as one dense vector over
+    the basis."""
+    terms, xi = gate_coefficients(g, n)
+    out = np.zeros(dimension(n), dtype=complex)
+    out[list(terms)] = xi
     return out
 
 
@@ -179,8 +223,13 @@ def reference_gate_block(g: GateSpec) -> tuple[list[int], np.ndarray]:
 class StructureConstants:
     """Sparse c^k_{ij} with [B_i, B_j] = sum_k c^k_{ij} B_k; at most one k per pair."""
 
-    basis: LieBasis
+    n: int
+    elements: tuple  # the Lie engine's basis, element(n, i) at position i
     by_first: tuple  # by_first[i] = tuple of (j, k, value) entries
+
+    @property
+    def dim(self) -> int:
+        return len(self.elements)
 
     def bracket(self, i: int, j: int):
         """(k, value) of [B_i, B_j], or None if the bracket vanishes."""
@@ -194,12 +243,11 @@ class StructureConstants:
 def structure_constants(n: int) -> StructureConstants:
     """All pairwise commutators of the Lie engine's basis, expanded exactly by a
     scan over every basis pair: the reference for the engine's closed-form blocks."""
-    basis = build_basis(n)
-    elems = basis.elements
+    elems = tuple(element(n, i) for i in range(dimension(n)))
     lookup = {(e.x_mask, e.z_mask): (idx, e.scalar) for idx, e in enumerate(elems)}
     by_first = [[] for _ in elems]
-    for i in range(1, basis.dim):
-        for j in range(i + 1, basis.dim):
+    for i in range(1, len(elems)):
+        for j in range(i + 1, len(elems)):
             if commutation_sign(elems[i], elems[j]) == 1:
                 continue
             prod = pauli_mul(elems[i], elems[j])  # [B_i, B_j] = 2 B_i B_j here
@@ -212,12 +260,12 @@ def structure_constants(n: int) -> StructureConstants:
             val = 2 * prod.scalar / scal
             by_first[i].append((j, k, val))
             by_first[j].append((i, k, -val))
-    return StructureConstants(basis, tuple(tuple(row) for row in by_first))
+    return StructureConstants(n, elems, tuple(tuple(row) for row in by_first))
 
 
 def dense_generator(xi, sc: StructureConstants) -> np.ndarray:
     """M[k, i] = sum_j xi_j c^k_{ji} as one dense dim x dim matrix."""
-    M = np.zeros((sc.basis.dim, sc.basis.dim), dtype=complex)
+    M = np.zeros((sc.dim, sc.dim), dtype=complex)
     for j in np.flatnonzero(xi):
         for i, k, val in sc.by_first[j]:
             M[k, i] += xi[j] * val
@@ -227,8 +275,10 @@ def dense_generator(xi, sc: StructureConstants) -> np.ndarray:
 def adjoint_transfer(xi, sc: StructureConstants) -> np.ndarray:
     """e^M as a dense matrix, one column per basis element, each through the
     engine's block-wise action: e^A (sum eta_i B_i) e^{-A} = sum (e^M eta)_i B_i."""
-    parts = _generator_blocks(np.asarray(xi, dtype=complex), sc.basis.n)
-    columns = np.eye(sc.basis.dim, dtype=complex)
+    xi = np.asarray(xi, dtype=complex)
+    terms = tuple(np.flatnonzero(xi).tolist())
+    parts = _generator_blocks(terms, xi[list(terms)], sc.n)
+    columns = np.eye(sc.dim, dtype=complex)
     for column in columns:
         _apply_blocks(column, parts)
     return columns.T

@@ -1,81 +1,102 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (adjoint_transfer, computational, dense_gate, dense_generator, exp_gate,
-                      gate_transfer, structure_constants, terms_matrix)
+from conftest import (adjoint_transfer, computational, dense_coefficients, dense_expectation,
+                      dense_gate, dense_generator, exp_gate, gate_transfer, lie_terms,
+                      structure_constants, terms_expectation, terms_matrix)
 from mgsim import circuits, engine_lie, linalg, sampling
 from mgsim.circuits import GateSpec
-from mgsim.engine_lie import (_apply_blocks, _generator_blocks, _propagate, build_basis,
-                              gate_coefficients, heisenberg_observable, simulate)
+from mgsim.cli import main
+from mgsim.engine_lie import (_apply_blocks, _c_indices, _expectation, _generator_blocks,
+                              _pair_index, _propagate, dimension, element, gate_coefficients,
+                              simulate)
 from mgsim.engine_quadratic import simulate as simulate_quadratic
-from mgsim.pauli import ProductState, commutation_sign, pauli_mul
+from mgsim.jw import jw
+from mgsim.pauli import PauliString, ProductState, commutation_sign, pauli_mul
 
 
 @pytest.mark.parametrize("n,dim", [(1, 4), (2, 11), (3, 22)])
 def test_basis_dimension(n, dim):
-    basis = build_basis(n)
-    assert basis.dim == dim == n * (2 * n + 1) + 1
+    elements = [element(n, i) for i in range(dimension(n))]
+    assert len(elements) == dim == n * (2 * n + 1) + 1
     # all elements are Hermitian units and mutually distinct
-    keys = {(e.x_mask, e.z_mask) for e in basis.elements}
+    keys = {(e.x_mask, e.z_mask) for e in elements}
     assert len(keys) == dim
-    assert all(e.scalar in (1, -1) for e in basis.elements)
+    assert all(e.scalar in (1, -1) for e in elements)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_index_map_follows_the_basis_order(n):
+    # identity, c_1..c_2n, then i c_mu c_nu for mu < nu in lexicographic order
+    order = [()] + [(mu,) for mu in range(1, 2 * n + 1)] + [
+        (mu, nu) for mu in range(1, 2 * n + 1) for nu in range(mu + 1, 2 * n + 1)]
+    assert len(order) == dimension(n)
+    assert [_c_indices(n, i) for i in range(dimension(n))] == order
+    pairs = order[2 * n + 1:]
+    assert [_pair_index(n, *pair) for pair in pairs] == list(range(2 * n + 1, len(order)))
+    for i in (0, 1, 2 * n, 2 * n + 1, len(order) - 1):
+        idx = _c_indices(n, i)
+        ops = [jw(n, mu) for mu in idx] or [PauliString(n, 0, 0)]
+        prod = ops[0] if len(ops) == 1 else pauli_mul(*ops)
+        expected = PauliString(n, prod.x_mask, prod.z_mask, prod.phase_pow + len(idx) // 2)
+        assert element(n, i) == expected
+
+
+def test_index_map_inverts_at_the_largest_sizes():
+    # the integer square root inverts the pair index exactly near the size limit too
+    n = 4000
+    for mu in (1, 2, 3, 1000, 2 * n - 2, 2 * n - 1):
+        for nu in {mu + 1, mu + 2, (mu + 2 * n) // 2, 2 * n - 1, 2 * n} - {2 * n + 1}:
+            if mu < nu <= 2 * n:
+                assert _c_indices(n, _pair_index(n, mu, nu)) == (mu, nu)
+    assert _pair_index(n, 2 * n - 1, 2 * n) == dimension(n) - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closure_exact(n):
     # every commutator of basis elements is exactly a multiple of one element
     sc = structure_constants(n)
-    basis = sc.basis
-    for i in range(1, basis.dim):
-        for j in range(i + 1, basis.dim):
-            ei, ej = basis.elements[i], basis.elements[j]
+    for i in range(1, sc.dim):
+        for j in range(i + 1, sc.dim):
+            ei, ej = sc.elements[i], sc.elements[j]
             hit = sc.bracket(i, j)
             if commutation_sign(ei, ej) == 1:
                 assert hit is None
             else:
                 k, val = hit
                 prod = pauli_mul(ei, ej)
-                ek = basis.elements[k]
+                ek = sc.elements[k]
                 assert (prod.x_mask, prod.z_mask) == (ek.x_mask, ek.z_mask)
                 assert 2 * prod.scalar == val * ek.scalar  # exact
 
 
 def test_linear_linear_lands_in_quadratics():
     sc = structure_constants(2)
-    basis = sc.basis
     k, val = sc.bracket(1, 2)  # [c_1, c_2]
-    assert k == basis.index_of_pair(1, 2)
+    assert k == _pair_index(2, 1, 2)
     # [c_1, c_2] = 2 c_1 c_2 = -2i (i c_1 c_2)
     assert val == -2j
 
 
-def test_index_of_pair_matches_pair_index():
-    basis = build_basis(4)
-    for (mu, nu), idx in basis.pair_index:
-        assert basis.index_of_pair(mu, nu) == idx
-    assert basis._pair_lookup is basis._pair_lookup  # built once per basis
-
-
 def test_disjoint_quadratics_commute():
     sc = structure_constants(3)
-    basis = sc.basis
-    assert sc.bracket(basis.index_of_pair(1, 2), basis.index_of_pair(3, 4)) is None
+    assert sc.bracket(_pair_index(3, 1, 2), _pair_index(3, 3, 4)) is None
 
 
 def test_shared_index_quadratics():
     sc = structure_constants(2)
-    basis = sc.basis
-    k, val = sc.bracket(basis.index_of_pair(1, 2), basis.index_of_pair(2, 3))
-    assert k == basis.index_of_pair(1, 3)
+    k, val = sc.bracket(_pair_index(2, 1, 2), _pair_index(2, 2, 3))
+    assert k == _pair_index(2, 1, 3)
     assert abs(val) == 2
 
 
 def test_jacobi_sampled(rng):
     sc = structure_constants(3)
-    d = sc.basis.dim
+    d = sc.dim
 
     def ad(i, eta):
         out = np.zeros(d, dtype=complex)
@@ -97,7 +118,7 @@ def test_jacobi_sampled(rng):
 
 def test_adjoint_transfer_identity():
     sc = structure_constants(2)
-    assert np.allclose(adjoint_transfer(np.zeros(sc.basis.dim), sc), np.eye(sc.basis.dim))
+    assert np.allclose(adjoint_transfer(np.zeros(sc.dim), sc), np.eye(sc.dim))
 
 
 def test_adjoint_transfer_matches_quadratic_block(rng):
@@ -105,7 +126,7 @@ def test_adjoint_transfer_matches_quadratic_block(rng):
     # transfer must equal the inverse of the quadratic engine's K block
     g = exp_gate(a={(1, 2): complex(rng.normal(), rng.normal())})
     sc = structure_constants(2)
-    a = adjoint_transfer(gate_coefficients(g, sc.basis), sc)
+    a = adjoint_transfer(dense_coefficients(g, 2), sc)
     K = gate_transfer(g, 2)
     assert np.linalg.norm(a[1:3, 1:3] - np.linalg.inv(K)[1:3, 1:3]) < 1e-10
 
@@ -114,13 +135,12 @@ def test_adjoint_transfer_vs_dense_conjugation(rng):
     n = 3
     g = exp_gate(a={(2, 5): 0.4 - 0.2j}, b={1: 0.3j}, s=0.1)
     sc = structure_constants(n)
-    basis = sc.basis
-    a = adjoint_transfer(gate_coefficients(g, basis), sc)
+    a = adjoint_transfer(dense_coefficients(g, n), sc)
     G = dense_gate(g, n)
     Ginv = np.linalg.inv(G)
-    for i in (1, 4, basis.index_of_pair(1, 2)):
-        lhs = G @ basis.elements[i].to_matrix() @ Ginv
-        rhs = sum(a[k, i] * basis.elements[k].to_matrix() for k in np.flatnonzero(a[:, i]))
+    for i in (1, 4, _pair_index(n, 1, 2)):
+        lhs = G @ sc.elements[i].to_matrix() @ Ginv
+        rhs = sum(a[k, i] * sc.elements[k].to_matrix() for k in np.flatnonzero(a[:, i]))
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
@@ -149,22 +169,51 @@ def test_heisenberg_observable_matches_quadratic(rng):
     n = 3
     circ = sampling.random_circuit(n, 5, rng)
     gates = circuits.compile(circ)
-    s1 = heisenberg_observable(gates, circ.k, n)
+    s1 = lie_terms(_propagate(gates, circ.k, n), n)
     s2 = quad_obs(gates, circ.k, JwFamily(n, PARITY))
     assert np.linalg.norm(terms_matrix(s1, n) - terms_matrix(s2, n)) < 1e-9
 
 
-def test_heisenberg_observable_has_one_term_per_nonzero_eta(rng):
-    cases = [(2, [exp_gate(a={(1, 3): 1e-16})], 1)]  # an eta entry far below 1e-14
-    for n in (3, 5):
-        circ = sampling.random_circuit(n, 6, rng)
-        cases.append((n, circuits.compile(circ), circ.k))
-    for n, gates, k in cases:
-        eta = _propagate(gates, k, n)
-        obs = heisenberg_observable(gates, k, n)
-        assert [abs(v) for v in obs.values()] == np.abs(eta[np.flatnonzero(eta)]).tolist()
-    tiny = _propagate(cases[0][1], 1, 2)
+def test_propagation_keeps_tiny_coefficients():
+    # an eta entry far below 1e-14 is kept, not dropped
+    tiny = _propagate([exp_gate(a={(1, 3): 1e-16})], 1, 2)
     assert 0 < np.abs(tiny[np.flatnonzero(tiny)]).min() < 1e-14
+
+
+def _plus_between(amps, lines):
+    """amps with |+>, whose <Z> is exactly 0, on the given lines."""
+    amps = np.array(amps)
+    amps[list(lines)] = 2 ** -0.5
+    return ProductState.normalized(amps)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_expectation_matches_dense_reference(rng, n):
+    # sum eta_i <B_i> on random coefficients over the whole basis, against the dense
+    # matrix of the Pauli terms; |+> lines put <Z_j> = 0 between a pair's lines
+    for trial in range(6):
+        eta = rng.normal(size=dimension(n)) + 1j * rng.normal(size=dimension(n))
+        amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        state = ProductState.normalized(amps)
+        if trial % 2 and n >= 3:
+            state = _plus_between(state.amps, range(1, n - 1, trial // 2 + 1))
+        ref = dense_expectation(state, lie_terms(eta, n))
+        assert abs(_expectation(eta, state) - ref) <= 1e-12 * np.abs(eta).sum()
+
+
+def test_expectation_survives_underflowing_z_products(rng):
+    # <Z_j> of about 1e-16 on 38 lines: a pair's Z product falls far below 1e-300
+    # and underflows to 0, where a quotient of prefix products would give nan
+    n = 40
+    amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    amps[1:n - 1] = [1.0, 1.0 - 2.3e-16]
+    state = ProductState.normalized(amps)
+    ez = state.single_line_expectations()["Z"].real
+    assert 0 < np.abs(ez[1:n - 1]).min() and np.prod(np.abs(ez[1:n - 1])) < 1e-300
+    eta = rng.normal(size=dimension(n)) + 1j * rng.normal(size=dimension(n))
+    got = _expectation(eta, state)
+    assert np.isfinite(got)
+    assert abs(got - terms_expectation(state, lie_terms(eta, n))) <= 1e-12 * np.abs(eta).sum()
 
 
 def _compile_specs(specs, n):
@@ -186,10 +235,12 @@ def _gates_of_every_kind(rng, n):
 
 
 def _scattered_generator(xi, n):
-    """The engine's closed-form blocks of M scattered into one dense matrix."""
-    dim = build_basis(n).dim
+    """The engine's closed-form blocks of M, for dense coefficients xi, scattered into
+    one dense matrix."""
+    dim = dimension(n)
     M = np.zeros((dim, dim), dtype=complex)
-    for idx, sign, block in _generator_blocks(xi, n):
+    terms = tuple(np.flatnonzero(xi).tolist())
+    for idx, sign, block in _generator_blocks(terms, xi[list(terms)], n):
         assert block.shape == (idx.shape[1],) * 2  # each block has its part's own size
         for row, row_sign in zip(idx, sign):
             M[np.ix_(row, row)] += np.outer(row_sign, row_sign) * block
@@ -202,7 +253,7 @@ def test_closed_form_blocks_match_reference_pair_scan(rng, n):
     # equal the reference scan over all basis pairs, entry for entry
     sc = structure_constants(n)
     for g in _gates_of_every_kind(rng, n):
-        xi = gate_coefficients(g, sc.basis)
+        xi = dense_coefficients(g, n)
         for j in np.flatnonzero(xi):
             unit = np.zeros_like(xi)
             unit[j] = 1.0
@@ -214,11 +265,12 @@ def test_closed_form_blocks_match_reference_pair_scan(rng, n):
 def test_block_exponential_matches_dense_generator(rng, n):
     sc = structure_constants(n)
     for g in _gates_of_every_kind(rng, n):
-        xi = gate_coefficients(g, sc.basis)
+        terms, vals = gate_coefficients(g, n)
+        xi = dense_coefficients(g, n)
         ref = scipy.linalg.expm(dense_generator(xi, sc))
-        eta = rng.normal(size=sc.basis.dim) + 1j * rng.normal(size=sc.basis.dim)
+        eta = rng.normal(size=sc.dim) + 1j * rng.normal(size=sc.dim)
         got = eta.copy()
-        _apply_blocks(got, _generator_blocks(xi, n))
+        _apply_blocks(got, _generator_blocks(terms, vals, n))
         assert np.linalg.norm(got - ref @ eta) <= 1e-12 * max(1.0, np.linalg.norm(ref @ eta))
         assert np.linalg.norm(adjoint_transfer(xi, sc) - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
@@ -245,7 +297,7 @@ def test_two_line_gates_exponentiate_small_blocks(rng, monkeypatch):
     simulate(gates, state, 5)
     sc = structure_constants(n)
     for g in gates:
-        adjoint_transfer(gate_coefficients(g, sc.basis), sc)
+        adjoint_transfer(dense_coefficients(g, n), sc)
     assert shapes and max(max(shape[-2:]) for shape in shapes) <= 10
 
 
@@ -259,11 +311,11 @@ def test_chunked_propagation_equals_gate_by_gate(count, entries, monkeypatch):
     n, k = 4, 2
     circ = sampling.random_circuit(n, count, np.random.default_rng(11), unitary=False)
     gates = circuits.compile(circ)
-    basis = build_basis(n)
-    ref = np.zeros(basis.dim, dtype=complex)
-    ref[basis.index_of_pair(2 * k - 1, 2 * k)] = -1.0
+    ref = np.zeros(dimension(n), dtype=complex)
+    ref[_pair_index(n, 2 * k - 1, 2 * k)] = -1.0
     for g in reversed(gates):
-        _apply_blocks(ref, _generator_blocks(-gate_coefficients(g, basis), n))
+        terms, xi = gate_coefficients(g, n)
+        _apply_blocks(ref, _generator_blocks(terms, -xi, n))
     calls = []
     expm_stack = linalg.expm_stack
 
@@ -274,7 +326,7 @@ def test_chunked_propagation_equals_gate_by_gate(count, entries, monkeypatch):
     monkeypatch.setattr(engine_lie, "_CHUNK_ENTRIES", entries)
     monkeypatch.setattr(linalg, "expm_stack", counting)
     assert np.array_equal(_propagate(gates, k, n), ref)
-    sizes = [[len(block) for _, _, block in _generator_blocks(gate_coefficients(g, basis), n)]
+    sizes = [[len(block) for _, _, block in _generator_blocks(*gate_coefficients(g, n), n)]
              for g in reversed(gates)]
     assert sum(calls) == sum(map(len, sizes))
     # one call per block size per chunk of _CHUNK gates, and more when the budget cuts
@@ -295,3 +347,29 @@ def test_matches_quadratic_engine_at_large_n(rng, n):
         a = simulate(circuits.compile(circ), state, 1).expectation
         b = simulate_quadratic(circ.gates, state, 1).expectation
         assert abs(a - b) < 1e-9
+
+
+def _wide_file(tmp_path, n: int, depth: int, seed: int) -> str:
+    """A .mg file of a random gvw, diag and exp circuit on n lines."""
+    circ = sampling.random_circuit(n, depth, np.random.default_rng(seed),
+                                   classes=("gvw", "diag", "exp"))
+    path = tmp_path / f"n{n}.mg"
+    path.write_text(circuits.render(circ))
+    return str(path)
+
+
+def test_run_lie_matches_quadratic_at_n1024(tmp_path, capsys):
+    path = _wide_file(tmp_path, 1024, 100, 5)
+    values = {}
+    for engine in ("lie", "quadratic"):
+        assert main(["run", "--engine", engine, path]) == 0
+        values[engine] = complex(*json.loads(capsys.readouterr().out)["expectation"])
+    assert abs(values["lie"] - values["quadratic"]) < 1e-9
+
+
+@pytest.mark.parametrize("command", [["run", "--engine", "lie"], ["compare"]])
+def test_n_above_the_size_limit_is_one_error_line(tmp_path, capsys, command):
+    limit = max(n for n in range(1, 5000) if 16 * dimension(n) <= engine_lie.MAX_ETA_BYTES)
+    assert main(command + [_wide_file(tmp_path, limit + 1, 3, 6)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: Lie engine capped")

@@ -5,8 +5,9 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (computational, exp_block_generator, exp_gate, gate_blocks, gate_transfer,
-                      heisenberg_observable, reference_gate_block)
+from conftest import (computational, dense_expectation, exp_block_generator, exp_gate, gate_blocks,
+                      gate_transfer, heisenberg_observable, reference_gate_block,
+                      terms_expectation)
 
 from mgsim import circuits, engine_lie, engine_quadratic, linalg, sampling
 from mgsim.cli import main
@@ -15,7 +16,7 @@ from mgsim.errors import DimensionError
 from mgsim.exponents import compile_u1
 from mgsim.jw import C0_MODES, PARITY, JwFamily
 from mgsim.oracle import INVERSE, expectation_heisenberg
-from mgsim.pauli import ProductState, expectation
+from mgsim.pauli import ProductState
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -77,7 +78,8 @@ def test_scan_matches_pauli_sum(rng, mode):
         gates = circuits.compile(circ)
         state = circ.input_state()
         obs = heisenberg_observable(gates, circ.k, JwFamily(n, mode))
-        assert abs(simulate(gates, state, circ.k).expectation - expectation(state, obs)) < 1e-10
+        assert abs(simulate(gates, state, circ.k).expectation
+                   - terms_expectation(state, obs)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [800, 2000, 10000])
@@ -110,7 +112,7 @@ def test_heisenberg_observable_expectation(rng):
     fam = JwFamily(n, PARITY)
     obs = heisenberg_observable(gates, circ.k, fam)
     state = circ.input_state()
-    via_sum = expectation(state, obs)
+    via_sum = dense_expectation(state, obs)
     direct = simulate(gates, state, circ.k).expectation
     assert abs(via_sum - direct) < 1e-12
 
@@ -378,7 +380,7 @@ def test_the_scan_covers_the_lines_the_columns_reach():
                  for q in (k - 3, k + 2, k - 1, k, k + 1)]
         gates.append(exp_gate(a={(2 * k - 1, 2 * k + 2): 0.7}, b=b))
         obs = heisenberg_observable(gates, k, JwFamily(n, PARITY))
-        assert abs(simulate(gates, state, k).expectation - expectation(state, obs)) < 1e-12
+        assert abs(simulate(gates, state, k).expectation - terms_expectation(state, obs)) < 1e-12
 
 
 def test_gates_far_from_the_measured_line_build_no_block(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -558,6 +559,22 @@ def test_the_classify_cases_reach_both_sides_of_every_rule():
 ])
 def test_classify_refuses_singular_matrices_and_keeps_parse_tolerance(name, classes):
     assert classify(CLASSIFY_CASES[name]) == classes
+
+
+def test_parse_and_classify_let_no_numpy_warning_out():
+    # the determinant of this singular mg12 matrix divides by zero inside numpy; called
+    # as a library under warnings as errors, parse still refuses the gate with its
+    # ParseError and classify still finds no class
+    B = np.array([[0, -1e308, -1, 0.6 + 0.8j], [0.5, 0.6 + 0.8j, 0.6 + 0.8j, 1j],
+                  [-1, 0.6 + 0.8j, 0, -1], [0, 0.6 + 0.8j, -1, 0.6 + 0.8j]])
+    text = ("circuit n=2\nstate 0 0\ngate mg12 B=[0,-1e308,-1,0.6+0.8i;0.5,0.6+0.8i,0.6+0.8i,1i;"
+            "-1,0.6+0.8i,0,-1;0,0.6+0.8i,-1,0.6+0.8i]\nmeasure 1\n")
+    expected = ("line 3: mg12 gate rejected: matrix is not invertible "
+                "(its determinant is not finite)", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(text) == _per_line_outcome(text) == expected
+        assert classify(B) == []
 
 
 def _outcome(text):

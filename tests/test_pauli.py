@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import computational, pauli, terms_matrix
+from conftest import computational, dense_expectation, pauli, terms_expectation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgsim.errors import DimensionError
-from mgsim.pauli import PauliString, ProductState, commutation_sign, expectation, pauli_mul
+from mgsim.pauli import PauliString, ProductState, commutation_sign, pauli_mul
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
@@ -65,7 +65,7 @@ def test_scalar_is_the_phase_as_a_unit_coefficient_times_a_power_of_i():
         assert parts(PauliString(1, 0, 0, p).scalar) == parts((1.0 + 0j) * 1j ** p)
 
 
-def test_sum_expectation_matches_dense(rng):
+def test_terms_expectation_reference_matches_dense(rng):
     for _ in range(200):
         n = 3
         terms = {}
@@ -74,18 +74,16 @@ def test_sum_expectation_matches_dense(rng):
             val = complex(rng.normal(), rng.normal()) * PauliString(n, x, z, p).scalar
             terms[x, z] = terms.get((x, z), 0j) + val
         state = ProductState.normalized(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
-        vec = state.to_vector()
-        dense = np.vdot(vec, terms_matrix(terms, n) @ vec)
-        assert abs(expectation(state, terms) - dense) < 1e-12
+        assert abs(terms_expectation(state, terms) - dense_expectation(state, terms)) < 1e-12
 
 
-def test_expectation_linear(rng):
-    n = 4
-    state = ProductState.normalized(rng.normal(size=(n, 2)))
-    p, q = 0.7 * PauliString(n, 3, 5, 0).scalar, -0.4j * PauliString(n, 1, 2, 1).scalar
-    lhs = expectation(state, {(3, 5): p, (1, 2): 2.5 * q})
-    rhs = expectation(state, {(3, 5): p}) + 2.5 * expectation(state, {(1, 2): q})
-    assert abs(lhs - rhs) < 1e-12
+@pytest.mark.parametrize("n", range(1, 11))
+def test_to_vector_is_the_kron_product(rng, n):
+    state = ProductState.normalized(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+    ref = np.array([1.0 + 0j])
+    for amps in state.amps:
+        ref = np.kron(ref, amps)
+    assert state.to_vector().tobytes() == ref.tobytes()  # bitwise, signed zeros included
 
 
 def test_product_state_validation():
