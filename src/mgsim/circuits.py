@@ -33,7 +33,6 @@ mg12 on lines (1, 2), u1 on line 1, diag on any pair k < l.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +40,7 @@ import numpy as np
 
 from . import matchgate
 from .errors import GateClassError, MgsimError, ParseError
-from .exponents import (compile_diag, compile_matrix, compile_u1, matrix_exponent, u1_coords,
-                        u1_exponent)
+from .exponents import compile_diag, matrix_exponent, u1_coords, u1_exponent
 from .pauli import ProductState
 
 GATE_CLASSES = ("gvw", "diag", "mg12", "u1", "exp")
@@ -77,14 +75,6 @@ class GateSpec:
             if key == name:
                 return val
         raise KeyError(name)
-
-    def matrix(self) -> np.ndarray:
-        """The 4x4 matrix of a gvw, diag, mg12 or u1 gate on its two lines, in
-        standard qubit order; u1 gives U (x) I on lines (1, 2)."""
-        if self.cls not in _MATRIX_PARAMS:
-            raise GateClassError(f"{self.cls} gates have no matrix form")
-        return _class_matrices(self.cls, {name: np.array(val, dtype=complex)
-                                          for name, val in self.params})
 
 
 def exp_spec(a: dict, b: dict, s) -> GateSpec:
@@ -727,18 +717,17 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
 def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
     """The exp gate of each gate of a parsed circuit, in application order.
 
-    The principal logarithms of the gvw and mg12 gates are taken as one 4x4 stack,
-    and those of the u1 gates as one 2x2 stack (see _eigen_logs).  A gate whose
-    eigenbasis is ill conditioned, or whose principal log misses the generator
-    span, goes on alone to ``matchgate.span_log`` or ``principal_log``.  Exact zero
-    coefficients are dropped and the rest made complex.  No check that ``parse``
-    made is repeated; errors carry the offending gate index.
+    The logarithms of the gvw and mg12 gates come from one ``matchgate.span_logs``
+    call on their 4x4 stack, those of the u1 gates from one ``principal_logs`` call
+    on their 2x2 stack (see _logarithms).  Exact zero coefficients are dropped and
+    the rest made complex.  No check that ``parse`` made is repeated.  The first
+    gate in circuit order that cannot be compiled raises, with its index.
     """
-    logs = _eigen_logs(circuit.gates, tol)
+    logs = _logarithms(circuit.gates, tol)
     out = []
     for idx, spec in enumerate(circuit.gates):
         try:
-            a, b, s = _compile_gate(spec, tol, logs.get(idx))
+            a, b, s = _exponent(spec, logs.get(idx), tol)
         except MgsimError as exc:
             raise GateClassError(f"gate {idx + 1} ({spec.cls}): {exc}") from exc
         out.append(exp_spec({key: complex(v) for key, v in a.items() if v != 0},
@@ -746,34 +735,35 @@ def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
     return out
 
 
-def _eigen_logs(gates, tol: float) -> dict:
-    """Position -> the logarithm's coefficients, for the gates whose log the stacked
-    eigendecompositions give: the 11 generator coefficients of a gvw or mg12 gate
-    whose principal log lies in the span, the u1_coords of a u1 gate."""
+def _logarithms(gates, tol: float) -> dict:
+    """Position -> the logarithm's coefficients of each gvw, mg12 and u1 gate, or the
+    LogBranchError that refuses it: the 11 generator coefficients of a gvw or mg12
+    gate, the u1_coords of a u1 gate."""
     at = _positions(gates)
     out = {}
     pos = at["gvw"] + at["mg12"]
     if pos:
-        ok, L = matchgate.eigen_logs(matchgate.swap_convention(
-            gate_matrices([gates[i] for i in pos])))
-        fits, coeffs = matchgate.span_coefficients(L, tol)
-        out.update(zip(itertools.compress(itertools.compress(pos, ok), fits), coeffs))
+        coeffs, faults = matchgate.span_logs(matchgate.swap_convention(
+            gate_matrices([gates[i] for i in pos])), tol)
+        out.update(zip(pos, [c if f is None else f for c, f in zip(coeffs, faults)]))
     if at["u1"]:
-        ok, L = matchgate.eigen_logs(_param_stacks([gates[i] for i in at["u1"]], "u1")["U"])
-        out.update(zip(itertools.compress(at["u1"], ok), u1_coords(L).T))
+        L, faults = matchgate.principal_logs(_param_stacks([gates[i] for i in at["u1"]],
+                                                           "u1")["U"])
+        out.update(zip(at["u1"], [c if f is None else f
+                                  for c, f in zip(u1_coords(L).T, faults)]))
     return out
 
 
-def _compile_gate(spec: GateSpec, tol: float, log=None) -> tuple[dict, dict, complex]:
-    """(a, b, s) of one gate; ``log`` is its coefficients from _eigen_logs, if any."""
+def _exponent(spec: GateSpec, log, tol: float) -> tuple[dict, dict, complex]:
+    """(a, b, s) of one gate; ``log`` is its entry from _logarithms, if any."""
     if spec.cls == "diag":
         return compile_diag(spec.param("d"), spec.lines[0], spec.lines[1])
-    if spec.cls == "u1":
-        return compile_u1(spec.param("U")) if log is None else u1_exponent(*log)
     if spec.cls == "exp":
         return dict(spec.param("a")), dict(spec.param("b")), spec.param("s")
-    if log is None:
-        return compile_matrix(spec.matrix(), spec.lines[0], tol)
+    if isinstance(log, MgsimError):
+        raise log
+    if spec.cls == "u1":
+        return u1_exponent(*log)
     return matrix_exponent(log, spec.lines[0], tol)
 
 

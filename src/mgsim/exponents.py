@@ -6,17 +6,18 @@ A gate is represented as e^A with
 
 i.e. the full antisymmetric double sum over quadratic terms plus linear terms
 plus a scalar.  Diagonal quadratic terms (mu = nu) contribute only a scalar
-and are folded into s.  The compile routines take gates the parser has
-already checked, repeat none of its checks, and return the coefficients as
-(a, b, s), a mapping (mu, nu) with mu < nu to a_{mu,nu} and b mapping sigma
-to b_sigma: :func:`compile_matrix` turns a G(V, W) on nearest-neighbour lines
-or a general matchgate on lines 1-2 into this form through the 4x4 generator
-logarithm, :func:`compile_diag` a diagonal matchgate on any pair through
-commuting Z logs, and :func:`compile_u1` a 1-qubit gate on line 1.
-``circuits.compile`` turns them into exp gates, the form an exp line of a
-circuit file is parsed to, and :func:`to_pauli_sum` expands an exp gate over
-Pauli strings for the oracle, as a dict {(x_mask, z_mask): coeff} with one
-term per nonzero coefficient.
+and are folded into s.  ``circuits.compile`` takes the logarithms of a
+circuit's gates as stacks (see ``matchgate.span_logs`` and ``principal_logs``)
+and turns each into (a, b, s) here, a mapping (mu, nu) with mu < nu to
+a_{mu,nu} and b mapping sigma to b_sigma: :func:`matrix_exponent` reads a
+G(V, W) on nearest-neighbour lines or a general matchgate on lines 1-2 from the
+generator coefficients of its 4x4 logarithm, :func:`compile_diag` a diagonal
+matchgate on any pair through commuting Z logs, and :func:`u1_exponent` a
+1-qubit gate on line 1 from the :func:`u1_coords` of its logarithm.  None of
+them repeats a check the parser made.  ``compile`` turns the results into exp
+gates, the form an exp line of a circuit file is parsed to, and
+:func:`to_pauli_sum` expands an exp gate over Pauli strings for the oracle, as a
+dict {(x_mask, z_mask): coeff} with one term per nonzero coefficient.
 
 Phases are never taken on faith from shorthand like "Z_k = c_{2k-1}c_{2k}":
 every constant here is produced by the exact Pauli algebra (the true relation
@@ -55,23 +56,16 @@ def _pair_phases() -> tuple[complex, ...]:
     return tuple(out)
 
 
-def compile_matrix(B, k: int, tol: float = 1e-9) -> tuple[dict, dict, complex]:
-    """Compile a parsed gvw or mg12 matchgate B on lines (k, k+1).
+def matrix_exponent(coeffs, k: int, tol: float = 1e-9) -> tuple[dict, dict, complex]:
+    """(a, b, s) of a parsed gvw or mg12 gate on lines (k, k+1) from the 11 generator
+    coefficients of its logarithm (tilde convention).
 
-    ``B`` is the 4x4 matrix in standard qubit order, already checked by the
-    parser.  Under the documented 1,2,3,4 -> 1,3,2,4 relabeling the tilde
-    generators become the standard 2-line JW operators, so the coefficients
-    of the logarithm transfer verbatim: slot sigma (1..4) is the linear
-    coefficient of c_sigma and the six quadratic slots give
-    2 a_{mu,nu} = coeff / phi_{mu,nu}.  Linear terms are refused for k > 1,
+    Under the documented 1,2,3,4 -> 1,3,2,4 relabeling the tilde generators become
+    the standard 2-line JW operators, so the coefficients transfer verbatim: slot
+    sigma (1..4) is the linear coefficient of c_sigma and the six quadratic slots
+    give 2 a_{mu,nu} = coeff / phi_{mu,nu}.  Linear terms are refused for k > 1,
     where a local c_sigma lacks the Z string of lines 1..k-1.
     """
-    return matrix_exponent(matchgate.span_log(matchgate.swap_convention(B), tol=tol), k, tol)
-
-
-def matrix_exponent(coeffs, k: int, tol: float = 1e-9) -> tuple[dict, dict, complex]:
-    """(a, b, s) of a gvw or mg12 gate on lines (k, k+1) from the 11 generator
-    coefficients of its logarithm (tilde convention), as :func:`compile_matrix`."""
     offset = 2 * (k - 1)
     scale = max(1.0, float(np.linalg.norm(coeffs)))
     linear_floor = (tol if k > 1 else 1e-12) * scale
@@ -104,11 +98,6 @@ def compile_diag(d, k: int, l: int) -> tuple[dict, dict, complex]:
     # Z_k = -i c_{2k-1} c_{2k}: alpha * Z_k means 2 a_{2k-1,2k} = -i alpha
     a = {(2 * k - 1, 2 * k): -0.5j * alpha, (2 * l - 1, 2 * l): -0.5j * beta}
     return a, {}, gamma
-
-
-def compile_u1(U) -> tuple[dict, dict, complex]:
-    """Compile a parsed invertible 1-qubit gate on line 1."""
-    return u1_exponent(*u1_coords(matchgate.principal_log(np.asarray(U, dtype=complex))))
 
 
 _XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)

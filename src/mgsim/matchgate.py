@@ -11,11 +11,14 @@ A matrix satisfying the identities in the standard Jordan-Wigner convention
 instead is related by the basis relabeling 1,2,3,4 -> 1,3,2,4 (a swap of the
 two qubits); :func:`swap_convention` performs that relabeling.
 
-Exponentials come from ``linalg.expm_stack``.  Logarithms are taken in the
-eigenbasis: from B = V diag(lam) V^-1, branch k is
-V diag(log lam + 2 pi i k) V^-1, exact and cheap while V is well conditioned;
-``scipy.linalg.logm`` covers defective and nearly defective matrices, and it
-is the one place the package imports scipy.
+Exponentials come from ``linalg.expm_stack``.  Logarithms are taken for a
+whole (G, m, m) stack at once, from one eigendecomposition B = V diag(lam) V^-1:
+:func:`principal_logs` gives V diag(log lam) V^-1 and :func:`span_logs` the
+first branch V diag(log lam + 2 pi i k) V^-1 that lies in the generator span,
+exact and cheap while V is well conditioned.  ``scipy.linalg.logm`` covers the
+rows whose V is ill conditioned, defective and nearly defective matrices, and
+it is the one place the package imports scipy.  Both return one fault per row,
+None or the LogBranchError that refuses it, so a caller names the gate.
 """
 
 from __future__ import annotations
@@ -119,11 +122,12 @@ def is_matchgate(B, tol: float = 1e-10):
     """True iff all ten identities vanish, relative to the squared matrix scale.
 
     The test runs on B/m with m = max(1, max |B_ij|), the same rule in exact
-    arithmetic, so that no entry size overflows it.  For a (G, 4, 4) stack the
-    answer is one bool per matrix.
+    arithmetic, so that no entry size overflows it.  tol = 0 asks that every
+    identity vanish exactly.  For a (G, 4, 4) stack the answer is one bool per
+    matrix.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     B = _as_mat4_stack(B)
     stack = (B / entry_scale(B)).reshape(-1, 4, 4)
     worst = np.abs(_unscaled_identities(stack)).max(axis=1)
@@ -333,28 +337,6 @@ _SHIFTS = 2j * np.pi * np.array(sorted(
 )[1:])
 
 
-def _candidate_logs(B):
-    """Yield matrix logarithms of B: the principal one, then branch-shifted ones.
-
-    All come from one eigendecomposition B = V diag(lam) V^-1 as
-    V diag(log lam + 2*pi*i*k) V^-1, ordered by total shift magnitude; logm
-    stands in for the principal one when V is ill conditioned, as for a
-    defective matrix, and no shifted candidate is tried when V is nearly
-    singular.  A logm result whose error estimate is too large raises
-    LogBranchError instead.
-    """
-    lam, V = np.linalg.eig(B)
-    cond = np.linalg.cond(V)
-    if cond > _SHIFT_COND:
-        yield _checked_logm(B)
-        return
-    logs = np.log(lam)
-    Vinv = np.linalg.inv(V)
-    yield (V * logs) @ Vinv if cond <= _EIGEN_COND else _checked_logm(B)
-    for shift in _SHIFTS:
-        yield (V * (logs + shift)) @ Vinv
-
-
 def _checked_logm(B) -> np.ndarray:
     """scipy's principal logarithm L of B, kept only when e^L reproduces B within
     _LOGM_ERR relative (1-norm); a LogBranchError otherwise.
@@ -368,45 +350,89 @@ def _checked_logm(B) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
         L = scipy.linalg.logm(B)
-    err = np.linalg.norm(linalg.expm_stack(L) - B, 1) / np.linalg.norm(B, 1)
+    E = linalg.expm_stack(L)
+    if not np.isfinite(E).all():
+        raise LogBranchError(f"no accurate logarithm: e^L is not finite "
+                             f"(1-norm of L {np.linalg.norm(L, 1):.1e})")
+    err = np.linalg.norm(E - B, 1) / np.linalg.norm(B, 1)
     if not err <= _LOGM_ERR:
         raise LogBranchError(f"no accurate logarithm: e^L misses the matrix by {err:.1e} "
                              f"relative")
     return L
 
 
-def eigen_logs(B) -> tuple[np.ndarray, np.ndarray]:
-    """Principal logarithms of a (G, m, m) stack, from one eigendecomposition, where the
-    eigenbasis is well conditioned.
+def _principal(B):
+    """Principal logarithms of a (G, m, m) stack and the eigendecomposition they come from.
 
-    Returns the mask of matrices whose cond(V) is at most _EIGEN_COND and, for
-    those in order, V diag(log lam) V^-1: the log that :func:`principal_log`
-    gives them, computed by the same operations.
+    One eig gives B = V diag(lam) V^-1 for every row.  A row whose cond(V) is at
+    most _EIGEN_COND takes V diag(log lam) V^-1; the others take _checked_logm,
+    whose LogBranchError is that row's fault (None for the rest).  Returns the
+    logs, the faults, and (log lam, V, V^-1, cond(V)), V^-1 only where cond(V)
+    is at most _SHIFT_COND (zero elsewhere).
     """
     lam, V = np.linalg.eig(B)
-    ok = np.linalg.cond(V) <= _EIGEN_COND
-    V = V[ok]
-    return ok, (V * np.log(lam[ok])[:, None, :]) @ np.linalg.inv(V)
+    cond = np.linalg.cond(V)
+    logs = np.log(lam)
+    Vinv = np.zeros_like(V)
+    invertible = cond <= _SHIFT_COND
+    Vinv[invertible] = np.linalg.inv(V[invertible])
+    L = (V * logs[:, None, :]) @ Vinv
+    faults = [None] * len(B)
+    for g in np.flatnonzero(cond > _EIGEN_COND):
+        try:
+            L[g] = _checked_logm(B[g])
+        except LogBranchError as exc:
+            faults[g] = exc
+    return L, faults, (logs, V, Vinv, cond)
 
 
-def span_coefficients(L, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of logarithms of a (G, 4, 4) stack that lie in the 11-generator span,
-    by :func:`span_log`'s rule, and the generator coefficients of those in order."""
+def principal_logs(B) -> tuple[np.ndarray, list]:
+    """Principal logarithms of a (G, m, m) stack, and per row None or the
+    LogBranchError that refuses it (see _principal), whose log is then no
+    logarithm of the row."""
+    L, faults, _ = _principal(B)
+    return L, faults
+
+
+def span_logs(B, tol: float = 1e-9) -> tuple[np.ndarray, list]:
+    """Generator coefficients of a logarithm in the 11-generator span of each matrix of
+    a (G, 4, 4) stack, and per row None or the LogBranchError that refuses it.
+
+    The matrices must be invertible matchgates (tilde convention); this is not
+    checked.  A row keeps its principal log when that lies in the span.  The
+    identities guarantee that some branch does, but not necessarily the principal
+    one, so a row whose principal log misses the span tries the branches
+    V diag(log lam + shift) V^-1 of the same eigendecomposition, shift by shift in
+    _SHIFTS order, and keeps the first in the span; no branch is tried when cond(V)
+    passes _SHIFT_COND.  A row with no branch in the span is refused with the
+    smallest relative residual it saw.
+    """
+    L, faults, (logs, V, Vinv, cond) = _principal(B)
     coeffs, resid, scale = _project_to_span(L)
     fits = resid <= tol * scale
-    return fits, coeffs[fits]
-
-
-def principal_log(B) -> np.ndarray:
-    """The principal matrix logarithm, from the eigenbasis unless V is ill conditioned."""
-    return next(_candidate_logs(B))
+    best = resid / scale
+    unfaulted = np.array([f is None for f in faults], dtype=bool)
+    todo = np.flatnonzero(~fits & unfaulted & (cond <= _SHIFT_COND))
+    for shift in _SHIFTS:
+        if not todo.size:
+            break
+        c, r, s = _project_to_span((V[todo] * (logs[todo] + shift)[:, None, :]) @ Vinv[todo])
+        best[todo] = np.minimum(best[todo], r / s)
+        hit = r <= tol * s
+        coeffs[todo[hit]] = c[hit]
+        fits[todo[hit]] = True
+        todo = todo[~hit]
+    for g in np.flatnonzero(~fits & unfaulted):
+        faults[g] = LogBranchError(f"no logarithm branch found in the generator span "
+                                   f"(best residual {best[g]:.3e})")
+    return coeffs, faults
 
 
 def log_to_L(B, tol: float = 1e-9) -> np.ndarray:
     """Generator coefficients of a logarithm of an invertible matchgate.
 
     Checks that B is invertible and satisfies the identities, then takes
-    :func:`span_log`.
+    :func:`span_logs` of B alone.
     """
     B = _as_mat4(B)
     det = np.linalg.det(B)
@@ -414,25 +440,10 @@ def log_to_L(B, tol: float = 1e-9) -> np.ndarray:
         raise MatchgateError(f"matrix is not invertible (|det| = {abs(det):.3e})")
     if not is_matchgate(B, tol=max(tol, 1e-10)):
         raise MatchgateError("matrix fails the matchgate identities")
-    return span_log(B, tol)
-
-
-def span_log(B, tol: float = 1e-9) -> np.ndarray:
-    """Generator coefficients of the first logarithm branch of B in the 11-generator span.
-
-    B must be an invertible matchgate (tilde convention); this is not checked.
-    Branches are searched because the identities guarantee that some branch
-    lies in the span, but not necessarily the principal one.
-    """
-    best_resid = np.inf
-    for A in _candidate_logs(B):
-        [coeffs], [resid], [scale] = _project_to_span(A[None])
-        if resid <= tol * scale:
-            return coeffs
-        best_resid = min(best_resid, resid / scale)
-    raise LogBranchError(
-        f"no logarithm branch found in the generator span (best residual {best_resid:.3e})"
-    )
+    [coeffs], [fault] = span_logs(B[None], tol)
+    if fault is not None:
+        raise fault
+    return coeffs
 
 
 def nullspace_Afive(tol: float = 1e-10) -> tuple[int, np.ndarray]:

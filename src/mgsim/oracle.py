@@ -5,13 +5,13 @@ significant bit.  The oracle refuses to run beyond MAX_LINES qubit lines: it
 exists to verify the polynomial-time engines, not to compete with them.
 
 Gates come as GateSpecs, parsed or compiled.  A gvw, diag, mg12 or u1 spec is
-applied as its own matrix B, and its inverse pass as B^-1; gvw and mg12 take B
-from GateSpec.matrix().  A reshape of the state puts the gate's lines on their
-own axes, so no exponential, logarithm or Pauli expansion is taken: u1
-multiplies the leading axis by U, gvw and mg12 the axis of lines (k, k+1) by
-B, and diag scales the state by its four entries broadcast over lines k and
-l.  Closure-only matchgates, which have no logarithm in the span, therefore
-run here too.
+applied as its own matrix B, and its inverse pass as B^-1; the B of all gvw
+and mg12 gates come from one ``circuits.gate_matrices`` call.  A reshape of the
+state puts the gate's lines on their own axes, so no exponential, logarithm or
+Pauli expansion is taken: u1 multiplies the leading axis by U, gvw and mg12 the
+axis of lines (k, k+1) by B, and diag scales the state by its four entries
+broadcast over lines k and l.  Closure-only matchgates, which have no logarithm
+in the span, therefore run here too.
 
 An exp gate e^A, parsed or compiled, is expanded over Pauli strings, and its
 lines are split in two.  On an *active* line some term has X or Y; on a
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .circuits import GateSpec
+from .circuits import gate_matrices
 from .errors import DimensionError, MgsimError, SizeLimitError
 from .exponents import to_pauli_sum
 from .jw import PARITY, JwFamily
@@ -170,14 +170,6 @@ class _MatrixGate(NamedTuple):
         return (m @ psi.reshape(1 << (k - 1), 4, -1)).reshape(-1)
 
 
-def _matrix_gate(spec: GateSpec) -> _MatrixGate:
-    if spec.cls == "u1":
-        return _MatrixGate("u1", spec.lines, np.array(spec.param("U"), dtype=complex))
-    if spec.cls == "diag":
-        return _MatrixGate("diag", spec.lines, np.array(spec.param("d"), dtype=complex))
-    return _MatrixGate(spec.cls, spec.lines, spec.matrix())
-
-
 def _exponentiate(blocks: np.ndarray) -> np.ndarray:
     """e^B and e^-B of a (count, dim, dim) stack of blocks, as (2, count, dim, dim).
 
@@ -196,19 +188,25 @@ def _prepare(gates, n: int) -> list:
     """The way the oracle applies each GateSpec of a list on n lines.
 
     The blocks of all exp gates are exponentiated together, one _exponentiate call
-    per block dimension.
+    per block dimension, and the matrices of all gvw and mg12 gates built together.
     """
     _check_n(n)
-    out, splits = [], {}
+    out, splits, square = [], {}, []
     for i, g in enumerate(gates):
         if max(g.lines, default=0) > n:
             raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
+        out.append(None)
         if g.cls == "exp":
             layout, blocks = _split(g, n)
             splits.setdefault(blocks.shape[-1], []).append((i, layout, blocks))
-            out.append(None)
+        elif g.cls == "u1":
+            out[i] = _MatrixGate(g.cls, g.lines, np.array(g.param("U"), dtype=complex))
+        elif g.cls == "diag":
+            out[i] = _MatrixGate(g.cls, g.lines, np.array(g.param("d"), dtype=complex))
         else:
-            out.append(_matrix_gate(g))
+            square.append(i)
+    for i, B in zip(square, gate_matrices([gates[i] for i in square])):
+        out[i] = _MatrixGate(gates[i].cls, gates[i].lines, B)
     for group in splits.values():
         exps = _exponentiate(np.concatenate([blocks for _, _, blocks in group]))
         start = 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mgsim import circuits
 from mgsim.engine_lie import _apply_blocks, _generator_blocks, dimension, element, gate_coefficients
 from mgsim.circuits import GateSpec, exp_spec
 from mgsim.engine_quadratic import (_blocks, _exp_generators, _observable_indices,
@@ -28,6 +29,17 @@ def exp_gate(a=None, b=None, s=0j) -> GateSpec:
     complex, with exact zeros dropped as compile drops them."""
     return exp_spec({key: complex(v) for key, v in (a or {}).items() if v != 0},
                     {key: complex(v) for key, v in (b or {}).items() if v != 0}, complex(s))
+
+
+def compiled(B, k: int = 1) -> GateSpec:
+    """The exp gate ``circuits.compile`` gives one matrix: a 2x2 B as a u1 gate, a 4x4 B
+    (standard qubit order) as an mg12 gate on lines (k, k+1), where parse takes mg12
+    only for k = 1."""
+    B = tuple(map(tuple, np.asarray(B, dtype=complex)))
+    spec = (GateSpec("u1", (1,), (("U", B),)) if len(B) == 2
+            else GateSpec("mg12", (k, k + 1), (("B", B),)))
+    [g] = circuits.compile(circuits.Circuit(k + 1, ((1.0, 0j),) * (k + 1), (spec,), 1, False))
+    return g
 
 
 def heisenberg_observable(gates, k: int, family: JwFamily) -> dict:

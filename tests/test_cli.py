@@ -304,6 +304,17 @@ def test_zero_tol_is_accepted(capsys, circuit_file):
     assert code == 0 and np.isfinite(data["expectation"]).all()
 
 
+def test_verify_matchgate_takes_zero_tol_as_an_exact_test(capsys, tmp_path):
+    path = tmp_path / "B.json"
+    for B, exact in ((np.diag([1, 1j, 1j, -1]), True), (np.diag([1, 1, 1, 1 + 1e-15]), False)):
+        path.write_text(json.dumps([[[v.real, v.imag] for v in row] for row in B.astype(complex)]))
+        code = main(["verify-matchgate", str(path), "--tol", "0"])
+        out = capsys.readouterr().out
+        assert code == 0 and _strict_json(out)
+        data = json.loads(out)
+        assert data["is_matchgate"] is data["eigenvector_predicate"] is exact
+
+
 @pytest.mark.parametrize("command, text", [
     ("run", "circuit n=2\nstate (1,x)(0,0) 0\nmeasure 1\n"),
     ("run", "circuit n=2\nstate (inf,0)(1,0) 0\nmeasure 1\n"),
@@ -385,7 +396,8 @@ def _run_with_logarithms_forbidden(capsys, tmp_path, monkeypatch, *flags):
 
     monkeypatch.setattr(circuits, "compile", forbidden)
     monkeypatch.setattr(matchgate, "log_to_L", forbidden)
-    monkeypatch.setattr(matchgate, "span_log", forbidden)
+    monkeypatch.setattr(matchgate, "span_logs", forbidden)
+    monkeypatch.setattr(matchgate, "principal_logs", forbidden)
     monkeypatch.setattr(scipy.linalg, "logm", forbidden)
     code, data = run_json(capsys, ["run", str(path), *flags])
     assert code == 0 and data["gates"] == 10
@@ -495,6 +507,14 @@ HUGE_U1 = "circuit n=1\nstate 0\ngate u1 U=[0,1;1e200,0]\nmeasure 1\n"
 # det U = 0, but numpy's det of U / max|U| is nan: parse must refuse the gate, not pass
 # it on to an engine that cannot invert it
 SINGULAR_U1 = "circuit n=3\nstate 0 0 0\ngate u1 U=[0,0;1,1e308]\nmeasure 1\n"
+
+
+def test_a_logarithm_too_large_to_check_is_refused_by_name(capsys, tmp_path):
+    path = tmp_path / "huge.mg"
+    path.write_text(HUGE_U1)
+    assert main(["run", str(path), "--engine", "lie"]) == 1
+    assert capsys.readouterr() == ("", "error: gate 1 (u1): no accurate logarithm: e^L is not "
+                                       "finite (1-norm of L 1.6e+100)\n")
 
 
 def _assert_cli_contract(tmp_path_factory, argv, text):

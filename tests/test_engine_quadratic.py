@@ -5,15 +5,14 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (computational, dense_expectation, exp_block_generator, exp_gate, gate_blocks,
-                      gate_transfer, heisenberg_observable, reference_gate_block,
+from conftest import (compiled, computational, dense_expectation, exp_block_generator, exp_gate,
+                      gate_blocks, gate_transfer, heisenberg_observable, reference_gate_block,
                       terms_expectation)
 
 from mgsim import circuits, engine_lie, engine_quadratic, linalg, sampling
 from mgsim.cli import main
 from mgsim.engine_quadratic import _CHUNK, _propagate_columns, simulate
 from mgsim.errors import DimensionError
-from mgsim.exponents import compile_u1
 from mgsim.jw import C0_MODES, PARITY, JwFamily
 from mgsim.oracle import INVERSE, expectation_heisenberg
 from mgsim.pauli import ProductState
@@ -45,7 +44,7 @@ def test_empty_circuit():
 
 def test_hadamard_population():
     state = computational([0, 0])
-    res = simulate([exp_gate(*compile_u1(H))], state, 1)
+    res = simulate([compiled(H)], state, 1)
     assert abs(res.p0 - 0.5) < 1e-12
 
 

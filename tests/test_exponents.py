@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import dense_gate, exp_block_generator, exp_gate, is_unitary_exponent, terms_matrix
+from conftest import (compiled, dense_gate, exp_block_generator, exp_gate, is_unitary_exponent,
+                      terms_matrix)
 
 from mgsim import circuits, sampling
 from mgsim import matchgate as mg
 from mgsim.errors import GateClassError
-from mgsim.exponents import compile_diag, compile_matrix, compile_u1, to_pauli_sum
+from mgsim.exponents import compile_diag, to_pauli_sum
 from mgsim.jw import C0_MODES, PARITY, JwFamily
 from mgsim.pauli import pauli_mul
 from mgsim.sampling import random_su2
@@ -73,7 +74,7 @@ def _is_zero(g) -> bool:
 
 
 def test_compile_gvw_identity():
-    assert _is_zero(exp_gate(*compile_matrix(mg.g_vw(np.eye(2), np.eye(2)), 1)))
+    assert _is_zero(compiled(mg.g_vw(np.eye(2), np.eye(2))))
 
 
 def test_compile_gvw_phase_gate():
@@ -82,39 +83,39 @@ def test_compile_gvw_phase_gate():
     # P_alpha (x) I as a G(V, W): V = diag(e^{ia}, 1), W = diag(e^{ia}, 1)
     V = np.diag([np.exp(1j * alpha), 1.0])
     W = np.diag([np.exp(1j * alpha), 1.0])
-    a, b, s = compile_matrix(mg.g_vw(V, W), 1)
-    assert b == {}
-    assert set(a) == {(1, 2)} and abs(s) > 0
-    assert np.linalg.norm(dense_gate(exp_gate(a, b, s), 2) - np.kron(P, np.eye(2))) < 1e-9
+    g = compiled(mg.g_vw(V, W))
+    assert g.param("b") == ()
+    assert [pair for pair, _ in g.param("a")] == [(1, 2)] and abs(g.param("s")) > 0
+    assert np.linalg.norm(dense_gate(g, 2) - np.kron(P, np.eye(2))) < 1e-9
 
 
 def test_compile_gvw_dense(rng):
     for _ in range(20):
         V, W = random_su2(rng), random_su2(rng)
         B = mg.g_vw(V, W)
-        g = exp_gate(*compile_matrix(B, 2))
+        g = compiled(B, 2)
         assert np.linalg.norm(dense_gate(g, 3) - np.kron(np.eye(2), B)) < 1e-9
         assert is_unitary_exponent(g)
 
 
 def test_compile_mg12_identity_and_linear():
-    assert _is_zero(exp_gate(*compile_matrix(np.eye(4), 1)))
+    assert _is_zero(compiled(np.eye(4)))
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     B = scipy.linalg.expm(np.kron(X, np.eye(2)))  # exp(c_1)
-    a, b, _ = compile_matrix(B, 1)
-    assert a == {}
-    assert set(b) == {1}
-    assert abs(b[1] - 1.0) < 1e-9
+    g = compiled(B)
+    assert g.param("a") == ()
+    [(sigma, val)] = g.param("b")
+    assert sigma == 1 and abs(val - 1.0) < 1e-9
     # on lines (2, 3) the same local X is not c_3, which carries Z on line 1
     with pytest.raises(GateClassError, match="linear coefficient"):
-        compile_matrix(B, 2)
+        compiled(B, 2)
 
 
 def test_compile_mg12_random(rng):
     for _ in range(30):
         Bt = mg.exp_L(0.4 * (rng.normal(size=11) + 1j * rng.normal(size=11)))
         B = mg.swap_convention(Bt)
-        g = exp_gate(*compile_matrix(B, 1))
+        g = compiled(B)
         assert np.linalg.norm(dense_gate(g, 3) - np.kron(B, np.eye(2))) < 1e-9
 
 
@@ -138,8 +139,8 @@ def test_compile_diag_dense(rng):
 
 
 def test_compile_u1():
-    assert _is_zero(exp_gate(*compile_u1(np.eye(2))))
-    g = exp_gate(*compile_u1(H))
+    assert _is_zero(compiled(np.eye(2)))
+    g = compiled(H)
     assert np.linalg.norm(dense_gate(g, 2) - np.kron(H, np.eye(2))) < 1e-10
 
 
@@ -148,7 +149,7 @@ def test_unitary_flag():
     def unitary(terms):
         return circuits.parse(f"circuit n=1\nstate 0\ngate exp {terms}\nmeasure 1\n").unitary
 
-    assert is_unitary_exponent(exp_gate(*compile_u1(H)))
+    assert is_unitary_exponent(compiled(H))
     assert not unitary("a:1,2=1i")
     assert not unitary("b:1=0.5")
     assert unitary("a:1,2=0.5 b:1=0.3i s=0.2i")
@@ -182,66 +183,81 @@ def test_diagonalizable_gates_compile_without_logm(rng, monkeypatch, cls, unitar
     monkeypatch.setattr(mg, "_EIGEN_COND", 0.0)
     reference = _compile_specs(specs, 2)
     for spec, g, h in zip(specs, eigen, reference):
-        B = spec.matrix()  # on n = 2 the gate's matrix is the whole register
+        B = circuits.gate_matrices([spec])[0]  # on n = 2 the gate's matrix is the register's
         assert np.linalg.norm(dense_gate(g, 2) - B) <= 1e-12 * max(1.0, np.linalg.norm(B))
         assert _coefficient_gap(g, h) <= 1e-12
 
 
+def _counting(patch, calls, *functions):
+    """Record (name, argument shape) of each call of the given (module, name) functions."""
+    for module, name in functions:
+        def counting(A, _name=name, _fn=getattr(module, name)):
+            calls.append((_name, np.shape(A)))
+            return _fn(A)
+        patch.setattr(module, name, counting)
+
+
 def test_defective_gates_compile_through_logm(monkeypatch):
+    # a defective gate has no eigenbasis: its row of the class stack, and only it,
+    # takes logm, and nothing takes a second eig
+    J = np.array([[1, 1], [0, 1]], dtype=complex)  # unipotent
+    specs = [circuits.GateSpec("gvw", (1, 2), (("V", J), ("W", J))),
+             circuits.GateSpec("u1", (1,), (("U", J),)),
+             circuits.GateSpec("u1", (1,), (("U", H),)),
+             circuits.GateSpec("mg12", (1, 2), (("B", np.eye(4)),))]
     calls = []
-    logm = scipy.linalg.logm
-
-    def counting_logm(A):
-        calls.append(np.shape(A))
-        return logm(A)
-
-    monkeypatch.setattr(scipy.linalg, "logm", counting_logm)
-    J = np.array([[1, 1], [0, 1]], dtype=complex)  # unipotent: no eigenbasis
-    g = exp_gate(*compile_matrix(mg.g_vw(J, J), 1))
+    with monkeypatch.context() as patch:
+        _counting(patch, calls, (np.linalg, "eig"), (scipy.linalg, "logm"))
+        g, u, _, _ = _compile_specs(specs, 2)
+    assert calls == [("eig", (2, 4, 4)), ("logm", (4, 4)), ("eig", (2, 2, 2)), ("logm", (2, 2))]
     assert np.linalg.norm(dense_gate(g, 2) - mg.g_vw(J, J)) <= 1e-12
-    u = exp_gate(*compile_u1(J))
     assert np.linalg.norm(dense_gate(u, 2) - np.kron(J, np.eye(2))) <= 1e-12
-    assert calls == [(4, 4), (2, 2)]
 
 
-def _compile_alone(spec):
-    """The exp gate of one spec through compile_matrix, compile_u1 or compile_diag on its
-    own: the reference for compile's stacked logarithms."""
-    if spec.cls in ("gvw", "mg12"):
-        return exp_gate(*compile_matrix(spec.matrix(), spec.lines[0]))
+# G(V, W) with det V = det W = e^{6i}, whose principal logs differ in trace by
+# 2 pi i: the principal log of the gate misses the span, and a shifted branch lies in it
+_BRANCH_SHIFT = circuits.GateSpec("gvw", (1, 2), (
+    ("V", ((np.exp(3j), 0), (0, np.exp(3j)))), ("W", ((np.exp(3.5j), 0), (0, np.exp(2.5j))))))
+
+
+def _log_operand(spec):
+    """The matrix whose logarithm compile takes for a gvw, mg12 or u1 spec: the 4x4 in
+    the tilde convention, or U."""
     if spec.cls == "u1":
-        return exp_gate(*compile_u1(spec.param("U")))
-    if spec.cls == "diag":
-        return exp_gate(*compile_diag(spec.param("d"), *spec.lines))
-    return exp_gate(dict(spec.param("a")), dict(spec.param("b")), spec.param("s"))
+        return np.array(spec.param("U"), dtype=complex)
+    return mg.swap_convention(circuits.gate_matrices([spec])[0])
 
 
-def test_stacked_logarithms_equal_the_per_gate_path(rng, monkeypatch):
-    # compile takes the principal logs of the gvw and mg12 gates as one 4x4 stack
-    # and those of the u1 gates as one 2x2 stack, bit for bit the coefficients of
-    # compiling each gate alone.  A gate whose principal log misses the span goes on
-    # alone to span_log's branch search, and so does a nearly defective gate
-    # (cond(V) about 2e6), with its own eig and logm
+def test_compile_takes_one_eigendecomposition_per_class_stack(rng, monkeypatch):
+    # compile takes the logs of the gvw and mg12 gates from one eig of their 4x4
+    # stack and those of the u1 gates from one eig of their 2x2 stack; the rows
+    # whose cond(V) passes 1e4 (the nearly defective gates, cond(V) about 2e6), and
+    # only they, take logm, and a branch shift reuses the stack's eigenbasis.  A
+    # gate's coefficients do not depend on the rest of its stack: compiling it
+    # alone gives them bit for bit
+    L, _ = mg.principal_logs(_log_operand(_BRANCH_SHIFT)[None])
+    assert mg._project_to_span(L)[1][0] > 1  # the principal log misses the span
+    shifted = _compile_specs([_BRANCH_SHIFT], 2)[0]
+    assert np.linalg.norm(dense_gate(shifted, 2) - mg.g_vw(*(
+        _BRANCH_SHIFT.param(name) for name in "VW"))) <= 1e-12
     n = 5
     J = ((1, 1), (0, 1.000001))
-    defective = [circuits.GateSpec("gvw", (3, 4), (("V", J), ("W", J))),
-                 circuits.GateSpec("u1", (1,), (("U", J),))]
+    special = [circuits.GateSpec("gvw", (3, 4), (("V", J), ("W", J))),
+               circuits.GateSpec("u1", (1,), (("U", J),)), _BRANCH_SHIFT]
     for unitary in (True, False):
         specs = [sampling.random_gate(cls, n, rng, unitary=unitary)
-                 for cls in circuits.GATE_CLASSES for _ in range(8)] + defective
+                 for cls in circuits.GATE_CLASSES for _ in range(8)] + special
         specs = [specs[i] for i in rng.permutation(len(specs))]
-        refs = [_compile_alone(spec) for spec in specs]
+        alone = [_compile_specs([spec], n)[0] for spec in specs]
+        ill = sorted(M.shape for M in (_log_operand(spec) for spec in specs
+                                       if spec.cls in ("gvw", "mg12", "u1"))
+                     if np.linalg.cond(np.linalg.eig(M)[1]) > 1e4)
+        assert ill == [(2, 2), (4, 4)]
         calls = []
         with monkeypatch.context() as patch:
-            for module, name in ((np.linalg, "eig"), (scipy.linalg, "logm")):
-                def counting(A, _name=name, _fn=getattr(module, name)):
-                    calls.append((_name, np.shape(A)))
-                    return _fn(A)
-                patch.setattr(module, name, counting)
+            _counting(patch, calls, (np.linalg, "eig"), (scipy.linalg, "logm"))
             got = _compile_specs(specs, n)
-        assert [repr(g.params) for g in got] == [repr(g.params) for g in refs]
-        stacked = [("eig", (17, 4, 4)), ("eig", (9, 2, 2))]
-        assert calls[:2] == stacked and ("logm", (2, 2)) in calls and ("logm", (4, 4)) in calls
-        if unitary:  # every unitary principal log lies in the span
-            assert sorted(calls[2:]) == [("eig", (2, 2)), ("eig", (4, 4)),
-                                         ("logm", (2, 2)), ("logm", (4, 4))]
+        assert [repr(g.params) for g in got] == [repr(g.params) for g in alone]
+        assert [call for call in calls if call[0] == "eig"] == [("eig", (18, 4, 4)),
+                                                                ("eig", (9, 2, 2))]
+        assert sorted(shape for name, shape in calls if name == "logm") == ill

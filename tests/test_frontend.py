@@ -236,8 +236,9 @@ def test_compile_mixed_circuit_matches_dense(rng):
     for spec in circ.gates:
         if spec.cls == "exp":
             ref = dense_gate(spec, n) @ ref
-        else:  # spec.matrix() is U (x) I on lines 1, 2 for u1
-            ref = apply_matrix(ref, spec.matrix(), (1, 2) if spec.cls == "u1" else spec.lines, n)
+        else:  # a u1 gate's matrix is U (x) I on lines 1, 2
+            ref = apply_matrix(ref, circuits.gate_matrices([spec])[0],
+                               (1, 2) if spec.cls == "u1" else spec.lines, n)
     assert np.linalg.norm(psi - ref) < 1e-9
 
 
@@ -246,6 +247,21 @@ def test_compile_error_names_gate_index():
     text = CLOSURE_ONLY.replace("gate gvw", "gate u1 U=[1,0;0,1]\ngate gvw")
     with pytest.raises(GateClassError, match=r"gate 2 \(gvw\): no logarithm branch"):
         circuits.compile(parse(text))
+
+
+@pytest.mark.parametrize("first", ["u1", "gvw"])
+def test_compile_names_the_earliest_failing_gate_across_classes(first):
+    # the u1 gate's logm result cannot be checked, and the closure-only gvw gate has
+    # no branch in the span: the two are refused in their own class stacks, and the
+    # error names whichever comes first in the circuit
+    faults = {"u1": "gate u1 U=[0,1;1e200,0]", "gvw": "gate gvw 1 V=[1,1;0,1] W=[-1,1;0,-1]"}
+    second = "gvw" if first == "u1" else "u1"
+    circ = parse(f"circuit n=2\nstate 0 +\ngate u1 U=[0,1;1,0]\n{faults[first]}\n"
+                 f"gate diag 1 2 [1,1,1,1]\n{faults[second]}\nmeasure 1\n")
+    expected = {"u1": "no accurate logarithm: e^L is not finite",
+                "gvw": "no logarithm branch found in the generator span"}[first]
+    with pytest.raises(GateClassError, match=re.escape(f"gate 2 ({first}): {expected}")):
+        circuits.compile(circ)
 
 
 def test_compile_repeats_no_parse_check(rng, monkeypatch):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import apply_gate, apply_matrix, computational, dense_gate, exp_gate, terms_matrix
+from conftest import (apply_gate, apply_matrix, compiled, computational, dense_gate, exp_gate,
+                      terms_matrix)
 
 from mgsim import circuits, linalg, oracle, sampling
 from mgsim.engine_quadratic import simulate
 from mgsim.errors import DimensionError, SizeLimitError
-from mgsim.exponents import compile_diag, compile_u1, to_pauli_sum
+from mgsim.exponents import compile_diag, to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
 from mgsim.oracle import ADJOINT, INVERSE, MAX_LINES, _split, expectation_heisenberg
 from mgsim.pauli import ProductState
@@ -39,7 +40,7 @@ def test_apply_matrix_two_lines(rng):
 
 def test_size_cap():
     with pytest.raises(SizeLimitError):
-        apply_gate(np.zeros(2 ** (MAX_LINES + 1)), exp_gate(*compile_u1(X)), MAX_LINES + 1)
+        apply_gate(np.zeros(2 ** (MAX_LINES + 1)), compiled(X), MAX_LINES + 1)
 
 
 def test_dense_gate_matches_full_expm(rng):
@@ -147,12 +148,12 @@ def test_scalar_only_gate(rng):
 
 
 def test_run_circuit_hadamard():
-    psi = apply_gate(computational([0, 0]).to_vector(), exp_gate(*compile_u1(H)), 2)
+    psi = apply_gate(computational([0, 0]).to_vector(), compiled(H), 2)
     assert np.allclose(psi, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
 
 
 def test_heisenberg_modes_coincide_for_unitary(rng):
-    g1 = exp_gate(*compile_u1(H))
+    g1 = compiled(H)
     g2 = exp_gate(a={(2, 4): float(rng.normal())}, b={5: 0.3j})
     state = ProductState.normalized(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
     for k in (1, 2, 3):
@@ -225,7 +226,7 @@ def test_matrix_spec_kernels_match_apply_matrix(rng, cls):
         lines = (1, 2) if cls == "u1" else spec.lines
         apart += lines[1] - lines[0] > 1
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        B = spec.matrix()
+        B = circuits.gate_matrices([spec])[0]
         for inverse, matrix in ((False, B), (True, np.linalg.inv(B))):
             ref = apply_matrix(psi, matrix, lines, n)
             gap = np.abs(apply_gate(psi, spec, n, inverse=inverse) - ref).max()
