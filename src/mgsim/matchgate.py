@@ -373,12 +373,15 @@ def _principal(B):
     lam, V = np.linalg.eig(B)
     cond = np.linalg.cond(V)
     logs = np.log(lam)
-    Vinv = np.zeros_like(V)
     invertible = cond <= _SHIFT_COND
-    Vinv[invertible] = np.linalg.inv(V[invertible])
+    if invertible.all():
+        Vinv = np.linalg.inv(V)
+    else:
+        Vinv = np.zeros_like(V)
+        Vinv[invertible] = np.linalg.inv(V[invertible])
     L = (V * logs[:, None, :]) @ Vinv
     faults = [None] * len(B)
-    for g in np.flatnonzero(cond > _EIGEN_COND):
+    for g in np.flatnonzero(~(cond <= _EIGEN_COND)):
         try:
             L[g] = _checked_logm(B[g])
         except LogBranchError as exc:
@@ -410,6 +413,8 @@ def span_logs(B, tol: float = 1e-9) -> tuple[np.ndarray, list]:
     L, faults, (logs, V, Vinv, cond) = _principal(B)
     coeffs, resid, scale = _project_to_span(L)
     fits = resid <= tol * scale
+    if fits.all():
+        return coeffs, faults
     best = resid / scale
     unfaulted = np.array([f is None for f in faults], dtype=bool)
     todo = np.flatnonzero(~fits & unfaulted & (cond <= _SHIFT_COND))

@@ -501,8 +501,8 @@ def mg_files(draw):
     return "\n".join([f"circuit n={n}", f"state{sep}{state}", *gates, f"measure {draw(line)}", ""])
 
 
-# logm's result for this gate misses U by 100%: the Lie engine's compile must refuse
-# it with one error line, not print scipy's accuracy warning and go on
+# e^L of logm's result for this gate overflows: the Lie engine's compile must refuse
+# it with one error line that says so, not print scipy's accuracy warning and go on
 HUGE_U1 = "circuit n=1\nstate 0\ngate u1 U=[0,1;1e200,0]\nmeasure 1\n"
 # det U = 0, but numpy's det of U / max|U| is nan: parse must refuse the gate, not pass
 # it on to an engine that cannot invert it
