@@ -368,17 +368,15 @@ def _principal(B):
     most _EIGEN_COND takes V diag(log lam) V^-1; the others take _checked_logm,
     whose LogBranchError is that row's fault (None for the rest).  Returns the
     logs, the faults, and (log lam, V, V^-1, cond(V)), V^-1 only where cond(V)
-    is at most _SHIFT_COND (zero elsewhere).
+    is at most _SHIFT_COND (the identity elsewhere).
     """
     lam, V = np.linalg.eig(B)
     cond = np.linalg.cond(V)
     logs = np.log(lam)
-    invertible = cond <= _SHIFT_COND
-    if invertible.all():
-        Vinv = np.linalg.inv(V)
-    else:
-        Vinv = np.zeros_like(V)
-        Vinv[invertible] = np.linalg.inv(V[invertible])
+    # rows past _SHIFT_COND (or with a nan cond) invert the identity instead: their
+    # log comes from logm and they try no branch, so that V^-1 is never used
+    Vinv = np.linalg.inv(np.where((cond <= _SHIFT_COND)[:, None, None], V,
+                                  np.eye(V.shape[-1])))
     L = (V * logs[:, None, :]) @ Vinv
     faults = [None] * len(B)
     for g in np.flatnonzero(~(cond <= _EIGEN_COND)):
@@ -413,8 +411,6 @@ def span_logs(B, tol: float = 1e-9) -> tuple[np.ndarray, list]:
     L, faults, (logs, V, Vinv, cond) = _principal(B)
     coeffs, resid, scale = _project_to_span(L)
     fits = resid <= tol * scale
-    if fits.all():
-        return coeffs, faults
     best = resid / scale
     unfaulted = np.array([f is None for f in faults], dtype=bool)
     todo = np.flatnonzero(~fits & unfaulted & (cond <= _SHIFT_COND))
