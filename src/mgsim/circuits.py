@@ -1,13 +1,12 @@
 """Line-oriented circuit files, gate-class validation, and compilation.
 
 ``parse`` validates every gate once and keeps its raw parameters in a GateSpec.
-It converts the numbers of a file in one pass per gate class: the bracketed texts of
-all gvw (diag, mg12, u1) gates are joined, their ','/';' layout is checked at once,
-and their entries go through one complex conversion and one finiteness test; the exp
-values are converted the same way, and the state line is read from its text in one
-float conversion.  A file with a line written otherwise than ``render`` writes it
-(arguments out of order, a bad literal, shape or line number) is read line by line,
-which names its first error.
+It has one reader.  One structural walk per gate line checks the line in the order
+it is read and collects the text of each matrix and exp value; each gate class's texts
+then go through one check of their separators, one complex conversion and one
+finiteness test.  Only when that fails, or the walk met a fault, are a class's texts
+read one at a time, to name the first error in the file.  The state line's pairs go
+through one check of their marks and one float conversion the same way.
 ``compile`` turns each gate into the exp gate e^A of its Jordan-Wigner exponent
 (see ``exponents``), so a compiled circuit is one an all-exp circuit file would
 parse to, and every engine reads it as it reads a parsed exp line.
@@ -23,7 +22,8 @@ Grammar (one statement per line, '#' starts a comment):
     gate exp a:mu,nu=<c> ... b:sigma=<c> ... s=<c>
     measure <k>
 
-Matrices are row-major in brackets, rows separated by ';', entries by ','.
+Matrices are row-major in brackets, rows separated by ';', entries by ','.  V= and W=
+may come in either order.
 An exp line gives each a:mu,nu, b:sigma and s at most once.
 Complex literals are `a`, `bi`, or `a+bi` (17 significant digits round-trip).
 Line numbers are 1-based; gvw acts on the nearest-neighbour pair (k, k+1),
@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +82,7 @@ class GateSpec:
 def exp_spec(a: dict, b: dict, s) -> GateSpec:
     """The exp gate of coefficients a {(mu, nu): a_{mu,nu}}, b {sigma: b_sigma} and s,
     kept as given, on the lines its indices touch."""
-    support = {(mu + 1) // 2 for pair in a for mu in pair} | {(sigma + 1) // 2 for sigma in b}
+    support = {(index + 1) // 2 for index in chain(*a, b)}  # the mu, nu of a and sigma of b
     return GateSpec("exp", tuple(sorted(support)),
                     (("a", tuple(sorted(a.items()))), ("b", tuple(sorted(b.items()))), ("s", s)))
 
@@ -146,6 +148,16 @@ def _scaled_dets(M: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.where(mm > 1, M / mm, M))
 
 
+def _det2(M: np.ndarray, m: np.ndarray) -> tuple:
+    """The real and imaginary parts of det(M_g / m_g) for a (G, 2, 2) stack, from the
+    float operations of Python's complex arithmetic (M / m part by part, then
+    M00 M11 - M01 M10): numpy's complex products and LAPACK's determinant round by CPU,
+    which would move a decision for a determinant within rounding of tol."""
+    x0, x1, x2, x3 = (M.real / m[:, None, None]).reshape(-1, 4).T
+    y0, y1, y2, y3 = (M.imag / m[:, None, None]).reshape(-1, 4).T
+    return (x0 * x3 - y0 * y3) - (x1 * x2 - y1 * y2), (x0 * y3 + y0 * x3) - (x1 * y2 + y1 * x2)
+
+
 @dataclass(frozen=True)
 class Circuit:
     n: int
@@ -178,30 +190,8 @@ def render_complex(val: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _parse_matrix(tok: str, lineno: int) -> tuple:
-    if not (tok.startswith("[") and tok.endswith("]")):
-        raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno)
-    rows = []
-    width = None
-    for row in tok[1:-1].split(";"):
-        entries = tuple(parse_complex(e, lineno) for e in row.split(","))
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ParseError("ragged matrix rows", lineno)
-        rows.append(entries)
-    return tuple(rows)
-
-
 def _render_matrix(rows) -> str:
     return "[" + ";".join(",".join(render_complex(e) for e in row) for row in rows) + "]"
-
-
-def _require_shape(rows, shape, what, lineno):
-    if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
-        raise ParseError(
-            f"{what} must be {shape[0]}x{shape[1]}, got {len(rows)}x{len(rows[0])}", lineno
-        )
 
 
 def _parse_int(tok: str, lineno: int, what: str) -> int:
@@ -211,80 +201,94 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(f"expected integer {what}, got {tok!r}", lineno) from None
 
 
-def _parse_state_token(tok: str, lineno: int) -> tuple:
-    if tok in _STATE_TOKENS:
-        return _STATE_TOKENS[tok]
-    if tok.startswith("(") and tok.endswith(")") and ")(" in tok:
-        pairs = tok[1:-1].split(")(")
-        if len(pairs) == 2:
-            amps = []
-            for p in pairs:
-                try:
-                    x, y = map(float, p.split(","))
-                except ValueError:  # not two numbers
-                    raise ParseError(f"bad amplitude pair {p!r}", lineno) from None
-                if not cmath.isfinite(complex(x, y)):
-                    raise ParseError(f"non-finite amplitude pair {p!r}", lineno)
-                amps.append(complex(x, y))
-            norm = math.hypot(abs(amps[0]), abs(amps[1]))
-            if norm == 0:
-                raise ParseError("zero state vector on a line", lineno)
-            if abs(norm - 1.0) > 1e-12:  # keep already-normalized pairs bit-exact
-                amps = [a / norm for a in amps]
-            return (amps[0], amps[1])
-    raise ParseError(f"bad state token {tok!r}", lineno)
+# Every byte but the marks of (re,im)(re,im) tokens and the ASCII whitespace, which
+# str.split and float() both take as whitespace.
+_ALL_BUT_PAIR_MARKS = bytes(c for c in range(256)
+                            if c not in b"(), \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")
+# "(" and ")" read as "," and " " deleted: k such tokens between single spaces split into
+# 6k + 1 fields, the numbers and an empty field at every index divisible by 3
+_PAIR_FIELDS = str.maketrans("()", ",,", " ")
 
 
-# Every byte but the structure of (re,im)(re,im) tokens, the space between them and the
-# whitespace that float() would strip from a number.
-_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b"(), \t\n\x0b\x0c\r")
-# turning "(" and ")" into "," and deleting " " splits n such tokens into 6n + 1 fields:
-# the numbers, and an empty field at every index divisible by 3
-_TO_FIELDS = bytes.maketrans(b"()", b",,"), b" "
-
-
-def _read_state(body: str, n: int, lineno: int):
-    """The amplitude pairs of a state line body of exactly n (re,im)(re,im) tokens
-    between single spaces, in one float conversion; None for any other body.
-
-    A pair whose norm is not within about 0.5e-12 of 1 is normalised, or refused, by
-    _parse_state_token.
-    """
-    text = body.encode()
-    if text.translate(None, _NOT_STRUCTURE) != b" ".join([b"(,)(,)"] * n):
+def _pair_numbers(text: str, k: int):
+    """The 4 numbers of each of k (re,im)(re,im) tokens between single spaces, as a (k, 4)
+    float array, from one check of the text's marks and one float conversion; None for
+    any other text, or when a number is malformed or not finite."""
+    if text.encode().translate(None, _ALL_BUT_PAIR_MARKS) != b" ".join([b"(,)(,)"] * k):
         return None
-    nums = text.translate(*_TO_FIELDS).split(b",")
-    if any(nums[::3]):  # a byte before, after or between the pairs
+    nums = text.translate(_PAIR_FIELDS).split(",")
+    if any(nums[::3]):  # text before, after or between the pairs of a token
         return None
     del nums[::3]
     try:
         xy = np.fromiter(map(float, nums), float, len(nums)).reshape(-1, 4)
     except ValueError:
         return None
-    # |norm^2 - 1| <= 1e-12 puts the norm within about 0.5e-12 of 1, far inside
-    # _parse_state_token's 1e-12 whatever the rounding, so those pairs are kept as
-    # written there too; a non-finite, zero or overflowing row fails the test
-    with np.errstate(over="ignore", invalid="ignore"):
-        off = np.flatnonzero(~(np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12)).tolist()
-    pairs = list(zip(*[iter(xy.view(complex).ravel().tolist())] * 2))
-    if off:
-        toks = body.split(" ")
-        for i in off:
-            pairs[i] = _parse_state_token(toks[i], lineno)
-    return tuple(pairs)
+    return xy if np.isfinite(xy).all() else None
 
 
 def _parse_state(body: str, n: int, lineno: int) -> tuple:
-    """The state line's amplitude pairs, from the text after 'state': by _read_state, or
-    token by token through _parse_state_token, which normalises pairs and raises every
-    error."""
-    pairs = _read_state(body, n, lineno)
-    if pairs is not None:
-        return pairs
-    toks = body.split()
-    if len(toks) != n:
-        raise ParseError(f"state needs {n} tokens, got {len(toks)}", lineno)
-    return tuple(_parse_state_token(t, lineno) for t in toks)
+    """The amplitude pairs of a state line's text after 'state'.
+
+    The text of n (re,im)(re,im) tokens between single spaces, as render writes it, is
+    read in one pass (_pair_numbers).  Any other text is split into its n tokens: a named
+    token is taken as it is, and the others go through the same pass.  Only when that
+    fails are they read one at a time (_raise_amplitude_fault), to name the first fault
+    in token order.  A pair whose norm is not within about 0.5e-12 of 1 is normalised
+    (see _normalised).
+    """
+    toks = None
+    xy = _pair_numbers(body, n) if body.isascii() else None  # no whitespace but " "
+    if xy is None:
+        toks = body.split()
+        if len(toks) != n:
+            raise ParseError(f"state needs {n} tokens, got {len(toks)}", lineno)
+        pairs = [tok for tok in toks if tok not in _STATE_TOKENS]
+        xy = _pair_numbers(" ".join(pairs), len(pairs))
+        if xy is None:
+            _raise_amplitude_fault(pairs, lineno)
+    # |norm^2 - 1| <= 1e-12 puts the norm within about 0.5e-12 of 1, far inside
+    # _normalised's 1e-12 whatever the rounding, so those pairs are kept as written there
+    # too; a zero or overflowing row fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.flatnonzero(~(np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12)).tolist()
+    amps = list(zip(*[iter(xy.view(complex).ravel().tolist())] * 2))
+    for t in off:
+        amps[t] = _normalised(*amps[t], lineno)
+    if len(amps) < n:  # named tokens in between
+        rest = iter(amps)
+        amps = [_STATE_TOKENS.get(tok) or next(rest) for tok in toks]
+    return tuple(amps)
+
+
+def _normalised(a: complex, b: complex, lineno: int) -> tuple:
+    """The amplitude pair (a, b) divided by its norm, or as given when that is within 1e-12
+    of 1, so that normalised pairs stay bit-exact."""
+    norm = math.hypot(abs(a), abs(b))
+    if norm == 0:
+        raise ParseError("zero state vector on a line", lineno)
+    return (a, b) if abs(norm - 1.0) <= 1e-12 else (a / norm, b / norm)
+
+
+def _raise_amplitude_fault(pairs, lineno: int) -> None:
+    """Raises the first fault, in token order, of a state line's (re,im)(re,im) tokens,
+    read one at a time: a token of another form, a malformed or non-finite amplitude
+    pair, or a zero token.  _parse_state reads them so only when they hold one."""
+    for tok in pairs:
+        halves = tok[1:-1].split(")(")
+        if len(halves) != 2 or tok[0] != "(" or tok[-1] != ")":
+            raise ParseError(f"bad state token {tok!r}", lineno)
+        amps = []
+        for half in halves:
+            try:
+                x, y = map(float, half.split(","))
+            except ValueError:  # not two numbers
+                raise ParseError(f"bad amplitude pair {half!r}", lineno) from None
+            amp = complex(x, y)
+            if not cmath.isfinite(amp):
+                raise ParseError(f"non-finite amplitude pair {half!r}", lineno)
+            amps.append(amp)
+        _normalised(*amps, lineno)
 
 
 def _gates_are_unitary(gates, tol: float) -> bool:
@@ -341,30 +345,33 @@ def _rule_faults(cls: str, stacks: dict, tol: float) -> list:
     gvw: det V = det W, then invertible; diag: nonzero entries, then B11*B44 =
     B22*B33; mg12: the matchgate identities, then invertible; u1: invertible.  Each
     rule runs on entries divided by m = max(1, max |entry|) of each gate, so that no
-    entry size overflows it.  |det| = |det(M/m)| m^k may overflow to inf (callers
+    entry size overflows it.  The 2x2 determinants of gvw, diag and u1 come from _det2
+    and their moduli from hypot, as in Python's complex arithmetic, so that a gate at
+    a gap within rounding of tol is decided alike on every CPU; mg12 keeps LAPACK's
+    determinant and is_matchgate.  |det| = |det(M/m)| m^k may overflow to inf (callers
     ignore the warning): a nonzero det, which passes.  A nan (0 * inf, or a scaled
     det that numpy cannot form) fails: a gate passes only on a |det| known to exceed tol.
     """
     if cls == "gvw":
         V, W = stacks["V"], stacks["W"]
         m = matchgate.entry_scale(np.concatenate([V, W], axis=2)).ravel()
-        dv, dw = np.split(_scaled_dets(np.concatenate([V, W]), np.concatenate([m, m])), 2)
-        det = np.abs(dv) * np.abs(dw) * m * m * m * m  # det G(V, W) = det V det W
-        return [(~(np.abs(dv - dw) <= tol * (np.abs(dv) + np.abs(dw) + 1)),
-                 lambda j: (f"gvw gate rejected: determinant mismatch: det V = "
-                            f"{dv[j] if m[j] == 1 else dv[j] * m[j] * m[j]}, "
-                            f"det W = {dw[j] if m[j] == 1 else dw[j] * m[j] * m[j]}")),
+        x, y = _det2(np.concatenate([V, W]), np.concatenate([m, m]))  # det V, then det W
+        a, g = np.hypot(x, y), len(m)
+        vx, vy, av, wx, wy, aw = x[:g], y[:g], a[:g], x[g:], y[g:], a[g:]
+        det = av * aw * m * m * m * m  # det G(V, W) = det V det W
+
+        def mismatch(j):
+            dv, dw = complex(vx[j], vy[j]), complex(wx[j], wy[j])
+            if m[j] != 1:
+                dv, dw = dv * m[j] * m[j], dw * m[j] * m[j]
+            return f"gvw gate rejected: determinant mismatch: det V = {dv}, det W = {dw}"
+
+        return [(~(np.hypot(vx - wx, vy - wy) <= tol * (av + aw + 1)), mismatch),
                 (~(det > tol), lambda j: _not_invertible("gvw", det[j]))]
     if cls == "diag":
         d = stacks["d"]
-        # e = d / max(1, max |d|) and |e1 e4 - e2 e3|, from the float operations and hypot
-        # that Python's complex arithmetic uses: numpy's complex abs and product loops
-        # round differently, which would move the decision for a gap within rounding of tol
-        x, y = d.real, d.imag
-        m = np.maximum(1.0, np.hypot(x, y).max(axis=1, keepdims=True))
-        x, y = (x / m).T, (y / m).T
-        gap = np.hypot((x[0] * x[3] - y[0] * y[3]) - (x[1] * x[2] - y[1] * y[2]),
-                       (x[0] * y[3] + y[0] * x[3]) - (x[1] * y[2] + y[1] * x[2]))
+        B = d.reshape(-1, 2, 2)  # |e1 e4 - e2 e3| is the modulus of a 2x2 determinant
+        gap = np.hypot(*_det2(B, matchgate.entry_scale(B).ravel()))
         return [((d == 0).any(axis=1), lambda j: "diag entries must be nonzero"),
                 (gap > tol, lambda j: _diag_violation(d[j].tolist()))]
     if cls == "mg12":
@@ -376,7 +383,7 @@ def _rule_faults(cls: str, stacks: dict, tol: float) -> list:
                 (~(det > tol), lambda j: _not_invertible("mg12", det[j]))]
     U = stacks["U"]
     m = matchgate.entry_scale(U).ravel()
-    det = np.abs(_scaled_dets(U, m)) * m * m
+    det = np.hypot(*_det2(U, m)) * m * m
     return [(~(det > tol), lambda j: _not_invertible("u1", det[j]))]
 
 
@@ -405,67 +412,104 @@ def _raise_first_fault(lines, at, params, tol: float):
         raise ParseError(failed[first], lines[first][0])
 
 
-def _parse_gate(fields, n: int, lineno: int) -> GateSpec:
-    cls = fields[0]
-    if cls not in GATE_CLASSES:
-        raise ParseError(f"unknown gate class {cls!r}; one of {GATE_CLASSES}", lineno)
-    args = fields[1:]
+# The matrix arguments of a gate line of each matrix class, in the order they are read:
+# prefix, name in messages and (rows, columns); diag's vector is its third argument.
+_LINE_MATRICES = {cls: tuple((f"{name}=", name, shape) for name, shape in named.items())
+                  for cls, named in _MATRIX_PARAMS.items()}
+_LINE_MATRICES["diag"] = (("", "diag vector", (1, 4)),)
+# The separators of one text the walk collects, of each class: those of a matrix of its
+# class's shape, ',' between entries and ';' between rows; none in an exp value.
+_SEPARATORS = {cls: b";".join([b"," * (width - 1)] * height)
+               for cls, ((_, _, (height, width)), *_) in _LINE_MATRICES.items()}
+_SEPARATORS["exp"] = b""
+# Every byte but the separators ',' and ';'.
+_ALL_BUT_SEPARATORS = bytes(c for c in range(256) if c not in b",;")
 
-    def named(prefix, what, shape):
-        for tok in args:
-            if tok.startswith(prefix + "="):
-                rows = _parse_matrix(tok[len(prefix) + 1:], lineno)
-                _require_shape(rows, shape, what, lineno)
-                return rows
-        raise ParseError(f"gate {cls} is missing its {prefix}= matrix", lineno)
 
-    if cls == "gvw":
-        if len(args) != 3:
-            raise ParseError("gvw takes a line number and V=, W= matrices", lineno)
-        k = _parse_int(args[0], lineno, "line")
-        if not 1 <= k <= n - 1:
-            raise ParseError(
-                f"gvw acts on a nearest-neighbour pair; line {k} invalid for n={n}", lineno
-            )
-        V = named("V", "V", (2, 2))
-        W = named("W", "W", (2, 2))
-        return GateSpec("gvw", (k, k + 1), (("V", V), ("W", W)))
+def _walk_gates(lines, n: int):
+    """One structural walk over parse's gate lines [(lineno, fields)], each line checked
+    in the order it is read: class, argument count, line numbers, then each matrix's
+    prefix and bracket or each exp parameter's '=', key and repetition.  The texts of the
+    entries are collected, unconverted, in walk order: each exp value, and the text inside
+    each matrix's brackets, whose separators _convert checks against its shape.
 
-    if cls == "diag":
-        if len(args) != 3:
-            raise ParseError("diag takes two line numbers and a [d1,d2,d3,d4] vector", lineno)
-        k = _parse_int(args[0], lineno, "line")
-        l = _parse_int(args[1], lineno, "line")
-        if not 1 <= k < l <= n:
-            raise ParseError(f"diag needs lines 1 <= k < l <= n, got {k}, {l}", lineno)
-        rows = _parse_matrix(args[2], lineno)
-        _require_shape(rows, (1, 4), "diag vector", lineno)
-        return GateSpec("diag", (k, l), (("d", rows[0]),))
-
-    if cls == "mg12":
-        if n < 2:
-            raise ParseError("mg12 needs at least two lines", lineno)
-        if len(args) != 1:
-            raise ParseError("mg12 takes a single B= matrix", lineno)
-        return GateSpec("mg12", (1, 2), (("B", named("B", "B", (4, 4))),))
-
-    if cls == "u1":
-        if len(args) != 1:
-            raise ParseError("u1 takes a single U= matrix", lineno)
-        return GateSpec("u1", (1,), (("U", named("U", "U", (2, 2))),))
-
-    # exp: raw coefficients a:mu,nu=<c>  b:sigma=<c>  s=<c>
-    entries = {}
-    for tok in args:
-        if "=" not in tok:
-            raise ParseError(f"bad exp parameter {tok!r}", lineno)
-        key, _, sval = tok.partition("=")
-        val = parse_complex(sval, lineno)
-        idx = _exp_key(key, n, lineno)
-        if idx in entries:
-            raise ParseError(f"repeated exp parameter {key!r}", lineno)
-        entries[idx] = val
-    return _exp_gate(entries)
+    Returns the positions of each class's gates, the supports of the matrix-class gates,
+    each class's texts, each exp gate's keys, and (position, ParseError) of the first
+    structural fault, or (len(lines), None).  The walk stops at that fault; the texts its
+    line gave before it are the last of their class.
+    """
+    at = {cls: [] for cls in GATE_CLASSES}
+    supports = {cls: [] for cls in _MATRIX_PARAMS}
+    texts = {cls: [] for cls in GATE_CLASSES}
+    exp_keys, keys = [], {}
+    try:
+        for i, (lineno, fields) in enumerate(lines):
+            cls, args = fields[0], fields[1:]
+            out = texts.get(cls)
+            if out is None:
+                raise ParseError(f"unknown gate class {cls!r}; one of {GATE_CLASSES}", lineno)
+            if cls == "exp":  # a:mu,nu=<c>  b:sigma=<c>  s=<c>, each at most once
+                line_keys = {}
+                for tok in args:
+                    key, eq, text = tok.partition("=")
+                    if not eq:
+                        raise ParseError(f"bad exp parameter {tok!r}", lineno)
+                    out.append(text)
+                    idx = keys.get(key)
+                    if idx is None:
+                        idx = keys[key] = _exp_key(key, n, lineno)
+                    if idx in line_keys:
+                        raise ParseError(f"repeated exp parameter {key!r}", lineno)
+                    line_keys[idx] = None
+                exp_keys.append(tuple(line_keys))
+                at[cls].append(i)
+                continue
+            if cls == "gvw":
+                if len(args) != 3:
+                    raise ParseError("gvw takes a line number and V=, W= matrices", lineno)
+                k = _parse_int(args[0], lineno, "line")
+                if not 1 <= k <= n - 1:
+                    raise ParseError(
+                        f"gvw acts on a nearest-neighbour pair; line {k} invalid for n={n}", lineno
+                    )
+                support = (k, k + 1)
+            elif cls == "diag":
+                if len(args) != 3:
+                    raise ParseError("diag takes two line numbers and a [d1,d2,d3,d4] vector",
+                                     lineno)
+                k = _parse_int(args[0], lineno, "line")
+                l = _parse_int(args[1], lineno, "line")
+                if not 1 <= k < l <= n:
+                    raise ParseError(f"diag needs lines 1 <= k < l <= n, got {k}, {l}", lineno)
+                support = (k, l)
+            elif cls == "mg12":
+                if n < 2:
+                    raise ParseError("mg12 needs at least two lines", lineno)
+                if len(args) != 1:
+                    raise ParseError("mg12 takes a single B= matrix", lineno)
+                support = (1, 2)
+            else:
+                if len(args) != 1:
+                    raise ParseError("u1 takes a single U= matrix", lineno)
+                support = (1,)
+            for prefix, _, _ in _LINE_MATRICES[cls]:
+                if not prefix:
+                    tok = args[2]
+                else:
+                    for tok in args:
+                        if tok.startswith(prefix):
+                            tok = tok[len(prefix):]
+                            break
+                    else:
+                        raise ParseError(f"gate {cls} is missing its {prefix} matrix", lineno)
+                if not (tok.startswith("[") and tok.endswith("]")):
+                    raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno)
+                out.append(tok[1:-1])
+            supports[cls].append(support)
+            at[cls].append(i)
+    except ParseError as fault:
+        return at, supports, texts, exp_keys, (i, fault)
+    return at, supports, texts, exp_keys, (len(lines), None)
 
 
 def _exp_key(key: str, n: int, lineno: int) -> tuple:
@@ -489,135 +533,22 @@ def _exp_key(key: str, n: int, lineno: int) -> tuple:
     raise ParseError(f"unknown exp parameter {key!r}", lineno)
 
 
-def _exp_gate(entries: dict) -> GateSpec:
-    """The exp gate of {_exp_key: value} entries; s is 0 when not given."""
-    a, b, s = {}, {}, 0j
-    for (kind, idx), val in entries.items():
-        if kind == "a":
-            a[idx] = val
-        elif kind == "b":
-            b[idx] = val
-        else:
-            s = val
-    return exp_spec(a, b, s)
-
-
-# The separators of one matrix of each matrix class: ',' between entries, ';' between rows.
-_LAYOUTS = {"gvw": ",;,", "diag": ",,,", "mg12": ",,,;,,,;,,,;,,,", "u1": ",;,"}
-# Every byte but those separators and the '/' that _convert puts between texts.
-_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",;/")
-# turning every separator into ',' (and 'i' into 'j') lists the entries
-_TO_ENTRIES = bytes.maketrans(b";/i", b",,j")
-
-
-def _inside(tok: str, prefix: str) -> str:
-    """The text inside an argument `<prefix>...]`; ValueError for any other argument."""
-    if tok.startswith(prefix) and tok.endswith("]"):
-        return tok[len(prefix):-1]
-    raise ValueError(tok)
-
-
-def _convert(texts, layout: str):
-    """The complex entries of texts that each have the separators layout gives, as one
-    list and one array, in one conversion; None when a text has other separators or an
-    entry is malformed or not finite."""
+def _convert(cls: str, texts):
+    """The complex values of one class's walk texts, with i read as j, in one conversion
+    and one finiteness test, as a list and an array; None when a text's separators are
+    not those of its class (see _SEPARATORS) or an entry is malformed or not finite."""
     if not texts:
         return [], np.zeros(0, dtype=complex)
-    data = "/".join(texts).encode()
-    if data.translate(None, _NOT_SEPARATOR) != "/".join([layout] * len(texts)).encode():
+    data = ",".join(texts)
+    if data.encode().translate(None, _ALL_BUT_SEPARATORS) != b",".join(
+            [_SEPARATORS[cls]] * len(texts)):
         return None
     try:
-        vals = list(map(complex, data.translate(_TO_ENTRIES).decode().split(",")))
+        vals = list(map(complex, data.replace(";", ",").replace("i", "j").split(",")))
     except ValueError:
         return None
     arr = np.array(vals, dtype=complex)
     return (vals, arr) if np.isfinite(arr).all() else None
-
-
-def _nest(vals, shape):
-    """Consecutive values of an iterable grouped into nested tuples of a shape."""
-    for size in reversed(shape):
-        vals = zip(*[iter(vals)] * size)
-    return vals
-
-
-def _read_batched(lines, n: int):
-    """The gates of parse's gate lines [(lineno, fields)], their positions by class and
-    the classes' parameter stacks, with the values of each class converted in one pass
-    (see _convert); the class rules are not run.
-
-    None when a line is not in the form render writes (an unknown class, a wrong
-    argument count, arguments out of render's order, a line number out of range or a
-    bad exp key), a value is malformed or not finite, or an exp key is given twice;
-    _parse_gate then reads every line and names the fault.
-    """
-    at = {cls: [] for cls in GATE_CLASSES}
-    supports = {cls: [] for cls in _LAYOUTS}
-    texts = {cls: [] for cls in _LAYOUTS}
-    exp_keys, exp_texts, keys = [], [], {}
-    try:
-        for i, (lineno, fields) in enumerate(lines):
-            cls = fields[0]
-            if cls == "gvw":
-                _, k, V, W = fields
-                k = int(k)
-                if not 1 <= k < n:
-                    return None
-                supports[cls].append((k, k + 1))
-                texts[cls] += _inside(V, "V=["), _inside(W, "W=[")
-            elif cls == "diag":
-                _, k, l, d = fields
-                k, l = int(k), int(l)
-                if not 1 <= k < l <= n:
-                    return None
-                supports[cls].append((k, l))
-                texts[cls].append(_inside(d, "["))
-            elif cls == "mg12" or cls == "u1":
-                _, M = fields
-                if cls == "mg12" and n < 2:
-                    return None
-                supports[cls].append((1, 2) if cls == "mg12" else (1,))
-                texts[cls].append(_inside(M, "B=[" if cls == "mg12" else "U=["))
-            elif cls == "exp":
-                line_keys = []
-                for tok in fields[1:]:
-                    key, _, val = tok.partition("=")
-                    if key not in keys:
-                        keys[key] = _exp_key(key, n, lineno)
-                    line_keys.append(keys[key])
-                    exp_texts.append(val)
-                exp_keys.append(line_keys)
-            else:
-                return None
-            at[cls].append(i)
-    except (ValueError, ParseError):  # a wrong argument count or form, a bad line or key
-        return None
-    gates = [None] * len(lines)
-    params = {}
-    for cls, named in _MATRIX_PARAMS.items():
-        read = _convert(texts[cls], _LAYOUTS[cls])
-        if read is None:
-            return None
-        vals, arr = read
-        names = tuple(named)
-        shape = named[names[0]]
-        arr = arr.reshape((-1, len(names)) + shape)
-        params[cls] = {name: arr[:, j] for j, name in enumerate(names)}
-        for i, support, values in zip(at[cls], supports[cls], _nest(vals, (len(names),) + shape)):
-            gates[i] = GateSpec(cls, support, tuple(zip(names, values)))
-    read = _convert(exp_texts, "")
-    if read is None:
-        return None
-    vals, arr = read
-    it = iter(vals)
-    for i, line_keys in zip(at["exp"], exp_keys):
-        entries = dict(zip(line_keys, it))  # takes len(line_keys) values from it
-        if len(entries) < len(line_keys):
-            return None
-        gates[i] = _exp_gate(entries)
-    kinds = np.array([kind for line_keys in exp_keys for kind, _ in line_keys])
-    params["exp"] = {kind: arr[kinds == kind] for kind in "abs"}
-    return gates, at, params
 
 
 def _read_gates(lines, n: int, tol: float):
@@ -625,25 +556,80 @@ def _read_gates(lines, n: int, tol: float):
     stacks, every gate checked; raises the first error among the lines' own errors and
     the class rules, by line.
 
-    The values of each class are converted in one pass (see _read_batched).  A file
-    with a line that pass does not take goes line by line through _parse_gate, which
-    holds every gate line error.
+    One walk (_walk_gates) checks every line's structure and collects the entry texts,
+    and each class's texts go through one check of their separators and one conversion
+    (_convert).  Only when that fails, or the walk met a fault, are a class's texts
+    read one at a time, each matrix's rows walked and its entries converted by
+    parse_complex, up to the first fault: the line error is the earliest such fault or
+    the walk's, by line (on the walk's own line, a fault in a text it collected comes
+    first).  The class rules then run on the gates above that line, and their first
+    fault is raised before it.
     """
-    read = _read_batched(lines, n)
-    if read is not None:
-        gates, at, params = read
-    else:
-        gates = []
-        try:
-            for lineno, fields in lines:
-                gates.append(_parse_gate(fields, n, lineno))
-        except ParseError:
-            at = _positions(gates)
-            _raise_first_fault(lines, at, _class_params(gates, at), tol)
-            raise
-        at = _positions(gates)
-        params = _class_params(gates, at)
+    at, supports, texts, exp_keys, (fault, error) = _walk_gates(lines, n)
+    stop = fault
+    values = {cls: None if error else _convert(cls, texts[cls]) for cls in GATE_CLASSES}
+    for cls in GATE_CLASSES:
+        if values[cls] is None:
+            matrices = _LINE_MATRICES.get(cls)
+            counts = ([len(keys) for keys in exp_keys] if matrices is None else
+                      [len(matrices)] * len(at[cls]))
+            owners = [i for i, count in zip(at[cls], counts) for _ in range(count)]
+            vals = []
+            for t, text in enumerate(texts[cls]):
+                i = owners[t] if t < len(owners) else fault  # past the last gate: the fault's line
+                lineno = lines[i][0]
+                try:
+                    if matrices is None:
+                        vals.append(parse_complex(text, lineno))
+                        continue
+                    _, what, (height, width) = matrices[t % len(matrices)]
+                    rows = text.split(";")
+                    first = rows[0].count(",") + 1
+                    for row in rows:  # a row's entries are read before its width
+                        row = row.split(",")
+                        vals += [parse_complex(entry, lineno) for entry in row]
+                        if len(row) != first:
+                            raise ParseError("ragged matrix rows", lineno)
+                    if len(rows) != height or first != width:
+                        raise ParseError(f"{what} must be {height}x{width}, "
+                                         f"got {len(rows)}x{first}", lineno)
+                except ParseError as exc:
+                    if i <= stop:
+                        stop, error = i, exc
+                    break
+            values[cls] = vals, np.array(vals, dtype=complex)
+    if error:
+        at = {cls: pos[:bisect_left(pos, stop)] for cls, pos in at.items()}
+    gates = [None] * stop
+    params = {}
+    for cls, named in _MATRIX_PARAMS.items():
+        vals, arr = values[cls]
+        names = tuple(named)
+        shape = (len(at[cls]), len(names)) + named[names[0]]
+        stacks = arr[:math.prod(shape)].reshape(shape)
+        params[cls] = {name: stacks[:, j] for j, name in enumerate(names)}
+        groups = iter(vals)  # consecutive values grouped into nested tuples of shape[1:]
+        for size in reversed(shape[1:]):
+            groups = zip(*[groups] * size)
+        for i, support, group in zip(at[cls], supports[cls], groups):
+            gates[i] = GateSpec(cls, support, tuple(zip(names, group)))
+    vals, arr = values["exp"]
+    it = iter(vals)
+    for i, line_keys in zip(at["exp"], exp_keys):
+        a, b, s = {}, {}, 0j
+        for (kind, idx), val in zip(line_keys, it):  # takes len(line_keys) values from it
+            if kind == "a":
+                a[idx] = val
+            elif kind == "b":
+                b[idx] = val
+            else:
+                s = val
+        gates[i] = exp_spec(a, b, s)
+    kinds = np.array([kind for line_keys in exp_keys[:len(at["exp"])] for kind, _ in line_keys])
+    params["exp"] = {kind: arr[:len(kinds)][kinds == kind] for kind in "abs"}
     _raise_first_fault(lines, at, params, tol)
+    if error:
+        raise error
     return gates, params
 
 
@@ -661,15 +647,20 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
     k = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            fields = raw.split("#", 1)[0].split(None, 1)
+            if not fields:
                 continue
-            head, *rest = line.split(None, 1)
-            body = rest[0] if rest else ""
-            if head == "circuit":
+            head, body = fields[0], fields[1] if len(fields) == 2 else ""
+            args = [] if head == "state" else body.split()
+            if head == "gate":
+                if n is None:
+                    raise ParseError("gate before circuit header", lineno)
+                if not args:
+                    raise ParseError("gate line needs a class tag", lineno)
+                gate_lines.append((lineno, args))
+            elif head == "circuit":
                 if n is not None:
                     raise ParseError("duplicate circuit header", lineno)
-                args = body.split()
                 if len(args) != 1 or not args[0].startswith("n="):
                     raise ParseError("header must be 'circuit n=<int>'", lineno)
                 n = _parse_int(args[0][2:], lineno, "line count")
@@ -681,19 +672,11 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
                 if state is not None:
                     raise ParseError("duplicate state line", lineno)
                 state = _parse_state(body, n, lineno)
-            elif head == "gate":
-                if n is None:
-                    raise ParseError("gate before circuit header", lineno)
-                args = body.split()
-                if not args:
-                    raise ParseError("gate line needs a class tag", lineno)
-                gate_lines.append((lineno, args))
             elif head == "measure":
                 if n is None:
                     raise ParseError("measure before circuit header", lineno)
                 if k is not None:
                     raise ParseError("duplicate measure line", lineno)
-                args = body.split()
                 if len(args) != 1:
                     raise ParseError("measure takes a single line number", lineno)
                 k = _parse_int(args[0], lineno, "measured line")

@@ -101,7 +101,9 @@ def gate_coefficients(g, n: int) -> tuple[tuple, np.ndarray]:
     return tuple(j for j, _ in terms), np.array([val for _, val in terms], dtype=complex)
 
 
-@lru_cache(maxsize=None)
+# A plan depends only on n and the gate's basis indices; 512 holds every distinct plan of
+# a crosscheck pass (280) while bounding what a run at large n keeps.
+@lru_cache(maxsize=512)
 def _block_plan(n: int, terms: tuple) -> tuple:
     """How M = sum_j xi_j ad(B_j) splits into blocks, for xi on the ascending basis
     indices ``terms``.

@@ -79,8 +79,13 @@ def _as_mat4_stack(B) -> np.ndarray:
 
 
 def entry_scale(B) -> np.ndarray:
-    """m = max(1, max |B_ij|) of each matrix of a stack, shaped to divide it."""
-    return np.maximum(1.0, np.abs(B).max(axis=(-2, -1), keepdims=True))
+    """m = max(1, max |B_ij|) of each matrix of a stack, shaped to divide it.
+
+    |B_ij| is hypot(re, im), as Python's abs of a complex number takes it: numpy's
+    complex abs differs from it in the last bit on some CPUs.
+    """
+    B = np.asarray(B)
+    return np.maximum(1.0, np.hypot(B.real, B.imag).max(axis=(-2, -1), keepdims=True))
 
 
 def swap_convention(B) -> np.ndarray:
@@ -349,7 +354,10 @@ def _checked_logm(B) -> np.ndarray:
     import scipy.linalg
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
-        L = scipy.linalg.logm(B)
+        try:
+            L = scipy.linalg.logm(B)
+        except Exception as exc:  # near the float limit logm overflows, or raises a bare Exception
+            raise LogBranchError(f"no accurate logarithm: logm fails ({exc})") from None
     E = linalg.expm_stack(L)
     if not np.isfinite(E).all():
         raise LogBranchError(f"no accurate logarithm: e^L is not finite "

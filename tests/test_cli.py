@@ -507,6 +507,9 @@ HUGE_U1 = "circuit n=1\nstate 0\ngate u1 U=[0,1;1e200,0]\nmeasure 1\n"
 # det U = 0, but numpy's det of U / max|U| is nan: parse must refuse the gate, not pass
 # it on to an engine that cannot invert it
 SINGULAR_U1 = "circuit n=3\nstate 0 0 0\ngate u1 U=[0,0;1,1e308]\nmeasure 1\n"
+# det U = 1e308 passes parse, and scipy's logm of U fails inside: the Lie engine's
+# compile must refuse the gate with one error line, not a traceback
+LIMIT_U1 = "circuit n=1\nstate 0\ngate u1 U=[0,-1;1e308,0]\nmeasure 1\n"
 
 
 def test_a_logarithm_too_large_to_check_is_refused_by_name(capsys, tmp_path):
@@ -537,6 +540,7 @@ def _assert_cli_contract(tmp_path_factory, argv, text):
 @example(LARGE_DIAG)
 @example(HUGE_U1)
 @example(SINGULAR_U1)
+@example(LIMIT_U1)
 @given(mg_files())
 def test_run_keeps_the_cli_contract_on_any_mg_file(tmp_path_factory, text):
     _assert_cli_contract(tmp_path_factory, ["run"], text)
@@ -548,6 +552,7 @@ def test_run_keeps_the_cli_contract_on_any_mg_file(tmp_path_factory, text):
 @example(LARGE_DIAG)
 @example(HUGE_U1)
 @example(SINGULAR_U1)
+@example(LIMIT_U1)
 @given(mg_files())
 def test_every_engine_keeps_the_cli_contract_on_any_mg_file(tmp_path_factory, argv, text):
     # the Lie engine compiles every gate, and the oracle applies it densely

@@ -244,9 +244,10 @@ def _exp_block_size(g) -> int:
 
 
 def test_run_batches_its_numpy_calls(tmp_path, monkeypatch):
-    # one `run` over three chunks of all five classes: parse takes one stacked det per
-    # class that has one, and the engine one stacked inverse per chunk and one eigh
-    # per exp block size in a chunk, never one call per gate
+    # one `run` over three chunks of all five classes: parse takes one stacked det for
+    # mg12 (the 2x2 determinants of gvw, diag and u1 are elementwise), and the engine one
+    # stacked inverse per chunk and one eigh per exp block size in a chunk, never one
+    # call per gate
     circ = sampling.random_circuit(6, 2 * _CHUNK + 40, np.random.default_rng(9))
     assert {g.cls for g in circ.gates} == set(circuits.GATE_CLASSES) and circ.unitary
     path = tmp_path / "three_chunks.mg"
@@ -261,8 +262,7 @@ def test_run_batches_its_numpy_calls(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", str(path)]) == 0
-    # det: one each for gvw (V and W stacked together), mg12 and u1
-    assert calls == {"det": 3, "inv": len(chunks), "eigh": sizes}
+    assert calls == {"det": 1, "inv": len(chunks), "eigh": sizes}
 
 
 @pytest.mark.parametrize("n", [2, 50])

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgsim import circuits, matchgate, sampling
-from mgsim.circuits import (_gates_are_unitary, _parse_state, _parse_state_token, classify, parse,
-                            parse_complex, render, render_complex)
+from mgsim.circuits import _gates_are_unitary, classify, parse, parse_complex, render, render_complex
 from mgsim.engine_quadratic import simulate
 from mgsim.errors import GateClassError, ParseError
 from mgsim.sampling import random_su2
 from test_cli import CLOSURE_ONLY
+
+import reference_parse
 
 H = 0.7071067811865476
 
@@ -308,26 +308,26 @@ def test_classify_gvw(rng):
     ("[1;2]", "line 3: U must be 2x2, got 2x1"),
 ])
 def test_matrix_errors_name_the_first_bad_entry(matrix, error):
-    # a file whose matrices the batched conversion cannot take is read line by line, so
-    # the message is the one parse_complex gives for the first bad entry
+    # the message is the one parse_complex gives for the first bad entry, or the layout
+    # fault of the row or matrix the walk met before it
     with pytest.raises(ParseError) as exc:
         parse(f"circuit n=1\nstate 0\ngate u1 U={matrix}\nmeasure 1\n")
     assert str(exc.value) == error
 
 
 def test_matrix_round_trip_is_exact(rng):
-    # the batched conversion of rendered matrices gives parse_complex's values, bit for
-    # bit, in the gates and in the parameter stack the class rules run on
+    # the one conversion of a class's rendered entries gives parse_complex's values, bit
+    # for bit, in the parsed gates and in the parameter stack the class rules run on; each
+    # value v sits in U = [[1, v], [-v, 1]], whose det 1 + v^2 passes the u1 rule
     values = [complex(rng.normal() * 10.0 ** rng.integers(-300, 300), rng.normal())
               for _ in range(400)] + [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324, -5e-324j]
-    texts = [circuits._render_matrix((tuple(values[i:i + 2]), tuple(values[i + 2:i + 4])))
-             for i in range(0, len(values), 4)]
-    lines = [(i, ["u1", f"U={t}"]) for i, t in enumerate(texts)]
-    gates, _, params = circuits._read_batched(lines, 1)
+    texts = [circuits._render_matrix(((1.0, v), (-v, 1.0))) for v in values]
+    text = "circuit n=1\nstate 0\n" + "".join(f"gate u1 U={t}\n" for t in texts) + "measure 1\n"
     want = tuple(tuple(tuple(parse_complex(e) for e in row.split(","))
                        for row in t[1:-1].split(";")) for t in texts)
-    got = tuple(g.param("U") for g in gates)
+    got = tuple(g.param("U") for g in parse(text).gates)
     assert got == want and repr(got) == repr(want)
+    _, params = circuits._read_gates([(i, ["u1", f"U={t}"]) for i, t in enumerate(texts)], 1, 1e-9)
     assert repr(params["u1"]["U"].tolist()) == repr([[list(row) for row in m] for m in want])
 
 
@@ -358,23 +358,54 @@ def test_batched_gate_checks_report_the_first_failing_gate(text, error):
     assert str(exc.value) == error
 
 
-def test_the_batched_diag_rule_decides_as_the_scalar_formula(rng):
-    # gaps within rounding of tol: a gate passes exactly when abs(e1*e4 - e2*e3) <= tol
-    # holds in Python's complex arithmetic, with e = d / max(1, max |d|), in one parse
-    # of many gates as in a parse of each
+def _scalar_cases(cls: str, rng):
+    """600 gate lines of one class whose rule gap sits within rounding of tol, and whether
+    each passes by Python's scalar complex formula on e = entries / max(1, max |entry|):
+    diag |e1 e4 - e2 e3| <= tol; gvw |det V - det W| <= tol (|det V| + |det W| + 1); u1
+    |det U| m^2 > tol."""
     lines, expected = [], []
     for _ in range(600):
-        d = np.exp(2j * np.pi * rng.random(4))
-        d[3] = d[1] * d[2] / d[0] * (1 + 1e-9 * (1 + 1e-8 * rng.integers(-3, 4)))
-        d = (d * rng.choice([1.0, 1e150, 1e200])).tolist()
-        m = max(1.0, max(abs(x) for x in d))
-        e = [x / m for x in d]
-        expected.append(abs(e[0] * e[3] - e[1] * e[2]) <= 1e-9)
-        lines.append(f"diag 1 2 {circuits._render_matrix([d])}")
+        d = np.exp(2j * np.pi * rng.random(4)) if cls == "diag" else None
+        jitter = 1 + 1e-8 * rng.integers(-3, 4)
+        scale = rng.choice([1.0, 1e150, 1e200] if cls != "u1" else [1.0, 1e-3, 1e3])
+        if cls == "diag":
+            d[3] = d[1] * d[2] / d[0] * (1 + 1e-9 * jitter)
+            mats = [(d * scale).tolist()]
+        elif cls == "gvw":
+            V = random_su2(rng) * scale
+            a = abs(np.linalg.det(V / max(1.0, np.abs(V).max())))
+            W = V * [[1 + 1e-9 * (2 * a + 1) / a * jitter], [1]]  # |det W - det V| about its bound
+            mats = [M.ravel().tolist() for M in (V, W)]
+        else:
+            U = random_su2(rng) * [[1], [1e-9 * jitter / scale ** 2]]  # |det U| about tol
+            mats = [(U * scale).ravel().tolist()]
+        m = max(1.0, max(abs(x) for M in mats for x in M))
+        dets = [e[0] * e[3] - e[1] * e[2] for e in ([x / m for x in M] for M in mats)]
+        if cls == "diag":
+            lines.append(f"diag 1 2 {circuits._render_matrix(mats)}")
+            expected.append(abs(dets[0]) <= 1e-9)
+        elif cls == "gvw":
+            V, W = (circuits._render_matrix([M[:2], M[2:]]) for M in mats)
+            lines.append(f"gvw 1 V={V} W={W}")
+            expected.append(abs(dets[0] - dets[1]) <= 1e-9 * (abs(dets[0]) + abs(dets[1]) + 1))
+        else:
+            lines.append(f"u1 U={circuits._render_matrix([mats[0][:2], mats[0][2:]])}")
+            expected.append(abs(dets[0]) * m * m > 1e-9)
+    return lines, expected
+
+
+@pytest.mark.parametrize("cls, message", [("diag", "B11\\*B44 = B22\\*B33"),
+                                          ("gvw", "determinant mismatch"),
+                                          ("u1", "u1 gate rejected: matrix is not invertible")])
+def test_the_batched_diag_rule_decides_as_the_scalar_formula(rng, cls, message):
+    # gaps within rounding of tol: a gate passes exactly when its rule holds in Python's
+    # complex arithmetic, in one parse of many gates as in a parse of each, so that no
+    # CPU's complex abs, product or LAPACK determinant can move the decision
+    lines, expected = _scalar_cases(cls, rng)
     assert 100 < sum(expected) < 500
     for line, ok in zip(lines, expected):
         assert _parses(line) == ok
-    with pytest.raises(ParseError, match="B11\\*B44 = B22\\*B33") as exc:
+    with pytest.raises(ParseError, match=message) as exc:
         parse("circuit n=2\nstate 0 0\n" + "".join(f"gate {g}\n" for g in lines) + "measure 1\n")
     assert exc.value.line == 3 + expected.index(False)
 
@@ -419,26 +450,10 @@ def state_tokens(draw):
     return toks
 
 
-def _per_token(toks):
-    try:
-        return tuple(_parse_state_token(t, 7) for t in toks)
-    except ParseError as exc:
-        return str(exc)
-
-
-def _per_token_body(body, n):
-    """The state line body read as the per-token parser reads it."""
-    toks = body.split()
-    if len(toks) != n:
-        return str(ParseError(f"state needs {n} tokens, got {len(toks)}", 7))
-    return _per_token(toks)
-
-
-def _read_body(body, n):
-    try:
-        return _parse_state(body, n, 7)
-    except ParseError as exc:
-        return str(exc)
+def _state_outcome(body, n):
+    """parse's and the reference's outcomes for a file whose state line body is body."""
+    text = f"circuit n={n}\nstate {body}\nmeasure 1\n"
+    return _outcome(text), _per_line_outcome(text)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -448,12 +463,9 @@ def _read_body(body, n):
 @given(state_tokens(), st.sampled_from([" ", " ", " ", "  ", "\t", "\u00a0", "\x1f"]),
        st.sampled_from([0, 0, 0, -1, 1]))
 def test_bulk_state_parse_equals_the_per_token_parse(toks, sep, extra):
-    # the state line is read from its text: single spaces between pairs take the
-    # one-pass conversion, any other line goes token by token; n may differ from the
-    # number of tokens
-    n = max(1, len(toks) + extra)
-    ref = _per_token_body(sep.join(toks), n)
-    got = _read_body(sep.join(toks), n)
+    # named tokens, pairs on and off norm, and any whitespace between tokens read as the
+    # per-token reference reads them; n may differ from the number of tokens
+    got, ref = _state_outcome(sep.join(toks), max(1, len(toks) + extra))
     assert got == ref and repr(got) == repr(ref)
 
 
@@ -464,29 +476,35 @@ def test_bulk_state_parse_equals_the_per_token_parse(toks, sep, extra):
     ("(1,0)0(0,0)", 1), ("(1,0)(0,0)x (1,0)(0,0)", 2), ("(1,0)(0,0) x(1,0)(0,0)", 2),
     ("(1,0)(0,0)", 2), ("(1,0)(0,0) (1,0)(0,0)", 1), ("(1,0)(0,0) (1,0)(0,0)", 3),
     ("(1,0)(0,0) 0", 1), ("(1,0)(0,0)\n(1,0)(0,0)", 2), ("(1_0,0)(0,0)", 1),
-    ("(\u0661,0)(0,0)", 1), ("(3,0)(0,4) (nan,0)(1,0)", 2), ("(0,0)(0,0) (1,x)(0,0)", 2)])
+    ("(\u0661,0)(0,0)", 1), ("(3,0)(0,4) (nan,0)(1,0)", 2), ("(0,0)(0,0) (1,x)(0,0)", 2),
+    ("((1,0)(0,1))", 1), ("(1,0))((0,1)", 1), ("()(1,0)(0,1)", 1), ("(1,0,0)(1)", 1),
+    ("(1,0)(0,1,2)", 1), ("(inf,0)(1,x)", 1), ("(1,x)(0,1,2)", 1), ("(1,0)(0,1)(0,1)", 1),
+    ("(1,0)(1)", 1), ("(1)(0,1)", 1), ("(0,0)(0,0) (1)(0,1)", 2)])
 def test_state_bodies_read_as_in_the_per_token_parse(body, n):
-    # whitespace inside or between tokens, junk before, after or between the pairs, and
-    # a token count other than n all read as the per-token parser reads them
-    ref = _per_token_body(body, n)
-    got = _read_body(body, n)
+    # whitespace inside or between tokens, junk before, after or between the pairs, a
+    # parenthesis or comma too many, and a token count other than n all read as the
+    # per-token reference reads them
+    got, ref = _state_outcome(body, n)
     assert got == ref and repr(got) == repr(ref)
 
 
 def test_the_one_pass_state_reader_takes_pairs(monkeypatch):
-    pairs = ["(0.6,0.0)(0.0,0.8)", "(1.0,-0.0)(0.0,0.0)", "(0.0,5e-324)(-1.0,0.0)"]
-    assert circuits._read_state(" ".join(pairs), 3, 7) == _per_token(pairs)
-    assert circuits._read_state(" ".join(pairs[:2] + ["+"]), 3, 7) is None
-    assert circuits._read_state("  ".join(pairs), 3, 7) is None
-    assert circuits._read_state(" ".join(pairs), 2, 7) is None
-    # a pair off norm is normalised by the per-token parser, and only that pair
-    calls = []
-    per_token = circuits._parse_state_token
-    monkeypatch.setattr(circuits, "_parse_state_token",
-                        lambda tok, lineno: calls.append(tok) or per_token(tok, lineno))
-    mixed = pairs[:2] + ["(3,0)(0,4)"]
-    assert circuits._read_state(" ".join(mixed), 3, 7) == _per_token(mixed)
-    assert calls == ["(3,0)(0,4)"]
+    # pairs, named tokens and runs of whitespace take one conversion; only a pair off
+    # norm is normalised, and the pairs are read one at a time only on a line with a fault
+    pairs = ["(0.6,0.0)(0.0,0.8)", "(1.0,-0.0)(0.0,0.0)", "(0.0,5e-324)(-1.0,0.0)", "-i"]
+    normalised, located = [], []
+    normalise, locate = circuits._normalised, circuits._raise_amplitude_fault
+    monkeypatch.setattr(circuits, "_normalised",
+                        lambda a, b, lineno: normalised.append((a, b)) or normalise(a, b, lineno))
+    monkeypatch.setattr(circuits, "_raise_amplitude_fault",
+                        lambda toks, lineno: located.append(toks) or locate(toks, lineno))
+    for body in (" ".join(pairs), "  \t".join(pairs), " ".join(pairs + ["(3,0)(0,4)"])):
+        got, ref = _state_outcome(body, len(body.split()))
+        assert got == ref and not isinstance(got[0], str)
+    assert normalised == [(3 + 0j, 4j)] and located == []
+    got, ref = _state_outcome(" ".join(pairs + ["(1,0)(0,1,2)"]), 5)
+    assert got == ref == ("line 2: bad amplitude pair '0,1,2'", 2)
+    assert located == [pairs[:3] + ["(1,0)(0,1,2)"]]
 
 
 def _gate_lines(B) -> dict:
@@ -603,11 +621,12 @@ def _outcome(text):
 
 
 def _per_line_outcome(text):
-    """_outcome with the one-pass readers off: every gate line goes through _parse_gate
-    and every state token through _parse_state_token."""
-    with mock.patch.object(circuits, "_read_batched", lambda lines, n: None), \
-            mock.patch.object(circuits, "_read_state", lambda body, n, lineno: None):
-        return _outcome(text)
+    """_outcome of the frozen line-by-line reference reader (tests/reference_parse.py)."""
+    try:
+        circ = reference_parse.parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return circ, repr(circ)
 
 
 _EXTREME_ENTRIES = ["0.0", "-0.0", "0.0-0.0i", "-0.0+0.0i", "5e-324", "-5e-324i", "1e300",
@@ -621,7 +640,11 @@ _FAULTS = ["gate u1 U=[1,{};0,1]".format(bad) for bad in ("x", "1..2", "1e999", 
     "gate exp a:1,2=1 a:1,2=2", "gate exp s", "gate exp s=1/2", "gate u1 U=[1,0;0,1/2]",
     "gate u1 U=[1,0;0,1]x", "gate u1 xU=[1,0;0,1]", "gate diag 1 2 1[1,1,1,1]",
     "gate gvw 1 V=[1,0;0,1]W=[1,0;0,1] V=[1,0;0,1]W=[1,0;0,1]\ngate gvw 1 1 1",
-    "frobnicate", "measure 1"]
+    "frobnicate", "measure 1"] + [
+    # a fault in a class read before that of a later line with a fault of its own
+    "gate u1 U=[x,0;0,1]\ngate exp s=y s=1", "gate gvw 1 V=[x,0;0,1] W=[1,0;0,1]\ngate u1 U=[y]",
+    "gate u1 U=[1,0;0]\ngate gvw 1 V=[x,0;0,1] W=[1,0;0,1]", "gate mg12 B=[1,0;0,1]\ngate u1 U=[1,x]",
+    "gate gvw 1 V=[1,0;0] W=[1,0;0,1]\ngate u1 U=[x,0;0,1]", "gate exp s=x\ngate u1 U=[1,0;y]"]
 # gates that fail a class rule, for n >= 1 and n >= 2
 _RULE_FAILURES = [["gate u1 U=[1,1;1,1]"],
                   ["gate gvw 1 V=[1,0;0,1] W=[2,0;0,1]", "gate diag 1 2 [1,1,1,-1]",
@@ -632,8 +655,8 @@ _RULE_FAILURES = [["gate u1 U=[1,1;1,1]"],
 def edited_files(draw):
     """Rendered random circuits of all five classes, unitary or not, edited: V= and W=
     swapped, i written j, tabs, runs of spaces, no-break spaces, comments, extreme
-    entries, and now and then one faulty line at a random place, sometimes after a gate
-    that fails a class rule."""
+    entries, and now and then one or two faulty lines at random places, each sometimes
+    after a gate that fails a class rule."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 5))
     circ = sampling.random_circuit(n, draw(st.integers(0, 8)), rng, unitary=draw(st.booleans()),
@@ -646,7 +669,7 @@ def edited_files(draw):
         if edit == "swap":
             line = re.sub(r"(V=\S+) (W=\S+)", r"\2 \1", line)
         elif edit == "j" and line.startswith("gate"):
-            head, cls, rest = (line.split(" ", 2) + [""])[:3]
+            head, cls, rest = (line.split(" ", 2) + ["", ""])[:3]
             line = f"{head} {cls} {rest.replace('i', 'j')}"
         elif edit in ("tab", "spaces", "nbsp"):
             at = [m.start() for m in re.finditer(" ", line)]
@@ -662,7 +685,7 @@ def edited_files(draw):
                 a, b = draw(st.sampled_from(spans))
                 line = line[:a] + draw(st.sampled_from(_EXTREME_ENTRIES)) + line[b:]
         lines[i] = line
-    if draw(st.integers(0, 2)) == 0:
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         fault = [draw(st.sampled_from(_FAULTS)).format(n=n, m=2 * n + 1)]
         if draw(st.booleans()):
             fault = [draw(st.sampled_from(_RULE_FAILURES[min(n, 2) - 1]))] + fault
@@ -687,21 +710,35 @@ def test_each_fault_reads_as_in_the_per_line_parse(fault, n):
         assert _outcome(text) == _per_line_outcome(text)
 
 
-def test_canonical_files_never_reach_the_per_line_parser(rng, monkeypatch):
-    # a silent fall back to the per-line parser would keep every result and lose the gain
+def test_only_a_file_with_a_fault_converts_entries_one_at_a_time(rng, monkeypatch):
+    # well-formed files in any form the grammar allows take one conversion per class;
+    # the per-entry conversion that names a fault runs only on a file with one
     calls = []
-    per_line, per_token = circuits._parse_gate, circuits._parse_state_token
-    monkeypatch.setattr(circuits, "_parse_gate", lambda fields, n, lineno:
-                        calls.append(lineno) or per_line(fields, n, lineno))
-    monkeypatch.setattr(circuits, "_parse_state_token",
-                        lambda tok, lineno: calls.append(tok) or per_token(tok, lineno))
+    per_entry, per_token = circuits.parse_complex, circuits._raise_amplitude_fault
+    monkeypatch.setattr(circuits, "parse_complex",
+                        lambda tok, lineno=0: calls.append(tok) or per_entry(tok, lineno))
+    monkeypatch.setattr(circuits, "_raise_amplitude_fault",
+                        lambda nums, lineno: calls.append(lineno) or per_token(nums, lineno))
     seen = set()
     for trial in range(30):
         circ = sampling.random_circuit(1 + trial % 5, 8, rng, unitary=bool(trial % 2))
         seen.update(g.cls for g in circ.gates)
-        assert parse(render(circ)) == circ
+        text = re.sub(r"(V=\S+) (W=\S+)", r"\2 \1", render(circ))  # W= before V=
+        head, state, *rest = text.splitlines()
+        state = "state\t" + "  ".join(["0", "+", "-i"][i % 3] if i % 2 else tok
+                                      for i, tok in enumerate(state.split()[1:]))
+        edited = "\n".join([head + "  # a comment", state] + [
+            re.sub(r"^(gate \S+ )(.*)", lambda m: m[1] + m[2].replace("i", "j"), line)
+            for line in rest]) + "\n"
+        assert _outcome(edited) == _per_line_outcome(edited) and not isinstance(
+            _outcome(edited)[0], str)
     assert calls == [] and seen == set(circuits.GATE_CLASSES)
     text = "circuit n=2\nstate 0 +\ngate u1 U=[0,1;1,0]\ngate gvw 1 {}\nmeasure 1\n"
     swapped = parse(text.format("W=[0,1;-1,0] V=[1,0;0,1]"))
-    assert calls == ["0", "+", 3, 4]
-    assert swapped == parse(text.format("V=[1,0;0,1] W=[0,1;-1,0]"))
+    assert calls == [] and swapped == parse(text.format("V=[1,0;0,1] W=[0,1;-1,0]"))
+    with pytest.raises(ParseError, match="line 4: bad complex literal 'x'"):
+        parse(text.format("W=[0,1;-1,0] V=[1,x;0,1]"))
+    assert calls == ["1", "x"]  # the gvw entries, V= first, up to the bad one
+    with pytest.raises(ParseError, match="line 2: bad amplitude pair 'x,0'"):
+        parse("circuit n=2\nstate 0 (x,0)(1,0)\nmeasure 1\n")
+    assert calls[-1] == 2
