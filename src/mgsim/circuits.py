@@ -1,12 +1,17 @@
 """Line-oriented circuit files, gate-class validation, and compilation.
 
-``parse`` validates every gate once and keeps its raw parameters in a GateSpec.
-It has one reader.  One structural walk per gate line checks the line in the order
-it is read and collects the text of each matrix and exp value; each gate class's texts
-then go through one check of their separators, one complex conversion and one
-finiteness test.  Only when that fails, or the walk met a fault, are a class's texts
-read one at a time, to name the first error in the file.  The state line's pairs go
-through one check of their marks and one float conversion the same way.
+``parse`` validates every gate once and keeps its raw parameters in a ``Gates`` record:
+one stack per class and parameter, the gates' lines as integer arrays and one array of
+their classes in order.  It has one reader.  One structural walk per gate line checks
+the line in the order it is read and collects the text of each matrix and exp value;
+each gate class's texts then go through one check of their separators, one complex
+conversion and one finiteness test, straight into the class's stacks.  Only when that
+fails, or the walk met a fault, are a class's texts read one at a time, to name the
+first error in the file.  The state line's pairs go through one check of their marks
+and one float conversion the same way, into an (n, 2) array.  A gate's ``GateSpec`` is
+a view, built from the record only when it is asked for (``render``, ``compile`` and
+the Lie engine read them); a sequence of GateSpecs is read into a record by
+``as_gates``, so the engines read one record whichever they are given.
 ``compile`` turns each gate into the exp gate e^A of its Jordan-Wigner exponent
 (see ``exponents``), so a compiled circuit is one an all-exp circuit file would
 parse to, and every engine reads it as it reads a parsed exp line.
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matchgate
-from .errors import GateClassError, MgsimError, ParseError
+from .errors import DimensionError, GateClassError, MgsimError, ParseError
 from .exponents import compile_diag, matrix_exponent, u1_coords, u1_exponent
 from .pauli import ProductState
 
@@ -61,11 +66,13 @@ _STATE_TOKENS = {
 
 @dataclass(frozen=True)
 class GateSpec:
-    """One parsed gate record: class tag, 1-based line support, raw parameters.
+    """One gate as a record of plain values: class tag, 1-based line support, raw
+    parameters.
 
-    Parameters are stored as a sorted tuple of (name, value) pairs where
-    matrix values are nested tuples of complex numbers, so specs are hashable
-    and compare exactly.
+    Parameters are a sorted tuple of (name, value) pairs, matrix values nested tuples
+    of complex numbers, so specs are hashable and compare exactly.  A parsed circuit
+    keeps its gates as a ``Gates`` record and builds these only on demand; compile
+    returns its exp gates as GateSpecs.
     """
 
     cls: str
@@ -94,20 +101,6 @@ _MATRIX_PARAMS = {"gvw": {"V": (2, 2), "W": (2, 2)}, "diag": {"d": (4,)},
                   "mg12": {"B": (4, 4)}, "u1": {"U": (2, 2)}}
 
 
-def _positions(gates) -> dict[str, list[int]]:
-    """The list positions of the gates of each class."""
-    at = {cls: [] for cls in GATE_CLASSES}
-    for i, g in enumerate(gates):
-        at[g.cls].append(i)
-    return at
-
-
-def _param_stacks(specs, cls: str) -> dict[str, np.ndarray]:
-    """The raw matrix parameters of specs of one matrix class, one complex stack per name."""
-    return {name: np.array([g.param(name) for g in specs], dtype=complex).reshape((-1,) + shape)
-            for name, shape in _MATRIX_PARAMS[cls].items()}
-
-
 def _class_matrices(cls: str, params: dict) -> np.ndarray:
     """The 4x4 matrices of one matrix class from its parameters, one gate's or
     (G, ...) stacks of them."""
@@ -124,20 +117,6 @@ def _class_matrices(cls: str, params: dict) -> np.ndarray:
     B = np.zeros(U.shape[:-2] + (4, 4), dtype=complex)
     B[..., ::2, ::2] = B[..., 1::2, 1::2] = U
     return B
-
-
-def gate_matrices(specs) -> np.ndarray:
-    """The 4x4 matrices of gvw, diag, mg12 and u1 specs as one (G, 4, 4) stack in their
-    order, built class by class from stacked raw parameters; u1 gives U (x) I on lines
-    (1, 2)."""
-    out = np.empty((len(specs), 4, 4), dtype=complex)
-    for cls, at in _positions(specs).items():
-        if not at:
-            continue
-        if cls not in _MATRIX_PARAMS:
-            raise GateClassError(f"{cls} gates have no matrix form")
-        out[at] = _class_matrices(cls, _param_stacks([specs[i] for i in at], cls))
-    return out
 
 
 def _scaled_dets(M: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -158,16 +137,166 @@ def _det2(M: np.ndarray, m: np.ndarray) -> tuple:
     return (x0 * x3 - y0 * y3) - (x1 * x2 - y1 * y2), (x0 * y3 + y0 * x3) - (x1 * y2 + y1 * x2)
 
 
-@dataclass(frozen=True)
+_CODES = {cls: code for code, cls in enumerate(GATE_CLASSES)}
+# The number of lines of a gate of each matrix class.
+_LINE_COUNTS = {"gvw": 2, "diag": 2, "mg12": 2, "u1": 1}
+
+
+class Gates:
+    """A circuit's gates, in application order, as the stacks ``parse`` reads them into.
+
+    ``order`` holds each gate's class, as its index in GATE_CLASSES, and ``at`` the
+    positions of each class's gates.  A matrix class keeps the 1-based lines of its
+    gates as one integer array, ``lines[cls]``, and its raw matrices as one complex
+    stack per name, ``params[cls]`` (see _MATRIX_PARAMS), in the order of its gates.
+    Each coefficient of an exp gate (of a parsed one, each its line writes) is one
+    entry: ``exp_pairs`` holds its indices, (mu, nu) for a:mu,nu, (0, sigma) for
+    b:sigma and (0, 0) for s, and ``exp_values`` its value; exp gate j has the entries
+    ``exp_starts[j]`` up to ``exp_starts[j + 1]``.
+
+    It reads as a sequence of GateSpecs, built on first use; two records are equal
+    when their GateSpecs are.
+    """
+
+    def __init__(self, order, lines, params, exp_pairs, exp_values, exp_starts):
+        self.order = order
+        ranked = np.argsort(order, kind="stable")
+        ends = np.cumsum(np.bincount(order, minlength=len(GATE_CLASSES))).tolist()
+        self.at = {cls: ranked[start:end]
+                   for cls, start, end in zip(GATE_CLASSES, [0] + ends, ends)}
+        self.lines = lines
+        self.params = params
+        self.exp_pairs = exp_pairs
+        self.exp_values = exp_values
+        self.exp_starts = exp_starts
+        self._specs = None
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i):
+        return self._views()[i]
+
+    def __iter__(self):
+        return iter(self._views())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Gates) and self._views() == other._views()
+
+    def __repr__(self) -> str:
+        return f"Gates({self._views()!r})"
+
+    def _views(self) -> tuple:
+        """The GateSpec of every gate, built class by class on the first call."""
+        if self._specs is None:
+            specs = [None] * len(self)
+            for cls, named in _MATRIX_PARAMS.items():
+                if not len(self.at[cls]):
+                    continue
+                # each gate's values, name by name, grouped into nested tuples
+                groups = iter(np.stack(list(self.params[cls].values()), axis=1).ravel().tolist())
+                for size in reversed((len(named),) + next(iter(named.values()))):
+                    groups = zip(*[groups] * size)
+                for i, lines, group in zip(self.at[cls].tolist(), self.lines[cls].tolist(),
+                                           groups):
+                    specs[i] = GateSpec(cls, tuple(lines), tuple(zip(named, group)))
+            pairs, vals = self.exp_pairs.tolist(), self.exp_values.tolist()
+            starts = self.exp_starts.tolist()
+            for i, start, stop in zip(self.at["exp"].tolist(), starts, starts[1:]):
+                a, b, s = {}, {}, 0j
+                for (mu, nu), val in zip(pairs[start:stop], vals[start:stop]):
+                    if mu:
+                        a[mu, nu] = val
+                    elif nu:
+                        b[nu] = val
+                    else:
+                        s = val
+                specs[i] = exp_spec(a, b, s)
+            self._specs = tuple(specs)
+        return self._specs
+
+    def matrices(self, pos) -> np.ndarray:
+        """The 4x4 matrices of the gvw, diag, mg12 and u1 gates at positions ``pos``, as
+        one (len(pos), 4, 4) stack in that order, built class by class from their stacks;
+        u1 gives U (x) I on lines (1, 2)."""
+        pos = np.asarray(pos, dtype=np.intp)
+        codes = self.order[pos]
+        out = np.empty((len(pos), 4, 4), dtype=complex)
+        for code in set(codes.tolist()):
+            cls = GATE_CLASSES[code]
+            sel = codes == code
+            rank = np.searchsorted(self.at[cls], pos[sel])
+            out[sel] = _class_matrices(cls, {name: stack[rank]
+                                             for name, stack in self.params[cls].items()})
+        return out
+
+    def check_lines(self, n: int) -> None:
+        """A DimensionError when a gate acts beyond line n."""
+        for cls, lines in self.lines.items():
+            if len(lines) and lines.max() > n:
+                beyond = lines[np.argmax(lines.max(axis=1) > n)]
+                raise DimensionError(f"{cls} gate on lines {tuple(beyond.tolist())}, "
+                                     f"register has n={n}")
+        if len(self.exp_pairs) and self.exp_pairs[:, 1].max() > 2 * n:
+            raise DimensionError(f"exp gate on index {self.exp_pairs[:, 1].max()}, "
+                                 f"register has n={n}")
+
+
+def as_gates(gates) -> Gates:
+    """The record of a sequence of GateSpecs in application order; a record is returned
+    as it is."""
+    if isinstance(gates, Gates):
+        return gates
+    gates = list(gates)
+    of = {cls: [g for g in gates if g.cls == cls] for cls in GATE_CLASSES}
+    lines = {cls: np.array([g.lines for g in of[cls]], dtype=np.intp).reshape(-1, width)
+             for cls, width in _LINE_COUNTS.items()}
+    params = {cls: {name: np.array([g.param(name) for g in of[cls]],
+                                   dtype=complex).reshape((-1,) + shape)
+                    for name, shape in named.items()}
+              for cls, named in _MATRIX_PARAMS.items()}
+    pairs, values, starts = [], [], [0]
+    for g in of["exp"]:
+        a, b = g.param("a"), g.param("b")
+        pairs += [pair for pair, _ in a] + [(0, sigma) for sigma, _ in b] + [(0, 0)]
+        values += [val for _, val in a] + [val for _, val in b] + [g.param("s")]
+        starts.append(len(pairs))
+    return Gates(np.array([_CODES[g.cls] for g in gates], dtype=np.int8), lines, params,
+                 np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(values, dtype=complex),
+                 np.array(starts))
+
+
+@dataclass(frozen=True, eq=False)
 class Circuit:
+    """A parsed circuit: n lines, the input state as a read-only (n, 2) complex array of
+    amplitude pairs, the gates as a Gates record (a sequence of GateSpecs given here is
+    read into one), the measured line k and whether every gate is unitary."""
+
     n: int
-    state: tuple  # n pairs of complex amplitudes
-    gates: tuple  # GateSpec records in application order
-    k: int  # measured line
+    state: np.ndarray
+    gates: Gates
+    k: int
     unitary: bool
 
+    def __post_init__(self):
+        state = np.asarray(self.state, dtype=complex)
+        if state.flags.writeable:
+            state = state.copy()
+            state.setflags(write=False)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "gates", as_gates(self.gates))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Circuit) and (self.n, self.k, self.unitary)
+                == (other.n, other.k, other.unitary)
+                and np.array_equal(self.state, other.state) and self.gates == other.gates)
+
+    def __repr__(self) -> str:  # the amplitudes as Python's complex repr gives them, exactly
+        return (f"Circuit(n={self.n!r}, state={self.state.tolist()!r}, gates={self.gates!r}, "
+                f"k={self.k!r}, unitary={self.unitary!r})")
+
     def input_state(self) -> ProductState:
-        return ProductState(np.array(self.state, dtype=complex))
+        return ProductState(self.state)
 
 
 def parse_complex(tok: str, lineno: int = 0) -> complex:
@@ -206,17 +335,21 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
 _ALL_BUT_PAIR_MARKS = bytes(c for c in range(256)
                             if c not in b"(), \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")
 # "(" and ")" read as "," and " " deleted: k such tokens between single spaces split into
-# 6k + 1 fields, the numbers and an empty field at every index divisible by 3
+# 6k + 1 fields, the numbers and an empty field at every index divisible by 3.  An ASCII
+# text is split as bytes, which float() reads as it reads their text.
 _PAIR_FIELDS = str.maketrans("()", ",,", " ")
+_PAIR_BYTES = bytes.maketrans(b"()", b",,")
 
 
 def _pair_numbers(text: str, k: int):
     """The 4 numbers of each of k (re,im)(re,im) tokens between single spaces, as a (k, 4)
     float array, from one check of the text's marks and one float conversion; None for
     any other text, or when a number is malformed or not finite."""
-    if text.encode().translate(None, _ALL_BUT_PAIR_MARKS) != b" ".join([b"(,)(,)"] * k):
+    data = text.encode()
+    if data.translate(None, _ALL_BUT_PAIR_MARKS) != b" ".join([b"(,)(,)"] * k):
         return None
-    nums = text.translate(_PAIR_FIELDS).split(",")
+    nums = (data.translate(_PAIR_BYTES, b" ").split(b",") if len(data) == len(text)
+            else text.translate(_PAIR_FIELDS).split(","))
     if any(nums[::3]):  # text before, after or between the pairs of a token
         return None
     del nums[::3]
@@ -227,8 +360,9 @@ def _pair_numbers(text: str, k: int):
     return xy if np.isfinite(xy).all() else None
 
 
-def _parse_state(body: str, n: int, lineno: int) -> tuple:
-    """The amplitude pairs of a state line's text after 'state'.
+def _parse_state(body: str, n: int, lineno: int) -> np.ndarray:
+    """The amplitude pairs of a state line's text after 'state', as a read-only (n, 2)
+    complex array.
 
     The text of n (re,im)(re,im) tokens between single spaces, as render writes it, is
     read in one pass (_pair_numbers).  Any other text is split into its n tokens: a named
@@ -252,13 +386,14 @@ def _parse_state(body: str, n: int, lineno: int) -> tuple:
     # too; a zero or overflowing row fails the test
     with np.errstate(over="ignore", invalid="ignore"):
         off = np.flatnonzero(~(np.abs((xy * xy).sum(axis=1) - 1.0) <= 1e-12)).tolist()
-    amps = list(zip(*[iter(xy.view(complex).ravel().tolist())] * 2))
+    amps = xy.view(complex)
     for t in off:
-        amps[t] = _normalised(*amps[t], lineno)
+        amps[t] = _normalised(*amps[t].tolist(), lineno)
     if len(amps) < n:  # named tokens in between
-        rest = iter(amps)
-        amps = [_STATE_TOKENS.get(tok) or next(rest) for tok in toks]
-    return tuple(amps)
+        rest = iter(amps.tolist())
+        amps = np.array([_STATE_TOKENS.get(tok) or next(rest) for tok in toks], dtype=complex)
+    amps.setflags(write=False)
+    return amps
 
 
 def _normalised(a: complex, b: complex, lineno: int) -> tuple:
@@ -292,33 +427,20 @@ def _raise_amplitude_fault(pairs, lineno: int) -> None:
 
 
 def _gates_are_unitary(gates, tol: float) -> bool:
-    """Whether every gate is unitary."""
-    return _stacks_are_unitary(_class_params(gates, _positions(gates)), tol)
-
-
-def _class_params(gates, at) -> dict[str, dict[str, np.ndarray]]:
-    """The parameter stacks of every class of a gate list: each matrix class's raw
-    matrices, and the a, b and s values of the exp gates."""
-    params = {cls: _param_stacks([gates[i] for i in at[cls]], cls) for cls in _MATRIX_PARAMS}
-    exp = [gates[i] for i in at["exp"]]
-    params["exp"] = {"a": np.array([v for g in exp for _, v in g.param("a")], dtype=complex),
-                     "b": np.array([v for g in exp for _, v in g.param("b")], dtype=complex),
-                     "s": np.array([g.param("s") for g in exp], dtype=complex)}
-    return params
-
-
-def _stacks_are_unitary(params, tol: float) -> bool:
-    """Whether every gate is unitary, from the classes' parameter stacks.
+    """Whether every gate of a record, or of a sequence of GateSpecs, is unitary.
 
     The V, W, U and B matrices pass when M^H M = I entrywise within
     tol + 1e-5 |I|, the rule of np.allclose(M^H M, I, atol=tol); they are
     checked in one batch per shape.  diag entries must have unit modulus, and
     an exp gate needs a real, b and s imaginary (unitary up to global phase).
     """
-    exp = params["exp"]
-    if (np.any(np.abs(np.abs(params["diag"]["d"]) - 1.0) > tol)
-            or not (np.all(np.abs(exp["a"].imag) <= tol) and np.all(np.abs(exp["b"].real) <= tol)
-                    and np.all(np.abs(exp["s"].real) <= tol))):
+    gates = as_gates(gates)
+    params, vals, d = gates.params, gates.exp_values, gates.params["diag"]["d"]
+    a = gates.exp_pairs[:, 0] != 0  # the entries of a; the others are b's and s
+    if len(d) and np.any(np.abs(np.abs(d) - 1.0) > tol):
+        return False
+    if len(vals) and not (np.all(np.abs(vals[a].imag) <= tol)
+                          and np.all(np.abs(vals[~a].real) <= tol)):
         return False
     square = (np.concatenate([params["gvw"]["V"], params["gvw"]["W"], params["u1"]["U"]]),
               params["mg12"]["B"])
@@ -433,15 +555,16 @@ def _walk_gates(lines, n: int):
     entries are collected, unconverted, in walk order: each exp value, and the text inside
     each matrix's brackets, whose separators _convert checks against its shape.
 
-    Returns the positions of each class's gates, the supports of the matrix-class gates,
-    each class's texts, each exp gate's keys, and (position, ParseError) of the first
+    Returns the positions of each class's gates, the lines of the matrix-class gates one
+    after another, each class's texts, each exp gate's number of entries with their index
+    pairs (see _exp_key) one after another, and (position, ParseError) of the first
     structural fault, or (len(lines), None).  The walk stops at that fault; the texts its
     line gave before it are the last of their class.
     """
     at = {cls: [] for cls in GATE_CLASSES}
     supports = {cls: [] for cls in _MATRIX_PARAMS}
     texts = {cls: [] for cls in GATE_CLASSES}
-    exp_keys, keys = [], {}
+    exp_counts, exp_pairs, keys = [], [], {}
     try:
         for i, (lineno, fields) in enumerate(lines):
             cls, args = fields[0], fields[1:]
@@ -461,7 +584,8 @@ def _walk_gates(lines, n: int):
                     if idx in line_keys:
                         raise ParseError(f"repeated exp parameter {key!r}", lineno)
                     line_keys[idx] = None
-                exp_keys.append(tuple(line_keys))
+                    exp_pairs += idx
+                exp_counts.append(len(line_keys))
                 at[cls].append(i)
                 continue
             if cls == "gvw":
@@ -505,15 +629,16 @@ def _walk_gates(lines, n: int):
                 if not (tok.startswith("[") and tok.endswith("]")):
                     raise ParseError(f"expected bracketed matrix, got {tok!r}", lineno)
                 out.append(tok[1:-1])
-            supports[cls].append(support)
+            supports[cls] += support
             at[cls].append(i)
     except ParseError as fault:
-        return at, supports, texts, exp_keys, (i, fault)
-    return at, supports, texts, exp_keys, (len(lines), None)
+        return at, supports, texts, (exp_counts, exp_pairs), (i, fault)
+    return at, supports, texts, (exp_counts, exp_pairs), (len(lines), None)
 
 
 def _exp_key(key: str, n: int, lineno: int) -> tuple:
-    """An exp parameter's key as ("a", (mu, nu)), ("b", sigma) or ("s", None)."""
+    """An exp parameter's key as its index pair: (mu, nu) for a:mu,nu, (0, sigma) for
+    b:sigma and (0, 0) for s."""
     if key.startswith("a:"):
         idx = key[2:].split(",")
         if len(idx) != 2:
@@ -522,39 +647,38 @@ def _exp_key(key: str, n: int, lineno: int) -> tuple:
         nu = _parse_int(idx[1], lineno, "index")
         if not 1 <= mu < nu <= 2 * n:
             raise ParseError(f"quadratic index pair ({mu},{nu}) invalid for n={n}", lineno)
-        return "a", (mu, nu)
+        return mu, nu
     if key.startswith("b:"):
         sigma = _parse_int(key[2:], lineno, "index")
         if not 1 <= sigma <= 2 * n:
             raise ParseError(f"linear index {sigma} outside 1..{2 * n}", lineno)
-        return "b", sigma
+        return 0, sigma
     if key == "s":
-        return "s", None
+        return 0, 0
     raise ParseError(f"unknown exp parameter {key!r}", lineno)
 
 
 def _convert(cls: str, texts):
-    """The complex values of one class's walk texts, with i read as j, in one conversion
-    and one finiteness test, as a list and an array; None when a text's separators are
-    not those of its class (see _SEPARATORS) or an entry is malformed or not finite."""
+    """The complex values of one class's walk texts, with i read as j, as an array from
+    one conversion and one finiteness test; None when a text's separators are not those
+    of its class (see _SEPARATORS) or an entry is malformed or not finite."""
     if not texts:
-        return [], np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=complex)
     data = ",".join(texts)
     if data.encode().translate(None, _ALL_BUT_SEPARATORS) != b",".join(
             [_SEPARATORS[cls]] * len(texts)):
         return None
     try:
-        vals = list(map(complex, data.replace(";", ",").replace("i", "j").split(",")))
+        arr = np.array(list(map(complex, data.replace(";", ",").replace("i", "j").split(","))),
+                       dtype=complex)
     except ValueError:
         return None
-    arr = np.array(vals, dtype=complex)
-    return (vals, arr) if np.isfinite(arr).all() else None
+    return arr if np.isfinite(arr).all() else None
 
 
-def _read_gates(lines, n: int, tol: float):
-    """The gates of parse's gate lines [(lineno, fields)] and their classes' parameter
-    stacks, every gate checked; raises the first error among the lines' own errors and
-    the class rules, by line.
+def _read_gates(lines, n: int, tol: float) -> Gates:
+    """The Gates record of parse's gate lines [(lineno, fields)], every gate checked;
+    raises the first error among the lines' own errors and the class rules, by line.
 
     One walk (_walk_gates) checks every line's structure and collects the entry texts,
     and each class's texts go through one check of their separators and one conversion
@@ -565,14 +689,13 @@ def _read_gates(lines, n: int, tol: float):
     first).  The class rules then run on the gates above that line, and their first
     fault is raised before it.
     """
-    at, supports, texts, exp_keys, (fault, error) = _walk_gates(lines, n)
+    at, supports, texts, (exp_counts, exp_pairs), (fault, error) = _walk_gates(lines, n)
     stop = fault
     values = {cls: None if error else _convert(cls, texts[cls]) for cls in GATE_CLASSES}
     for cls in GATE_CLASSES:
         if values[cls] is None:
             matrices = _LINE_MATRICES.get(cls)
-            counts = ([len(keys) for keys in exp_keys] if matrices is None else
-                      [len(matrices)] * len(at[cls]))
+            counts = exp_counts if matrices is None else [len(matrices)] * len(at[cls])
             owners = [i for i, count in zip(at[cls], counts) for _ in range(count)]
             vals = []
             for t, text in enumerate(texts[cls]):
@@ -597,40 +720,24 @@ def _read_gates(lines, n: int, tol: float):
                     if i <= stop:
                         stop, error = i, exc
                     break
-            values[cls] = vals, np.array(vals, dtype=complex)
+            values[cls] = np.array(vals, dtype=complex)
     if error:
         at = {cls: pos[:bisect_left(pos, stop)] for cls, pos in at.items()}
-    gates = [None] * stop
     params = {}
     for cls, named in _MATRIX_PARAMS.items():
-        vals, arr = values[cls]
-        names = tuple(named)
-        shape = (len(at[cls]), len(names)) + named[names[0]]
-        stacks = arr[:math.prod(shape)].reshape(shape)
-        params[cls] = {name: stacks[:, j] for j, name in enumerate(names)}
-        groups = iter(vals)  # consecutive values grouped into nested tuples of shape[1:]
-        for size in reversed(shape[1:]):
-            groups = zip(*[groups] * size)
-        for i, support, group in zip(at[cls], supports[cls], groups):
-            gates[i] = GateSpec(cls, support, tuple(zip(names, group)))
-    vals, arr = values["exp"]
-    it = iter(vals)
-    for i, line_keys in zip(at["exp"], exp_keys):
-        a, b, s = {}, {}, 0j
-        for (kind, idx), val in zip(line_keys, it):  # takes len(line_keys) values from it
-            if kind == "a":
-                a[idx] = val
-            elif kind == "b":
-                b[idx] = val
-            else:
-                s = val
-        gates[i] = exp_spec(a, b, s)
-    kinds = np.array([kind for line_keys in exp_keys[:len(at["exp"])] for kind, _ in line_keys])
-    params["exp"] = {kind: arr[:len(kinds)][kinds == kind] for kind in "abs"}
+        shape = (len(at[cls]), len(named)) + next(iter(named.values()))
+        stacks = values[cls][:math.prod(shape)].reshape(shape)
+        params[cls] = {name: stacks[:, j] for j, name in enumerate(named)}
     _raise_first_fault(lines, at, params, tol)
     if error:
         raise error
-    return gates, params
+    order = np.empty(len(lines), dtype=np.int8)
+    for cls, code in _CODES.items():
+        order[at[cls]] = code
+    return Gates(order, {cls: np.array(supports[cls], dtype=np.intp).reshape(-1, width)
+                         for cls, width in _LINE_COUNTS.items()}, params,
+                 np.array(exp_pairs, dtype=np.intp).reshape(-1, 2), values["exp"],
+                 np.cumsum([0] + exp_counts))
 
 
 def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
@@ -647,7 +754,9 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
     k = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            fields = raw.split("#", 1)[0].split(None, 1)
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            fields = raw.split(None, 1)
             if not fields:
                 continue
             head, body = fields[0], fields[1] if len(fields) == 2 else ""
@@ -693,8 +802,8 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
     except ParseError:
         _read_gates(gate_lines, n, tol)
         raise
-    gates, params = _read_gates(gate_lines, n, tol)
-    return Circuit(n, state, tuple(gates), k, _stacks_are_unitary(params, max(tol, 1e-8)))
+    gates = _read_gates(gate_lines, n, tol)
+    return Circuit(n, state, gates, k, _gates_are_unitary(gates, max(tol, 1e-8)))
 
 
 def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
@@ -718,22 +827,20 @@ def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
     return out
 
 
-def _logarithms(gates, tol: float) -> dict:
+def _logarithms(gates: Gates, tol: float) -> dict:
     """Position -> the logarithm's coefficients of each gvw, mg12 and u1 gate, or the
     LogBranchError that refuses it: the 11 generator coefficients of a gvw or mg12
     gate, the u1_coords of a u1 gate."""
-    at = _positions(gates)
+    at = gates.at
     out = {}
-    pos = at["gvw"] + at["mg12"]
-    if pos:
-        coeffs, faults = matchgate.span_logs(matchgate.swap_convention(
-            gate_matrices([gates[i] for i in pos])), tol)
-        out.update(zip(pos, [c if f is None else f for c, f in zip(coeffs, faults)]))
-    if at["u1"]:
-        L, faults = matchgate.principal_logs(_param_stacks([gates[i] for i in at["u1"]],
-                                                           "u1")["U"])
-        out.update(zip(at["u1"], [c if f is None else f
-                                  for c, f in zip(u1_coords(L).T, faults)]))
+    pos = np.concatenate([at["gvw"], at["mg12"]])
+    if len(pos):
+        coeffs, faults = matchgate.span_logs(matchgate.swap_convention(gates.matrices(pos)), tol)
+        out.update(zip(pos.tolist(), [c if f is None else f for c, f in zip(coeffs, faults)]))
+    if len(at["u1"]):
+        L, faults = matchgate.principal_logs(gates.params["u1"]["U"])
+        out.update(zip(at["u1"].tolist(), [c if f is None else f
+                                           for c, f in zip(u1_coords(L).T, faults)]))
     return out
 
 

@@ -24,6 +24,8 @@ SCHEMA = 1
 
 ENGINES = ("quadratic", "lie", "dense")
 
+_DEFAULT_TOL = 1e-9  # --tol
+
 
 def _c2j(val: complex):
     return [float(val.real), float(val.imag)]
@@ -78,10 +80,10 @@ def _result_payload(res) -> dict:
 _SIMULATORS = {"quadratic": engine_quadratic.simulate, "lie": engine_lie.simulate}
 
 
-def _run_engine(engine: str, circ, tol: float, mode: str = oracle.INVERSE):
-    """One engine's result on a parsed circuit.  The quadratic engine and the oracle read
-    matrix gates off the parsed specs; only the Lie engine works on the compiled exp gates."""
-    state = circ.input_state()
+def _run_engine(engine: str, circ, state, tol: float, mode: str = oracle.INVERSE):
+    """One engine's result on a parsed circuit and its input state.  The quadratic engine
+    and the oracle read the parsed record; only the Lie engine works on the compiled exp
+    gates."""
     gates = circuits.compile(circ, tol=tol) if engine == "lie" else circ.gates
     if engine in _SIMULATORS:
         return _SIMULATORS[engine](gates, state, circ.k, unitary=circ.unitary, tol=tol)
@@ -99,7 +101,7 @@ def cmd_run(args) -> int:
         raise MgsimError(
             "--heisenberg-mode adjoint on a non-unitary circuit requires --engine dense"
         )
-    res = _run_engine(args.engine, circ, args.tol, args.heisenberg_mode)
+    res = _run_engine(args.engine, circ, circ.input_state(), args.tol, args.heisenberg_mode)
     return _emit({**_result_payload(res), "n": circ.n, "k": circ.k, "unitary": circ.unitary})
 
 
@@ -131,7 +133,8 @@ def cmd_compare(args) -> int:
     engines = ["quadratic", "lie"]
     if circ.n <= oracle.MAX_LINES:
         engines.append("dense")
-    results = {eng: _run_engine(eng, circ, args.tol) for eng in engines}
+    state = circ.input_state()
+    results = {eng: _run_engine(eng, circ, state, args.tol) for eng in engines}
     values = [r.expectation for r in results.values()]
     dev = max(abs(u - v) for u in values for v in values)
     return _emit({
@@ -142,12 +145,12 @@ def cmd_compare(args) -> int:
 
 
 def _parse_and_simulate(text: str):
-    """The quadratic engine's result on .mg text, with the seconds taken by parse and
-    by parse plus simulate."""
+    """The quadratic engine's result on .mg text, taken as `run` takes it, with the
+    seconds taken by parse and by parse plus simulate."""
     t0 = time.perf_counter()
     circ = circuits.parse(text)
     parsed = time.perf_counter()
-    res = engine_quadratic.simulate(circ.gates, circ.input_state(), circ.k, unitary=circ.unitary)
+    res = _run_engine("quadratic", circ, circ.input_state(), _DEFAULT_TOL)
     return res, parsed - t0, time.perf_counter() - t0
 
 
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def tol(p):
-        p.add_argument("--tol", type=_tolerance, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=_DEFAULT_TOL)
 
     p = sub.add_parser("run", help="simulate a circuit file")
     p.add_argument("circuit")

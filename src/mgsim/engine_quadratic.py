@@ -36,9 +36,15 @@ The value is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a product
 state m is semiseparable, so one left-to-right scan evaluates it, over the
 lines from the lowest to the highest one that u and v touch.
 
-Cost: O(G + sum_{kept g} s_g^2 + w) time for G gates, kept gates of support
-s_g and a scan over w <= n lines, on top of the O(n) columns; O(n + _CHUNK)
-memory.
+The gates come as the ``circuits.Gates`` record parse returns; GateSpecs, as
+compiled gates or in tests, are read into one by ``circuits.as_gates``.  Every
+gate's support comes from the record's line arrays and exp entries in one sort;
+a kept matrix gate's B is built from its class's stacks, and an exp gate's
+atilde entries are read only when it is kept.
+
+Cost: O(G log G + sum_{kept g} s_g^2 + w) time for G gates, kept gates of
+support s_g and a scan over w <= n lines, on top of the O(n) columns;
+O(n + G + _CHUNK) memory.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .circuits import gate_matrices
+from .circuits import GATE_CLASSES, Gates, as_gates
 from .errors import DimensionError, InconsistencyError
 from .jw import JwFamily
 from .pauli import ProductState
@@ -101,58 +107,75 @@ _CHUNK = 256
 
 # The support d indices of the classes on fixed lines: mg12 acts on d_0..d_4, and
 # u1's U (x) I commutes with d_3, d_4.
-_FIXED_SUPPORT = {"mg12": [0, 1, 2, 3, 4], "u1": [0, 1, 2]}
+_FIXED_SUPPORT = {"mg12": np.arange(5), "u1": np.arange(3)}
+_EXP = GATE_CLASSES.index("exp")
 
 
-def _read_gate(g, n: int) -> tuple[list[int], list | None]:
-    """Support d indices of a GateSpec's block and, for an exp gate, its atilde entries
-    [((mu, nu), atilde_{mu,nu})]; a DimensionError when the gate leaves the n lines.
+def _supports(gates: Gates, n: int) -> list[list[int]]:
+    """The support d indices of each gate's block, sorted, in application order, from
+    one sort of every gate's position * (2n + 1) + index; a DimensionError when a gate
+    leaves the n lines.
 
     gvw and diag preserve parity, so their support is the four indices of their two
     lines, without d_0.  An exp gate's support is d_0 (only when b has a nonzero
-    entry) and the indices of its nonzero coefficients, sorted; atilde_{mu,nu} =
-    a_{mu,nu}, atilde_{0,sigma} = i b_sigma / 2.
+    entry) and the indices of its nonzero coefficients.
     """
-    if max(g.lines, default=0) > n:
-        raise DimensionError(f"gate on lines {g.lines}, circuit has n={n}")
-    if g.cls != "exp":
-        if g.cls in _FIXED_SUPPORT:
-            return _FIXED_SUPPORT[g.cls], None
-        a, b = g.lines
-        return [2 * a - 1, 2 * a, 2 * b - 1, 2 * b], None
-    atilde = ([(pair, val) for pair, val in g.param("a") if val != 0]
-              + [((0, sigma), 0.5j * val) for sigma, val in g.param("b") if val != 0])
-    idx = sorted({mu for pair, _ in atilde for mu in pair})
-    if idx and idx[-1] > 2 * n:
-        raise DimensionError(f"exp gate on d index {idx[-1]}, circuit has n={n}")
-    return idx, atilde
+    gates.check_lines(n)
+    width = 2 * n + 1
+    keys = []
+    for cls, pos in gates.at.items():
+        if not len(pos):
+            continue
+        if cls == "exp":
+            pairs, starts = gates.exp_pairs, gates.exp_starts
+            live = (gates.exp_values != 0) & (pairs[:, 1] != 0)  # s, on (0, 0), is not one
+            owner = np.repeat(pos, starts[1:] - starts[:-1])[live, None]
+            keys.append((owner * width + pairs[live]).ravel())  # mu is 0 on b's entries: d_0
+        elif cls in _FIXED_SUPPORT:
+            keys.append((pos[:, None] * width + _FIXED_SUPPORT[cls]).ravel())
+        else:  # lines k, l: 2k - 1, 2k, 2l - 1, 2l
+            lines = gates.lines[cls][:, [0, 0, 1, 1]]
+            keys.append((pos[:, None] * width + 2 * lines - [1, 0, 1, 0]).ravel())
+    keys = np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.intp)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # each index once
+    ends = np.searchsorted(keys, np.arange(1, len(gates) + 1) * width).tolist()
+    idx = (keys % width).tolist()
+    return [idx[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _matrix_blocks(read) -> list[tuple[list[int], np.ndarray]]:
-    """Blocks K_ab = 1/4 tr(d_a B^{-1} d_b B) of matrix-class gates given as
-    (spec, support) pairs, through one stacked inverse, one stacked product and one
-    contraction against _D2T.
+def _atilde(gates: Gates, j: int) -> list:
+    """The atilde entries [((mu, nu), atilde_{mu,nu})] of the nonzero coefficients of exp
+    gate j: atilde_{mu,nu} = a_{mu,nu}, atilde_{0,sigma} = i b_sigma / 2."""
+    start, stop = gates.exp_starts[j:j + 2].tolist()
+    return [((mu, nu), val if mu else 0.5j * val)
+            for (mu, nu), val in zip(gates.exp_pairs[start:stop].tolist(),
+                                     gates.exp_values[start:stop].tolist()) if val != 0 and nu]
+
+
+def _matrix_blocks(B: np.ndarray, classes) -> list[np.ndarray]:
+    """Blocks K_ab = 1/4 tr(d_a B^{-1} d_b B) of a (G, 4, 4) stack of matrix-class
+    gates of the given classes, through one stacked inverse, one stacked product and
+    one contraction against _D2T.
 
     The Z strings left of (and, for diag, between) a gate's lines commute with
     B, so the two-line K carries over to the gate's global d indices.
     """
-    B = gate_matrices([spec for spec, _ in read])
     inv_d = np.linalg.inv(B)[:, :, _D2_ROW].transpose(0, 2, 1, 3) * _D2_PHASE[:, None, :]
     M = inv_d @ B[:, None]  # M[g, b] = B_g^{-1} d_b B_g
     K = 0.25 * (_D2T @ M.reshape(-1, 5, 16).transpose(0, 2, 1))
     out = []
-    for (spec, idx), k in zip(read, K):
-        if spec.cls == "mg12":
-            out.append((idx, k))
-        elif spec.cls == "u1":
-            out.append((idx, k[:3, :3]))
+    for cls, k in zip(classes, K):
+        if cls == "mg12":
+            out.append(k)
+        elif cls == "u1":
+            out.append(k[:3, :3])
         else:  # gvw and diag: d_0 is untouched
-            out.append((idx, k[1:, 1:]))
+            out.append(k[1:, 1:])
     return out
 
 
 def _exp_generators(exps) -> dict[int, tuple[list, np.ndarray]]:
-    """X = -4 atilde of exp gates given as (support, atilde) pairs from _read_gate,
+    """X = -4 atilde of exp gates given as (support, _atilde) pairs,
     grouped by block size: size -> ([(position, support)], (G, size, size) stack of X).
     """
     groups = {}
@@ -194,23 +217,25 @@ def _exp_blocks(exps) -> list[tuple[int, list[int], np.ndarray]]:
     return out
 
 
-def _blocks(read) -> list[tuple[list[int], np.ndarray]]:
-    """Support d indices and the transfer restricted to them, in order, for gates given
-    as _read_gate's (spec, support, atilde) triples; built class by class, and none
-    for an exp gate whose e^A is a scalar."""
-    matrix, exps, exp_at = [], [], []
-    for i, (_, idx, atilde) in enumerate(read):
-        if atilde is None:
-            matrix.append(i)
-        else:
-            exps.append((idx, atilde))
-            exp_at.append(i)
-    blocks = [None] * len(read)
+def _blocks(gates: Gates, kept: list, supports: list) -> list[tuple[list[int], np.ndarray]]:
+    """Support d indices and the transfer restricted to them, in order, for the gates at
+    positions ``kept``, read from the record's stacks class by class: the matrix-class
+    gates through one stacked inverse, the atilde entries of the exp gates only for
+    these.  None for an exp gate whose e^A is a scalar."""
+    pos = np.array(kept, dtype=np.intp)
+    codes = gates.order[pos].tolist()
+    matrix = [j for j, code in enumerate(codes) if code != _EXP]
+    exp_at = [j for j, code in enumerate(codes) if code == _EXP]
+    blocks = [None] * len(kept)
     if matrix:
-        for i, block in zip(matrix, _matrix_blocks([read[i][:2] for i in matrix])):
-            blocks[i] = block
-    for j, idx, K in _exp_blocks(exps):
-        blocks[exp_at[j]] = (idx, K)
+        classes = [GATE_CLASSES[codes[j]] for j in matrix]
+        for j, block in zip(matrix, _matrix_blocks(gates.matrices(pos[matrix]), classes)):
+            blocks[j] = (supports[kept[j]], block)
+    if exp_at:
+        ranks = np.searchsorted(gates.at["exp"], pos[exp_at]).tolist()
+        exps = [(supports[kept[j]], _atilde(gates, r)) for j, r in zip(exp_at, ranks)]
+        for j, idx, K in _exp_blocks(exps):
+            blocks[exp_at[j]] = (idx, K)
     return [b for b in blocks if b is not None]
 
 
@@ -221,7 +246,7 @@ def _observable_indices(k: int, n: int) -> tuple[int, int]:
     return 2 * k - 1, 2 * k
 
 
-def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
+def _propagate_columns(gates: Gates, n: int, mu: int, nu: int) -> np.ndarray:
     """Columns mu and nu of K_1 ... K_G as a (2n+1) x 2 array.
 
     The gates are walked last first from the cone {mu, nu}.  A gate whose support
@@ -229,20 +254,22 @@ def _propagate_columns(gates, n: int, mu: int, nu: int) -> np.ndarray:
     skipped; a gate that meets it adds its support to the cone.  Blocks are built
     for _CHUNK kept gates at a time.
     """
+    supports = _supports(gates, n)
     cols = np.zeros((2 * n + 1, 2), dtype=complex)
     cols[mu, 0] = cols[nu, 1] = 1.0
     cone = {mu, nu}
     kept = []
-    for g in reversed(gates):
-        idx, atilde = _read_gate(g, n)
+    for i in range(len(supports) - 1, -1, -1):
+        idx = supports[i]
         if cone.isdisjoint(idx):
             continue
         cone.update(idx)
-        kept.append((g, idx, atilde))
+        kept.append(i)
         if len(kept) == _CHUNK:
-            _apply_blocks(cols, _blocks(kept))
+            _apply_blocks(cols, _blocks(gates, kept, supports))
             kept = []
-    _apply_blocks(cols, _blocks(kept))
+    if kept:
+        _apply_blocks(cols, _blocks(gates, kept, supports))
     return cols
 
 
@@ -291,11 +318,12 @@ def simulate(gates, state: ProductState, k: int, unitary: bool | None = None,
              tol: float = 1e-9) -> SimResult:
     """<psi0| C^{-1} Z_k C |psi0> in poly(n) time.
 
-    ``gates`` are GateSpecs, parsed or compiled, in application order.
+    ``gates`` is a Gates record, or GateSpecs, parsed or compiled, in application order,
+    which ``circuits.as_gates`` reads into one.
     """
     n = state.n
     t0 = time.perf_counter()
-    gates = list(gates)
+    gates = as_gates(gates)
     cols = _propagate_columns(gates, n, *_observable_indices(k, n))
     value = -1j * _pair_form(cols[:, 0], cols[:, 1], state)
     elapsed = (time.perf_counter() - t0) * 1e3

@@ -4,14 +4,17 @@ State vectors index the computational basis with line 1 as the most
 significant bit.  The oracle refuses to run beyond MAX_LINES qubit lines: it
 exists to verify the polynomial-time engines, not to compete with them.
 
-Gates come as GateSpecs, parsed or compiled.  A gvw, diag, mg12 or u1 spec is
-applied as its own matrix B, and its inverse pass as B^-1; the B of all gvw
-and mg12 gates come from one ``circuits.gate_matrices`` call.  A reshape of the
-state puts the gate's lines on their own axes, so no exponential, logarithm or
-Pauli expansion is taken: u1 multiplies the leading axis by U, gvw and mg12 the
-axis of lines (k, k+1) by B, and diag scales the state by its four entries
-broadcast over lines k and l.  Closure-only matchgates, which have no logarithm
-in the span, therefore run here too.
+Gates come as a ``circuits.Gates`` record, or as GateSpecs, parsed or
+compiled, which ``circuits.as_gates`` reads into one.  A gvw, diag, mg12 or u1
+gate is applied as its own matrix B, and its inverse pass as B^-1: the B of all
+gvw and mg12 gates come from the record's stacks in one ``Gates.matrices``
+call, and the inverses of those and of the u1 gates are taken once per
+circuit, one stacked ``np.linalg.inv`` per shape.  A reshape of the state puts
+the gate's lines on their own axes, so no exponential, logarithm or Pauli
+expansion is taken: u1 multiplies the leading axis by U, gvw and mg12 the axis
+of lines (k, k+1) by B, and diag scales the state by its four entries broadcast
+over lines k and l.  Closure-only matchgates, which have no logarithm in the
+span, therefore run here too.
 
 An exp gate e^A, parsed or compiled, is expanded over Pauli strings, and its
 lines are split in two.  On an *active* line some term has X or Y; on a
@@ -35,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .circuits import gate_matrices
+from .circuits import as_gates
 from .errors import DimensionError, MgsimError, SizeLimitError
 from .exponents import to_pauli_sum
 from .jw import PARITY, JwFamily
@@ -144,21 +147,20 @@ def _split(g, n: int) -> tuple[tuple, np.ndarray]:
 
 
 class _MatrixGate(NamedTuple):
-    """A gvw, diag, mg12 or u1 gate as its own matrix on its lines.
+    """A gvw, diag, mg12 or u1 gate as its own matrix on its lines, and its inverse.
 
     ``matrix`` is U for u1, the four diagonal entries for diag and the 4x4 B
-    for gvw and mg12.
+    for gvw and mg12; ``inverse`` is U^-1, the reciprocal entries or B^-1.
     """
 
     cls: str
     lines: tuple
     matrix: np.ndarray
+    inverse: np.ndarray
 
     def apply(self, state: np.ndarray, inverse: bool = False) -> np.ndarray:
         """B (or B^-1) on a dense state; a reshape gives the gate's lines their own axes."""
-        m = self.matrix
-        if inverse:
-            m = 1 / m if self.cls == "diag" else np.linalg.inv(m)
+        m = self.inverse if inverse else self.matrix
         psi = np.asarray(state, dtype=complex)
         k = self.lines[0]
         if self.cls == "u1":
@@ -185,28 +187,32 @@ def _exponentiate(blocks: np.ndarray) -> np.ndarray:
 
 
 def _prepare(gates, n: int) -> list:
-    """The way the oracle applies each GateSpec of a list on n lines.
+    """The way the oracle applies each gate of a record, or of GateSpecs, on n lines.
 
-    The blocks of all exp gates are exponentiated together, one _exponentiate call
-    per block dimension, and the matrices of all gvw and mg12 gates built together.
+    The matrices of all gvw and mg12 gates are built together, and the inverses of
+    each class taken once: one np.linalg.inv call for the 4x4 gvw and mg12 stack, one
+    for the 2x2 u1 stack, and the reciprocals of the diag entries.  The blocks of all
+    exp gates are exponentiated together, one _exponentiate call per block dimension.
     """
     _check_n(n)
-    out, splits, square = [], {}, []
-    for i, g in enumerate(gates):
-        if max(g.lines, default=0) > n:
-            raise DimensionError(f"gate on lines {g.lines}, state has n={n}")
-        out.append(None)
-        if g.cls == "exp":
-            layout, blocks = _split(g, n)
-            splits.setdefault(blocks.shape[-1], []).append((i, layout, blocks))
-        elif g.cls == "u1":
-            out[i] = _MatrixGate(g.cls, g.lines, np.array(g.param("U"), dtype=complex))
-        elif g.cls == "diag":
-            out[i] = _MatrixGate(g.cls, g.lines, np.array(g.param("d"), dtype=complex))
-        else:
-            square.append(i)
-    for i, B in zip(square, gate_matrices([gates[i] for i in square])):
-        out[i] = _MatrixGate(gates[i].cls, gates[i].lines, B)
+    gates = as_gates(gates)
+    gates.check_lines(n)
+    at, params = gates.at, gates.params
+    B = gates.matrices(np.concatenate([at["gvw"], at["mg12"]]))
+    B_inv = np.linalg.inv(B)
+    g = len(at["gvw"])
+    matrices = {"gvw": (B[:g], B_inv[:g]), "mg12": (B[g:], B_inv[g:]),
+                "diag": (params["diag"]["d"], 1 / params["diag"]["d"]),
+                "u1": (params["u1"]["U"], np.linalg.inv(params["u1"]["U"]))}
+    out = [None] * len(gates)
+    for cls, (stack, inverses) in matrices.items():
+        for i, lines, m, inv in zip(at[cls].tolist(), gates.lines[cls].tolist(), stack,
+                                    inverses):
+            out[i] = _MatrixGate(cls, tuple(lines), m, inv)
+    splits = {}
+    for i in at["exp"].tolist():
+        layout, blocks = _split(gates[i], n)
+        splits.setdefault(blocks.shape[-1], []).append((i, layout, blocks))
     for group in splits.values():
         exps = _exponentiate(np.concatenate([blocks for _, _, blocks in group]))
         start = 0
@@ -223,10 +229,11 @@ ADJOINT = "adjoint"
 def expectation_heisenberg(gates, state: ProductState, k: int, mode: str = INVERSE) -> complex:
     """<psi0| C^{-1} Z_k C |psi0> (inverse mode) or <psi0| C^dag Z_k C |psi0> (adjoint).
 
-    ``gates`` are GateSpecs, parsed or compiled, in application order.  The two
-    modes coincide for unitary circuits.  Adjoint mode equals <C psi0| Z_k |C psi0>
-    and needs no inverses; inverse mode applies the inverse gates in reverse
-    order and fails on singular gates.
+    ``gates`` is a Gates record, or GateSpecs, parsed or compiled, in application
+    order.  The two modes coincide for unitary circuits.  Adjoint mode equals
+    <C psi0| Z_k |C psi0> and applies no inverse; inverse mode applies the inverse
+    gates in reverse order.  The inverses are taken when the gates are prepared, so a
+    singular gate, which parse refuses, fails in either mode.
     """
     n = state.n
     _check_n(n)

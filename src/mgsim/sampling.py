@@ -1,9 +1,9 @@
 """Random states, gates, and circuits for tests and benchmarks.
 
 Everything takes a numpy Generator so runs are reproducible from a seed.
-Circuits are produced as parsed GateSpec records, so the same generator
-drives the frontend round-trip tests, the engine cross-checks, and the CLI
-bench subcommand.
+Gates are produced as GateSpecs and circuits as the Circuit parse returns, so
+the same generator drives the frontend round-trip tests, the engine
+cross-checks, and the CLI bench subcommand.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matchgate
-from .circuits import GATE_CLASSES, Circuit, GateSpec, _gates_are_unitary, exp_spec
+from .circuits import GATE_CLASSES, Circuit, GateSpec, _gates_are_unitary, as_gates, exp_spec
 from .pauli import ProductState
 
 
@@ -81,14 +81,12 @@ def random_circuit(n: int, depth: int, rng: np.random.Generator,
                    computational_input: bool = False) -> Circuit:
     classes = [c for c in classes if n >= 2 or c in ("u1", "exp")]
     strength = min(1.0, 2.0 / max(depth, 1))
-    gates = tuple(random_gate(str(rng.choice(classes)), n, rng, unitary, strength)
-                  for _ in range(depth))
+    gates = as_gates([random_gate(str(rng.choice(classes)), n, rng, unitary, strength)
+                      for _ in range(depth)])
     if computational_input:
-        state = tuple(((1.0 + 0j, 0j) if b == 0 else (0j, 1.0 + 0j))
-                      for b in rng.integers(0, 2, size=n))
+        state = np.eye(2, dtype=complex)[rng.integers(0, 2, size=n)]
     else:
-        amps = random_state(n, rng).amps
-        state = tuple(tuple(row) for row in amps)
+        state = random_state(n, rng).amps
     k = int(rng.integers(1, n + 1))
     flag = _gates_are_unitary(gates, 1e-8)
     return Circuit(n, state, gates, k, flag)

@@ -8,8 +8,8 @@ import scipy.linalg
 from mgsim import circuits
 from mgsim.engine_lie import _apply_blocks, _generator_blocks, dimension, element, gate_coefficients
 from mgsim.circuits import GateSpec, exp_spec
-from mgsim.engine_quadratic import (_blocks, _exp_generators, _observable_indices,
-                                     _propagate_columns, _read_gate)
+from mgsim.engine_quadratic import (_atilde, _blocks, _exp_generators, _observable_indices,
+                                     _propagate_columns, _supports)
 from mgsim.errors import InconsistencyError
 from mgsim.exponents import to_pauli_sum
 from mgsim.jw import PARITY, JwFamily
@@ -46,7 +46,7 @@ def heisenberg_observable(gates, k: int, family: JwFamily) -> dict:
     """C^{-1} Z_k C expanded as Pauli terms {(x_mask, z_mask): coeff} over the family's
     n lines, from the quadratic engine's two propagated columns."""
     n = family.n
-    cols = _propagate_columns(list(gates), n, *_observable_indices(k, n))
+    cols = _propagate_columns(circuits.as_gates(gates), n, *_observable_indices(k, n))
     u, v = cols[:, 0], cols[:, 1]
     B = -0.5j * (np.outer(u, v) - np.outer(v, u))
     out = _expand_coeff_matrix(B, family)
@@ -162,14 +162,16 @@ def is_unitary_exponent(g: GateSpec, tol: float = 1e-8) -> bool:
 def exp_block_generator(g: GateSpec, n: int) -> tuple[list[int], np.ndarray]:
     """The support and X = -4 atilde of the quadratic engine's block for an exp gate on
     n lines, before the engine exponentiates it."""
-    [(gates, X)] = _exp_generators([_read_gate(g, n)]).values()
-    return gates[0][1], X[0]
+    gates = circuits.as_gates([g])
+    [(held, X)] = _exp_generators([(_supports(gates, n)[0], _atilde(gates, 0))]).values()
+    return held[0][1], X[0]
 
 
 def gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
     """The quadratic engine's support d indices and the transfer restricted to them, for
     each GateSpec of a list on n lines, built as the engine builds a chunk of kept gates."""
-    return _blocks([(g, *_read_gate(g, n)) for g in gates])
+    gates = circuits.as_gates(gates)
+    return _blocks(gates, list(range(len(gates))), _supports(gates, n))
 
 
 def gate_transfer(g: GateSpec, n: int) -> np.ndarray:

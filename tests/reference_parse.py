@@ -13,8 +13,8 @@ reader accepts, its values and its messages are fixed here.
 import cmath
 import math
 
-from mgsim.circuits import (GATE_CLASSES, Circuit, GateSpec, _class_params, _positions,
-                            _raise_first_fault, _stacks_are_unitary, exp_spec)
+from mgsim.circuits import (GATE_CLASSES, Circuit, GateSpec, _gates_are_unitary,
+                            _raise_first_fault, as_gates, exp_spec)
 from mgsim.errors import ParseError
 
 _STATE_TOKENS = {
@@ -197,13 +197,17 @@ def _read_gates(lines, n: int, tol: float):
         for lineno, fields in lines:
             gates.append(_parse_gate(fields, n, lineno))
     except ParseError:
-        at = _positions(gates)
-        _raise_first_fault(lines, at, _class_params(gates, at), tol)
+        _raise_class_rules(lines, gates, tol)
         raise
-    at = _positions(gates)
-    params = _class_params(gates, at)
-    _raise_first_fault(lines, at, params, tol)
-    return gates, params
+    return _raise_class_rules(lines, gates, tol)
+
+
+def _raise_class_rules(lines, gates, tol: float):
+    """The record of the gates, after the class rules ran on it."""
+    record = as_gates(gates)
+    at = {cls: pos.tolist() for cls, pos in record.at.items()}
+    _raise_first_fault(lines, at, record.params, tol)
+    return record
 
 
 def parse(text: str, tol: float = 1e-9) -> Circuit:
@@ -263,5 +267,5 @@ def parse(text: str, tol: float = 1e-9) -> Circuit:
     except ParseError:
         _read_gates(gate_lines, n, tol)
         raise
-    gates, params = _read_gates(gate_lines, n, tol)
-    return Circuit(n, state, tuple(gates), k, _stacks_are_unitary(params, max(tol, 1e-8)))
+    gates = _read_gates(gate_lines, n, tol)
+    return Circuit(n, state, gates, k, _gates_are_unitary(gates, max(tol, 1e-8)))

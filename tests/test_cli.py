@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,8 +14,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgsim import circuits, matchgate, sampling
+from mgsim import circuits, cli, engine_lie, engine_quadratic, matchgate, oracle, sampling
 from mgsim.cli import main
+from mgsim.errors import MgsimError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -602,3 +604,108 @@ def matrix_json(draw):
 @given(matrix_json())
 def test_matrix_commands_keep_the_cli_contract_on_any_json(tmp_path_factory, argv, text):
     _assert_cli_contract(tmp_path_factory, argv, text)
+
+
+def _all_classes_file(tmp_path, unitary=True) -> str:
+    """A rendered circuit with every gate class twice, on 4 lines."""
+    rng = np.random.default_rng(11)
+    gates = tuple(sampling.random_gate(cls, 4, rng, unitary=unitary)
+                  for cls in circuits.GATE_CLASSES * 2)
+    path = tmp_path / "all_classes.mg"
+    path.write_text(circuits.render(circuits.Circuit(4, ((0.6, 0.8j),) * 4, gates, 2, False)))
+    return str(path)
+
+
+def test_run_builds_no_gatespec(capsys, tmp_path, monkeypatch):
+    # `run` goes from the parsed stacks to the quadratic engine: no GateSpec view and no
+    # exp_spec is built on the way, for any of the five classes
+    path = _all_classes_file(tmp_path)
+    built = []
+    init = circuits.GateSpec.__init__
+    monkeypatch.setattr(circuits.GateSpec, "__init__",
+                        lambda self, *args: built.append(args[0]) or init(self, *args))
+    exp_spec = circuits.exp_spec
+    monkeypatch.setattr(circuits, "exp_spec",
+                        lambda *args: built.append("exp_spec") or exp_spec(*args))
+    code, data = run_json(capsys, ["run", path])
+    assert code == 0 and data["gates"] == 10 and built == []
+    code, data = run_json(capsys, ["compare", path])  # compile builds them, on demand
+    assert code == 0 and "exp_spec" in built
+
+
+def test_one_input_state_per_call(capsys, tmp_path, monkeypatch):
+    # compare hands one ProductState to all three engines, and bench times run's path
+    path = _all_classes_file(tmp_path)
+    states, engines = [], []
+    input_state = circuits.Circuit.input_state
+    monkeypatch.setattr(circuits.Circuit, "input_state",
+                        lambda self: states.append(self.n) or input_state(self))
+    code, data = run_json(capsys, ["compare", path])
+    assert code == 0 and len(data["engines"]) == 3 and states == [4]
+    run_engine = cli._run_engine
+    monkeypatch.setattr(cli, "_run_engine",
+                        lambda engine, *args: engines.append(engine) or run_engine(engine, *args))
+    code, data = run_json(capsys, ["bench", "--n", "8,16", "--gates", "20", "--seed", "7"])
+    assert code == 0 and engines == ["quadratic"] * 4 and states == [4, 8, 8, 16, 16]
+
+
+def _outcome_bits(call):
+    """A call's value as its repr, so that the sign of a zero counts, or its error."""
+    try:
+        with np.errstate(all="ignore"):
+            value = call()
+    except Exception as exc:  # compared, not hidden: both sides must fail alike
+        return type(exc).__name__, str(exc)
+    return repr(getattr(value, "expectation", value))
+
+
+def _assert_engines_read_the_record_as_its_gatespecs(circ):
+    """The record parse filled and the one as_gates reads from the same gates' GateSpecs
+    give the quadratic engine and the oracle the same values, bit for bit."""
+    again = dataclasses.replace(circ, gates=tuple(circ.gates))
+    assert again.gates is not circ.gates and again.gates == circ.gates
+    state = circ.input_state()
+    for run in (lambda c: engine_quadratic.simulate(c.gates, state, c.k, unitary=c.unitary),
+                lambda c: oracle.expectation_heisenberg(c.gates, state, c.k)):
+        assert _outcome_bits(lambda: run(circ)) == _outcome_bits(lambda: run(again))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mg_files())
+def test_engines_read_the_parsed_record_as_its_gatespecs(text):
+    try:
+        circ = circuits.parse(text)
+    except MgsimError:
+        return
+    _assert_engines_read_the_record_as_its_gatespecs(circ)
+
+
+def test_engines_read_every_class_of_the_record_as_its_gatespecs():
+    # mg_files' random matrices seldom pass the gvw, diag and mg12 rules; these do
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        circ = sampling.random_circuit(1 + trial % 6, 30, rng, unitary=bool(trial % 2))
+        _assert_engines_read_the_record_as_its_gatespecs(circuits.parse(circuits.render(circ)))
+
+
+def test_per_class_sub_circuits_compile_and_run_on_every_engine(tmp_path):
+    # a circuit cut into one sub-circuit per class, as a caller tracing compile class by
+    # class builds them: each compiles and runs on the three engines, and the pieces
+    # put back in order are the whole circuit's compiled gates
+    for unitary in (True, False):
+        circ = circuits.parse(Path(_all_classes_file(tmp_path, unitary)).read_text())
+        state = circ.input_state()
+        gates = [None] * len(circ.gates)
+        for cls in circuits.GATE_CLASSES:
+            idx = [i for i, g in enumerate(circ.gates) if g.cls == cls]
+            sub = dataclasses.replace(circ, gates=tuple(circ.gates[i] for i in idx))
+            compiled = circuits.compile(sub)
+            for i, g in zip(idx, compiled):
+                gates[i] = g
+            values = [engine_quadratic.simulate(sub.gates, state, sub.k).expectation,
+                      engine_quadratic.simulate(compiled, state, sub.k).expectation,
+                      engine_lie.simulate(compiled, state, sub.k).expectation,
+                      oracle.expectation_heisenberg(sub.gates, state, sub.k),
+                      oracle.expectation_heisenberg(compiled, state, sub.k)]
+            assert max(abs(v - values[0]) for v in values) < 1e-9, (cls, values)
+        assert repr(gates) == repr(circuits.compile(circ))

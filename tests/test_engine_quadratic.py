@@ -290,7 +290,7 @@ def test_batched_blocks_match_the_per_gate_reference(n, count):
     cols[1, 0] = cols[2, 1] = 1.0
     for idx, ref in reversed(refs):
         cols[idx] = ref @ cols[idx]
-    got = _propagate_columns(gates, n, 1, 2)
+    got = _propagate_columns(circuits.as_gates(gates), n, 1, 2)
     assert np.abs(got - cols).max() <= 1e-12 * max(1.0, np.abs(cols).max())
 
 
@@ -308,9 +308,9 @@ def _count_built_gates(monkeypatch) -> list[int]:
     built = []
     blocks = engine_quadratic._blocks
 
-    def counting(read):
-        built.append(len(read))
-        return blocks(read)
+    def counting(gates, kept, supports):
+        built.append(len(kept))
+        return blocks(gates, kept, supports)
 
     monkeypatch.setattr(engine_quadratic, "_blocks", counting)
     return built
@@ -343,7 +343,7 @@ def test_pruned_columns_equal_the_full_propagation(n, unitary, monkeypatch):
     built = _count_built_gates(monkeypatch)
     for k in sorted({1, (n + 1) // 2, n}):
         mu, nu = 2 * k - 1, 2 * k
-        assert np.array_equal(_propagate_columns(gates, n, mu, nu),
+        assert np.array_equal(_propagate_columns(circuits.as_gates(gates), n, mu, nu),
                               _reference_columns(gates, n, mu, nu))
     assert n < 300 or sum(built) < 3 * count  # some gates were skipped
 
@@ -359,7 +359,7 @@ def test_a_cone_that_stays_on_one_line(monkeypatch):
         gates.insert(10 * i, exp_gate(a={(2 * k - 1, 2 * k): rotation}))
     state = sampling.random_state(n, rng)
     built = _count_built_gates(monkeypatch)
-    cols = _propagate_columns(gates, n, 2 * k - 1, 2 * k)
+    cols = _propagate_columns(circuits.as_gates(gates), n, 2 * k - 1, 2 * k)
     assert built == [30]
     assert np.array_equal(cols, _reference_columns(gates, n, 2 * k - 1, 2 * k))
     assert np.flatnonzero(cols.any(axis=1)).tolist() == [2 * k - 1, 2 * k]

@@ -183,7 +183,7 @@ def test_diagonalizable_gates_compile_without_logm(rng, monkeypatch, cls, unitar
     monkeypatch.setattr(mg, "_EIGEN_COND", 0.0)
     reference = _compile_specs(specs, 2)
     for spec, g, h in zip(specs, eigen, reference):
-        B = circuits.gate_matrices([spec])[0]  # on n = 2 the gate's matrix is the register's
+        B = circuits.as_gates([spec]).matrices([0])[0]  # on n = 2, the register's matrix
         assert np.linalg.norm(dense_gate(g, 2) - B) <= 1e-12 * max(1.0, np.linalg.norm(B))
         assert _coefficient_gap(g, h) <= 1e-12
 
@@ -225,7 +225,7 @@ def _log_operand(spec):
     the tilde convention, or U."""
     if spec.cls == "u1":
         return np.array(spec.param("U"), dtype=complex)
-    return mg.swap_convention(circuits.gate_matrices([spec])[0])
+    return mg.swap_convention(circuits.as_gates([spec]).matrices([0])[0])
 
 
 def test_compile_takes_one_eigendecomposition_per_class_stack(rng, monkeypatch):

@@ -237,7 +237,7 @@ def test_compile_mixed_circuit_matches_dense(rng):
         if spec.cls == "exp":
             ref = dense_gate(spec, n) @ ref
         else:  # a u1 gate's matrix is U (x) I on lines 1, 2
-            ref = apply_matrix(ref, circuits.gate_matrices([spec])[0],
+            ref = apply_matrix(ref, circuits.as_gates([spec]).matrices([0])[0],
                                (1, 2) if spec.cls == "u1" else spec.lines, n)
     assert np.linalg.norm(psi - ref) < 1e-9
 
@@ -327,8 +327,8 @@ def test_matrix_round_trip_is_exact(rng):
                        for row in t[1:-1].split(";")) for t in texts)
     got = tuple(g.param("U") for g in parse(text).gates)
     assert got == want and repr(got) == repr(want)
-    _, params = circuits._read_gates([(i, ["u1", f"U={t}"]) for i, t in enumerate(texts)], 1, 1e-9)
-    assert repr(params["u1"]["U"].tolist()) == repr([[list(row) for row in m] for m in want])
+    gates = circuits._read_gates([(i, ["u1", f"U={t}"]) for i, t in enumerate(texts)], 1, 1e-9)
+    assert repr(gates.params["u1"]["U"].tolist()) == repr([[list(row) for row in m] for m in want])
 
 
 @pytest.mark.parametrize("text, error", [

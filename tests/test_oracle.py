@@ -226,7 +226,7 @@ def test_matrix_spec_kernels_match_apply_matrix(rng, cls):
         lines = (1, 2) if cls == "u1" else spec.lines
         apart += lines[1] - lines[0] > 1
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        B = circuits.gate_matrices([spec])[0]
+        B = circuits.as_gates([spec]).matrices([0])[0]
         for inverse, matrix in ((False, B), (True, np.linalg.inv(B))):
             ref = apply_matrix(psi, matrix, lines, n)
             gap = np.abs(apply_gate(psi, spec, n, inverse=inverse) - ref).max()
@@ -289,3 +289,21 @@ def test_spec_outside_the_register_is_refused(rng):
     spec = sampling.random_gate("gvw", 5, rng)
     with pytest.raises(DimensionError):
         apply_gate(np.zeros(1 << 3, dtype=complex), spec, 3)
+
+
+def test_inverses_are_taken_once_per_circuit(rng, monkeypatch):
+    # one stacked inverse for the 4x4 gvw and mg12 matrices and one for the 2x2 u1
+    # matrices, whatever the number of gates; a stacked inverse is bitwise the inverse
+    # of each matrix taken alone, so the values are those of per-gate inverses
+    for shape, count in (((4, 4), 500), ((2, 2), 300)):
+        stack = rng.normal(size=(count,) + shape) + 1j * rng.normal(size=(count,) + shape)
+        inverses = np.linalg.inv(stack)
+        assert all(np.array_equal(inv, np.linalg.inv(m)) for inv, m in zip(inverses, stack))
+    circ = sampling.random_circuit(4, 60, rng, unitary=False)
+    assert {g.cls for g in circ.gates} == set(circuits.GATE_CLASSES)
+    state = circ.input_state()
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.shape(a)[1:]) or inv(a))
+    expectation_heisenberg(circ.gates, state, circ.k, INVERSE)
+    assert sorted(calls) == [(2, 2), (4, 4)]
