@@ -38,13 +38,13 @@ lines from the lowest to the highest one that u and v touch.
 
 The gates come as the ``circuits.Gates`` record parse returns; GateSpecs, as
 compiled gates or in tests, are read into one by ``circuits.as_gates``.  Every
-gate's support comes from the record's line arrays and exp entries in one sort;
-a kept matrix gate's B is built from its class's stacks, and an exp gate's
-atilde entries are read only when it is kept.
+gate's support is read off the record's line arrays and exp entries; a kept
+matrix gate's B is built from its class's stacks, and an exp gate's atilde
+entries are read only when it is kept.
 
-Cost: O(G log G + sum_{kept g} s_g^2 + w) time for G gates, kept gates of
-support s_g and a scan over w <= n lines, on top of the O(n) columns;
-O(n + G + _CHUNK) memory.
+Cost: O(G + sum_{kept g} s_g^2 + w) time for G gates, kept gates of support
+s_g and a scan over w <= n lines, on top of the O(n) columns; O(n + G + _CHUNK)
+memory.
 """
 
 from __future__ import annotations
@@ -107,40 +107,35 @@ _CHUNK = 256
 
 # The support d indices of the classes on fixed lines: mg12 acts on d_0..d_4, and
 # u1's U (x) I commutes with d_3, d_4.
-_FIXED_SUPPORT = {"mg12": np.arange(5), "u1": np.arange(3)}
+_FIXED_SUPPORT = {"mg12": [0, 1, 2, 3, 4], "u1": [0, 1, 2]}
 _EXP = GATE_CLASSES.index("exp")
 
 
 def _supports(gates: Gates, n: int) -> list[list[int]]:
-    """The support d indices of each gate's block, sorted, in application order, from
-    one sort of every gate's position * (2n + 1) + index; a DimensionError when a gate
-    leaves the n lines.
+    """The support d indices of each gate's block, sorted, in application order; a
+    DimensionError when a gate leaves the n lines.
 
     gvw and diag preserve parity, so their support is the four indices of their two
     lines, without d_0.  An exp gate's support is d_0 (only when b has a nonzero
     entry) and the indices of its nonzero coefficients.
     """
     gates.check_lines(n)
-    width = 2 * n + 1
-    keys = []
+    out = [None] * len(gates)
     for cls, pos in gates.at.items():
-        if not len(pos):
-            continue
-        if cls == "exp":
-            pairs, starts = gates.exp_pairs, gates.exp_starts
-            live = (gates.exp_values != 0) & (pairs[:, 1] != 0)  # s, on (0, 0), is not one
-            owner = np.repeat(pos, starts[1:] - starts[:-1])[live, None]
-            keys.append((owner * width + pairs[live]).ravel())  # mu is 0 on b's entries: d_0
-        elif cls in _FIXED_SUPPORT:
-            keys.append((pos[:, None] * width + _FIXED_SUPPORT[cls]).ravel())
-        else:  # lines k, l: 2k - 1, 2k, 2l - 1, 2l
-            lines = gates.lines[cls][:, [0, 0, 1, 1]]
-            keys.append((pos[:, None] * width + 2 * lines - [1, 0, 1, 0]).ravel())
-    keys = np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.intp)
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # each index once
-    ends = np.searchsorted(keys, np.arange(1, len(gates) + 1) * width).tolist()
-    idx = (keys % width).tolist()
-    return [idx[start:end] for start, end in zip([0] + ends, ends)]
+        if cls in _FIXED_SUPPORT:
+            for i in pos.tolist():
+                out[i] = _FIXED_SUPPORT[cls]
+        elif cls == "exp":
+            pairs, vals = gates.exp_pairs.tolist(), gates.exp_values.tolist()
+            starts = gates.exp_starts.tolist()
+            for i, start, stop in zip(pos.tolist(), starts, starts[1:]):
+                # mu is 0 on b's entries, d_0; s, on (0, 0), has no index
+                out[i] = sorted({mu for pair, val in zip(pairs[start:stop], vals[start:stop])
+                                 if val != 0 and pair[1] for mu in pair})
+        else:
+            for i, (k, l) in zip(pos.tolist(), gates.lines[cls].tolist()):
+                out[i] = [2 * k - 1, 2 * k, 2 * l - 1, 2 * l]
+    return out
 
 
 def _atilde(gates: Gates, j: int) -> list:
