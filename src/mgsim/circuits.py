@@ -8,13 +8,11 @@ each gate class's texts then go through one check of their separators, one compl
 conversion and one finiteness test, straight into the class's stacks.  Only when that
 fails, or the walk met a fault, are a class's texts read one at a time, to name the
 first error in the file.  The state line's pairs go through one check of their marks
-and one float conversion the same way, into an (n, 2) array.  A gate's ``GateSpec`` is
-a view, built from the record only when it is asked for (``render``, ``compile`` and
-the Lie engine read them); a sequence of GateSpecs is read into a record by
-``as_gates``, so the engines read one record whichever they are given.
-``compile`` turns each gate into the exp gate e^A of its Jordan-Wigner exponent
-(see ``exponents``), so a compiled circuit is one an all-exp circuit file would
-parse to, and every engine reads it as it reads a parsed exp line.
+and one float conversion the same way, into an (n, 2) array.  ``compile`` writes the
+record of each gate's exp gate e^A, A its Jordan-Wigner exponent (see ``exponents``), as
+an all-exp circuit file would parse to, and the engines and ``render`` read records.  A
+``GateSpec`` is a per-gate view of a record for callers outside the package, and
+``as_gates`` reads a sequence of them into a record.
 
 Grammar (one statement per line, '#' starts a comment):
 
@@ -70,9 +68,8 @@ class GateSpec:
     parameters.
 
     Parameters are a sorted tuple of (name, value) pairs, matrix values nested tuples
-    of complex numbers, so specs are hashable and compare exactly.  A parsed circuit
-    keeps its gates as a ``Gates`` record and builds these only on demand; compile
-    returns its exp gates as GateSpecs.
+    of complex numbers, so specs are hashable and compare exactly.  A ``Gates`` record
+    gives its gates as these views, built on demand; nothing in the package reads them.
     """
 
     cls: str
@@ -149,10 +146,11 @@ class Gates:
     positions of each class's gates.  A matrix class keeps the 1-based lines of its
     gates as one integer array, ``lines[cls]``, and its raw matrices as one complex
     stack per name, ``params[cls]`` (see _MATRIX_PARAMS), in the order of its gates.
-    Each coefficient of an exp gate (of a parsed one, each its line writes) is one
-    entry: ``exp_pairs`` holds its indices, (mu, nu) for a:mu,nu, (0, sigma) for
-    b:sigma and (0, 0) for s, and ``exp_values`` its value; exp gate j has the entries
-    ``exp_starts[j]`` up to ``exp_starts[j + 1]``.
+    Each coefficient of an exp gate (of a parsed one, each its line writes, in line
+    order; else a by (mu, nu), then b by sigma, then s) is one entry: ``exp_pairs``
+    holds its indices, (mu, nu) for a:mu,nu, (0, sigma) for b:sigma and (0, 0) for s,
+    and ``exp_values`` its value; exp gate j has the entries ``exp_starts[j]`` up to
+    ``exp_starts[j + 1]``.
 
     It reads as a sequence of GateSpecs, built on first use; two records are equal
     when their GateSpecs are.
@@ -191,29 +189,21 @@ class Gates:
         if self._specs is None:
             specs = [None] * len(self)
             for cls, named in _MATRIX_PARAMS.items():
-                if not len(self.at[cls]):
-                    continue
-                # each gate's values, name by name, grouped into nested tuples
-                groups = iter(np.stack(list(self.params[cls].values()), axis=1).ravel().tolist())
-                for size in reversed((len(named),) + next(iter(named.values()))):
-                    groups = zip(*[groups] * size)
-                for i, lines, group in zip(self.at[cls].tolist(), self.lines[cls].tolist(),
-                                           groups):
-                    specs[i] = GateSpec(cls, tuple(lines), tuple(zip(named, group)))
-            pairs, vals = self.exp_pairs.tolist(), self.exp_values.tolist()
-            starts = self.exp_starts.tolist()
-            for i, start, stop in zip(self.at["exp"].tolist(), starts, starts[1:]):
-                a, b, s = {}, {}, 0j
-                for (mu, nu), val in zip(pairs[start:stop], vals[start:stop]):
-                    if mu:
-                        a[mu, nu] = val
-                    elif nu:
-                        b[nu] = val
-                    else:
-                        s = val
-                specs[i] = exp_spec(a, b, s)
+                stacks = [stack.tolist() for stack in self.params[cls].values()]
+                for i, lines, *values in zip(self.at[cls].tolist(), self.lines[cls].tolist(),
+                                             *stacks):  # a matrix as a tuple of row tuples
+                    rows = [tuple(v) if cls == "diag" else tuple(map(tuple, v)) for v in values]
+                    specs[i] = GateSpec(cls, tuple(lines), tuple(zip(named, rows)))
+            for i, entries in zip(self.at["exp"].tolist(), self.exp_entries()):
+                specs[i] = exp_spec(*_exp_parts(entries))
             self._specs = tuple(specs)
         return self._specs
+
+    def exp_entries(self) -> list:
+        """Each exp gate's entries as one list [((mu, nu), value)], in the record's order."""
+        entries = list(zip(self.exp_pairs.tolist(), self.exp_values.tolist()))
+        starts = self.exp_starts.tolist()
+        return [entries[start:stop] for start, stop in zip(starts, starts[1:])]
 
     def matrices(self, pos) -> np.ndarray:
         """The 4x4 matrices of the gvw, diag, mg12 and u1 gates at positions ``pos``, as
@@ -255,22 +245,40 @@ def as_gates(gates) -> Gates:
                                    dtype=complex).reshape((-1,) + shape)
                     for name, shape in named.items()}
               for cls, named in _MATRIX_PARAMS.items()}
-    pairs, values, starts = [], [], [0]
-    for g in of["exp"]:
-        a, b = g.param("a"), g.param("b")
-        pairs += [pair for pair, _ in a] + [(0, sigma) for sigma, _ in b] + [(0, 0)]
-        values += [val for _, val in a] + [val for _, val in b] + [g.param("s")]
-        starts.append(len(pairs))
     return Gates(np.array([_CODES[g.cls] for g in gates], dtype=np.int8), lines, params,
-                 np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(values, dtype=complex),
-                 np.array(starts))
+                 *_exp_arrays((g.param("a"), g.param("b"), g.param("s")) for g in of["exp"]))
+
+
+def _exp_arrays(exps) -> tuple:
+    """A record's exp arrays for exp gates (a, b, s), a and b as sorted items (see Gates)."""
+    pairs, values, starts = [], [], [0]
+    for a, b, s in exps:
+        pairs += [pair for pair, _ in a] + [(0, sigma) for sigma, _ in b] + [(0, 0)]
+        values += [val for _, val in a] + [val for _, val in b] + [s]
+        starts.append(len(pairs))
+    return (np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(values, dtype=complex),
+            np.array(starts))
+
+
+def _exp_parts(entries) -> tuple[dict, dict, complex]:
+    """(a, b, s) of an exp gate's entries [((mu, nu), value)]: a {(mu, nu): value},
+    b {sigma: value} and s, 0 when no entry gives it."""
+    a, b, s = {}, {}, 0j
+    for (mu, nu), val in entries:
+        if mu:
+            a[mu, nu] = val
+        elif nu:
+            b[nu] = val
+        else:
+            s = val
+    return a, b, s
 
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """A parsed circuit: n lines, the input state as a read-only (n, 2) complex array of
-    amplitude pairs, the gates as a Gates record (a sequence of GateSpecs given here is
-    read into one), the measured line k and whether every gate is unitary."""
+    amplitude pairs, the gates as a Gates record (GateSpecs given here are read into one),
+    the measured line k and whether every gate is unitary."""
 
     n: int
     state: np.ndarray
@@ -426,15 +434,14 @@ def _raise_amplitude_fault(pairs, lineno: int) -> None:
         _normalised(*amps, lineno)
 
 
-def _gates_are_unitary(gates, tol: float) -> bool:
-    """Whether every gate of a record, or of a sequence of GateSpecs, is unitary.
+def _gates_are_unitary(gates: Gates, tol: float) -> bool:
+    """Whether every gate of a record is unitary.
 
     The V, W, U and B matrices pass when M^H M = I entrywise within
     tol + 1e-5 |I|, the rule of np.allclose(M^H M, I, atol=tol); they are
     checked in one batch per shape.  diag entries must have unit modulus, and
     an exp gate needs a real, b and s imaginary (unitary up to global phase).
     """
-    gates = as_gates(gates)
     params, vals, d = gates.params, gates.exp_values, gates.params["diag"]["d"]
     a = gates.exp_pairs[:, 0] != 0  # the entries of a; the others are b's and s
     if len(d) and np.any(np.abs(np.abs(d) - 1.0) > tol):
@@ -806,25 +813,41 @@ def parse(text: str, tol: float = _DEFAULT_TOL) -> Circuit:
     return Circuit(n, state, gates, k, _gates_are_unitary(gates, max(tol, 1e-8)))
 
 
-def compile(circuit: Circuit, tol: float = 1e-9) -> list[GateSpec]:
-    """The exp gate of each gate of a parsed circuit, in application order.
+def compile(circuit: Circuit, tol: float = 1e-9) -> Gates:
+    """The exp gate of each gate of a parsed circuit, in application order, as a record.
 
     The logarithms of the gvw and mg12 gates come from one ``matchgate.span_logs``
     call on their 4x4 stack, those of the u1 gates from one ``principal_logs`` call
-    on their 2x2 stack (see _logarithms).  Exact zero coefficients are dropped and
-    the rest made complex.  No check that ``parse`` made is repeated.  The first
+    on their 2x2 stack (see _logarithms).  Each gate's entries are written from its
+    class's stacks or its logarithm; exact zero coefficients of a and b are dropped
+    and the rest made complex.  No check that ``parse`` made is repeated.  The first
     gate in circuit order that cannot be compiled raises, with its index.
     """
-    logs = _logarithms(circuit.gates, tol)
-    out = []
-    for idx, spec in enumerate(circuit.gates):
+    gates = circuit.gates
+    logs, entries, d = _logarithms(gates, tol), gates.exp_entries(), gates.params["diag"]["d"]
+    lines = {cls: stack.tolist() for cls, stack in gates.lines.items()}
+    places, exps = {cls: iter(range(len(pos))) for cls, pos in gates.at.items()}, []
+    for i, code in enumerate(gates.order.tolist()):
+        cls = GATE_CLASSES[code]
+        j = next(places[cls])  # the gate's place in its class
         try:
-            a, b, s = _exponent(spec, logs.get(idx), tol)
+            if cls == "exp":
+                a, b, s = _exp_parts(entries[j])
+            elif cls == "diag":
+                a, b, s = compile_diag(d[j], *lines["diag"][j])
+            elif isinstance(logs[i], MgsimError):
+                raise logs[i]
+            elif cls == "u1":
+                a, b, s = u1_exponent(*logs[i])
+            else:
+                a, b, s = matrix_exponent(logs[i], lines[cls][j][0], tol)
         except MgsimError as exc:
-            raise GateClassError(f"gate {idx + 1} ({spec.cls}): {exc}") from exc
-        out.append(exp_spec({key: complex(v) for key, v in a.items() if v != 0},
-                            {key: complex(v) for key, v in b.items() if v != 0}, complex(s)))
-    return out
+            raise GateClassError(f"gate {i + 1} ({cls}): {exc}") from exc
+        exps.append((sorted((key, complex(v)) for key, v in a.items() if v != 0),
+                     sorted((key, complex(v)) for key, v in b.items() if v != 0), complex(s)))
+    none = as_gates(())  # the empty stacks of the matrix classes
+    return Gates(np.full(len(exps), _CODES["exp"], dtype=np.int8), none.lines, none.params,
+                 *_exp_arrays(exps))
 
 
 def _logarithms(gates: Gates, tol: float) -> dict:
@@ -844,19 +867,6 @@ def _logarithms(gates: Gates, tol: float) -> dict:
     return out
 
 
-def _exponent(spec: GateSpec, log, tol: float) -> tuple[dict, dict, complex]:
-    """(a, b, s) of one gate; ``log`` is its entry from _logarithms, if any."""
-    if spec.cls == "diag":
-        return compile_diag(spec.param("d"), spec.lines[0], spec.lines[1])
-    if spec.cls == "exp":
-        return dict(spec.param("a")), dict(spec.param("b")), spec.param("s")
-    if isinstance(log, MgsimError):
-        raise log
-    if spec.cls == "u1":
-        return u1_exponent(*log)
-    return matrix_exponent(log, spec.lines[0], tol)
-
-
 def _render_state_token(pair) -> str:
     a, b = complex(pair[0]), complex(pair[1])
     for tok, val in _STATE_TOKENS.items():
@@ -866,31 +876,25 @@ def _render_state_token(pair) -> str:
 
 
 def render(circuit: Circuit) -> str:
-    """Canonical text form; parse(render(c)) reproduces c exactly."""
-    lines = [f"circuit n={circuit.n}"]
-    lines.append("state " + " ".join(_render_state_token(p) for p in circuit.state))
-    for g in circuit.gates:
-        if g.cls == "gvw":
-            lines.append(f"gate gvw {g.lines[0]} V={_render_matrix(g.param('V'))} "
-                         f"W={_render_matrix(g.param('W'))}")
-        elif g.cls == "diag":
-            lines.append(f"gate diag {g.lines[0]} {g.lines[1]} "
-                         + _render_matrix((g.param("d"),)))
-        elif g.cls == "mg12":
-            lines.append(f"gate mg12 B={_render_matrix(g.param('B'))}")
-        elif g.cls == "u1":
-            lines.append(f"gate u1 U={_render_matrix(g.param('U'))}")
-        else:
-            parts = ["gate exp"]
-            for (mu, nu), val in g.param("a"):
-                parts.append(f"a:{mu},{nu}={render_complex(val)}")
-            for sigma, val in g.param("b"):
-                parts.append(f"b:{sigma}={render_complex(val)}")
-            if g.param("s") != 0:
-                parts.append(f"s={render_complex(g.param('s'))}")
-            lines.append(" ".join(parts))
-    lines.append(f"measure {circuit.k}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form, written from the record; parse(render(c)) reproduces c exactly.
+    An exp line writes a by (mu, nu), then b by sigma, then s unless it is 0."""
+    gates = circuit.gates
+    out = [None] * len(gates)
+    for cls, matrices in _LINE_MATRICES.items():
+        written = {"gvw": 1, "diag": 2}.get(cls, 0)  # the line numbers a gate line gives
+        stacks = [stack.reshape((-1,) + shape).tolist()
+                  for stack, (_, _, shape) in zip(gates.params[cls].values(), matrices)]
+        for i, lines, *values in zip(gates.at[cls].tolist(), gates.lines[cls].tolist(), *stacks):
+            args = [str(line) for line in lines[:written]]
+            args += [prefix + _render_matrix(m) for (prefix, _, _), m in zip(matrices, values)]
+            out[i] = f"gate {cls} " + " ".join(args)
+    for i, entries in zip(gates.at["exp"].tolist(), gates.exp_entries()):
+        a, b, s = _exp_parts(entries)
+        args = [f"a:{mu},{nu}={render_complex(v)}" for (mu, nu), v in sorted(a.items())]
+        args += [f"b:{sigma}={render_complex(v)}" for sigma, v in sorted(b.items())]
+        out[i] = " ".join(["gate exp"] + args + [f"s={render_complex(s)}"] * (s != 0))
+    state = " ".join(_render_state_token(p) for p in circuit.state)
+    return "\n".join([f"circuit n={circuit.n}", f"state {state}", *out, f"measure {circuit.k}\n"])
 
 
 def classify(B) -> list[str]:

@@ -82,8 +82,7 @@ _SIMULATORS = {"quadratic": engine_quadratic.simulate, "lie": engine_lie.simulat
 
 def _run_engine(engine: str, circ, state, tol: float, mode: str = oracle.INVERSE):
     """One engine's result on a parsed circuit and its input state.  The quadratic engine
-    and the oracle read the parsed record; only the Lie engine works on the compiled exp
-    gates."""
+    and the oracle read the parsed record, the Lie engine the compiled one."""
     gates = circuits.compile(circ, tol=tol) if engine == "lie" else circ.gates
     if engine in _SIMULATORS:
         return _SIMULATORS[engine](gates, state, circ.k, unitary=circ.unitary, tol=tol)

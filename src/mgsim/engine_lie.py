@@ -4,9 +4,9 @@ The linear span of the identity, the 2n generators c_mu, and the n(2n-1)
 Hermitian quadratics i c_mu c_nu closes under commutators (dimension
 n(2n+1) + 1, the complexified so(2n+1) plus center).  Conjugation by e^A
 therefore acts on coefficient vectors over this basis as e^M, where
-M = sum_j xi_j ad(B_j) for the coefficients xi of A.  Gates are exp GateSpecs,
-as ``circuits.compile`` returns every gate, and xi is read off their
-coefficients.  The basis is not stored: in its order (identity, c_1..c_2n,
+M = sum_j xi_j ad(B_j) for the coefficients xi of A.  Gates are exp gates, the
+``circuits.Gates`` record ``circuits.compile`` writes, and xi is read off each
+gate's entries.  The basis is not stored: in its order (identity, c_1..c_2n,
 then i c_mu c_nu for mu < nu) an index is closed form, and ``element``
 builds the Pauli string of an index on demand.
 
@@ -41,8 +41,9 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
+from .circuits import GATE_CLASSES, Gates, as_gates
 from .engine_quadratic import SimResult
-from .errors import DimensionError, InconsistencyError, SizeLimitError
+from .errors import DimensionError, GateClassError, InconsistencyError, SizeLimitError
 from .jw import jw
 from .pauli import PauliString, ProductState, commutation_sign, pauli_mul
 
@@ -89,15 +90,13 @@ def element(n: int, i: int) -> PauliString:
     return PauliString(n, prod.x_mask, prod.z_mask, prod.phase_pow + 1)
 
 
-def gate_coefficients(g, n: int) -> tuple[tuple, np.ndarray]:
-    """The nonzero coefficients of an exp gate's A = sum 2a c c + sum b c + s on n
-    lines: ascending basis indices and their values xi, with A = s + sum xi_j B_j.
-    s, on the identity, commutes with everything and is left out."""
-    if max(g.lines, default=0) > n:
-        raise DimensionError(f"gate on lines {g.lines}, basis has n={n}")
-    terms = [(sigma, val) for sigma, val in g.param("b") if val != 0]
-    # 2a c_mu c_nu = -2i a * (i c_mu c_nu)
-    terms += [(_pair_index(n, mu, nu), -2j * val) for (mu, nu), val in g.param("a") if val != 0]
+def gate_coefficients(entries, n: int) -> tuple[tuple, np.ndarray]:
+    """The nonzero coefficients of an exp gate's A = sum 2a c c + sum b c + s on n lines,
+    from its entries [((mu, nu), value)] in any order: ascending basis indices and their
+    values xi, with A = s + sum xi_j B_j (s, on the identity, commutes with everything)."""
+    # b_sigma is on c_sigma; 2a c_mu c_nu = -2i a * (i c_mu c_nu)
+    terms = sorted(((_pair_index(n, mu, nu), -2j * val) if mu else (nu, val)
+                    for (mu, nu), val in entries if val != 0 and nu), key=lambda term: term[0])
     return tuple(j for j, _ in terms), np.array([val for _, val in terms], dtype=complex)
 
 
@@ -188,7 +187,7 @@ def _apply_blocks(eta: np.ndarray, parts) -> None:
         eta[idx] = sign * ((sign * eta[idx]) @ e.T)
 
 
-def _propagate(gates, k: int, n: int) -> np.ndarray:
+def _propagate(gates: Gates, k: int, n: int) -> np.ndarray:
     """The coefficients eta of C^{-1} Z_k C over the basis, through adjoint transfers."""
     if not 1 <= k <= n:
         raise DimensionError(f"measured line {k} outside 1..{n}")
@@ -197,12 +196,17 @@ def _propagate(gates, k: int, n: int) -> np.ndarray:
             f"Lie engine capped at {MAX_ETA_BYTES} bytes of coefficients: n={n} lines need "
             f"{16 * dimension(n)}; use the quadratic engine"
         )
+    other = np.flatnonzero(gates.order != GATE_CLASSES.index("exp")).tolist()
+    if other:
+        raise GateClassError(f"gate {other[0] + 1} is a {GATE_CLASSES[gates.order[other[0]]]} "
+                             "gate; compile the circuit first: the Lie engine reads exp gates")
+    gates.check_lines(n)
     eta = np.zeros(dimension(n), dtype=complex)
     eta[_pair_index(n, 2 * k - 1, 2 * k)] = -1.0  # Z_k = -(i c_{2k-1} c_{2k})
     parts, held, entries = [], 0, 0
-    for g in reversed(list(gates)):
+    for gate in reversed(gates.exp_entries()):
         # g^{-1} O g is the adjoint action of e^{-A}
-        terms, xi = gate_coefficients(g, n)
+        terms, xi = gate_coefficients(gate, n)
         blocks = _generator_blocks(terms, -xi, n)
         parts += blocks
         held += 1
@@ -246,7 +250,7 @@ def simulate(gates, state: ProductState, k: int, unitary: bool | None = None,
              tol: float = 1e-9) -> SimResult:
     n = state.n
     t0 = time.perf_counter()
-    gates = list(gates)
+    gates = as_gates(gates)
     value = _expectation(_propagate(gates, k, n), state)
     elapsed = (time.perf_counter() - t0) * 1e3
     return SimResult.from_value(value, ENGINE_NAME, len(gates), elapsed, unitary, tol)

@@ -36,11 +36,10 @@ The value is -i u^T m v with m[a, b] = <psi0| d_a d_b |psi0>; on a product
 state m is semiseparable, so one left-to-right scan evaluates it, over the
 lines from the lowest to the highest one that u and v touch.
 
-The gates come as the ``circuits.Gates`` record parse returns; GateSpecs, as
-compiled gates or in tests, are read into one by ``circuits.as_gates``.  Every
-gate's support is read off the record's line arrays and exp entries; a kept
-matrix gate's B is built from its class's stacks, and an exp gate's atilde
-entries are read only when it is kept.
+The gates come as a ``circuits.Gates`` record, parsed or compiled; GateSpecs, as in
+tests, are read into one by ``circuits.as_gates``.  Every gate's support is read off
+the record's line arrays and exp entries; a kept matrix gate's B is built from its
+class's stacks, and a kept exp gate's X from its entries.
 
 Cost: O(G + sum_{kept g} s_g^2 + w) time for G gates, kept gates of support
 s_g and a scan over w <= n lines, on top of the O(n) columns; O(n + G + _CHUNK)
@@ -111,9 +110,9 @@ _FIXED_SUPPORT = {"mg12": [0, 1, 2, 3, 4], "u1": [0, 1, 2]}
 _EXP = GATE_CLASSES.index("exp")
 
 
-def _supports(gates: Gates, n: int) -> list[list[int]]:
-    """The support d indices of each gate's block, sorted, in application order; a
-    DimensionError when a gate leaves the n lines.
+def _supports(gates: Gates, entries: list, n: int) -> list[list[int]]:
+    """The support d indices of each gate's block, sorted, in application order, with
+    ``entries`` the record's exp_entries; a DimensionError when a gate leaves the n lines.
 
     gvw and diag preserve parity, so their support is the four indices of their two
     lines, without d_0.  An exp gate's support is d_0 (only when b has a nonzero
@@ -126,25 +125,13 @@ def _supports(gates: Gates, n: int) -> list[list[int]]:
             for i in pos.tolist():
                 out[i] = _FIXED_SUPPORT[cls]
         elif cls == "exp":
-            pairs, vals = gates.exp_pairs.tolist(), gates.exp_values.tolist()
-            starts = gates.exp_starts.tolist()
-            for i, start, stop in zip(pos.tolist(), starts, starts[1:]):
+            for i, terms in zip(pos.tolist(), entries):
                 # mu is 0 on b's entries, d_0; s, on (0, 0), has no index
-                out[i] = sorted({mu for pair, val in zip(pairs[start:stop], vals[start:stop])
-                                 if val != 0 and pair[1] for mu in pair})
+                out[i] = sorted({mu for pair, val in terms if val != 0 and pair[1] for mu in pair})
         else:
             for i, (k, l) in zip(pos.tolist(), gates.lines[cls].tolist()):
                 out[i] = [2 * k - 1, 2 * k, 2 * l - 1, 2 * l]
     return out
-
-
-def _atilde(gates: Gates, j: int) -> list:
-    """The atilde entries [((mu, nu), atilde_{mu,nu})] of the nonzero coefficients of exp
-    gate j: atilde_{mu,nu} = a_{mu,nu}, atilde_{0,sigma} = i b_sigma / 2."""
-    start, stop = gates.exp_starts[j:j + 2].tolist()
-    return [((mu, nu), val if mu else 0.5j * val)
-            for (mu, nu), val in zip(gates.exp_pairs[start:stop].tolist(),
-                                     gates.exp_values[start:stop].tolist()) if val != 0 and nu]
 
 
 def _matrix_blocks(B: np.ndarray, classes) -> list[np.ndarray]:
@@ -170,16 +157,18 @@ def _matrix_blocks(B: np.ndarray, classes) -> list[np.ndarray]:
 
 
 def _exp_generators(exps) -> dict[int, tuple[list, np.ndarray]]:
-    """X = -4 atilde of exp gates given as (support, _atilde) pairs,
-    grouped by block size: size -> ([(position, support)], (G, size, size) stack of X).
+    """X = -4 atilde of exp gates given as (support, entries) pairs, with atilde_{mu,nu} =
+    a_{mu,nu} and atilde_{0,sigma} = i b_sigma / 2 for each nonzero coefficient, grouped
+    by block size: size -> ([(position, support)], (G, size, size) stack of X).
     """
     groups = {}
-    for j, (idx, atilde) in enumerate(exps):
+    for j, (idx, terms) in enumerate(exps):
         if not idx:
             continue  # e^A is a scalar: K is the identity
         pos = {mu: p for p, mu in enumerate(idx)}
         gates, entries = groups.setdefault(len(idx), ([], []))
-        entries += [(len(gates), pos[mu], pos[nu], val) for (mu, nu), val in atilde]
+        entries += [(len(gates), pos[mu], pos[nu], val if mu else 0.5j * val)
+                    for (mu, nu), val in terms if val != 0 and nu]
         gates.append((j, idx))
     out = {}
     for size, (gates, entries) in groups.items():
@@ -192,7 +181,7 @@ def _exp_generators(exps) -> dict[int, tuple[list, np.ndarray]]:
 
 
 def _exp_blocks(exps) -> list[tuple[int, list[int], np.ndarray]]:
-    """(position, support, K = e^X) of exp gates given as (support, atilde) pairs.
+    """(position, support, K = e^X) of exp gates given as (support, entries) pairs.
 
     When X is exactly real antisymmetric (every unitary exp gate), iX is Hermitian
     and K = V diag(e^{-i lam}) V^H comes from one stacked eigh per block size;
@@ -212,11 +201,11 @@ def _exp_blocks(exps) -> list[tuple[int, list[int], np.ndarray]]:
     return out
 
 
-def _blocks(gates: Gates, kept: list, supports: list) -> list[tuple[list[int], np.ndarray]]:
+def _blocks(gates: Gates, kept: list, supports: list, entries: list) -> list[tuple]:
     """Support d indices and the transfer restricted to them, in order, for the gates at
-    positions ``kept``, read from the record's stacks class by class: the matrix-class
-    gates through one stacked inverse, the atilde entries of the exp gates only for
-    these.  None for an exp gate whose e^A is a scalar."""
+    positions ``kept``, read class by class: the matrix-class gates from the record's
+    stacks through one stacked inverse, the exp gates from their ``entries`` (the record's
+    exp_entries).  None for an exp gate whose e^A is a scalar."""
     pos = np.array(kept, dtype=np.intp)
     codes = gates.order[pos].tolist()
     matrix = [j for j, code in enumerate(codes) if code != _EXP]
@@ -228,7 +217,7 @@ def _blocks(gates: Gates, kept: list, supports: list) -> list[tuple[list[int], n
             blocks[j] = (supports[kept[j]], block)
     if exp_at:
         ranks = np.searchsorted(gates.at["exp"], pos[exp_at]).tolist()
-        exps = [(supports[kept[j]], _atilde(gates, r)) for j, r in zip(exp_at, ranks)]
+        exps = [(supports[kept[j]], entries[r]) for j, r in zip(exp_at, ranks)]
         for j, idx, K in _exp_blocks(exps):
             blocks[exp_at[j]] = (idx, K)
     return [b for b in blocks if b is not None]
@@ -249,7 +238,8 @@ def _propagate_columns(gates: Gates, n: int, mu: int, nu: int) -> np.ndarray:
     skipped; a gate that meets it adds its support to the cone.  Blocks are built
     for _CHUNK kept gates at a time.
     """
-    supports = _supports(gates, n)
+    entries = gates.exp_entries()
+    supports = _supports(gates, entries, n)
     cols = np.zeros((2 * n + 1, 2), dtype=complex)
     cols[mu, 0] = cols[nu, 1] = 1.0
     cone = {mu, nu}
@@ -261,10 +251,10 @@ def _propagate_columns(gates: Gates, n: int, mu: int, nu: int) -> np.ndarray:
         cone.update(idx)
         kept.append(i)
         if len(kept) == _CHUNK:
-            _apply_blocks(cols, _blocks(gates, kept, supports))
+            _apply_blocks(cols, _blocks(gates, kept, supports, entries))
             kept = []
     if kept:
-        _apply_blocks(cols, _blocks(gates, kept, supports))
+        _apply_blocks(cols, _blocks(gates, kept, supports, entries))
     return cols
 
 

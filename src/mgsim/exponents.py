@@ -14,10 +14,9 @@ G(V, W) on nearest-neighbour lines or a general matchgate on lines 1-2 from the
 generator coefficients of its 4x4 logarithm, :func:`compile_diag` a diagonal
 matchgate on any pair through commuting Z logs, and :func:`u1_exponent` a
 1-qubit gate on line 1 from the :func:`u1_coords` of its logarithm.  None of
-them repeats a check the parser made.  ``compile`` turns the results into exp
-gates, the form an exp line of a circuit file is parsed to, and
-:func:`to_pauli_sum` expands an exp gate over Pauli strings for the oracle, as a
-dict {(x_mask, z_mask): coeff} with one term per nonzero coefficient.
+them repeats a check the parser made.  ``compile`` writes the results as exp gates,
+the record an exp line of a circuit file is parsed to, and :func:`to_pauli_sum`
+expands an exp gate's entries over Pauli strings for the oracle.
 
 Phases are never taken on faith from shorthand like "Z_k = c_{2k-1}c_{2k}":
 every constant here is produced by the exact Pauli algebra (the true relation
@@ -31,20 +30,23 @@ from functools import lru_cache
 import numpy as np
 
 from . import matchgate
-from .errors import DimensionError, GateClassError
+from .errors import GateClassError
 from .jw import JwFamily, jw
 from .pauli import PauliString, pauli_mul
 
 
-def to_pauli_sum(g, family: JwFamily) -> dict:
-    """The A of an exp gate over Pauli strings on the family's line count, as terms
-    {(x_mask, z_mask): coeff}, one per nonzero coefficient (all strings are distinct)."""
-    if max(g.lines, default=0) > family.n:
-        raise DimensionError(f"gate on lines {g.lines}, family has n={family.n}")
-    pairs = [(pauli_mul(family.c(mu), family.c(nu)), 2 * val) for (mu, nu), val in g.param("a")]
-    pairs += [(family.c(sigma), val) for sigma, val in g.param("b")]
-    pairs.append((PauliString(family.lines, 0, 0), g.param("s")))
-    return {(p.x_mask, p.z_mask): val * p.scalar for p, val in pairs if val != 0}
+def to_pauli_sum(entries, family: JwFamily) -> dict:
+    """The A of an exp gate's entries [((mu, nu), value)], in any order, over Pauli strings
+    on the family's line count, as terms {(x_mask, z_mask): coeff}, one per nonzero
+    coefficient (all strings are distinct)."""
+    out = {}
+    # a's entries, with mu > 0, by (mu, nu), then b's, with nu > 0, by sigma, then s
+    for (mu, nu), val in sorted(entries, key=lambda e: (not e[0][0], not e[0][1], e[0])):
+        if val != 0:
+            p = (pauli_mul(family.c(mu), family.c(nu)) if mu else family.c(nu) if nu
+                 else PauliString(family.lines, 0, 0))
+            out[p.x_mask, p.z_mask] = (2 * val if mu else val) * p.scalar
+    return out
 
 
 @lru_cache(maxsize=None)

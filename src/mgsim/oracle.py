@@ -16,7 +16,7 @@ of lines (k, k+1) by B, and diag scales the state by its four entries broadcast
 over lines k and l.  Closure-only matchgates, which have no logarithm in the
 span, therefore run here too.
 
-An exp gate e^A, parsed or compiled, is expanded over Pauli strings, and its
+An exp gate e^A is expanded over Pauli strings from its entries, and its
 lines are split in two.  On an *active* line some term has X or Y; on a
 *diagonal* line every term has I or Z (the Jordan-Wigner Z strings), so it
 never mixes basis states there.  Each basis value r of the diagonal lines
@@ -112,10 +112,10 @@ class _ExpGate(NamedTuple):
         return out.reshape((2,) * n).transpose(self.unperm).reshape(-1)
 
 
-def _split(g, n: int) -> tuple[tuple, np.ndarray]:
-    """Expand an exp gate over Pauli strings and split its lines into active and diagonal:
-    the (lines, perm, unperm, groups) of its _ExpGate, and its blocks B_p stacked."""
-    terms = to_pauli_sum(g, _family(n))
+def _split(entries, n: int) -> tuple[tuple, np.ndarray]:
+    """Expand an exp gate's entries over Pauli strings and split its lines into active and
+    diagonal: the (lines, perm, unperm, groups) of its _ExpGate, and its blocks B_p stacked."""
+    terms = to_pauli_sum(entries, _family(n))
     flip = support = 0
     for x, z in terms:
         flip |= x
@@ -210,8 +210,8 @@ def _prepare(gates, n: int) -> list:
                                     inverses):
             out[i] = _MatrixGate(cls, tuple(lines), m, inv)
     splits = {}
-    for i in at["exp"].tolist():
-        layout, blocks = _split(gates[i], n)
+    for i, entries in zip(at["exp"].tolist(), gates.exp_entries()):
+        layout, blocks = _split(entries, n)
         splits.setdefault(blocks.shape[-1], []).append((i, layout, blocks))
     for group in splits.values():
         exps = _exponentiate(np.concatenate([blocks for _, _, blocks in group]))

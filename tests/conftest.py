@@ -8,7 +8,7 @@ import scipy.linalg
 from mgsim import circuits
 from mgsim.engine_lie import _apply_blocks, _generator_blocks, dimension, element, gate_coefficients
 from mgsim.circuits import GateSpec, exp_spec
-from mgsim.engine_quadratic import (_atilde, _blocks, _exp_generators, _observable_indices,
+from mgsim.engine_quadratic import (_blocks, _exp_generators, _observable_indices,
                                      _propagate_columns, _supports)
 from mgsim.errors import InconsistencyError
 from mgsim.exponents import to_pauli_sum
@@ -29,6 +29,11 @@ def exp_gate(a=None, b=None, s=0j) -> GateSpec:
     complex, with exact zeros dropped as compile drops them."""
     return exp_spec({key: complex(v) for key, v in (a or {}).items() if v != 0},
                     {key: complex(v) for key, v in (b or {}).items() if v != 0}, complex(s))
+
+
+def exp_entries(g: GateSpec) -> list:
+    """The entries [((mu, nu), value)] of one exp GateSpec, as a Gates record holds them."""
+    return circuits.as_gates([g]).exp_entries()[0]
 
 
 def compiled(B, k: int = 1) -> GateSpec:
@@ -111,7 +116,7 @@ def lie_terms(eta: np.ndarray, n: int) -> dict:
 def dense_coefficients(g: GateSpec, n: int) -> np.ndarray:
     """The Lie engine's coefficients of an exp gate on n lines as one dense vector over
     the basis."""
-    terms, xi = gate_coefficients(g, n)
+    terms, xi = gate_coefficients(exp_entries(g), n)
     out = np.zeros(dimension(n), dtype=complex)
     out[list(terms)] = xi
     return out
@@ -148,7 +153,7 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, lines, n: int) -> np.nda
 def dense_gate(g: GateSpec, n: int) -> np.ndarray:
     """The full 2^n x 2^n matrix e^A of an exp gate on n lines, through one dense expm:
     the reference for the oracle's split exponentials."""
-    return scipy.linalg.expm(terms_matrix(to_pauli_sum(g, JwFamily(n, PARITY)), n))
+    return scipy.linalg.expm(terms_matrix(to_pauli_sum(exp_entries(g), JwFamily(n, PARITY)), n))
 
 
 def is_unitary_exponent(g: GateSpec, tol: float = 1e-8) -> bool:
@@ -163,7 +168,8 @@ def exp_block_generator(g: GateSpec, n: int) -> tuple[list[int], np.ndarray]:
     """The support and X = -4 atilde of the quadratic engine's block for an exp gate on
     n lines, before the engine exponentiates it."""
     gates = circuits.as_gates([g])
-    [(held, X)] = _exp_generators([(_supports(gates, n)[0], _atilde(gates, 0))]).values()
+    entries = gates.exp_entries()
+    [(held, X)] = _exp_generators([(_supports(gates, entries, n)[0], entries[0])]).values()
     return held[0][1], X[0]
 
 
@@ -171,7 +177,8 @@ def gate_blocks(gates, n: int) -> list[tuple[list[int], np.ndarray]]:
     """The quadratic engine's support d indices and the transfer restricted to them, for
     each GateSpec of a list on n lines, built as the engine builds a chunk of kept gates."""
     gates = circuits.as_gates(gates)
-    return _blocks(gates, list(range(len(gates))), _supports(gates, n))
+    entries = gates.exp_entries()
+    return _blocks(gates, list(range(len(gates))), _supports(gates, entries, n), entries)
 
 
 def gate_transfer(g: GateSpec, n: int) -> np.ndarray:

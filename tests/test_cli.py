@@ -617,8 +617,9 @@ def _all_classes_file(tmp_path, unitary=True) -> str:
 
 
 def test_run_builds_no_gatespec(capsys, tmp_path, monkeypatch):
-    # `run` goes from the parsed stacks to the quadratic engine: no GateSpec view and no
-    # exp_spec is built on the way, for any of the five classes
+    # `run` on each engine, and `compare`, go from the parsed stacks to the engines, through
+    # compile's record for the Lie engine: no GateSpec view and no exp_spec is built on
+    # the way, for any of the five classes
     path = _all_classes_file(tmp_path)
     built = []
     init = circuits.GateSpec.__init__
@@ -627,10 +628,11 @@ def test_run_builds_no_gatespec(capsys, tmp_path, monkeypatch):
     exp_spec = circuits.exp_spec
     monkeypatch.setattr(circuits, "exp_spec",
                         lambda *args: built.append("exp_spec") or exp_spec(*args))
-    code, data = run_json(capsys, ["run", path])
-    assert code == 0 and data["gates"] == 10 and built == []
-    code, data = run_json(capsys, ["compare", path])  # compile builds them, on demand
-    assert code == 0 and "exp_spec" in built
+    for engine in cli.ENGINES:
+        code, data = run_json(capsys, ["run", path, "--engine", engine])
+        assert code == 0 and data["gates"] == 10 and built == [], engine
+    code, data = run_json(capsys, ["compare", path])
+    assert code == 0 and len(data["engines"]) == 3 and built == []
 
 
 def test_one_input_state_per_call(capsys, tmp_path, monkeypatch):
@@ -661,11 +663,13 @@ def _outcome_bits(call):
 
 def _assert_engines_read_the_record_as_its_gatespecs(circ):
     """The record parse filled and the one as_gates reads from the same gates' GateSpecs
-    give the quadratic engine and the oracle the same values, bit for bit."""
+    give the quadratic engine, the Lie engine and the oracle the same values, bit for bit:
+    a parsed exp line's entries, in line order, read as its GateSpec's, sorted."""
     again = dataclasses.replace(circ, gates=tuple(circ.gates))
     assert again.gates is not circ.gates and again.gates == circ.gates
     state = circ.input_state()
     for run in (lambda c: engine_quadratic.simulate(c.gates, state, c.k, unitary=c.unitary),
+                lambda c: engine_lie.simulate(c.gates, state, c.k, unitary=c.unitary),
                 lambda c: oracle.expectation_heisenberg(c.gates, state, c.k)):
         assert _outcome_bits(lambda: run(circ)) == _outcome_bits(lambda: run(again))
 
@@ -678,6 +682,16 @@ def test_engines_read_the_parsed_record_as_its_gatespecs(text):
     except MgsimError:
         return
     _assert_engines_read_the_record_as_its_gatespecs(circ)
+
+
+def test_an_exp_line_in_any_key_order_reads_as_its_gatespec():
+    # a record holds an exp line's entries in line order: the Lie engine sorts them into
+    # ascending basis indices and the oracle into the GateSpec's order, a, b, then s, in
+    # which it sums the terms that share a block entry, so no value moves by a bit
+    for line in ("s=0.3 a:3,4=0.2 b:5=0.2i a:1,2=0.1 b:1=-0.5i a:2,5=0.7",
+                 "a:5,6=0.1 s=0.7 a:3,4=0.2 a:1,2=0.3"):
+        circ = circuits.parse(f"circuit n=3\nstate + i -\ngate exp {line}\nmeasure 2\n")
+        _assert_engines_read_the_record_as_its_gatespecs(circ)
 
 
 def test_engines_read_every_class_of_the_record_as_its_gatespecs():
@@ -708,4 +722,4 @@ def test_per_class_sub_circuits_compile_and_run_on_every_engine(tmp_path):
                       oracle.expectation_heisenberg(sub.gates, state, sub.k),
                       oracle.expectation_heisenberg(compiled, state, sub.k)]
             assert max(abs(v - values[0]) for v in values) < 1e-9, (cls, values)
-        assert repr(gates) == repr(circuits.compile(circ))
+        assert repr(gates) == repr(list(circuits.compile(circ)))

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (adjoint_transfer, computational, dense_coefficients, dense_expectation,
-                      dense_gate, dense_generator, exp_gate, gate_transfer, lie_terms,
+                      dense_gate, dense_generator, exp_entries, exp_gate, gate_transfer, lie_terms,
                       structure_constants, terms_expectation, terms_matrix)
 from mgsim import circuits, engine_lie, linalg, sampling
 from mgsim.circuits import GateSpec
@@ -15,6 +15,7 @@ from mgsim.engine_lie import (_apply_blocks, _c_indices, _expectation, _generato
                               _pair_index, _propagate, dimension, element, gate_coefficients,
                               simulate)
 from mgsim.engine_quadratic import simulate as simulate_quadratic
+from mgsim.errors import GateClassError
 from mgsim.jw import jw
 from mgsim.pauli import PauliString, ProductState, commutation_sign, pauli_mul
 
@@ -162,6 +163,15 @@ def test_matches_quadratic_engine(rng):
         assert abs(a - b) < 1e-9
 
 
+def test_a_gate_left_uncompiled_is_refused_by_name():
+    # the engine reads exp gates only: a parsed gvw gate is named, not read as an exp gate
+    circ = circuits.parse("circuit n=2\nstate 0 +\ngate exp a:1,2=0.3\n"
+                          "gate gvw 1 V=[0,1;1,0] W=[0,1;1,0]\nmeasure 1\n")
+    with pytest.raises(GateClassError, match="gate 2 is a gvw gate.*compile the circuit first"):
+        simulate(circ.gates, circ.input_state(), circ.k)
+    assert simulate(circuits.compile(circ), circ.input_state(), circ.k).p0 is not None
+
+
 def test_heisenberg_observable_matches_quadratic(rng):
     from conftest import heisenberg_observable as quad_obs
     from mgsim.jw import PARITY, JwFamily
@@ -176,7 +186,7 @@ def test_heisenberg_observable_matches_quadratic(rng):
 
 def test_propagation_keeps_tiny_coefficients():
     # an eta entry far below 1e-14 is kept, not dropped
-    tiny = _propagate([exp_gate(a={(1, 3): 1e-16})], 1, 2)
+    tiny = _propagate(circuits.as_gates([exp_gate(a={(1, 3): 1e-16})]), 1, 2)
     assert 0 < np.abs(tiny[np.flatnonzero(tiny)]).min() < 1e-14
 
 
@@ -226,7 +236,7 @@ def _gates_of_every_kind(rng, n):
     classes = circuits.GATE_CLASSES if n >= 2 else ("u1", "exp")
     specs = [sampling.random_gate(cls, n, rng, unitary=unitary)
              for cls in classes for unitary in (True, False)]
-    gates = _compile_specs(specs, n)
+    gates = list(_compile_specs(specs, n))
     pairs = [(mu, nu) for mu in range(1, 2 * n + 1) for nu in range(mu + 1, 2 * n + 1)]
     picks = rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)
     gates.append(exp_gate(a={pairs[p]: complex(*rng.normal(size=2)) for p in picks},
@@ -265,7 +275,7 @@ def test_closed_form_blocks_match_reference_pair_scan(rng, n):
 def test_block_exponential_matches_dense_generator(rng, n):
     sc = structure_constants(n)
     for g in _gates_of_every_kind(rng, n):
-        terms, vals = gate_coefficients(g, n)
+        terms, vals = gate_coefficients(exp_entries(g), n)
         xi = dense_coefficients(g, n)
         ref = scipy.linalg.expm(dense_generator(xi, sc))
         eta = rng.normal(size=sc.dim) + 1j * rng.normal(size=sc.dim)
@@ -314,7 +324,7 @@ def test_chunked_propagation_equals_gate_by_gate(count, entries, monkeypatch):
     ref = np.zeros(dimension(n), dtype=complex)
     ref[_pair_index(n, 2 * k - 1, 2 * k)] = -1.0
     for g in reversed(gates):
-        terms, xi = gate_coefficients(g, n)
+        terms, xi = gate_coefficients(exp_entries(g), n)
         _apply_blocks(ref, _generator_blocks(terms, -xi, n))
     calls = []
     expm_stack = linalg.expm_stack
@@ -326,8 +336,8 @@ def test_chunked_propagation_equals_gate_by_gate(count, entries, monkeypatch):
     monkeypatch.setattr(engine_lie, "_CHUNK_ENTRIES", entries)
     monkeypatch.setattr(linalg, "expm_stack", counting)
     assert np.array_equal(_propagate(gates, k, n), ref)
-    sizes = [[len(block) for _, _, block in _generator_blocks(*gate_coefficients(g, n), n)]
-             for g in reversed(gates)]
+    sizes = [[len(block) for _, _, block in
+              _generator_blocks(*gate_coefficients(exp_entries(g), n), n)] for g in reversed(gates)]
     assert sum(calls) == sum(map(len, sizes))
     # one call per block size per chunk of _CHUNK gates, and more when the budget cuts
     step = engine_lie._CHUNK

@@ -276,8 +276,9 @@ def test_batched_blocks_match_the_per_gate_reference(n, count):
              for i in range(count - 5)]
     gates += circuits.compile(circuits.Circuit(n, ((1.0, 0j),) * n, tuple(gates[:5]), 1, False))
     exp = [g for g in gates if g.cls == "exp"]
-    sizes = {unitary: {_exp_block_size(g) for g in exp if circuits._gates_are_unitary([g], 0)
-                       == unitary} for unitary in (True, False)}
+    sizes = {unitary: {_exp_block_size(g) for g in exp
+                       if circuits._gates_are_unitary(circuits.as_gates([g]), 0) == unitary}
+             for unitary in (True, False)}
     assert sizes[True] & sizes[False]
     refs = [reference_gate_block(g) for g in gates]
     blocks = gate_blocks(gates, n)
@@ -308,9 +309,9 @@ def _count_built_gates(monkeypatch) -> list[int]:
     built = []
     blocks = engine_quadratic._blocks
 
-    def counting(gates, kept, supports):
+    def counting(gates, kept, supports, entries):
         built.append(len(kept))
-        return blocks(gates, kept, supports)
+        return blocks(gates, kept, supports, entries)
 
     monkeypatch.setattr(engine_quadratic, "_blocks", counting)
     return built

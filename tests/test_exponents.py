@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (compiled, dense_gate, exp_block_generator, exp_gate, is_unitary_exponent,
-                      terms_matrix)
+from conftest import (compiled, dense_gate, exp_block_generator, exp_entries, exp_gate,
+                      is_unitary_exponent, terms_matrix)
 
 from mgsim import circuits, sampling
 from mgsim import matchgate as mg
@@ -33,14 +33,14 @@ def test_extended_quadratic_reproduces_pauli_sum(rng):
             out = g.param("s") * np.eye(1 << fam.lines)
             for p, q in itertools.combinations(range(len(idx)), 2):
                 out += 2 * atilde[p, q] * pauli_mul(fam.d(idx[p]), fam.d(idx[q])).to_matrix()
-            ref = terms_matrix(to_pauli_sum(g, fam), fam.lines)
+            ref = terms_matrix(to_pauli_sum(exp_entries(g), fam), fam.lines)
             assert np.abs(out - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_to_pauli_sum_dense(rng):
     g = exp_gate(a={(2, 5): 0.3 + 0.1j}, b={1: -0.2j, 6: 0.4}, s=0.25j)
     fam = JwFamily(3, PARITY)
-    A = terms_matrix(to_pauli_sum(g, fam), fam.lines)
+    A = terms_matrix(to_pauli_sum(exp_entries(g), fam), fam.lines)
     ref = np.zeros((8, 8), dtype=complex)
     for (mu, nu), val in g.param("a"):
         ref += 2 * val * pauli_mul(fam.c(mu), fam.c(nu)).to_matrix()
@@ -59,14 +59,14 @@ def test_to_pauli_sum_has_one_term_per_nonzero_coefficient(rng):
         g = circuits.exp_spec(a, b, pick())  # written zeros kept, as parse keeps them
         coeffs = [2 * v for v in a.values()] + list(b.values()) + [g.param("s")]
         for mode in C0_MODES:
-            terms = to_pauli_sum(g, JwFamily(n, mode))
+            terms = to_pauli_sum(exp_entries(g), JwFamily(n, mode))
             assert [abs(v) for v in terms.values()] == [abs(v) for v in coeffs if v != 0]
 
 
 def test_a_tiny_coefficient_keeps_its_term():
     circ = circuits.parse("circuit n=2\nstate 0 0\ngate exp a:1,2=4e-15\nmeasure 1\n")
     # c_1 c_2 = i Z_1
-    assert to_pauli_sum(circ.gates[0], JwFamily(2, PARITY)) == {(0, 1): 8e-15j}
+    assert to_pauli_sum(circ.gates.exp_entries()[0], JwFamily(2, PARITY)) == {(0, 1): 8e-15j}
 
 
 def _is_zero(g) -> bool:

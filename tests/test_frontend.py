@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgsim import circuits, matchgate, sampling
-from mgsim.circuits import _gates_are_unitary, classify, parse, parse_complex, render, render_complex
+from mgsim.circuits import (_gates_are_unitary, as_gates, classify, parse, parse_complex, render,
+                            render_complex)
 from mgsim.engine_quadratic import simulate
 from mgsim.errors import GateClassError, ParseError
 from mgsim.sampling import random_su2
@@ -180,9 +181,9 @@ def test_batch_unitary_check_matches_per_matrix_reference(rng):
             for cls in circuits.GATE_CLASSES:
                 gates = [sampling.random_gate(cls, 4, rng, unitary=unitary) for _ in range(6)]
                 for g in gates:
-                    assert _gates_are_unitary([g], tol) == _gate_is_unitary(g, tol)
+                    assert _gates_are_unitary(as_gates([g]), tol) == _gate_is_unitary(g, tol)
                 ref = all(_gate_is_unitary(g, tol) for g in gates)
-                assert _gates_are_unitary(gates, tol) == ref
+                assert _gates_are_unitary(as_gates(gates), tol) == ref
         for trial in range(40):
             circ = sampling.random_circuit(4, int(rng.integers(1, 12)), rng,
                                            unitary=bool(trial % 2))
@@ -214,9 +215,9 @@ def test_batch_unitary_check_at_the_bound(rng, tol, factor):
     ]
     for spec in perturbed:
         assert _gate_is_unitary(spec, tol) == inside
-        assert _gates_are_unitary([spec], tol) == inside
-        assert _gates_are_unitary(good + [spec], tol) == inside
-    assert _gates_are_unitary(good, tol)
+        assert _gates_are_unitary(as_gates([spec]), tol) == inside
+        assert _gates_are_unitary(as_gates(good + [spec]), tol) == inside
+    assert _gates_are_unitary(as_gates(good), tol)
 
 
 def test_exp_unitary_flag_matches_exponent_test(rng):

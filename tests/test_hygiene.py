@@ -281,3 +281,41 @@ def test_src_imports_scipy_only_for_logm():
     found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
              for where in scipy_imports(path.read_text(encoding="utf-8"))]
     assert found == ["matchgate._checked_logm"]
+
+
+def gatespec_uses(source: str) -> list[str]:
+    """Where a module names GateSpec or exp_spec, in its code, imports or quoted
+    annotations, or calls a .param( method: one "line N: name" each."""
+    views = {"GateSpec", "exp_spec"}
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in views:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in views:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias) and node.name in views:
+            found.append((node.lineno, node.name))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "param"):
+            found.append((node.lineno, "param"))
+    found += [(0, name) for quoted in _quoted_annotations(tree)
+              for name in views if name in quoted]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scan_finds_gatespec_uses():
+    source = ("from .circuits import GateSpec as G, Gates\nfrom . import circuits\n"
+              "def f(g) -> 'list[GateSpec]':\n    return circuits.exp_spec, G, g.param('a')\n"
+              "def h(g):\n    # GateSpec, in a comment\n"
+              "    return g.params, g.param, 'exp_spec'\n")
+    assert gatespec_uses(source) == ["line 0: GateSpec", "line 1: GateSpec", "line 4: exp_spec",
+                                     "line 4: param"]
+
+
+def test_only_the_frontend_and_sampling_use_gatespecs():
+    # a GateSpec is the per-gate view a Gates record gives callers outside the package,
+    # and sampling's random gates are GateSpecs; the engines and compile read the record
+    users = {path.name for path in SRC.glob("*.py")
+             if gatespec_uses(path.read_text(encoding="utf-8"))}
+    assert users <= {"circuits.py", "sampling.py"}

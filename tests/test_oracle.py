@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (apply_gate, apply_matrix, compiled, computational, dense_gate, exp_gate,
-                      terms_matrix)
+from conftest import (apply_gate, apply_matrix, compiled, computational, dense_gate, exp_entries,
+                      exp_gate, terms_matrix)
 
 from mgsim import circuits, linalg, oracle, sampling
 from mgsim.engine_quadratic import simulate
@@ -45,7 +45,7 @@ def test_size_cap():
 
 def test_dense_gate_matches_full_expm(rng):
     g = exp_gate(a={(1, 5): 0.4 - 0.1j}, b={2: 0.3j}, s=0.2)
-    full = scipy.linalg.expm(terms_matrix(to_pauli_sum(g, JwFamily(3, PARITY)), 3))
+    full = scipy.linalg.expm(terms_matrix(to_pauli_sum(exp_entries(g), JwFamily(3, PARITY)), 3))
     columns = np.column_stack([apply_gate(e, g, 3) for e in np.eye(8, dtype=complex)])
     assert np.allclose(columns, full, atol=1e-12)
 
@@ -53,7 +53,8 @@ def test_dense_gate_matches_full_expm(rng):
 def test_a_written_zero_coefficient_activates_no_line():
     text = "circuit n=4\nstate 0 0 0 0\ngate exp a:3,4=0.3 {}\nmeasure 1\n"
     (base, base_blocks), (padded, padded_blocks) = (
-        _split(circuits.parse(text.format(extra)).gates[0], 4) for extra in ("", "a:1,7=0 b:2=0"))
+        _split(circuits.parse(text.format(extra)).gates.exp_entries()[0], 4)
+        for extra in ("", "a:1,7=0 b:2=0"))
     assert padded[0] == base[0] == (2,)  # the active and diagonal lines
     assert np.array_equal(padded_blocks, base_blocks)
 
@@ -241,7 +242,7 @@ def test_exp_blocks_take_one_call_per_dimension(rng, monkeypatch):
     # rest of its stack, so the value keeps its bits
     circ = sampling.random_circuit(6, 40, rng, unitary=False)
     gates, state = circuits.compile(circ), circ.input_state()
-    blocks = [_split(g, circ.n)[1] for g in gates]
+    blocks = [_split(entries, circ.n)[1] for entries in gates.exp_entries()]
     dims = {b.shape[-1]: 0 for b in blocks}
     for b in blocks:
         dims[b.shape[-1]] += len(b)
